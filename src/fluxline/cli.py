@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_raw_config, validate_config
-from .csvio import write_csv, write_json
+from .csvio import column_rows, write_csv, write_json
 from .metrics import (
     AlcubierreParams,
     KerrExtremeParams,
@@ -78,29 +78,28 @@ def cmd_profile(run: RunConfig) -> int:
     if run.sampling is None:
         raise ConfigError("sampling", "required block for the profile command")
     profile = run.profile()
-    rows = []
-    for t in run.sampling.t:
-        s = np.asarray(profile.speed_sq(run.sampling.r, float(t)), dtype=float)
-        rows.extend((float(r), float(t), float(v)) for r, v in zip(run.sampling.r, s))
+    r, times = run.sampling.r, run.sampling.t
+    s = [np.asarray(profile.speed_sq(r, float(t)), dtype=float) for t in times]
+    rows = column_rows(np.tile(r, len(times)), np.repeat(times, len(r)), np.concatenate(s))
     path = write_csv(_outdir(run) / "profile.csv", ("r", "t", "ctilde_sq"), rows, run.hash)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _program_rows(program):
-    for i in range(program.n_cells):
-        for j, t in enumerate(program.times):
-            yield (
-                i,
-                j,
-                float(program.cell_coords[i]),
-                float(t),
-                program.theta_dc,
-                float(program.theta_ac[i, j]),
-                float(program.theta_total[i, j]),
-                float(program.speed_sq[i, j]),
-                int(program.annotations[i, j]),
-            )
+    """Cell-major rows of PROGRAM_COLUMNS, time index varying fastest."""
+    n, m = program.n_cells, len(program.times)
+    return column_rows(
+        np.repeat(np.arange(n), m),
+        np.tile(np.arange(m), n),
+        np.repeat(program.cell_coords, m),
+        np.tile(program.times, n),
+        np.full(n * m, program.theta_dc),
+        program.theta_ac.ravel(),
+        program.theta_total.ravel(),
+        program.speed_sq.ravel(),
+        program.annotations.ravel(),
+    )
 
 
 def _synthesize_from_config(run: RunConfig, time_samples=None):
@@ -250,10 +249,10 @@ def cmd_simulate(run: RunConfig) -> int:
         return EXIT_HOT_BUDGET if isinstance(exc, HotCellBudgetExceeded) else EXIT_INFEASIBLE
     report = verify_program(program, profile, run.array_config(), spec)
     for solver, snaps in report.snapshots.items():
-        rows = (
-            (float(s.time), float(rr), float(v))
-            for s in snaps
-            for rr, v in zip(s.r, s.values)
+        rows = column_rows(
+            np.repeat([s.time for s in snaps], [len(s.r) for s in snaps]),
+            np.concatenate([s.r for s in snaps]),
+            np.concatenate([s.values for s in snaps]),
         )
         path = write_csv(out / f"snapshots_{solver}.csv", ("t", "r", "value"), rows, run.hash)
         print(f"wrote {path}")
@@ -269,9 +268,8 @@ def cmd_raytrace(run: RunConfig) -> int:
     if run.rays is None:
         raise ConfigError("rays", "required block for the raytrace command")
     profile = run.profile()
-    rows = []
-    for idx, launch in enumerate(run.rays):
-        path = trace_null_geodesic(
+    paths = [
+        trace_null_geodesic(
             profile,
             launch.background_c,
             r0=launch.r0,
@@ -280,10 +278,16 @@ def cmd_raytrace(run: RunConfig) -> int:
             t_end=launch.t_end,
             dt=launch.dt,
         )
-        rows.extend(
-            (idx, launch.direction, float(t), float(r), path.status)
-            for t, r in zip(path.t, path.r)
-        )
+        for launch in run.rays
+    ]
+    counts = [len(path.t) for path in paths]
+    rows = column_rows(
+        np.repeat(np.arange(len(paths)), counts),
+        np.repeat([launch.direction for launch in run.rays], counts),
+        np.concatenate([path.t for path in paths]),
+        np.concatenate([path.r for path in paths]),
+        np.repeat([path.status for path in paths], counts),
+    )
     out = write_csv(
         _outdir(run) / "rays.csv",
         ("launch_index", "direction", "t", "r", "status"),

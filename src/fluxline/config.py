@@ -122,8 +122,8 @@ def _get(d: dict, key: str, path: str, kind, required=False, default=None):
         return default
     val = d[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}.{key}", f"expected number, got {type(val).__name__}")
+        if not _is_finite_number(val):
+            raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val!r}")
         return float(val)
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
@@ -132,6 +132,10 @@ def _get(d: dict, key: str, path: str, kind, required=False, default=None):
     if not isinstance(val, kind):
         raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _is_finite_number(x) -> bool:
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
 
 
 def _angle(d: dict, key: str, path: str, default=0.0):
@@ -155,9 +159,9 @@ def _interval(d: dict, key: str, path: str, required=False, default=None):
     if (
         not isinstance(val, list)
         or len(val) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val)
+        or not all(map(_is_finite_number, val))
     ):
-        raise ConfigError(f"{path}.{key}", "expected [low, high]")
+        raise ConfigError(f"{path}.{key}", "expected [low, high] of finite numbers")
     lo, hi = float(val[0]), float(val[1])
     if not hi > lo:
         raise ConfigError(f"{path}.{key}", "high must exceed low")
@@ -173,8 +177,8 @@ def _grid(d: dict, key: str, path: str, required=False, default=None) -> Optiona
     val = d[key]
     sub = f"{path}.{key}"
     if isinstance(val, list):
-        if not val or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val):
-            raise ConfigError(sub, "expected a nonempty list of numbers")
+        if not val or not all(map(_is_finite_number, val)):
+            raise ConfigError(sub, "expected a nonempty list of finite numbers")
         return np.asarray(val, dtype=float)
     if isinstance(val, dict):
         _check_keys(val, ("start", "stop", "num"), sub)
@@ -203,6 +207,7 @@ def _parse_metric(d: dict, path="metric") -> dict:
         _check_keys(d, common, path)
     elif kind == "alcubierre":
         _check_keys(d, common + ("vs_over_c", "bubble_radius_R", "sigma", "x_s0", "top_hat"), path)
+        _get(d, "x_s0", path, float)
         vs = _get(d, "vs_over_c", path, float, required=True)
         R = _get(d, "bubble_radius_R", path, float, required=True)
         top_hat = _get(d, "top_hat", path, bool, default=False)
@@ -238,18 +243,21 @@ def _build_profile(metric: dict) -> SpeedProfile:
         return flat_profile() if rng is None else flat_profile(rng)
     if kind == "alcubierre":
         params = AlcubierreParams(
-            vs_over_c=float(metric["vs_over_c"]),
-            bubble_radius_R=float(metric["bubble_radius_R"]),
-            sigma=float(metric["sigma"]) if metric.get("sigma") is not None else None,
-            x_s0=float(metric.get("x_s0", 0.0)),
-            top_hat=bool(metric.get("top_hat", False)),
+            vs_over_c=_get(metric, "vs_over_c", "metric", float, required=True),
+            bubble_radius_R=_get(metric, "bubble_radius_R", "metric", float, required=True),
+            sigma=_get(metric, "sigma", "metric", float),
+            x_s0=_get(metric, "x_s0", "metric", float, default=0.0),
+            top_hat=_get(metric, "top_hat", "metric", bool, default=False),
         )
         return alcubierre_profile(params) if rng is None else alcubierre_profile(params, rng)
     if kind == "godel":
-        params = GodelParams(a=float(metric["a"]))
+        params = GodelParams(a=_get(metric, "a", "metric", float, required=True))
         return godel_profile(params) if rng is None else godel_profile(params, rng)
     if kind == "kerr_extreme":
-        params = KerrExtremeParams(mass_M=float(metric["mass_M"]), theta=_angle(metric, "theta", "metric"))
+        params = KerrExtremeParams(
+            mass_M=_get(metric, "mass_M", "metric", float, required=True),
+            theta=_angle(metric, "theta", "metric"),
+        )
         return kerr_extreme_profile(params) if rng is None else kerr_extreme_profile(params, rng)
     if kind == "tabulated":
         r, s = read_table_csv(metric["csv_path"])
@@ -300,6 +308,8 @@ def _parse_synthesis(d: dict, path="synthesis") -> SynthesisSettings:
             max_hot_cells=_get(d, "max_hot_cells", path, int, default=1),
             window_epsilon=_get(d, "window_epsilon", path, float, default=1e-9),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc))
     return SynthesisSettings(theta_dc=theta_dc, coord_window=window, time_samples=times, array=array)
@@ -345,6 +355,8 @@ def _parse_simulation(d: dict, path="simulation") -> SimulationSpec:
             stability_factor=_get(d, "stability_factor", path, float, default=0.5),
             direction=_get(d, "direction", path, int, default=1),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(path, str(exc))
 

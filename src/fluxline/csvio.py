@@ -1,25 +1,39 @@
 """Flat-file emission and ingestion.
 
-All CSV output uses '.' decimals, no thousands separators, and 17
-significant digits for floats so values round-trip bit-faithfully. Every
-emitted file starts with a comment line carrying the hash of the
-configuration that produced it.
+CSV output uses '.' decimals and no thousands separators. Each column holds
+one type, taken from the first row: ints print as integers, strings as they
+are, and floats with 17 significant digits ('%.17g', the same bytes as
+format_float, including nan, inf and -0), so values round-trip exactly.
+Rows are formatted with one format string per file and streamed to disk in
+chunks of CHUNK_ROWS, so a file is never held in memory whole. Every
+emitted file starts with a comment line (CSV) or a field (JSON) carrying
+the hash of the configuration that produced it. CSV and JSON files are
+written to a temporary sibling and moved into place with os.replace, so a
+reader sees either the old file or the complete new one, and a failed write
+leaves no partial file behind. JSON is standard: NaN and infinities are
+refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "format_float",
+    "column_rows",
     "write_csv",
     "write_json",
     "read_table_csv",
 ]
+
+CHUNK_ROWS = 8192
 
 
 def format_float(x) -> str:
@@ -29,34 +43,66 @@ def format_float(x) -> str:
     return f"{x:.17g}"
 
 
-def _format_cell(x) -> str:
+def column_rows(*columns):
+    """Rows of equal-length 1-D columns, as tuples of Python scalars.
+
+    Columns are converted with .tolist() a chunk of CHUNK_ROWS at a time,
+    so a numpy int column gives ints, a float column floats and a str
+    column strs, without holding every row as Python objects at once.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    for lo in range(0, n, CHUNK_ROWS):
+        yield from zip(*(c[lo : lo + CHUNK_ROWS].tolist() for c in columns))
+
+
+def _cell_format(x) -> str:
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
+        return "%d"
     if isinstance(x, str):
-        return x
-    return format_float(x)
+        return "%s"
+    return "%.17g"
+
+
+@contextmanager
+def _replaced_atomically(path: Path):
+    """Text handle on a temporary sibling that replaces path on success."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(path, columns, rows, config_hash: str | None = None) -> Path:
+    """Stream rows (tuples, one type per column) to path; see the module doc."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    if config_hash is not None:
-        lines.append(f"# config_hash={config_hash}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    rows = iter(rows)
+    with _replaced_atomically(path) as fh:
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write(",".join(columns) + "\n")
+        first = next(rows, None)
+        if first is not None:
+            fmt = ",".join(map(_cell_format, first)) + "\n"
+            fh.write(fmt % first)
+            while chunk := "".join(map(fmt.__mod__, islice(rows, CHUNK_ROWS))):
+                fh.write(chunk)
     return path
 
 
 def write_json(path, payload: dict, config_hash: str | None = None) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = dict(payload)
     if config_hash is not None:
         doc["config_hash"] = config_hash
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with _replaced_atomically(path) as fh:
+        fh.write(text)
     return path
 
 
@@ -80,8 +126,11 @@ def read_table_csv(path):
                 raise ValueError(f"{path}:{lineno}: expected 'r,ctilde_sq' header or numbers")
             continue
         seen_data = True
-        r_vals.append(float(parts[0]))
-        s_vals.append(float(parts[1]))
+        r, s = float(parts[0]), float(parts[1])
+        if not (math.isfinite(r) and math.isfinite(s)):
+            raise ValueError(f"{path}:{lineno}: values must be finite")
+        r_vals.append(r)
+        s_vals.append(s)
     if len(r_vals) < 2:
         raise ValueError(f"{path}: need at least two sample rows")
     return np.asarray(r_vals), np.asarray(s_vals)

@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvio import column_rows
 from .metrics import SpeedProfile
 
 __all__ = [
@@ -408,16 +409,14 @@ class FeasibilityReport:
     theta_total: np.ndarray
 
     def rows(self):
-        for i, p in enumerate(self.param_values):
-            for j, d in enumerate(self.theta_dc_values):
-                for k, r in enumerate(self.r_values):
-                    yield (
-                        float(p),
-                        float(d),
-                        float(r),
-                        int(self.status[i, j, k]),
-                        float(self.theta_total[i, j, k]),
-                    )
+        n_p, n_d, n_r = self.status.shape
+        return column_rows(
+            np.repeat(self.param_values, n_d * n_r),
+            np.tile(np.repeat(self.theta_dc_values, n_r), n_p),
+            np.tile(self.r_values, n_p * n_d),
+            self.status.ravel(),
+            self.theta_total.ravel(),
+        )
 
 
 def _scan_slab(profile: SpeedProfile, theta_dc_values, r_values, t, config):

@@ -219,6 +219,24 @@ def test_missing_source_exits_1():
     assert main(["synth"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # each of these once exited 0 or 4 and wrote NaN artifacts
+        (["synth", "--preset", "godel", "--set", "synthesis.theta_dc_over_pi=NaN"], "synthesis.theta_dc_over_pi"),
+        (["synth", "--preset", "godel", "--set", "metric.a=Infinity"], "metric.a"),
+        (["simulate", "--preset", "godel", "--set", "simulation.tolerance=NaN"], "simulation.tolerance"),
+        (["profile", "--preset", "alcubierre", "--set", "metric.x_s0=-Infinity"], "metric.x_s0"),
+        (["profile", "--preset", "godel", "--set", "metric.valid_range=[0, Infinity]"], "metric.valid_range"),
+        (["profile", "--preset", "godel", "--set", "sampling.r=[0, NaN]"], "sampling.r"),
+    ],
+)
+def test_non_finite_config_value_exits_1_naming_field(tmp_path, capsys, argv, field):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_commands_deterministic_and_idempotent(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["synth", "--preset", "godel", "--out", str(a)]) == 0

@@ -104,6 +104,14 @@ def test_tabulated_profile_roundtrip(tmp_path):
     assert prof.valid_range == (0.0, 2.0)
 
 
+def test_tabulated_profile_rejects_non_finite_values(tmp_path):
+    csv = tmp_path / "table.csv"
+    csv.write_text("r,ctilde_sq\n0.0,1.0\n1.0,nan\n2.0,5.0\n")
+    run = validate_config({"metric": {"kind": "tabulated", "csv_path": str(csv)}})
+    with pytest.raises(ValueError, match=r"table.csv:3: values must be finite"):
+        run.profile()
+
+
 def test_all_presets_validate():
     for name, doc in PRESETS.items():
         run = validate_config(doc)
