@@ -49,6 +49,10 @@ __all__ = [
 
 METRIC_KINDS = ("flat", "alcubierre", "godel", "kerr_extreme", "tabulated")
 
+# Most RK4 steps one ray launch may take, (t_end - t0) / dt. Presets take
+# 4096 (the default dt); the bound keeps a validated launch finite in work.
+MAX_RAY_STEPS = 2**20
+
 
 class ConfigError(ValueError):
     """A configuration field is missing, unknown, or out of contract."""
@@ -388,13 +392,25 @@ def _parse_rays(d: dict, path="rays") -> list[RayLaunch]:
         direction = _get(item, "direction", sub, int, default=1)
         if direction not in (-1, 1):
             raise ConfigError(f"{sub}.direction", "must be +1 or -1")
+        t0 = _get(item, "t0", sub, float, default=0.0)
+        t_end = _get(item, "t_end", sub, float, required=True)
+        dt = _get(item, "dt", sub, float)
+        if dt is not None and dt <= 0:
+            raise ConfigError(f"{sub}.dt", "must be > 0")
+        if not t_end > t0:
+            raise ConfigError(f"{sub}.t_end", f"must exceed t0 = {t0!r}")
+        if dt is not None and (t_end - t0) / dt > MAX_RAY_STEPS:
+            raise ConfigError(
+                f"{sub}.dt",
+                f"(t_end - t0) / dt = {(t_end - t0) / dt:.6g} steps exceeds the limit of {MAX_RAY_STEPS}",
+            )
         out.append(
             RayLaunch(
                 r0=_get(item, "r0", sub, float, required=True),
-                t0=_get(item, "t0", sub, float, default=0.0),
+                t0=t0,
                 direction=direction,
-                t_end=_get(item, "t_end", sub, float, required=True),
-                dt=_get(item, "dt", sub, float),
+                t_end=t_end,
+                dt=dt,
                 background_c=bg,
             )
         )

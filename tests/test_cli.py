@@ -237,6 +237,23 @@ def test_non_finite_config_value_exits_1_naming_field(tmp_path, capsys, argv, fi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "launch, field",
+    [
+        # 5e9 RK4 steps: once validated and ran until killed
+        ({"r0": 0, "t_end": 5, "dt": 1e-9}, "rays.launches[0].dt"),
+        # once exited 1 from the tracer, without a field path
+        ({"r0": 0, "t_end": 5, "dt": -1}, "rays.launches[0].dt"),
+        ({"r0": 0, "t0": 5, "t_end": 5}, "rays.launches[0].t_end"),
+    ],
+)
+def test_unbounded_ray_launch_exits_1_naming_field(tmp_path, capsys, launch, field):
+    argv = ["raytrace", "--preset", "flat", "--set", f"rays.launches={json.dumps([launch])}"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_commands_deterministic_and_idempotent(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["synth", "--preset", "godel", "--out", str(a)]) == 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxline.metrics import (
     AlcubierreParams,
@@ -273,3 +275,56 @@ def test_sup_speed_sq():
     assert alc.sup_speed_sq((0.0, 10.0)) == pytest.approx(6.25)
     k = kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=0.0))
     assert k.sup_speed_sq((0.5, 3.0)) <= 1.0
+
+
+# one profile per evaluator formula; a float point and an array point must
+# take the same arithmetic to the same bits
+SCALAR_ARRAY_PROFILES = {
+    "flat": flat_profile(),
+    "alcubierre_top_hat": alcubierre_profile(
+        AlcubierreParams(vs_over_c=1.5, bubble_radius_R=2.0, x_s0=6.0, top_hat=True)
+    ),
+    "alcubierre_smooth": alcubierre_profile(
+        AlcubierreParams(vs_over_c=1.2, bubble_radius_R=2.0, sigma=4.0, x_s0=3.0)
+    ),
+    "godel": godel_profile(GodelParams(a=0.7)),
+    "kerr_theta0": kerr_extreme_profile(KerrExtremeParams(mass_M=1.3, theta=0.0)),
+    "kerr_pi4": kerr_extreme_profile(KerrExtremeParams(mass_M=1.3, theta=math.pi / 4)),
+    "tabulated": tabulated_profile([0.0, 1.0, 2.5, 4.0], [1.0, 2.0, 0.5, 3.0]),
+}
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def profile_points(draw):
+    kind = draw(st.sampled_from(sorted(SCALAR_ARRAY_PROFILES)))
+    lo, hi = SCALAR_ARRAY_PROFILES[kind].valid_range
+    if kind == "tabulated":
+        points = st.floats(lo, hi)
+    else:
+        points = st.floats(allow_nan=False, allow_infinity=False)
+    r = draw(st.lists(points, min_size=1, max_size=40))
+    t = draw(st.floats(0.0, 50.0))
+    bg = draw(st.floats(0.05, 2.0))
+    return kind, r, t, bg
+
+
+# points near the float maximum overflow to inf (and inf / inf to nan) on
+# both paths; numpy warns where Python float arithmetic is silent
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(profile_points())
+def test_scalar_point_matches_array_point_bitwise(case):
+    kind, r, t, bg = case
+    prof = SCALAR_ARRAY_PROFILES[kind]
+    whole = prof.speed_sq(np.asarray(r), t, bg)
+    assert isinstance(whole, np.ndarray) and whole.shape == (len(r),)
+    for i, x in enumerate(r):
+        got = prof.speed_sq(float(x), t, bg)
+        assert type(got) is float
+        zero_d = prof.speed_sq(np.asarray(x), t, bg)
+        assert type(zero_d) is float
+        assert bits(got) == bits(zero_d) == bits(whole[i]), (kind, x)

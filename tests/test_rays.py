@@ -122,3 +122,40 @@ def test_ray_fourth_order_convergence():
         errs.append(abs(path.r[-1] - exact))
     # classical single-step 4th order: halving dt cuts the error ~16x
     assert errs[0] / errs[1] > 12.0
+
+
+class ArrayPointProfile:
+    """A profile whose every evaluation point is sent down the ndarray path."""
+
+    def __init__(self, profile):
+        self._profile = profile
+
+    def __getattr__(self, name):
+        return getattr(self._profile, name)
+
+    def speed_sq(self, r, t=0.0, background_c=1.0):
+        return self._profile.speed_sq(np.asarray(r), t, background_c)
+
+
+@pytest.mark.parametrize(
+    "prof, r0, direction, t_end, bg",
+    [
+        (flat_profile(), 0.0, 1, 5.0, 1.0),
+        (alcubierre_profile(AlcubierreParams(vs_over_c=1.5, bubble_radius_R=0.4, x_s0=6.0, top_hat=True)),
+         5.5, 1, 3.0, 1.0),
+        (alcubierre_profile(AlcubierreParams(vs_over_c=0.9, bubble_radius_R=0.3, sigma=10.0, x_s0=6.0)),
+         5.5, 1, 4.0, 0.7),
+        (godel_profile(GodelParams(a=1.0)), 0.3, 1, 2.0, 1.0),
+        (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=0.0)), 2.0, -1, 20.0, 1.0),
+        (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=math.pi / 4)), 3.0, -1, 20.0, 1.0),
+        (tabulated_profile([0.0, 2.0, 5.0], [1.0, 3.0, 0.5]), 1.0, 1, 10.0, 1.0),
+    ],
+    ids=["flat", "alcubierre_top_hat", "alcubierre_smooth", "godel", "kerr_theta0", "kerr_pi4", "tabulated"],
+)
+def test_float_oracle_path_matches_array_path(prof, r0, direction, t_end, bg):
+    kw = dict(r0=r0, direction=direction, t_end=t_end, dt=t_end / 2000)
+    fast = trace_null_geodesic(prof, bg, **kw)
+    slow = trace_null_geodesic(ArrayPointProfile(prof), bg, **kw)
+    assert fast.status == slow.status
+    assert fast.t.tobytes() == slow.t.tobytes()
+    assert fast.r.tobytes() == slow.r.tobytes()
