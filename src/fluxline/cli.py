@@ -22,20 +22,16 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_raw_config, validate_config
 from .csvio import column_rows, write_csv, write_json
 from .metrics import (
-    AlcubierreParams,
-    KerrExtremeParams,
     ProfileDomainError,
     ProfileEvaluationError,
     alcubierre_profile,
     kerr_extreme_profile,
 )
 from .synthesis import (
-    ArccosInfeasible,
     HotCellBudgetExceeded,
-    NegativeSpeedSquared,
     Status,
+    SynthesisError,
     SynthesisFailed,
-    WindowViolation,
     dc_feasibility_boundary,
     feasibility_scan,
     godel_max_radius,
@@ -56,6 +52,23 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_HOT_BUDGET = 3
 EXIT_SIMULATION = 4
+
+# Exit code and stderr prefix per failure. The first row an exception
+# matches wins: ConfigError comes before the ValueError it derives from,
+# and the hot-cell budget before every other synthesis error.
+FAILURES = (
+    ((ConfigError,), EXIT_CONFIG, "config error"),
+    ((HotCellBudgetExceeded,), EXIT_HOT_BUDGET, "hot-cell budget exceeded"),
+    ((SynthesisError,), EXIT_INFEASIBLE, "synthesis infeasible"),
+    ((CflViolation, StabilityViolation, SingularInductance, FrontNotFound), EXIT_SIMULATION, "simulation failed"),
+    ((ProfileDomainError, ProfileEvaluationError, ValueError), EXIT_CONFIG, "config error"),
+)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr prefix of the first FAILURES row exc matches."""
+    return next((code, prefix) for types, code, prefix in FAILURES if isinstance(exc, types))
+
 
 PROGRAM_COLUMNS = (
     "cell_index",
@@ -120,13 +133,11 @@ def cmd_synth(run: RunConfig) -> int:
         payload = {"feasible": False, "reason": str(exc)}
         if isinstance(exc, SynthesisFailed):
             payload.update(cell=exc.cell, time_index=exc.time_index, status=exc.status.name.lower())
-            code = EXIT_INFEASIBLE
         else:
             payload.update(time_index=exc.time_index, hot_cells=exc.count, budget=exc.budget)
-            code = EXIT_HOT_BUDGET
         path = write_json(out / "synth_failure.json", payload, run.hash)
         print(f"synthesis failed ({payload['reason']}); wrote {path}")
-        return code
+        return _failure(exc)[0]
     counts = {status.name.lower(): int(np.count_nonzero(program.annotations == int(status))) for status in Status}
     summary = {
         "feasible": True,
@@ -151,20 +162,19 @@ def _fig_profiles(run: RunConfig):
     fz = run.feasibility
     if fz is None:
         raise ConfigError("feasibility", "required block for the feasibility command")
-    metric = run.metric
+    profile = run.profile()
     dc = fz.theta_dc_values
     r = fz.r_values
     if fz.figure == "fig1":
-        if metric["kind"] != "alcubierre":
+        if profile.kind != "alcubierre":
             raise ConfigError("metric.kind", "fig1 needs an alcubierre metric")
         vs_values = fz.vs_values if fz.vs_values is not None else np.array([0.5, 1.0, 1.5])
         if dc is None:
             dc = np.linspace(-0.4999 * math.pi, 0.0, 512)
         if r is None:
-            r = np.array([float(metric.get("x_s0", 0.0))])
-        base = run.profile().params
+            r = np.array([profile.params.x_s0])
         profiles = [
-            (float(v), alcubierre_profile(replace(base, vs_over_c=float(v))))
+            (float(v), alcubierre_profile(replace(profile.params, vs_over_c=float(v))))
             for v in vs_values
         ]
         boundary = (
@@ -173,14 +183,13 @@ def _fig_profiles(run: RunConfig):
         )
         return "vs_over_c", profiles, dc, r, boundary
     if fz.figure == "fig2":
-        if metric["kind"] != "godel":
+        if profile.kind != "godel":
             raise ConfigError("metric.kind", "fig2 needs a godel metric")
         if dc is None:
             dc = np.array([0.1, 0.2, 0.3, 1.0 / 3.0, 0.4, 0.45]) * math.pi
         if r is None:
             r = np.linspace(0.0, 6.0, 301)
-        a = float(metric["a"])
-        profiles = [(a, run.profile())]
+        profiles = [(profile.params.a, profile)]
         dense = np.linspace(0.005 * math.pi, 0.4999 * math.pi, 400)
         boundary = (
             ("theta_dc", "r_max_over_2a"),
@@ -188,16 +197,16 @@ def _fig_profiles(run: RunConfig):
         )
         return "a", profiles, dc, r, boundary
     if fz.figure == "fig3":
-        if metric["kind"] != "kerr_extreme":
+        if profile.kind != "kerr_extreme":
             raise ConfigError("metric.kind", "fig3 needs a kerr_extreme metric")
         thetas = fz.theta_values if fz.theta_values is not None else np.array([0.0, 0.25, 0.5]) * math.pi
         if dc is None:
             dc = np.array([0.0])
         if r is None:
             r = np.linspace(0.01, 4.0, 400)
-        M = float(metric["mass_M"])
+        M = profile.params.mass_M
         profiles = [
-            (float(th), kerr_extreme_profile(KerrExtremeParams(mass_M=M, theta=float(th))))
+            (float(th), kerr_extreme_profile(replace(profile.params, theta=float(th))))
             for th in thetas
         ]
         rows = []
@@ -208,14 +217,14 @@ def _fig_profiles(run: RunConfig):
         boundary = (("theta", "r_forbidden_low", "r_forbidden_high"), rows)
         return "theta", profiles, dc, r, boundary
     # custom scan over the configured metric
-    profiles = [(0.0, run.profile())]
+    profiles = [(0.0, profile)]
     return "metric", profiles, dc, r, None
 
 
 def cmd_feasibility(run: RunConfig) -> int:
     out = _outdir(run)
     param_name, profiles, dc, r, boundary = _fig_profiles(run)
-    report = feasibility_scan(profiles, dc, r, run.array_config(), param_name=param_name)
+    report = feasibility_scan(profiles, dc, r, run.synthesis.array, param_name=param_name)
     path = write_csv(
         out / "feasibility.csv",
         ("param_1", "param_2", "r", "status_code", "theta_total_or_nan"),
@@ -246,8 +255,8 @@ def cmd_simulate(run: RunConfig) -> int:
         payload = {"feasible": False, "reason": str(exc)}
         path = write_json(out / "synth_failure.json", payload, run.hash)
         print(f"refusing to simulate: {exc}; wrote {path}")
-        return EXIT_HOT_BUDGET if isinstance(exc, HotCellBudgetExceeded) else EXIT_INFEASIBLE
-    report = verify_program(program, profile, run.array_config(), spec)
+        return _failure(exc)[0]
+    report = verify_program(program, profile, spec)
     for solver, snaps in report.snapshots.items():
         rows = column_rows(
             np.repeat([s.time for s in snaps], [len(s.r) for s in snaps]),
@@ -335,28 +344,12 @@ def main(argv=None) -> int:
     if args.out is not None:
         overrides.append(f"output.directory={args.out}")
     try:
-        raw = load_raw_config(args.config, args.preset, overrides)
-        run = validate_config(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        run = validate_config(load_raw_config(args.config, args.preset, overrides))
         return args.func(run)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HotCellBudgetExceeded as exc:
-        print(f"hot-cell budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_HOT_BUDGET
-    except (SynthesisFailed, NegativeSpeedSquared, ArccosInfeasible, WindowViolation) as exc:
-        print(f"synthesis infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (CflViolation, StabilityViolation, SingularInductance, FrontNotFound) as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except (ProfileDomainError, ProfileEvaluationError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(t for types, _, _ in FAILURES for t in types) as exc:
+        code, prefix = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

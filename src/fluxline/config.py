@@ -3,7 +3,8 @@
 Unknown keys are rejected and every complaint names the offending field
 path, so sweep tooling can edit configs mechanically and fail loudly.
 Angles may be given in radians (theta_dc) or in units of pi
-(theta_dc_over_pi), but not both at once.
+(theta_dc_over_pi), but not both at once. A metric block's keys, types and
+value checks are those of its kind's parameter dataclass (metrics.KINDS).
 
 Presets are complete configs keyed by name; command-line --set assignments
 are applied to the raw document before validation, so anything a preset
@@ -12,27 +13,19 @@ fixes can still be overridden.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .csvio import read_table_csv
-from .metrics import (
-    AlcubierreParams,
-    GodelParams,
-    KerrExtremeParams,
-    SpeedProfile,
-    alcubierre_profile,
-    flat_profile,
-    godel_profile,
-    kerr_extreme_profile,
-    tabulated_profile,
-)
+from .metrics import KINDS, ParamError, SpeedProfile, tabulated_profile
 from .synthesis import ArrayConfig
 from .wavelab.verify import SimulationSpec
 
@@ -46,8 +39,6 @@ __all__ = [
     "load_raw_config",
     "validate_config",
 ]
-
-METRIC_KINDS = ("flat", "alcubierre", "godel", "kerr_extreme", "tabulated")
 
 # Most RK4 steps one ray launch may take, (t_end - t0) / dt. Presets take
 # 4096 (the default dt); the bound keeps a validated launch finite in work.
@@ -200,73 +191,46 @@ def _grid(d: dict, key: str, path: str, required=False, default=None) -> Optiona
 # --------------------------------------------------------------------------
 
 
-def _parse_metric(d: dict, path="metric") -> dict:
+def _field_type(hint):
+    """float for float and Optional[float]; any other hint as it is."""
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+
+
+def _parse_metric(d: dict, path="metric") -> Callable[[], SpeedProfile]:
+    """Check a metric block and return what builds its profile.
+
+    Analytic kinds are built here; a tabulated table is read on each build.
+    """
     if not isinstance(d, dict):
         raise ConfigError(path, "expected an object")
     kind = _get(d, "kind", path, str, required=True)
-    if kind not in METRIC_KINDS:
-        raise ConfigError(f"{path}.kind", f"must be one of {METRIC_KINDS}")
-    common = ("kind", "valid_range")
-    if kind == "flat":
-        _check_keys(d, common, path)
-    elif kind == "alcubierre":
-        _check_keys(d, common + ("vs_over_c", "bubble_radius_R", "sigma", "x_s0", "top_hat"), path)
-        _get(d, "x_s0", path, float)
-        vs = _get(d, "vs_over_c", path, float, required=True)
-        R = _get(d, "bubble_radius_R", path, float, required=True)
-        top_hat = _get(d, "top_hat", path, bool, default=False)
-        sigma = _get(d, "sigma", path, float)
-        if vs < 0:
-            raise ConfigError(f"{path}.vs_over_c", "must be >= 0")
-        if R <= 0:
-            raise ConfigError(f"{path}.bubble_radius_R", "must be > 0")
-        if not top_hat and (sigma is None or sigma <= 0):
-            raise ConfigError(f"{path}.sigma", "must be > 0 unless top_hat is true")
-    elif kind == "godel":
-        _check_keys(d, common + ("a",), path)
-        if _get(d, "a", path, float, required=True) <= 0:
-            raise ConfigError(f"{path}.a", "must be > 0")
-    elif kind == "kerr_extreme":
-        _check_keys(d, common + ("mass_M", "theta", "theta_over_pi"), path)
-        if _get(d, "mass_M", path, float, required=True) <= 0:
-            raise ConfigError(f"{path}.mass_M", "must be > 0")
-        theta = _angle(d, "theta", path)
-        if not 0.0 <= theta <= math.pi / 2:
-            raise ConfigError(f"{path}.theta", "must lie in [0, pi/2]")
-    elif kind == "tabulated":
-        _check_keys(d, common + ("csv_path",), path)
-        _get(d, "csv_path", path, str, required=True)
-    _interval(d, "valid_range", path)
-    return d
-
-
-def _build_profile(metric: dict) -> SpeedProfile:
-    kind = metric["kind"]
-    rng = _interval(metric, "valid_range", "metric")
-    if kind == "flat":
-        return flat_profile() if rng is None else flat_profile(rng)
-    if kind == "alcubierre":
-        params = AlcubierreParams(
-            vs_over_c=_get(metric, "vs_over_c", "metric", float, required=True),
-            bubble_radius_R=_get(metric, "bubble_radius_R", "metric", float, required=True),
-            sigma=_get(metric, "sigma", "metric", float),
-            x_s0=_get(metric, "x_s0", "metric", float, default=0.0),
-            top_hat=_get(metric, "top_hat", "metric", bool, default=False),
-        )
-        return alcubierre_profile(params) if rng is None else alcubierre_profile(params, rng)
-    if kind == "godel":
-        params = GodelParams(a=_get(metric, "a", "metric", float, required=True))
-        return godel_profile(params) if rng is None else godel_profile(params, rng)
-    if kind == "kerr_extreme":
-        params = KerrExtremeParams(
-            mass_M=_get(metric, "mass_M", "metric", float, required=True),
-            theta=_angle(metric, "theta", "metric"),
-        )
-        return kerr_extreme_profile(params) if rng is None else kerr_extreme_profile(params, rng)
+    if kind not in KINDS:
+        raise ConfigError(f"{path}.kind", f"must be one of {tuple(KINDS)}")
     if kind == "tabulated":
-        r, s = read_table_csv(metric["csv_path"])
-        return tabulated_profile(r, s)
-    raise ConfigError("metric.kind", f"unhandled kind {kind!r}")
+        _check_keys(d, ("kind", "csv_path"), path)
+        csv_path = _get(d, "csv_path", path, str, required=True)
+        return lambda: tabulated_profile(*read_table_csv(csv_path))
+    cls = KINDS[kind].params
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    angles = [f.name for f in fields if f.name.startswith("theta")]
+    keys = ("kind", "valid_range", *(f.name for f in fields), *(f"{a}_over_pi" for a in angles))
+    _check_keys(d, keys, path)
+    values = {}
+    for f in fields:
+        if f.name in angles:
+            values[f.name] = _angle(d, f.name, path, default=f.default)
+        else:
+            required = f.default is dataclasses.MISSING
+            ftype = _field_type(hints[f.name])
+            values[f.name] = _get(d, f.name, path, ftype, required=required, default=f.default)
+    try:
+        params = cls(**values)
+    except ParamError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.message)
+    rng = _interval(d, "valid_range", path, default=KINDS[kind].valid_range)
+    profile = SpeedProfile(kind, params, rng)
+    return lambda: profile
 
 
 @dataclass(frozen=True)
@@ -287,7 +251,6 @@ def _parse_synthesis(d: dict, path="synthesis") -> SynthesisSettings:
             "theta_dc_over_pi",
             "coord_window",
             "n_cells",
-            "cell_pitch",
             "c0",
             "impedance_margin",
             "impedance_margin_over_pi",
@@ -306,7 +269,6 @@ def _parse_synthesis(d: dict, path="synthesis") -> SynthesisSettings:
     try:
         array = ArrayConfig(
             n_cells=_get(d, "n_cells", path, int, default=64),
-            cell_pitch=_get(d, "cell_pitch", path, float, default=1.0),
             c0=_get(d, "c0", path, float, default=1.0),
             impedance_margin=margin,
             max_hot_cells=_get(d, "max_hot_cells", path, int, default=1),
@@ -468,17 +430,13 @@ def _parse_feasibility(d: dict, path="feasibility") -> FeasibilitySettings:
 @dataclass(frozen=True)
 class OutputSettings:
     directory: str
-    formats: tuple[str, ...]
 
 
 def _parse_output(d: dict, path="output") -> OutputSettings:
     if not isinstance(d, dict):
         raise ConfigError(path, "expected an object")
-    _check_keys(d, ("directory", "formats"), path)
-    fmts = d.get("formats", ["csv", "json"])
-    if not isinstance(fmts, list) or any(f not in ("csv", "json") for f in fmts):
-        raise ConfigError(f"{path}.formats", "must be a list drawn from ['csv', 'json']")
-    return OutputSettings(directory=_get(d, "directory", path, str, default="out"), formats=tuple(fmts))
+    _check_keys(d, ("directory",), path)
+    return OutputSettings(directory=_get(d, "directory", path, str, default="out"))
 
 
 TOP_LEVEL_KEYS = ("metric", "synthesis", "simulation", "output", "sampling", "rays", "feasibility")
@@ -488,7 +446,7 @@ TOP_LEVEL_KEYS = ("metric", "synthesis", "simulation", "output", "sampling", "ra
 class RunConfig:
     raw: dict
     hash: str
-    metric: dict
+    make_profile: Callable[[], SpeedProfile]
     synthesis: SynthesisSettings
     simulation: Optional[SimulationSpec]
     output: OutputSettings
@@ -497,10 +455,7 @@ class RunConfig:
     feasibility: Optional[FeasibilitySettings]
 
     def profile(self) -> SpeedProfile:
-        return _build_profile(self.metric)
-
-    def array_config(self) -> ArrayConfig:
-        return self.synthesis.array
+        return self.make_profile()
 
 
 def validate_config(doc: dict) -> RunConfig:
@@ -509,7 +464,7 @@ def validate_config(doc: dict) -> RunConfig:
     _check_keys(doc, TOP_LEVEL_KEYS, "config")
     if "metric" not in doc:
         raise ConfigError("metric", "required block missing")
-    metric = _parse_metric(doc["metric"])
+    make_profile = _parse_metric(doc["metric"])
     synthesis = _parse_synthesis(doc.get("synthesis", {}))
     simulation = _parse_simulation(doc["simulation"]) if "simulation" in doc else None
     sampling = _parse_sampling(doc["sampling"]) if "sampling" in doc else None
@@ -519,7 +474,7 @@ def validate_config(doc: dict) -> RunConfig:
     return RunConfig(
         raw=doc,
         hash=config_hash(doc),
-        metric=metric,
+        make_profile=make_profile,
         synthesis=synthesis,
         simulation=simulation,
         output=output,

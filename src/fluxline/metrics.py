@@ -21,8 +21,9 @@ Built-in profiles:
                 slices
   tabulated     linear interpolation between user samples, hard domain edges
 
+Each kind is one entry of KINDS, which SpeedProfile and the config read.
 All evaluators are pure and hold no mutable state, so profiles are safe to
-share across workers.
+share.
 
 Each kind has one formula, written with operators that act alike on a Python
 float and on an ndarray. A Python float is evaluated as it is, with plain
@@ -42,16 +43,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "ProfileDomainError",
     "ProfileEvaluationError",
+    "ParamError",
+    "FlatParams",
     "AlcubierreParams",
     "GodelParams",
     "KerrExtremeParams",
+    "TabulatedParams",
+    "Kind",
+    "KINDS",
     "SpeedProfile",
     "shape_function",
     "alcubierre_speed_sq",
@@ -79,6 +85,20 @@ class ProfileEvaluationError(ValueError):
     """The profile value cannot be used here, e.g. speed_sq <= 0 under a sqrt."""
 
 
+class ParamError(ValueError):
+    """A profile parameter is out of contract; field names the parameter."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+        self.message = message
+
+
+@dataclass(frozen=True)
+class FlatParams:
+    """The flat section has no parameters."""
+
+
 @dataclass(frozen=True)
 class AlcubierreParams:
     """Moving-bubble parameters.
@@ -98,12 +118,11 @@ class AlcubierreParams:
 
     def __post_init__(self):
         if self.vs_over_c < 0:
-            raise ValueError("vs_over_c must be >= 0")
+            raise ParamError("vs_over_c", "must be >= 0")
         if self.bubble_radius_R <= 0:
-            raise ValueError("bubble_radius_R must be > 0")
-        if not self.top_hat:
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("sigma must be > 0 for a smooth-wall bubble")
+            raise ParamError("bubble_radius_R", "must be > 0")
+        if not self.top_hat and (self.sigma is None or self.sigma <= 0):
+            raise ParamError("sigma", "must be > 0 unless top_hat is true")
 
 
 @dataclass(frozen=True)
@@ -114,7 +133,7 @@ class GodelParams:
 
     def __post_init__(self):
         if self.a <= 0:
-            raise ValueError("a must be > 0")
+            raise ParamError("a", "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -123,7 +142,8 @@ class KerrExtremeParams:
 
     theta is a parameter of the slice, not a coordinate; it must lie in
     [0, pi/2]. The spin is pinned to the mass, so the two horizons merge
-    at r = M.
+    at r = M. (mass_M cos theta)^2 must not underflow to 0, or
+    Sigma = r^2 + (mass_M cos theta)^2 vanishes at r = 0.
     """
 
     mass_M: float
@@ -131,9 +151,11 @@ class KerrExtremeParams:
 
     def __post_init__(self):
         if self.mass_M <= 0:
-            raise ValueError("mass_M must be > 0")
+            raise ParamError("mass_M", "must be > 0")
         if not 0.0 <= self.theta <= math.pi / 2:
-            raise ValueError("theta must lie in [0, pi/2]")
+            raise ParamError("theta", "must lie in [0, pi/2]")
+        if (self.mass_M * math.cos(self.theta)) ** 2 == 0.0:
+            raise ParamError("mass_M", "must keep (mass_M cos theta)^2 > 0, or Sigma vanishes at r = 0")
 
 
 def _point(x: ArrayLike) -> ArrayLike:
@@ -197,115 +219,151 @@ def kerr_extreme_speed_sq(r: ArrayLike, params: KerrExtremeParams) -> ArrayLike:
     return _value((1.0 - 2.0 * M * rr / sigma) * (d * d) / sigma)
 
 
+@dataclass(frozen=True, eq=False)
+class TabulatedParams:
+    """Read-only copies of samples: strictly increasing r, finite values."""
+
+    r: np.ndarray
+    speed_sq: np.ndarray
+
+    def __post_init__(self):
+        r = np.asarray(self.r, dtype=float).copy()
+        v = np.asarray(self.speed_sq, dtype=float).copy()
+        if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
+            raise ValueError("need two equal-length 1-D sample arrays with >= 2 points")
+        if np.any(np.diff(r) <= 0):
+            raise ValueError("r samples must be strictly increasing")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+            raise ValueError("samples must be finite")
+        r.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "speed_sq", v)
+
+
+def _flat_speed_sq(r, t, params, background_c):
+    return 1.0 if type(r) is float else _value(np.ones_like(np.asarray(r, dtype=float)))
+
+
+def _tabulated_speed_sq(r, t, params: TabulatedParams, background_c):
+    rr = np.asarray(r, dtype=float)
+    lo, hi = float(params.r[0]), float(params.r[-1])
+    if np.any(rr < lo) or np.any(rr > hi):
+        raise ProfileDomainError(f"tabulated profile evaluated outside [{lo}, {hi}]")
+    out = np.interp(rr, params.r, params.speed_sq)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def _kerr_extreme_sup(params: KerrExtremeParams, window) -> float:
+    lo, hi = window
+    return float(np.max(kerr_extreme_speed_sq(np.linspace(lo, hi, 4097), params)))
+
+
+def _tabulated_sup(params: TabulatedParams, window) -> float:
+    lo, hi = window
+    rs = np.linspace(lo, hi, max(len(params.r) * 4, 4097))
+    return float(np.max(_tabulated_speed_sq(rs, 0.0, params, 1.0)))
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One metric kind.
+
+    params is the parameter dataclass: its fields are the config keys and
+    its __post_init__ holds every value check. speed_sq(r, t, params,
+    background_c) evaluates the profile. sup(params, window) bounds it on
+    the window over all times, conservatively, since CFL bounds use it.
+    valid_range is the default domain (None: the span of the samples).
+    """
+
+    params: type
+    speed_sq: Callable
+    sup: Callable
+    time_dependent: bool
+    valid_range: Optional[tuple[float, float]] = FULL_LINE
+
+
+KINDS: dict[str, Kind] = {
+    "flat": Kind(FlatParams, _flat_speed_sq, lambda p, window: 1.0, False),
+    "alcubierre": Kind(
+        AlcubierreParams, alcubierre_speed_sq, lambda p, window: (1.0 + p.vs_over_c) ** 2, True
+    ),
+    # the radial formula is even in r, so the even extension over the full
+    # line is used; this keeps centered stencils at the axis inside range
+    "godel": Kind(
+        GodelParams,
+        lambda r, t, p, background_c: godel_speed_sq(r, p),
+        lambda p, window: godel_speed_sq(max(abs(window[0]), abs(window[1])), p),
+        False,
+    ),
+    "kerr_extreme": Kind(
+        KerrExtremeParams,
+        lambda r, t, p, background_c: kerr_extreme_speed_sq(r, p),
+        _kerr_extreme_sup,
+        False,
+        HALF_LINE,
+    ),
+    "tabulated": Kind(TabulatedParams, _tabulated_speed_sq, _tabulated_sup, False, None),
+}
+
+
 @dataclass(frozen=True)
 class SpeedProfile:
     """A dimensionless squared-speed field speed_sq(r, t) with its domain.
 
-    kind is one of flat / alcubierre / godel / kerr_extreme / tabulated.
-    Only the alcubierre profile is time dependent. valid_range is the r
-    interval callers may rely on; tabulated profiles enforce it hard, the
-    analytic ones use it to bound solvers and ray tracers.
+    kind names an entry of KINDS and params is an instance of its parameter
+    dataclass. valid_range is the r interval callers may rely on; tabulated
+    profiles enforce it hard, the analytic ones use it to bound solvers and
+    ray tracers.
     """
 
     kind: str
     params: object
-    time_dependent: bool
     valid_range: tuple[float, float]
-    table_r: Optional[np.ndarray] = None
-    table_speed_sq: Optional[np.ndarray] = None
+
+    @property
+    def time_dependent(self) -> bool:
+        return KINDS[self.kind].time_dependent
 
     def speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> ArrayLike:
         """Evaluate the profile; may return negative values (see module doc)."""
-        if self.kind == "flat":
-            return 1.0 if type(r) is float else _value(np.ones_like(np.asarray(r, dtype=float)))
-        if self.kind == "alcubierre":
-            return alcubierre_speed_sq(r, t, self.params, background_c)
-        if self.kind == "godel":
-            return godel_speed_sq(r, self.params)
-        if self.kind == "kerr_extreme":
-            return kerr_extreme_speed_sq(r, self.params)
-        if self.kind == "tabulated":
-            return self._interp_table(r)
-        raise ValueError(f"unknown profile kind {self.kind!r}")
-
-    def _interp_table(self, r: ArrayLike) -> ArrayLike:
-        rr = np.asarray(r, dtype=float)
-        lo, hi = self.valid_range
-        if np.any(rr < lo) or np.any(rr > hi):
-            raise ProfileDomainError(
-                f"tabulated profile evaluated outside [{lo}, {hi}]"
-            )
-        out = np.interp(rr, self.table_r, self.table_speed_sq)
-        return float(out) if np.ndim(r) == 0 else out
+        return KINDS[self.kind].speed_sq(r, t, self.params, background_c)
 
     def contains(self, r: float) -> bool:
         lo, hi = self.valid_range
         return lo <= r <= hi
 
     def sup_speed_sq(self, window: tuple[float, float]) -> float:
-        """Supremum of speed_sq on the window, over all times.
-
-        Used for CFL bounds, so the estimate is conservative: the bubble
-        profile reports its interior maximum whether or not the bubble is
-        inside the window at any sampled instant.
-        """
-        lo, hi = window
-        if self.kind == "flat":
-            return 1.0
-        if self.kind == "alcubierre":
-            v = self.params.vs_over_c
-            return (1.0 + v) ** 2
-        if self.kind == "godel":
-            edge = max(abs(lo), abs(hi))
-            return godel_speed_sq(edge, self.params)
-        if self.kind == "kerr_extreme":
-            rs = np.linspace(lo, hi, 4097)
-            return float(np.max(kerr_extreme_speed_sq(rs, self.params)))
-        if self.kind == "tabulated":
-            rs = np.linspace(lo, hi, max(len(self.table_r) * 4, 4097))
-            return float(np.max(self._interp_table(rs)))
-        raise ValueError(f"unknown profile kind {self.kind!r}")
+        """Supremum of speed_sq on the window, over all times (see Kind.sup)."""
+        return KINDS[self.kind].sup(self.params, window)
 
 
 def flat_profile(valid_range: tuple[float, float] = FULL_LINE) -> SpeedProfile:
-    return SpeedProfile("flat", None, False, valid_range)
+    return SpeedProfile("flat", FlatParams(), valid_range)
 
 
 def alcubierre_profile(
     params: AlcubierreParams, valid_range: tuple[float, float] = FULL_LINE
 ) -> SpeedProfile:
-    return SpeedProfile("alcubierre", params, True, valid_range)
+    return SpeedProfile("alcubierre", params, valid_range)
 
 
 def godel_profile(
     params: GodelParams, valid_range: tuple[float, float] = FULL_LINE
 ) -> SpeedProfile:
-    # The radial formula is even in r, so the even extension over the full
-    # line is used; this keeps centered stencils at the axis inside range.
-    return SpeedProfile("godel", params, False, valid_range)
+    return SpeedProfile("godel", params, valid_range)
 
 
 def kerr_extreme_profile(
     params: KerrExtremeParams, valid_range: tuple[float, float] = HALF_LINE
 ) -> SpeedProfile:
-    return SpeedProfile("kerr_extreme", params, False, valid_range)
+    return SpeedProfile("kerr_extreme", params, valid_range)
 
 
 def tabulated_profile(r_samples, speed_sq_samples) -> SpeedProfile:
     """Profile interpolating linearly between samples; rejects evaluation outside."""
-    r = np.asarray(r_samples, dtype=float).copy()
-    v = np.asarray(speed_sq_samples, dtype=float).copy()
-    if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
-        raise ValueError("need two equal-length 1-D sample arrays with >= 2 points")
-    if np.any(np.diff(r) <= 0):
-        raise ValueError("r samples must be strictly increasing")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-        raise ValueError("samples must be finite")
-    r.setflags(write=False)
-    v.setflags(write=False)
-    return SpeedProfile(
-        "tabulated", None, False, (float(r[0]), float(r[-1])), table_r=r, table_speed_sq=v
-    )
+    params = TabulatedParams(r_samples, speed_sq_samples)
+    return SpeedProfile("tabulated", params, (float(params.r[0]), float(params.r[-1])))
 
 
 def ricci_scalar(

@@ -31,8 +31,6 @@ CSV status codes:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -55,6 +53,7 @@ __all__ = [
     "FeasibilityReport",
     "speed_sq_from_flux",
     "dc_calibration",
+    "invert_speed_sq",
     "synthesize_flux",
     "dc_feasibility_boundary",
     "godel_max_radius",
@@ -135,7 +134,6 @@ class ArrayConfig:
     """
 
     n_cells: int = 64
-    cell_pitch: float = 1.0
     c0: float = 1.0
     impedance_margin: float = 0.44 * math.pi
     max_hot_cells: int = 1
@@ -144,8 +142,6 @@ class ArrayConfig:
     def __post_init__(self):
         if self.n_cells < 2:
             raise ValueError("n_cells must be >= 2")
-        if self.cell_pitch <= 0:
-            raise ValueError("cell_pitch must be > 0")
         if self.c0 <= 0:
             raise ValueError("c0 must be > 0")
         if not 0.0 < self.impedance_margin < HALF_PI:
@@ -174,6 +170,17 @@ def dc_calibration(c_over_c0_sq: float, sign: int = 1) -> float:
     return sign * math.acos(c_over_c0_sq)
 
 
+def invert_speed_sq(speed_sq, theta_dc):
+    """The one flux inversion: (arg, theta_total) for speed_sq at theta_dc.
+
+    arg = speed_sq * cos(theta_dc) and theta_total = arccos(arg) on the
+    principal branch, with arg clipped to [-1, 1] first; callers judge the
+    unclipped arg (see _classify_grid). Broadcasting rules are numpy's.
+    """
+    arg = speed_sq * np.cos(theta_dc)
+    return arg, np.arccos(np.clip(arg, -1.0, 1.0))
+
+
 def synthesize_flux(
     speed_sq: float, theta_dc: float, window_epsilon: float = 1e-9
 ) -> tuple[float, float]:
@@ -191,14 +198,11 @@ def synthesize_flux(
         raise ValueError("theta_dc must lie strictly inside (-pi/2, pi/2)")
     if speed_sq < 0.0:
         raise NegativeSpeedSquared(f"speed_sq = {speed_sq} < 0")
-    arg = speed_sq * math.cos(theta_dc)
-    if arg > 1.0:
-        if arg > 1.0 + ARCCOS_SLACK:
-            raise ArccosInfeasible(
-                f"arccos argument {arg} > 1 (speed_sq={speed_sq}, theta_dc={theta_dc})"
-            )
-        arg = 1.0
-    theta_total = math.acos(arg)
+    arg, theta_total = map(float, invert_speed_sq(speed_sq, theta_dc))
+    if arg > 1.0 + ARCCOS_SLACK:
+        raise ArccosInfeasible(
+            f"arccos argument {arg} > 1 (speed_sq={speed_sq}, theta_dc={theta_dc})"
+        )
     if theta_total > HALF_PI - window_epsilon:
         raise WindowViolation(
             f"total flux angle {theta_total} within {window_epsilon} of pi/2",
@@ -253,10 +257,9 @@ def _classify_grid(speed_sq, theta_dc, config: ArrayConfig):
     """
     s = np.asarray(speed_sq, dtype=float)
     d = np.asarray(theta_dc, dtype=float)
-    arg = s * np.cos(d)
+    arg, theta = invert_speed_sq(s, d)
     negative = s < 0.0
     infeasible = arg > 1.0 + ARCCOS_SLACK
-    theta = np.arccos(np.clip(arg, -1.0, 1.0))
     bad_dc = np.abs(d) >= HALF_PI - config.window_epsilon
     beyond = arg < -ARCCOS_SLACK
     window = bad_dc | beyond
@@ -419,12 +422,6 @@ class FeasibilityReport:
         )
 
 
-def _scan_slab(profile: SpeedProfile, theta_dc_values, r_values, t, config):
-    s = np.asarray(profile.speed_sq(np.asarray(r_values, dtype=float), t), dtype=float)
-    d = np.asarray(theta_dc_values, dtype=float)
-    return _classify_grid(s[None, :], d[:, None], config)
-
-
 def feasibility_scan(
     profiles: Sequence[tuple[float, SpeedProfile]],
     theta_dc_values,
@@ -432,15 +429,11 @@ def feasibility_scan(
     config: ArrayConfig,
     t: float = 0.0,
     param_name: str = "param",
-    workers: Optional[int] = None,
 ) -> FeasibilityReport:
     """Classify every grid point of a profile family.
 
     profiles is a sequence of (parameter value, profile) pairs; the scan is
     dense over parameters x theta_dc_values x r_values at fixed time t.
-    Chunks fan out over a process pool when workers > 1 (default from
-    FLUXLINE_WORKERS, else sequential); results merge in parameter order, so
-    the report is identical either way.
     """
     if len(profiles) == 0:
         raise ValueError("need at least one (param, profile) pair")
@@ -448,16 +441,11 @@ def feasibility_scan(
     r = np.asarray(r_values, dtype=float)
     if d.size == 0 or r.size == 0:
         raise ValueError("grid axes must be nonempty")
-    if workers is None:
-        workers = int(os.environ.get("FLUXLINE_WORKERS", "1"))
     params = np.array([p for p, _ in profiles], dtype=float)
-    profs = [prof for _, prof in profiles]
-
-    if workers > 1 and len(profs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            slabs = list(pool.map(_scan_slab, profs, [d] * len(profs), [r] * len(profs), [t] * len(profs), [config] * len(profs)))
-    else:
-        slabs = [_scan_slab(prof, d, r, t, config) for prof in profs]
+    slabs = [
+        _classify_grid(np.asarray(prof.speed_sq(r, t), dtype=float)[None, :], d[:, None], config)
+        for _, prof in profiles
+    ]
 
     status = np.stack([s for s, _ in slabs])
     theta = np.stack([th for _, th in slabs])

@@ -4,7 +4,9 @@ A light front in the reduced section follows dr/dt = direction *
 background_c * sqrt(speed_sq(r, t)). The tracer integrates this with a
 classical 4th-order single-step scheme at fixed step size; it terminates
 early (with a status flag, not an exception) when the path leaves the
-profile's valid range or runs into speed_sq < 0.
+profile's valid range or runs into speed_sq < 0. A non-finite speed_sq
+(an overflow far out on an unbounded range) raises ProfileEvaluationError:
+no path through it exists.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..metrics import ProfileDomainError, SpeedProfile
+from ..metrics import ProfileDomainError, ProfileEvaluationError, SpeedProfile
 
 __all__ = [
     "RAY_COMPLETED",
@@ -79,8 +81,10 @@ def trace_null_geodesic(
         if r < lo or r > hi:
             raise _LeftDomain
         s2 = profile.speed_sq(r, t, background_c=background_c)
-        if s2 < 0.0:
-            raise _NegativeSpeedSq
+        if not 0.0 <= s2 < math.inf:
+            if s2 < 0.0:
+                raise _NegativeSpeedSq
+            raise ProfileEvaluationError(f"speed_sq = {s2} at r = {r}, t = {t} is not finite")
         return direction * background_c * math.sqrt(s2)
 
     ts = [t0]

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..metrics import SpeedProfile
-from ..synthesis import ArrayConfig, FluxProgram
+from ..synthesis import FluxProgram, invert_speed_sq
 from .continuum import ContinuumGrid, ContinuumSolver, GaussianPulse
 from .fronts import FrontNotFound, front_trajectory
 from .ladder import LadderSim
@@ -181,12 +181,11 @@ def _run_continuum(profile, spec: SimulationSpec, window, background_c):
 
 def _ladder_schedule(profile, program: FluxProgram, cell_r):
     """Total flux angle per cell as a function of time, from the same inversion."""
-    cos_dc = math.cos(program.theta_dc)
     bg = program.background_c
 
     def schedule(t):
         s = np.asarray(profile.speed_sq(cell_r, t, background_c=bg), dtype=float)
-        return np.arccos(np.clip(s * cos_dc, -1.0, 1.0))
+        return invert_speed_sq(s, program.theta_dc)[1]
 
     return schedule
 
@@ -241,7 +240,6 @@ def _evaluate(snaps, guard, meta, profile, background_c, spec: SimulationSpec, w
 def verify_program(
     program: FluxProgram,
     profile: SpeedProfile,
-    config: ArrayConfig,
     spec: SimulationSpec,
 ) -> VerificationReport:
     """Simulate the program and compare fronts against the ray oracle."""

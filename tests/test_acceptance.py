@@ -206,7 +206,7 @@ def _convergence_case(profile, theta_dc, window, spec_kw, n_list):
     errs = []
     for n in n_list:
         spec = SimulationSpec(n_points=n, solver="continuum", **spec_kw)
-        rep = verify_program(program, profile, cfg, spec)
+        rep = verify_program(program, profile, spec)
         errs.append(rep.solvers["continuum"].max_rel_deviation)
     return errs
 

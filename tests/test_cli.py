@@ -7,7 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluxline import cli
 from fluxline.cli import main
+from fluxline.config import ConfigError
+from fluxline.metrics import ProfileDomainError, ProfileEvaluationError
+from fluxline.synthesis import (
+    ArccosInfeasible,
+    HotCellBudgetExceeded,
+    NegativeSpeedSquared,
+    Status,
+    SynthesisFailed,
+    WindowViolation,
+)
+from fluxline.wavelab import CflViolation, FrontNotFound, SingularInductance, StabilityViolation
 
 
 def read_csv(path):
@@ -252,6 +264,62 @@ def test_unbounded_ray_launch_exits_1_naming_field(tmp_path, capsys, launch, fie
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "preset, r0, extra, error",
+    [
+        # Sigma = r^2 + (M cos theta)^2 underflowed to 0 at r = 0: an
+        # uncaught ZeroDivisionError (and NaN rows with exit 0 before that)
+        ("kerr_theta0", 0, ["--set", "metric.mass_M=1e-200"], "config error: metric.mass_M: "),
+        # far out the profile overflows; these wrote inf and nan rows with
+        # status completed and exit 0
+        ("godel", 1e200, [], "config error: speed_sq = inf at r = 1e+200"),
+        ("kerr_theta0", 1e200, [], "config error: speed_sq = nan at r = 1e+200"),
+    ],
+)
+def test_non_finite_ray_speed_exits_1(tmp_path, capsys, preset, r0, extra, error):
+    launch = json.dumps([{"r0": r0, "t_end": 1}])
+    argv = ["raytrace", "--preset", preset, "--set", f"rays.launches={launch}", *extra]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(error)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (ConfigError("metric.a", "must be > 0"), 1, "config error"),
+        (HotCellBudgetExceeded(0, 2, 1), 3, "hot-cell budget exceeded"),
+        (SynthesisFailed(4, 0, Status.NEGATIVE_SPEED_SQ), 2, "synthesis infeasible"),
+        (NegativeSpeedSquared("speed_sq = -1 < 0"), 2, "synthesis infeasible"),
+        (ArccosInfeasible("arccos argument 2 > 1"), 2, "synthesis infeasible"),
+        (WindowViolation("total flux angle at pi/2", theta_total=math.pi / 2), 2, "synthesis infeasible"),
+        (CflViolation("dt too large"), 4, "simulation failed"),
+        (StabilityViolation("dt too large"), 4, "simulation failed"),
+        (SingularInductance("cos(theta) = 0"), 4, "simulation failed"),
+        (FrontNotFound("no front"), 4, "simulation failed"),
+        (ProfileDomainError("r outside range"), 1, "config error"),
+        (ProfileEvaluationError("speed_sq = nan"), 1, "config error"),
+        (ValueError("bad value"), 1, "config error"),
+    ],
+)
+def test_failure_maps_to_exit_code_and_stderr_prefix(monkeypatch, capsys, tmp_path, exc, code, prefix):
+    def fail(run):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "profile", (fail, "raise"))
+    assert main(["profile", "--preset", "flat", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+
+def test_unmapped_failure_propagates(monkeypatch, tmp_path):
+    def fail(run):
+        raise ZeroDivisionError("not a documented failure")
+
+    monkeypatch.setitem(cli.COMMANDS, "profile", (fail, "raise"))
+    with pytest.raises(ZeroDivisionError):
+        main(["profile", "--preset", "flat", "--out", str(tmp_path)])
 
 
 def test_commands_deterministic_and_idempotent(tmp_path):

@@ -14,6 +14,16 @@ from fluxline.config import (
     load_raw_config,
     validate_config,
 )
+from fluxline.cli import main
+from fluxline.metrics import (
+    KINDS,
+    AlcubierreParams,
+    FlatParams,
+    GodelParams,
+    KerrExtremeParams,
+    SpeedProfile,
+    TabulatedParams,
+)
 
 MINIMAL = {"metric": {"kind": "flat"}}
 
@@ -192,3 +202,90 @@ def test_feasibility_custom_requires_grids():
     run = validate_config(doc2)
     assert run.feasibility.figure is None
     assert len(run.feasibility.r_values) == 10
+
+
+# one valid block per registered kind and the params it must build; the
+# tabulated block names a CSV the test writes
+KIND_BLOCKS = {
+    "flat": ({"kind": "flat"}, FlatParams()),
+    "alcubierre": (
+        {"kind": "alcubierre", "vs_over_c": 1.5, "bubble_radius_R": 2, "sigma": 4.0, "x_s0": 3.0},
+        AlcubierreParams(vs_over_c=1.5, bubble_radius_R=2.0, sigma=4.0, x_s0=3.0),
+    ),
+    "godel": ({"kind": "godel", "a": 2, "valid_range": [-1.0, 5.0]}, GodelParams(a=2.0)),
+    "kerr_extreme": (
+        {"kind": "kerr_extreme", "mass_M": 1.3, "theta_over_pi": 0.25},
+        KerrExtremeParams(mass_M=1.3, theta=0.25 * math.pi),
+    ),
+    "tabulated": ({"kind": "tabulated", "csv_path": "table.csv"}, TabulatedParams([0.0, 1.0, 2.0], [1.0, 2.0, 5.0])),
+}
+
+# (kind, key set on the valid block, value, field the error must name)
+INVALID_PARAMS = [
+    ("flat", "valid_range", [1.0, 0.0], "valid_range"),
+    ("alcubierre", "vs_over_c", -0.5, "vs_over_c"),
+    ("alcubierre", "bubble_radius_R", 0.0, "bubble_radius_R"),
+    ("alcubierre", "sigma", 0.0, "sigma"),
+    ("alcubierre", "top_hat", "yes", "top_hat"),
+    ("godel", "a", -1.0, "a"),
+    ("kerr_extreme", "mass_M", 0.0, "mass_M"),
+    # (mass_M cos theta)^2 underflows to 0, so Sigma vanishes at r = 0
+    ("kerr_extreme", "mass_M", 1e-200, "mass_M"),
+    ("kerr_extreme", "theta_over_pi", 0.75, "theta"),
+    ("tabulated", "csv_path", 3, "csv_path"),
+]
+
+
+def test_kind_cases_cover_the_registry():
+    assert set(KIND_BLOCKS) == {kind for kind, *_ in INVALID_PARAMS} == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_BLOCKS))
+def test_every_kind_round_trips_through_config(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.csv").write_text("r,ctilde_sq\n0.0,1.0\n1.0,2.0\n2.0,5.0\n")
+    block, params = KIND_BLOCKS[kind]
+    prof = validate_config({"metric": block}).profile()
+    assert prof.kind == kind
+    assert type(prof.params) is KINDS[kind].params
+    if kind == "tabulated":
+        assert prof.valid_range == (0.0, 2.0)
+        np.testing.assert_array_equal(prof.params.r, params.r)
+        np.testing.assert_array_equal(prof.params.speed_sq, params.speed_sq)
+    else:
+        assert prof.params == params
+        assert prof.valid_range == tuple(block.get("valid_range", KINDS[kind].valid_range))
+    r = np.linspace(0.0, 2.0, 9)
+    direct = SpeedProfile(kind, params, prof.valid_range)
+    np.testing.assert_array_equal(prof.speed_sq(r, 0.5), direct.speed_sq(r, 0.5))
+    assert prof.time_dependent == KINDS[kind].time_dependent
+
+
+@pytest.mark.parametrize("kind, key, value, field", INVALID_PARAMS)
+def test_every_kind_rejects_invalid_parameter_naming_field(tmp_path, capsys, kind, key, value, field):
+    block = {**KIND_BLOCKS[kind][0], key: value}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"metric": block, "sampling": {"r": [0.5]}}))
+    assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: metric.{field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        # parsed and validated, never read; removed with the keys
+        "synthesis.cell_pitch=2.0",
+        'output.formats=["csv"]',
+    ],
+)
+def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
+    argv = ["synth", "--preset", "godel", "--set", assignment, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def test_tabulated_metric_takes_its_domain_from_the_samples():
+    doc = {"metric": {"kind": "tabulated", "csv_path": "t.csv", "valid_range": [0.0, 1.0]}}
+    with pytest.raises(ConfigError, match="unknown keys"):
+        validate_config(doc)

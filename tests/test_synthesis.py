@@ -324,19 +324,6 @@ def test_scan_rows_deterministic_and_well_formed():
         assert math.isnan(theta) == (code in (3, 4))
 
 
-def test_scan_parallel_merge_matches_sequential():
-    cfg = ArrayConfig()
-    profs = [
-        (v, alcubierre_profile(AlcubierreParams(vs_over_c=v, bubble_radius_R=1.0, x_s0=0.0, top_hat=True)))
-        for v in (0.5, 1.0, 1.5)
-    ]
-    dc = np.linspace(-0.49 * math.pi, 0.0, 64)
-    seq = feasibility_scan(profs, dc, [0.0], cfg, workers=1)
-    par = feasibility_scan(profs, dc, [0.0], cfg, workers=2)
-    np.testing.assert_array_equal(seq.status, par.status)
-    np.testing.assert_allclose(seq.theta_total, par.theta_total, rtol=0, atol=0, equal_nan=True)
-
-
 def test_array_config_validation():
     with pytest.raises(ValueError):
         ArrayConfig(n_cells=1)

@@ -26,7 +26,7 @@ def test_flat_program_verifies_below_one_percent():
     cfg = ArrayConfig(n_cells=256)
     program = synthesize_program(prof, 0.0, cfg, (0.0, 10.0))
     spec = SimulationSpec(pulse_center=1.0, pulse_width=0.18, t_end=7.0, solver="both", n_points=600)
-    report = verify_program(program, prof, cfg, spec)
+    report = verify_program(program, prof, spec)
     assert report.passed
     assert report.solvers["continuum"].max_rel_deviation < 0.01
     assert report.solvers["ladder"].max_rel_deviation < 0.03
@@ -37,7 +37,7 @@ def test_godel_program_passes_default_tolerance():
     cfg = ArrayConfig(n_cells=256)
     program = synthesize_program(prof, 0.45 * math.pi, cfg, (0.0, 3.8))
     spec = SimulationSpec(pulse_center=0.4, pulse_width=0.12, t_end=4.4, solver="both", n_points=700)
-    report = verify_program(program, prof, cfg, spec)
+    report = verify_program(program, prof, spec)
     assert report.passed
     for res in report.solvers.values():
         assert res.max_rel_deviation <= 0.05
@@ -48,7 +48,7 @@ def test_report_serializes_to_json():
     cfg = ArrayConfig(n_cells=64)
     program = synthesize_program(prof, 0.0, cfg, (0.0, 10.0))
     spec = SimulationSpec(pulse_center=1.0, pulse_width=0.2, t_end=4.0, n_points=400)
-    report = verify_program(program, prof, cfg, spec)
+    report = verify_program(program, prof, spec)
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["passed"] is True
     assert "continuum" in doc["solvers"]
@@ -62,7 +62,7 @@ def test_speed_bookkeeping_for_moving_bubble():
     cfg = ArrayConfig(n_cells=256)
     program = synthesize_program(prof, -0.449 * math.pi, cfg, (0.0, 40.0), np.linspace(0, 6, 7))
     spec = SimulationSpec(pulse_center=6.0, pulse_width=0.35, t_end=6.0, n_points=900)
-    report = verify_program(program, prof, cfg, spec)
+    report = verify_program(program, prof, spec)
     bg = math.sqrt(math.cos(0.449 * math.pi))
     assert report.speeds["c_over_c0"] == pytest.approx(bg, rel=1e-12)
     # both lab-frame bookkeepings are recorded: the flux-pattern speed and
@@ -112,7 +112,7 @@ def test_kerr_axis_program_stalls_at_horizon():
     spec = SimulationSpec(
         pulse_center=2.5, pulse_width=0.1, t_end=12.0, n_points=800, direction=-1, tolerance=0.1
     )
-    report = verify_program(program, prof, cfg, spec)
+    report = verify_program(program, prof, spec)
     res = report.solvers["continuum"]
     assert report.passed
     # both the wave front and the ray stall above the horizon radius
