@@ -147,7 +147,7 @@ def cmd_synth(run: RunConfig) -> int:
         "background_c": program.background_c,
         "c0": program.c0,
         "coord_window": list(program.coord_window),
-        "hot_cells_per_time": [int(x) for x in program.hot_cell_counts()],
+        "hot_cells_per_time": [int(x) for x in program.hot_cell_counts(run.synthesis.array.window_epsilon)],
         "status_counts": counts,
     }
     csv_path = write_csv(out / "program.csv", PROGRAM_COLUMNS, _program_rows(program), run.hash)

@@ -274,10 +274,8 @@ def _parse_synthesis(d: dict, path="synthesis") -> SynthesisSettings:
             max_hot_cells=_get(d, "max_hot_cells", path, int, default=1),
             window_epsilon=_get(d, "window_epsilon", path, float, default=1e-9),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
+    except ParamError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.message)
     return SynthesisSettings(theta_dc=theta_dc, coord_window=window, time_samples=times, array=array)
 
 
@@ -321,10 +319,9 @@ def _parse_simulation(d: dict, path="simulation") -> SimulationSpec:
             stability_factor=_get(d, "stability_factor", path, float, default=0.5),
             direction=_get(d, "direction", path, int, default=1),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
+    except ParamError as exc:
+        # pulse_width is set as simulation.pulse.width
+        raise ConfigError(f"{path}.{exc.field.replace('pulse_', 'pulse.')}", exc.message)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,15 @@ one type, taken from the first row: ints print as integers, strings as they
 are, and floats with 17 significant digits ('%.17g', the same bytes as
 format_float, including nan, inf and -0), so values round-trip exactly.
 Rows are formatted with one format string per file and streamed to disk in
-chunks of CHUNK_ROWS, so a file is never held in memory whole. Every
-emitted file starts with a comment line (CSV) or a field (JSON) carrying
-the hash of the configuration that produced it. CSV and JSON files are
-written to a temporary sibling and moved into place with os.replace, so a
-reader sees either the old file or the complete new one, and a failed write
-leaves no partial file behind. JSON is standard: NaN and infinities are
-refused.
+chunks of CHUNK_ROWS, so a file is never held in memory whole. Rows built
+by column_rows carry their float cells as that '%.17g' text already: most
+columns repeat a few grid values, so each distinct bit pattern of a chunk
+is formatted once. Every emitted file starts with a comment line (CSV) or
+a field (JSON) carrying the hash of the configuration that produced it.
+CSV and JSON files are written to a temporary sibling and moved into place
+with os.replace, so a reader sees either the old file or the complete new
+one, and a failed write leaves no partial file behind. JSON is standard:
+NaN and infinities are refused.
 """
 
 from __future__ import annotations
@@ -44,16 +46,27 @@ def format_float(x) -> str:
 
 
 def column_rows(*columns):
-    """Rows of equal-length 1-D columns, as tuples of Python scalars.
+    """Rows of equal-length 1-D columns, as tuples of Python scalars and text.
 
-    Columns are converted with .tolist() a chunk of CHUNK_ROWS at a time,
-    so a numpy int column gives ints, a float column floats and a str
-    column strs, without holding every row as Python objects at once.
+    Columns are converted a chunk of CHUNK_ROWS at a time, without holding
+    every row as Python objects at once. A float64 column gives its cells as
+    '%.17g' text, the bytes write_csv would print for the float, and each
+    distinct bit pattern in a chunk is formatted once, so 0.0 and -0.0 stay
+    apart. Any other column goes through .tolist(): an int column gives
+    ints and a str column strs.
     """
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     for lo in range(0, n, CHUNK_ROWS):
-        yield from zip(*(c[lo : lo + CHUNK_ROWS].tolist() for c in columns))
+        yield from zip(*(_cells(c[lo : lo + CHUNK_ROWS]) for c in columns))
+
+
+def _cells(chunk: np.ndarray) -> list:
+    if chunk.dtype != np.float64:
+        return chunk.tolist()
+    bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
+    text = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split()
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def _cell_format(x) -> str:

@@ -86,7 +86,10 @@ class ProfileEvaluationError(ValueError):
 
 
 class ParamError(ValueError):
-    """A profile parameter is out of contract; field names the parameter."""
+    """A parameter of a profile, the array or a simulation is out of contract.
+
+    field names the parameter; config reports it under its block's path.
+    """
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field} {message}")

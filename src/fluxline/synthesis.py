@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .csvio import column_rows
-from .metrics import SpeedProfile
+from .metrics import ParamError, SpeedProfile
 
 __all__ = [
     "Status",
@@ -141,15 +141,15 @@ class ArrayConfig:
 
     def __post_init__(self):
         if self.n_cells < 2:
-            raise ValueError("n_cells must be >= 2")
+            raise ParamError("n_cells", "must be >= 2")
         if self.c0 <= 0:
-            raise ValueError("c0 must be > 0")
+            raise ParamError("c0", "must be > 0")
         if not 0.0 < self.impedance_margin < HALF_PI:
-            raise ValueError("impedance_margin must lie in (0, pi/2)")
+            raise ParamError("impedance_margin", "must lie in (0, pi/2)")
         if self.max_hot_cells < 0:
-            raise ValueError("max_hot_cells must be >= 0")
+            raise ParamError("max_hot_cells", "must be >= 0")
         if not 0.0 < self.window_epsilon < 1e-3:
-            raise ValueError("window_epsilon must lie in (0, 1e-3)")
+            raise ParamError("window_epsilon", "must lie in (0, 1e-3)")
 
 
 def speed_sq_from_flux(theta_total, c0: float = 1.0):
@@ -322,8 +322,12 @@ class FluxProgram:
     def n_cells(self) -> int:
         return len(self.cell_coords)
 
-    def hot_cell_counts(self, window_epsilon: float = 1e-9) -> np.ndarray:
-        """Number of cells pinned at the pi/2 window, per time sample."""
+    def hot_cell_counts(self, window_epsilon: float) -> np.ndarray:
+        """Number of cells within window_epsilon of pi/2, per time sample.
+
+        Pass the ArrayConfig.window_epsilon the program was synthesized
+        with, so the counts are the ones its hot-cell budget was held to.
+        """
         return np.count_nonzero(self.theta_total >= HALF_PI - window_epsilon, axis=0)
 
 
@@ -401,7 +405,8 @@ class FeasibilityReport:
     status and theta_total have shape (P, D, R); theta_total is NaN where no
     principal-branch total exists. rows() yields the flat CSV rows
     (param, theta_dc, r, status_code, theta_total_or_nan) in deterministic
-    nested order.
+    nested order, the status code an int and every other cell '%.17g' text
+    (csvio.column_rows), so theta_total_or_nan reads "nan" where it is NaN.
     """
 
     param_name: str

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..metrics import SpeedProfile
+from ..metrics import ParamError, SpeedProfile
 from ..synthesis import FluxProgram, invert_speed_sq
 from .continuum import ContinuumGrid, ContinuumSolver, GaussianPulse
 from .fronts import FrontNotFound, front_trajectory
@@ -29,14 +29,27 @@ from .ladder import LadderSim
 from .rays import trace_null_geodesic
 
 __all__ = [
+    "MAX_SNAPSHOT_VALUES",
+    "MAX_SOLVER_STEPS",
     "SimulationSpec",
     "SolverResult",
     "VerificationReport",
+    "WorkLimitExceeded",
     "compare_front_to_ray",
     "verify_program",
 ]
 
 SOLVERS = ("continuum", "ladder", "both")
+# Most time steps one solver may take (t_end / dt), and most snapshot values
+# (snapshots x grid points) one solver may keep in memory. Presets take at
+# most 3,068 steps and keep at most 144,000 values; the bounds keep a
+# validated run finite in work and memory.
+MAX_SOLVER_STEPS = 2**20
+MAX_SNAPSHOT_VALUES = 2**23
+
+
+class WorkLimitExceeded(ValueError):
+    """A run would step or keep more than the bounds above; the message starts with the knob."""
 
 
 @dataclass(frozen=True)
@@ -59,17 +72,19 @@ class SimulationSpec:
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
+            raise ParamError("solver", f"must be one of {SOLVERS}")
         if self.pulse_width <= 0:
-            raise ValueError("pulse_width must be > 0")
+            raise ParamError("pulse_width", "must be > 0")
         if self.t_end <= 0:
-            raise ValueError("t_end must be > 0")
+            raise ParamError("t_end", "must be > 0")
+        if self.snapshot_stride is not None and self.snapshot_stride < 1:
+            raise ParamError("snapshot_stride", "must be >= 1")
         if not 0.0 < self.front_threshold < 1.0:
-            raise ValueError("front_threshold must lie in (0, 1)")
+            raise ParamError("front_threshold", "must lie in (0, 1)")
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+            raise ParamError("tolerance", "must be > 0")
         if self.direction not in (-1, 1):
-            raise ValueError("direction must be +1 or -1")
+            raise ParamError("direction", "must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -154,6 +169,26 @@ def compare_front_to_ray(
     return float(np.max(rel)), ts, rs, ray_at
 
 
+def _check_steps(t_end: float, dt: float):
+    """Refuse a run of more than MAX_SOLVER_STEPS time steps, before it steps."""
+    if not t_end / dt <= MAX_SOLVER_STEPS:
+        raise WorkLimitExceeded(
+            f"simulation.t_end: t_end / dt = {t_end / dt:.6g} steps (dt = {dt:.6g})"
+            f" exceeds the limit of {MAX_SOLVER_STEPS}"
+        )
+
+
+def _check_snapshots(steps: float, stride: int, points: int):
+    """Refuse a run that would keep more than MAX_SNAPSHOT_VALUES snapshot values."""
+    # the pre-run state, one snapshot per stride steps, and the final state
+    snapshots = steps // stride + 2
+    if snapshots * points > MAX_SNAPSHOT_VALUES:
+        raise WorkLimitExceeded(
+            f"simulation.snapshot_stride: {snapshots:.0f} snapshots of {points} values"
+            f" exceed the limit of {MAX_SNAPSHOT_VALUES} values"
+        )
+
+
 def _measurement_stop(window, guard_lo, guard_hi, direction):
     lo, hi = window
     return hi - guard_hi if direction >= 0 else lo + guard_lo
@@ -172,7 +207,9 @@ def _run_continuum(profile, spec: SimulationSpec, window, background_c):
     solver = ContinuumSolver(profile, grid, background_c)
     pulse = GaussianPulse(spec.pulse_center, spec.pulse_width, spec.pulse_amplitude)
     solver.initialize_pulse(pulse, spec.direction)
+    _check_steps(spec.t_end, solver.dt)
     stride = spec.snapshot_stride or max(1, int(round(spec.t_end / solver.dt / 160)))
+    _check_snapshots(spec.t_end / solver.dt, stride, spec.n_points)
     snaps = solver.run(spec.t_end, stride)
     guard = solver.sponge_width + 2.0 * spec.pulse_width
     meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt, "snapshots": len(snaps)}
@@ -209,8 +246,10 @@ def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
         sim.set_flux(program.theta_total[:, 0])
     pulse = GaussianPulse(spec.pulse_center, spec.pulse_width, spec.pulse_amplitude)
     sim.initialize_pulse(pulse, spec.direction)
+    _check_steps(spec.t_end, sim.dt)
     n_steps = int(math.ceil(spec.t_end / sim.dt))
     stride = spec.snapshot_stride or max(1, int(round(n_steps / 160)))
+    _check_snapshots(n_steps, stride, program.n_cells + 1)
     snaps = sim.run(n_steps, stride, flux_schedule=schedule)
     guard = 2.0 * spec.pulse_width + 2.0 * pitch
     meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt, "snapshots": len(snaps)}

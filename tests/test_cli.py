@@ -118,6 +118,18 @@ def test_synth_hot_cell_budget_exits_3(tmp_path):
     assert failure["hot_cells"] == 1
 
 
+def test_synth_summary_counts_hot_cells_with_configured_epsilon(tmp_path):
+    # the summary once counted with the default epsilon 1e-9 and reported [0]
+    rc = main([
+        "synth", "--preset", "kerr_theta0", "--out", str(tmp_path),
+        "--set", "synthesis.window_epsilon=1e-6",
+        "--set", "synthesis.max_hot_cells=4",
+    ])
+    assert rc == 0
+    summary = json.loads((tmp_path / "synth_summary.json").read_text())
+    assert summary["hot_cells_per_time"] == [4]
+
+
 def test_feasibility_fig1_boundary_values(tmp_path):
     rc = main(["feasibility", "--preset", "fig1", "--out", str(tmp_path)])
     assert rc == 0
@@ -263,6 +275,25 @@ def test_unbounded_ray_launch_exits_1_naming_field(tmp_path, capsys, launch, fie
     argv = ["raytrace", "--preset", "flat", "--set", f"rays.launches={json.dumps([launch])}"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # t_end = 1e9 once ran until it was killed
+        (["simulation.t_end=1e9"], "simulation.t_end"),
+        (["simulation.t_end=1e9", "simulation.solver=ladder"], "simulation.t_end"),
+        (["simulation.t_end=1e308", "simulation.solver=ladder"], "simulation.t_end"),
+        (["simulation.t_end=100", "simulation.snapshot_stride=1"], "simulation.snapshot_stride"),
+        (["simulation.t_end=400", "simulation.snapshot_stride=1", "simulation.solver=ladder"],
+         "simulation.snapshot_stride"),
+    ],
+)
+def test_unbounded_simulation_exits_1_naming_field(tmp_path, capsys, overrides, field):
+    argv = ["simulate", "--preset", "godel", *(a for o in overrides for a in ("--set", o))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not (tmp_path / "out").exists()
 
 

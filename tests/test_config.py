@@ -285,6 +285,32 @@ def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
     assert "unknown keys" in capsys.readouterr().err
 
 
+# (command, --set assignment, field the error must name): one case per
+# check of ArrayConfig and of SimulationSpec, which once named only the block
+DATACLASS_CHECKS = [
+    ("synth", "synthesis.n_cells=1", "synthesis.n_cells"),
+    ("synth", "synthesis.c0=0", "synthesis.c0"),
+    ("synth", "synthesis.impedance_margin_over_pi=0.6", "synthesis.impedance_margin"),
+    ("synth", "synthesis.max_hot_cells=-1", "synthesis.max_hot_cells"),
+    ("synth", "synthesis.window_epsilon=0.01", "synthesis.window_epsilon"),
+    ("simulate", "simulation.solver=warp", "simulation.solver"),
+    ("simulate", "simulation.pulse.width=0", "simulation.pulse.width"),
+    ("simulate", "simulation.t_end=-1", "simulation.t_end"),
+    ("simulate", "simulation.snapshot_stride=0", "simulation.snapshot_stride"),
+    ("simulate", "simulation.front_threshold=1", "simulation.front_threshold"),
+    ("simulate", "simulation.tolerance=0", "simulation.tolerance"),
+    ("simulate", "simulation.direction=0", "simulation.direction"),
+]
+
+
+@pytest.mark.parametrize("command, assignment, field", DATACLASS_CHECKS)
+def test_dataclass_check_names_field(tmp_path, capsys, command, assignment, field):
+    argv = [command, "--preset", "godel", "--set", assignment, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_tabulated_metric_takes_its_domain_from_the_samples():
     doc = {"metric": {"kind": "tabulated", "csv_path": "t.csv", "valid_range": [0.0, 1.0]}}
     with pytest.raises(ConfigError, match="unknown keys"):

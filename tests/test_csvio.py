@@ -70,13 +70,56 @@ def test_write_csv_streams_across_chunks(tmp_path, monkeypatch):
     write_csv(tmp_path / "t.csv", ("i", "x", "s"), rows, "h")
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(("i", "x", "s"), rows, "h")
     cols = (np.arange(11), np.arange(11) / 7.0, np.array([f"s{i}" for i in range(11)]))
-    assert list(csvio.column_rows(*cols)) == rows
+    write_csv(tmp_path / "c.csv", ("i", "x", "s"), csvio.column_rows(*cols), "h")
+    assert (tmp_path / "c.csv").read_bytes() == reference_csv(("i", "x", "s"), rows, "h")
 
 
 def test_column_rows_gives_python_scalars():
     rows = list(csvio.column_rows(np.array([1, 2], dtype=np.int64), np.array([0.5, -0.0]), np.array(["a", "b"])))
-    assert rows == [(1, 0.5, "a"), (2, -0.0, "b")]
-    assert [type(x) for x in rows[0]] == [int, float, str]
+    assert rows == [(1, "0.5", "a"), (2, "-0", "b")]
+    assert [type(x) for x in rows[0]] == [int, str, str]
+
+
+def nan_with(sign: int, payload: int) -> float:
+    bits = (sign << 63) | (0x7FF << 52) | payload
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# few values, so that they repeat within a chunk; 0.0 and -0.0 and the NaNs
+# are equal or unordered as floats but distinct as bit patterns
+POOL = [0.0, -0.0, math.nan, nan_with(1, 1 << 51), nan_with(0, (1 << 51) | 5), math.inf, -math.inf,
+        5e-324, 1e308, 0.1, 1.0 / 3.0]
+COLUMN_KINDS = ("float64", "float32", "int", "strided")
+
+
+@st.composite
+def column_tables(draw):
+    n = draw(st.integers(0, 40))
+    values = st.lists(st.sampled_from(POOL), min_size=2 * n, max_size=2 * n)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5)):
+        if kind == "int":
+            columns.append(np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64))
+            continue
+        x = np.array(draw(values))
+        if kind == "float32":
+            with np.errstate(over="ignore"):
+                x = x.astype(np.float32)
+        columns.append(x[::2] if kind == "strided" else x[:n])
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_tables(), st.sampled_from([1, 2, 3, 7, 8192]))
+@example([np.array([0.0, -0.0, 0.0, nan_with(1, 3), math.nan])], 8192)
+def test_column_rows_writes_the_bytes_of_each_float(tmp_path_factory, columns, chunk_rows):
+    names = [f"c{i}" for i in range(len(columns))]
+    rows = list(zip(*(c.tolist() for c in columns)))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+        write_csv(path, names, csvio.column_rows(*columns), "h")
+    assert path.read_bytes() == reference_csv(names, rows, "h")
 
 
 def failing_rows(n_good):
@@ -112,9 +155,14 @@ def test_write_json_refuses_non_finite_and_leaves_no_file(tmp_path):
     assert json.loads(path.read_text()) == {"x": 1.5, "config_hash": "h"}
 
 
-def exact(rows):
-    """Rows with each cell as (type, repr), so nan and -0.0 compare exactly."""
-    return [tuple((type(x), repr(x)) for x in row) for row in rows]
+def assert_writes_reference(tmp_path_factory, rows, expected):
+    """rows (cells of one type each, str for float columns) write expected's bytes."""
+    rows = list(rows)
+    assert [type(x) for x in rows[0]] == [type(x) if isinstance(x, int) else str for x in expected[0]]
+    columns = [f"c{i}" for i in range(len(expected[0]))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, columns, rows, "h")
+    assert path.read_bytes() == reference_csv(columns, expected, "h")
 
 
 def random_floats(rng, shape):
@@ -125,7 +173,7 @@ def random_floats(rng, shape):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_feasibility_rows_keep_nested_loop_order(n_p, n_d, n_r, seed):
+def test_feasibility_rows_keep_nested_loop_order(tmp_path_factory, n_p, n_d, n_r, seed):
     rng = np.random.default_rng(seed)
     report = FeasibilityReport(
         param_name="p",
@@ -142,12 +190,12 @@ def test_feasibility_rows_keep_nested_loop_order(n_p, n_d, n_r, seed):
                 expected.append(
                     (float(p), float(d), float(r), int(report.status[i, j, k]), float(report.theta_total[i, j, k]))
                 )
-    assert exact(report.rows()) == exact(expected)
+    assert_writes_reference(tmp_path_factory, report.rows(), expected)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_program_rows_keep_nested_loop_order(n, m, seed):
+def test_program_rows_keep_nested_loop_order(tmp_path_factory, n, m, seed):
     rng = np.random.default_rng(seed)
     theta_dc = float(rng.uniform(-1.0, 1.0))
     program = FluxProgram(
@@ -175,4 +223,4 @@ def test_program_rows_keep_nested_loop_order(n, m, seed):
                 float(program.speed_sq[i, j]),
                 int(program.annotations[i, j]),
             ))
-    assert exact(_program_rows(program)) == exact(expected)
+    assert_writes_reference(tmp_path_factory, _program_rows(program), expected)

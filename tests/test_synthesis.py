@@ -240,7 +240,7 @@ def test_program_kerr_horizon_cell_budget():
 
     cfg1 = ArrayConfig(n_cells=10, max_hot_cells=1)
     program = synthesize_program(prof, 0.0, cfg1, (0.0, 4.0))
-    assert list(program.hot_cell_counts()) == [1]
+    assert list(program.hot_cell_counts(cfg1.window_epsilon)) == [1]
     hot = int(np.argmax(program.theta_total[:, 0]))
     assert program.cell_coords[hot] == pytest.approx(1.0)
     assert program.theta_total[hot, 0] == pytest.approx(HALF_PI, abs=1e-15)
@@ -321,7 +321,7 @@ def test_scan_rows_deterministic_and_well_formed():
     assert codes <= {int(s) for s in Status}
     # thetas are NaN exactly where no principal-branch total exists
     for _, _, _, code, theta in rows1:
-        assert math.isnan(theta) == (code in (3, 4))
+        assert (theta == "nan") == (code in (3, 4))
 
 
 def test_array_config_validation():
