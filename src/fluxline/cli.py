@@ -115,28 +115,30 @@ def _program_rows(program):
     )
 
 
-def _synthesize_from_config(run: RunConfig, time_samples=None):
+def _synthesize(run: RunConfig, profile, times):
     s = run.synthesis
     if s.coord_window is None:
         raise ConfigError("synthesis.coord_window", "required for this command")
-    profile = run.profile()
-    times = s.time_samples if time_samples is None else time_samples
-    program = synthesize_program(profile, s.theta_dc, s.array, s.coord_window, times)
-    return profile, program
+    return synthesize_program(profile, s.theta_dc, s.array, s.coord_window, times)
+
+
+def _write_synth_failure(run: RunConfig, exc) -> Path:
+    """synth_failure.json for a failed synthesis, one schema for every command."""
+    payload = {"feasible": False, "reason": str(exc)}
+    if isinstance(exc, SynthesisFailed):
+        payload.update(cell=exc.cell, time_index=exc.time_index, status=exc.status.name.lower())
+    else:
+        payload.update(time_index=exc.time_index, hot_cells=exc.count, budget=exc.budget)
+    return write_json(_outdir(run) / "synth_failure.json", payload, run.hash)
 
 
 def cmd_synth(run: RunConfig) -> int:
     out = _outdir(run)
     try:
-        _, program = _synthesize_from_config(run)
+        program = _synthesize(run, run.profile(), run.synthesis.time_samples)
     except (SynthesisFailed, HotCellBudgetExceeded) as exc:
-        payload = {"feasible": False, "reason": str(exc)}
-        if isinstance(exc, SynthesisFailed):
-            payload.update(cell=exc.cell, time_index=exc.time_index, status=exc.status.name.lower())
-        else:
-            payload.update(time_index=exc.time_index, hot_cells=exc.count, budget=exc.budget)
-        path = write_json(out / "synth_failure.json", payload, run.hash)
-        print(f"synthesis failed ({payload['reason']}); wrote {path}")
+        path = _write_synth_failure(run, exc)
+        print(f"synthesis failed ({exc}); wrote {path}")
         return _failure(exc)[0]
     counts = {status.name.lower(): int(np.count_nonzero(program.annotations == int(status))) for status in Status}
     summary = {
@@ -158,73 +160,58 @@ def cmd_synth(run: RunConfig) -> int:
 
 
 def _fig_profiles(run: RunConfig):
-    """Profile family, grids and analytic boundary rows for one scan."""
+    """Profile family and analytic boundary rows for one scan."""
     fz = run.feasibility
     if fz is None:
         raise ConfigError("feasibility", "required block for the feasibility command")
     profile = run.profile()
-    dc = fz.theta_dc_values
-    r = fz.r_values
     if fz.figure == "fig1":
         if profile.kind != "alcubierre":
             raise ConfigError("metric.kind", "fig1 needs an alcubierre metric")
-        vs_values = fz.vs_values if fz.vs_values is not None else np.array([0.5, 1.0, 1.5])
-        if dc is None:
-            dc = np.linspace(-0.4999 * math.pi, 0.0, 512)
-        if r is None:
-            r = np.array([profile.params.x_s0])
         profiles = [
             (float(v), alcubierre_profile(replace(profile.params, vs_over_c=float(v))))
-            for v in vs_values
+            for v in fz.vs_values
         ]
         boundary = (
             ("vs_over_c", "theta_dc_min"),
-            [(float(v), dc_feasibility_boundary((1.0 + float(v)) ** 2)) for v in vs_values],
+            [(float(v), dc_feasibility_boundary((1.0 + float(v)) ** 2)) for v in fz.vs_values],
         )
-        return "vs_over_c", profiles, dc, r, boundary
+        return "vs_over_c", profiles, boundary
     if fz.figure == "fig2":
         if profile.kind != "godel":
             raise ConfigError("metric.kind", "fig2 needs a godel metric")
-        if dc is None:
-            dc = np.array([0.1, 0.2, 0.3, 1.0 / 3.0, 0.4, 0.45]) * math.pi
-        if r is None:
-            r = np.linspace(0.0, 6.0, 301)
         profiles = [(profile.params.a, profile)]
         dense = np.linspace(0.005 * math.pi, 0.4999 * math.pi, 400)
         boundary = (
             ("theta_dc", "r_max_over_2a"),
             [(float(d), godel_max_radius(float(d))) for d in dense],
         )
-        return "a", profiles, dc, r, boundary
+        return "a", profiles, boundary
     if fz.figure == "fig3":
         if profile.kind != "kerr_extreme":
             raise ConfigError("metric.kind", "fig3 needs a kerr_extreme metric")
-        thetas = fz.theta_values if fz.theta_values is not None else np.array([0.0, 0.25, 0.5]) * math.pi
-        if dc is None:
-            dc = np.array([0.0])
-        if r is None:
-            r = np.linspace(0.01, 4.0, 400)
         M = profile.params.mass_M
         profiles = [
             (float(th), kerr_extreme_profile(replace(profile.params, theta=float(th))))
-            for th in thetas
+            for th in fz.theta_values
         ]
         rows = []
-        for th in thetas:
+        for th in fz.theta_values:
             band = kerr_forbidden_band(float(th), M)
             lo, hi = band if band is not None else (math.nan, math.nan)
             rows.append((float(th), lo, hi))
         boundary = (("theta", "r_forbidden_low", "r_forbidden_high"), rows)
-        return "theta", profiles, dc, r, boundary
+        return "theta", profiles, boundary
     # custom scan over the configured metric
     profiles = [(0.0, profile)]
-    return "metric", profiles, dc, r, None
+    return "metric", profiles, None
 
 
 def cmd_feasibility(run: RunConfig) -> int:
     out = _outdir(run)
-    param_name, profiles, dc, r, boundary = _fig_profiles(run)
-    report = feasibility_scan(profiles, dc, r, run.synthesis.array, param_name=param_name)
+    param_name, profiles, boundary = _fig_profiles(run)
+    fz = run.feasibility
+    report = feasibility_scan(profiles, fz.theta_dc, fz.r, run.synthesis.array, param_name=param_name)
     path = write_csv(
         out / "feasibility.csv",
         ("param_1", "param_2", "r", "status_code", "theta_total_or_nan"),
@@ -250,10 +237,9 @@ def cmd_simulate(run: RunConfig) -> int:
     if profile.time_dependent:
         times = np.linspace(0.0, spec.t_end, 17)
     try:
-        profile, program = _synthesize_from_config(run, time_samples=times)
+        program = _synthesize(run, profile, times)
     except (SynthesisFailed, HotCellBudgetExceeded) as exc:
-        payload = {"feasible": False, "reason": str(exc)}
-        path = write_json(out / "synth_failure.json", payload, run.hash)
+        path = _write_synth_failure(run, exc)
         print(f"refusing to simulate: {exc}; wrote {path}")
         return _failure(exc)[0]
     report = verify_program(program, profile, spec)

@@ -1,10 +1,23 @@
 """Run configuration: one JSON document, validated strictly.
 
+Each block is read into a dataclass that states the block once: its fields
+are the allowed keys, a field's type hint says how its value is read, a
+field without a default is required, and its __post_init__ holds the value
+checks. The blocks and their classes:
+
+    metric             the kind's parameter dataclass (metrics.KINDS)
+    synthesis          SynthesisSettings, with ArrayConfig's fields inline
+    simulation         SimulationSpec, with its pulse read as a GaussianPulse
+    rays.launches[i]   RayLaunch
+    sampling, feasibility, output
+                       SamplingSettings, FeasibilitySettings, OutputSettings
+
 Unknown keys are rejected and every complaint names the offending field
-path, so sweep tooling can edit configs mechanically and fail loudly.
-Angles may be given in radians (theta_dc) or in units of pi
-(theta_dc_over_pi), but not both at once. A metric block's keys, types and
-value checks are those of its kind's parameter dataclass (metrics.KINDS).
+path, so sweep tooling can edit configs mechanically and fail loudly. A
+field named in ANGLES may be given in radians (theta_dc) or in units of pi
+(theta_dc_over_pi), but not both at once. Every number must be finite, and
+so must every grid, every interval span and every angle scaled from units
+of pi; a grid holds at most MAX_GRID_POINTS values.
 
 Presets are complete configs keyed by name; command-line --set assignments
 are applied to the raw document before validation, so anything a preset
@@ -18,15 +31,17 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .csvio import read_table_csv
-from .metrics import KINDS, ParamError, SpeedProfile, tabulated_profile
+from .metrics import KINDS, MAX_GRID_POINTS, ParamError, SpeedProfile, tabulated_profile
 from .synthesis import ArrayConfig
+from .wavelab.continuum import GaussianPulse
 from .wavelab.verify import SimulationSpec
 
 __all__ = [
@@ -43,6 +58,9 @@ __all__ = [
 # Most RK4 steps one ray launch may take, (t_end - t0) / dt. Presets take
 # 4096 (the default dt); the bound keeps a validated launch finite in work.
 MAX_RAY_STEPS = 2**20
+
+# Fields that are angles: each is also accepted in units of pi, as <name>_over_pi
+ANGLES = frozenset({"theta", "theta_dc", "theta_values", "impedance_margin"})
 
 
 class ConfigError(ValueError):
@@ -100,8 +118,13 @@ def load_raw_config(path=None, preset: Optional[str] = None, overrides=()) -> di
 
 
 # --------------------------------------------------------------------------
-# validation helpers
+# value readers
 # --------------------------------------------------------------------------
+
+
+def _check_object(d, path: str):
+    if not isinstance(d, dict):
+        raise ConfigError(path, "expected an object")
 
 
 def _check_keys(d: dict, allowed, path: str):
@@ -110,90 +133,140 @@ def _check_keys(d: dict, allowed, path: str):
         raise ConfigError(path, f"unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
 
 
-def _get(d: dict, key: str, path: str, kind, required=False, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "required field missing")
-        return default
-    val = d[key]
-    if kind is float:
-        if not _is_finite_number(val):
-            raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val!r}")
-        return float(val)
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"{path}.{key}", f"expected integer, got {type(val).__name__}")
-        return val
-    if not isinstance(val, kind):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {type(val).__name__}")
-    return val
-
-
 def _is_finite_number(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def _angle(d: dict, key: str, path: str, default=0.0):
-    """Angle given as '<key>' (radians) or '<key>_over_pi'; at most one."""
-    pi_key = f"{key}_over_pi"
-    if key in d and pi_key in d:
-        raise ConfigError(f"{path}.{key}", f"give either {key} or {pi_key}, not both")
-    if pi_key in d:
-        return _get(d, pi_key, path, float) * math.pi
-    if key in d:
-        return _get(d, key, path, float)
-    return default
-
-
-def _interval(d: dict, key: str, path: str, required=False, default=None):
+def _get(d: dict, key: str, path: str, kind):
     if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "required field missing")
-        return default
-    val = d[key]
+        raise ConfigError(f"{path}.{key}", "required field missing")
+    return _scalar(d[key], kind, f"{path}.{key}")
+
+
+def _scalar(val, kind, path: str):
+    if kind is float:
+        if not _is_finite_number(val):
+            raise ConfigError(path, f"expected a finite number, got {val!r}")
+        return float(val)
+    if kind is int:
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(path, f"expected integer, got {type(val).__name__}")
+        return val
+    if not isinstance(val, kind):
+        raise ConfigError(path, f"expected {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
+def _interval(val, path: str) -> tuple[float, float]:
     if (
         not isinstance(val, list)
         or len(val) != 2
         or not all(map(_is_finite_number, val))
     ):
-        raise ConfigError(f"{path}.{key}", "expected [low, high] of finite numbers")
+        raise ConfigError(path, "expected [low, high] of finite numbers")
     lo, hi = float(val[0]), float(val[1])
     if not hi > lo:
-        raise ConfigError(f"{path}.{key}", "high must exceed low")
+        raise ConfigError(path, "high must exceed low")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(path, "high - low overflows")
     return (lo, hi)
 
 
-def _grid(d: dict, key: str, path: str, required=False, default=None) -> Optional[np.ndarray]:
+def _grid(val, path: str) -> np.ndarray:
     """A list of numbers, or {start, stop, num} expanded to a linear grid."""
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "required field missing")
-        return None if default is None else np.asarray(default, dtype=float)
-    val = d[key]
-    sub = f"{path}.{key}"
     if isinstance(val, list):
         if not val or not all(map(_is_finite_number, val)):
-            raise ConfigError(sub, "expected a nonempty list of finite numbers")
+            raise ConfigError(path, "expected a nonempty list of finite numbers")
+        if len(val) > MAX_GRID_POINTS:
+            raise ConfigError(path, f"holds {len(val)} values; the limit is {MAX_GRID_POINTS}")
         return np.asarray(val, dtype=float)
     if isinstance(val, dict):
-        _check_keys(val, ("start", "stop", "num"), sub)
-        start = _get(val, "start", sub, float, required=True)
-        stop = _get(val, "stop", sub, float, required=True)
-        num = _get(val, "num", sub, int, required=True)
-        if num < 1:
-            raise ConfigError(f"{sub}.num", "must be >= 1")
+        _check_keys(val, ("start", "stop", "num"), path)
+        start = _get(val, "start", path, float)
+        stop = _get(val, "stop", path, float)
+        num = _get(val, "num", path, int)
+        if not 1 <= num <= MAX_GRID_POINTS:
+            raise ConfigError(f"{path}.num", f"must lie in [1, {MAX_GRID_POINTS}]")
+        if not math.isfinite(stop - start):
+            raise ConfigError(path, "stop - start overflows")
         return np.linspace(start, stop, num)
-    raise ConfigError(sub, "expected a list or {start, stop, num}")
+    raise ConfigError(path, "expected a list or {start, stop, num}")
+
+
+def _value(val, ftype, path: str):
+    """A field's value, read by the field's type."""
+    if ftype is np.ndarray:
+        return _grid(val, path)
+    if typing.get_origin(ftype) is tuple:
+        return _interval(val, path)
+    return _scalar(val, ftype, path)
 
 
 # --------------------------------------------------------------------------
-# block parsers
+# blocks, read by their dataclass fields
 # --------------------------------------------------------------------------
 
 
-def _field_type(hint):
-    """float for float and Optional[float]; any other hint as it is."""
-    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+@cache  # get_type_hints evaluates every annotation anew, about 0.1 ms a class
+def _field_types(cls) -> tuple:
+    """(field, type) per field of cls, with Optional[X] read as X."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is typing.Union:
+            hint = next(a for a in typing.get_args(hint) if a is not type(None))
+        out.append((f, hint))
+    return tuple(out)
+
+
+def _keys(cls, skip=()):
+    """Keys a block read into cls may hold; a dataclass field's keys are in the block itself."""
+    for f, ftype in _field_types(cls):
+        if f.name in skip:
+            continue
+        if dataclasses.is_dataclass(ftype):
+            yield from _keys(ftype)
+        else:
+            yield f.name
+            if f.name in ANGLES:
+                yield f"{f.name}_over_pi"
+
+
+def _fields(d, cls, path: str, keys=(), **given):
+    """Read the block d at path into cls, by cls's dataclass fields.
+
+    keys are further keys the caller reads itself, and given are fields it
+    has read; a ParamError of cls's checks names its field under path.
+    """
+    _check_object(d, path)
+    _check_keys(d, (*keys, *_keys(cls, given)), path)
+    return _build(d, cls, path, given)
+
+
+def _build(d: dict, cls, path: str, given):
+    values = dict(given)
+    for f, ftype in _field_types(cls):
+        if f.name in given:
+            continue
+        pi_key = f"{f.name}_over_pi" if f.name in ANGLES else None
+        if dataclasses.is_dataclass(ftype):
+            values[f.name] = _build(d, ftype, path, {})
+        elif f.name in d and pi_key in d:
+            raise ConfigError(f"{path}.{f.name}", f"give either {f.name} or {pi_key}, not both")
+        elif f.name in d:
+            values[f.name] = _value(d[f.name], ftype, f"{path}.{f.name}")
+        elif pi_key in d:
+            with np.errstate(over="ignore"):
+                values[f.name] = _value(d[pi_key], ftype, f"{path}.{pi_key}") * math.pi
+            if not np.isfinite(values[f.name]).all():
+                raise ConfigError(f"{path}.{pi_key}", "overflows when scaled by pi")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{f.name}", "required field missing")
+    try:
+        return cls(**values)
+    except ParamError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.message)
 
 
 def _parse_metric(d: dict, path="metric") -> Callable[[], SpeedProfile]:
@@ -201,239 +274,107 @@ def _parse_metric(d: dict, path="metric") -> Callable[[], SpeedProfile]:
 
     Analytic kinds are built here; a tabulated table is read on each build.
     """
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object")
-    kind = _get(d, "kind", path, str, required=True)
+    _check_object(d, path)
+    kind = _get(d, "kind", path, str)
     if kind not in KINDS:
         raise ConfigError(f"{path}.kind", f"must be one of {tuple(KINDS)}")
     if kind == "tabulated":
         _check_keys(d, ("kind", "csv_path"), path)
-        csv_path = _get(d, "csv_path", path, str, required=True)
+        csv_path = _get(d, "csv_path", path, str)
         return lambda: tabulated_profile(*read_table_csv(csv_path))
-    cls = KINDS[kind].params
-    hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    angles = [f.name for f in fields if f.name.startswith("theta")]
-    keys = ("kind", "valid_range", *(f.name for f in fields), *(f"{a}_over_pi" for a in angles))
-    _check_keys(d, keys, path)
-    values = {}
-    for f in fields:
-        if f.name in angles:
-            values[f.name] = _angle(d, f.name, path, default=f.default)
-        else:
-            required = f.default is dataclasses.MISSING
-            ftype = _field_type(hints[f.name])
-            values[f.name] = _get(d, f.name, path, ftype, required=required, default=f.default)
-    try:
-        params = cls(**values)
-    except ParamError as exc:
-        raise ConfigError(f"{path}.{exc.field}", exc.message)
-    rng = _interval(d, "valid_range", path, default=KINDS[kind].valid_range)
+    params = _fields(d, KINDS[kind].params, path, keys=("kind", "valid_range"))
+    rng = _interval(d["valid_range"], f"{path}.valid_range") if "valid_range" in d else KINDS[kind].valid_range
     profile = SpeedProfile(kind, params, rng)
     return lambda: profile
 
 
 @dataclass(frozen=True)
 class SynthesisSettings:
-    theta_dc: float
-    coord_window: Optional[tuple[float, float]]
-    time_samples: np.ndarray
-    array: ArrayConfig
+    """The DC bias, window and time samples of a program, and its array."""
 
+    theta_dc: float = 0.0
+    coord_window: Optional[tuple[float, float]] = None
+    time_samples: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    array: ArrayConfig = field(default_factory=ArrayConfig)
 
-def _parse_synthesis(d: dict, path="synthesis") -> SynthesisSettings:
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(
-        d,
-        (
-            "theta_dc",
-            "theta_dc_over_pi",
-            "coord_window",
-            "n_cells",
-            "c0",
-            "impedance_margin",
-            "impedance_margin_over_pi",
-            "max_hot_cells",
-            "window_epsilon",
-            "time_samples",
-        ),
-        path,
-    )
-    theta_dc = _angle(d, "theta_dc", path)
-    if abs(theta_dc) >= math.pi / 2:
-        raise ConfigError(f"{path}.theta_dc", "must lie strictly inside (-pi/2, pi/2)")
-    window = _interval(d, "coord_window", path)
-    times = _grid(d, "time_samples", path, default=[0.0])
-    margin = _angle(d, "impedance_margin", path, default=0.44 * math.pi)
-    try:
-        array = ArrayConfig(
-            n_cells=_get(d, "n_cells", path, int, default=64),
-            c0=_get(d, "c0", path, float, default=1.0),
-            impedance_margin=margin,
-            max_hot_cells=_get(d, "max_hot_cells", path, int, default=1),
-            window_epsilon=_get(d, "window_epsilon", path, float, default=1e-9),
-        )
-    except ParamError as exc:
-        raise ConfigError(f"{path}.{exc.field}", exc.message)
-    return SynthesisSettings(theta_dc=theta_dc, coord_window=window, time_samples=times, array=array)
+    def __post_init__(self):
+        if abs(self.theta_dc) >= math.pi / 2:
+            raise ParamError("theta_dc", "must lie strictly inside (-pi/2, pi/2)")
 
 
 def _parse_simulation(d: dict, path="simulation") -> SimulationSpec:
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(
-        d,
-        (
-            "solver",
-            "n_points",
-            "cfl_factor",
-            "boundary",
-            "pulse",
-            "t_end",
-            "snapshot_stride",
-            "front_threshold",
-            "tolerance",
-            "stability_factor",
-            "direction",
-        ),
-        path,
-    )
-    pulse = d.get("pulse")
-    if not isinstance(pulse, dict):
-        raise ConfigError(f"{path}.pulse", "required object {center, width[, amplitude]}")
-    _check_keys(pulse, ("center", "width", "amplitude"), f"{path}.pulse")
-    try:
-        return SimulationSpec(
-            pulse_center=_get(pulse, "center", f"{path}.pulse", float, required=True),
-            pulse_width=_get(pulse, "width", f"{path}.pulse", float, required=True),
-            pulse_amplitude=_get(pulse, "amplitude", f"{path}.pulse", float, default=1.0),
-            t_end=_get(d, "t_end", path, float, required=True),
-            solver=_get(d, "solver", path, str, default="continuum"),
-            n_points=_get(d, "n_points", path, int, default=800),
-            cfl_factor=_get(d, "cfl_factor", path, float, default=0.5),
-            boundary=_get(d, "boundary", path, str, default="absorbing_sponge"),
-            snapshot_stride=_get(d, "snapshot_stride", path, int),
-            front_threshold=_get(d, "front_threshold", path, float, default=0.05),
-            tolerance=_get(d, "tolerance", path, float, default=0.05),
-            stability_factor=_get(d, "stability_factor", path, float, default=0.5),
-            direction=_get(d, "direction", path, int, default=1),
-        )
-    except ParamError as exc:
-        # pulse_width is set as simulation.pulse.width
-        raise ConfigError(f"{path}.{exc.field.replace('pulse_', 'pulse.')}", exc.message)
+    _check_object(d, path)
+    if "pulse" not in d:
+        raise ConfigError(f"{path}.pulse", "required field missing")
+    pulse = _fields(d["pulse"], GaussianPulse, f"{path}.pulse")
+    given = {f"pulse_{f.name}": getattr(pulse, f.name) for f in dataclasses.fields(pulse)}
+    return _fields(d, SimulationSpec, path, keys=("pulse",), **given)
 
 
 @dataclass(frozen=True)
 class RayLaunch:
+    """One null characteristic, traced from (t0, r0) up to t_end."""
+
     r0: float
-    t0: float
-    direction: int
     t_end: float
-    dt: Optional[float]
-    background_c: float
+    t0: float = 0.0
+    direction: int = 1
+    dt: Optional[float] = None
+    background_c: float = 1.0
+
+    def __post_init__(self):
+        if self.direction not in (-1, 1):
+            raise ParamError("direction", "must be +1 or -1")
+        if self.dt is not None and self.dt <= 0:
+            raise ParamError("dt", "must be > 0")
+        if not self.t_end > self.t0:
+            raise ParamError("t_end", f"must exceed t0 = {self.t0!r}")
+        if not math.isfinite(self.t_end - self.t0):
+            raise ParamError("t_end", "t_end - t0 overflows")
+        if self.dt is not None and (self.t_end - self.t0) / self.dt > MAX_RAY_STEPS:
+            raise ParamError(
+                "dt",
+                f"(t_end - t0) / dt = {(self.t_end - self.t0) / self.dt:.6g} steps exceeds the limit of {MAX_RAY_STEPS}",
+            )
 
 
 def _parse_rays(d: dict, path="rays") -> list[RayLaunch]:
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object")
+    _check_object(d, path)
     _check_keys(d, ("launches", "background_c"), path)
-    bg = _get(d, "background_c", path, float, default=1.0)
+    bg = _get(d, "background_c", path, float) if "background_c" in d else RayLaunch.background_c
     launches = d.get("launches")
     if not isinstance(launches, list) or not launches:
         raise ConfigError(f"{path}.launches", "required nonempty list")
-    out = []
-    for i, item in enumerate(launches):
-        sub = f"{path}.launches[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(sub, "expected an object")
-        _check_keys(item, ("r0", "t0", "direction", "t_end", "dt"), sub)
-        direction = _get(item, "direction", sub, int, default=1)
-        if direction not in (-1, 1):
-            raise ConfigError(f"{sub}.direction", "must be +1 or -1")
-        t0 = _get(item, "t0", sub, float, default=0.0)
-        t_end = _get(item, "t_end", sub, float, required=True)
-        dt = _get(item, "dt", sub, float)
-        if dt is not None and dt <= 0:
-            raise ConfigError(f"{sub}.dt", "must be > 0")
-        if not t_end > t0:
-            raise ConfigError(f"{sub}.t_end", f"must exceed t0 = {t0!r}")
-        if dt is not None and (t_end - t0) / dt > MAX_RAY_STEPS:
-            raise ConfigError(
-                f"{sub}.dt",
-                f"(t_end - t0) / dt = {(t_end - t0) / dt:.6g} steps exceeds the limit of {MAX_RAY_STEPS}",
-            )
-        out.append(
-            RayLaunch(
-                r0=_get(item, "r0", sub, float, required=True),
-                t0=t0,
-                direction=direction,
-                t_end=t_end,
-                dt=dt,
-                background_c=bg,
-            )
-        )
-    return out
+    return [_fields(item, RayLaunch, f"{path}.launches[{i}]", background_c=bg) for i, item in enumerate(launches)]
 
 
 @dataclass(frozen=True)
 class SamplingSettings:
     r: np.ndarray
-    t: np.ndarray
-
-
-def _parse_sampling(d: dict, path="sampling") -> SamplingSettings:
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(d, ("r", "t"), path)
-    r = _grid(d, "r", path, required=True)
-    t = _grid(d, "t", path, default=[0.0])
-    return SamplingSettings(r=r, t=t)
+    t: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
 
 @dataclass(frozen=True)
 class FeasibilitySettings:
-    figure: Optional[str]
-    vs_values: Optional[np.ndarray]
-    theta_values: Optional[np.ndarray]
-    theta_dc_values: Optional[np.ndarray]
-    r_values: Optional[np.ndarray]
+    """A scan over theta_dc x r, for each vs_values (fig1) or theta_values (fig3) entry."""
 
+    theta_dc: np.ndarray
+    r: np.ndarray
+    figure: Optional[str] = None
+    vs_values: Optional[np.ndarray] = None
+    theta_values: Optional[np.ndarray] = None
 
-def _parse_feasibility(d: dict, path="feasibility") -> FeasibilitySettings:
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(d, ("figure", "vs_values", "theta_values_over_pi", "theta_dc_over_pi", "theta_dc", "r"), path)
-    figure = _get(d, "figure", path, str)
-    if figure is not None and figure not in ("fig1", "fig2", "fig3"):
-        raise ConfigError(f"{path}.figure", "must be fig1, fig2 or fig3")
-    vs = _grid(d, "vs_values", path)
-    theta = _grid(d, "theta_values_over_pi", path)
-    if theta is not None:
-        theta = theta * math.pi
-    if "theta_dc" in d and "theta_dc_over_pi" in d:
-        raise ConfigError(f"{path}.theta_dc", "give either theta_dc or theta_dc_over_pi, not both")
-    dc = _grid(d, "theta_dc", path)
-    if dc is None:
-        dc = _grid(d, "theta_dc_over_pi", path)
-        if dc is not None:
-            dc = dc * math.pi
-    r = _grid(d, "r", path)
-    if figure is None and (dc is None or r is None):
-        raise ConfigError(path, "custom scans need theta_dc(_over_pi) and r grids")
-    return FeasibilitySettings(figure=figure, vs_values=vs, theta_values=theta, theta_dc_values=dc, r_values=r)
+    def __post_init__(self):
+        if self.figure not in (None, "fig1", "fig2", "fig3"):
+            raise ParamError("figure", "must be fig1, fig2 or fig3")
+        family = {"fig1": "vs_values", "fig3": "theta_values"}.get(self.figure)
+        if family is not None and getattr(self, family) is None:
+            raise ParamError(family, f"required for {self.figure}")
 
 
 @dataclass(frozen=True)
 class OutputSettings:
-    directory: str
-
-
-def _parse_output(d: dict, path="output") -> OutputSettings:
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(d, ("directory",), path)
-    return OutputSettings(directory=_get(d, "directory", path, str, default="out"))
+    directory: str = "out"
 
 
 TOP_LEVEL_KEYS = ("metric", "synthesis", "simulation", "output", "sampling", "rays", "feasibility")
@@ -456,18 +397,17 @@ class RunConfig:
 
 
 def validate_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "top level must be a JSON object")
+    _check_object(doc, "config")
     _check_keys(doc, TOP_LEVEL_KEYS, "config")
     if "metric" not in doc:
         raise ConfigError("metric", "required block missing")
     make_profile = _parse_metric(doc["metric"])
-    synthesis = _parse_synthesis(doc.get("synthesis", {}))
+    synthesis = _fields(doc.get("synthesis", {}), SynthesisSettings, "synthesis")
     simulation = _parse_simulation(doc["simulation"]) if "simulation" in doc else None
-    sampling = _parse_sampling(doc["sampling"]) if "sampling" in doc else None
+    sampling = _fields(doc["sampling"], SamplingSettings, "sampling") if "sampling" in doc else None
     rays = _parse_rays(doc["rays"]) if "rays" in doc else None
-    feasibility = _parse_feasibility(doc["feasibility"]) if "feasibility" in doc else None
-    output = _parse_output(doc.get("output", {}))
+    feasibility = _fields(doc["feasibility"], FeasibilitySettings, "feasibility") if "feasibility" in doc else None
+    output = _fields(doc.get("output", {}), OutputSettings, "output")
     return RunConfig(
         raw=doc,
         hash=config_hash(doc),

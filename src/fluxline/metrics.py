@@ -50,6 +50,7 @@ import numpy as np
 __all__ = [
     "ProfileDomainError",
     "ProfileEvaluationError",
+    "MAX_GRID_POINTS",
     "ParamError",
     "FlatParams",
     "AlcubierreParams",
@@ -83,6 +84,13 @@ class ProfileDomainError(ValueError):
 
 class ProfileEvaluationError(ValueError):
     """The profile value cannot be used here, e.g. speed_sq <= 0 under a sqrt."""
+
+
+# Most points one grid may hold: an array's n_cells, a simulation's n_points
+# and the num of a config grid. Presets take at most 900 (n_points; n_cells
+# is at most 512) and the benchmark's largest grid num is 1001; the bound
+# keeps what a validated config allocates small.
+MAX_GRID_POINTS = 2**20
 
 
 class ParamError(ValueError):
@@ -157,8 +165,9 @@ class KerrExtremeParams:
             raise ParamError("mass_M", "must be > 0")
         if not 0.0 <= self.theta <= math.pi / 2:
             raise ParamError("theta", "must lie in [0, pi/2]")
-        if (self.mass_M * math.cos(self.theta)) ** 2 == 0.0:
-            raise ParamError("mass_M", "must keep (mass_M cos theta)^2 > 0, or Sigma vanishes at r = 0")
+        m_cos = self.mass_M * math.cos(self.theta)
+        if not 0.0 < m_cos * m_cos < math.inf:
+            raise ParamError("mass_M", "must keep (mass_M cos theta)^2 finite and > 0, or Sigma vanishes at r = 0")
 
 
 def _point(x: ArrayLike) -> ArrayLike:

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .csvio import column_rows
-from .metrics import ParamError, SpeedProfile
+from .metrics import MAX_GRID_POINTS, ParamError, SpeedProfile
 
 __all__ = [
     "Status",
@@ -140,8 +140,8 @@ class ArrayConfig:
     window_epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ParamError("n_cells", "must be >= 2")
+        if not 2 <= self.n_cells <= MAX_GRID_POINTS:
+            raise ParamError("n_cells", f"must lie in [2, {MAX_GRID_POINTS}]")
         if self.c0 <= 0:
             raise ParamError("c0", "must be > 0")
         if not 0.0 < self.impedance_margin < HALF_PI:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..metrics import SpeedProfile
+from ..metrics import ParamError, SpeedProfile
 from .fronts import Snapshot
 
 __all__ = [
@@ -86,6 +86,10 @@ class GaussianPulse:
     center: float
     width: float
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ParamError("width", "must be > 0")
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))

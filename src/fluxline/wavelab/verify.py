@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..metrics import ParamError, SpeedProfile
+from ..metrics import MAX_GRID_POINTS, ParamError, SpeedProfile
 from ..synthesis import FluxProgram, invert_speed_sq
 from .continuum import ContinuumGrid, ContinuumSolver, GaussianPulse
 from .fronts import FrontNotFound, front_trajectory
@@ -73,8 +73,9 @@ class SimulationSpec:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ParamError("solver", f"must be one of {SOLVERS}")
-        if self.pulse_width <= 0:
-            raise ParamError("pulse_width", "must be > 0")
+        self.pulse  # GaussianPulse checks the width
+        if not 16 <= self.n_points <= MAX_GRID_POINTS:
+            raise ParamError("n_points", f"must lie in [16, {MAX_GRID_POINTS}]")
         if self.t_end <= 0:
             raise ParamError("t_end", "must be > 0")
         if self.snapshot_stride is not None and self.snapshot_stride < 1:
@@ -85,6 +86,10 @@ class SimulationSpec:
             raise ParamError("tolerance", "must be > 0")
         if self.direction not in (-1, 1):
             raise ParamError("direction", "must be +1 or -1")
+
+    @property
+    def pulse(self) -> GaussianPulse:
+        return GaussianPulse(self.pulse_center, self.pulse_width, self.pulse_amplitude)
 
 
 @dataclass(frozen=True)
@@ -169,22 +174,25 @@ def compare_front_to_ray(
     return float(np.max(rel)), ts, rs, ray_at
 
 
-def _check_steps(t_end: float, dt: float):
-    """Refuse a run of more than MAX_SOLVER_STEPS time steps, before it steps."""
+def _check_steps(t_end: float, dt: float, grid: str):
+    """Refuse a run of more than MAX_SOLVER_STEPS time steps, before it steps.
+
+    grid names the field whose grid sets dt.
+    """
     if not t_end / dt <= MAX_SOLVER_STEPS:
         raise WorkLimitExceeded(
-            f"simulation.t_end: t_end / dt = {t_end / dt:.6g} steps (dt = {dt:.6g})"
+            f"simulation.t_end: t_end / dt = {t_end / dt:.6g} steps (dt = {dt:.6g}, set by {grid})"
             f" exceeds the limit of {MAX_SOLVER_STEPS}"
         )
 
 
-def _check_snapshots(steps: float, stride: int, points: int):
+def _check_snapshots(steps: float, stride: int, points: int, grid: str):
     """Refuse a run that would keep more than MAX_SNAPSHOT_VALUES snapshot values."""
     # the pre-run state, one snapshot per stride steps, and the final state
     snapshots = steps // stride + 2
     if snapshots * points > MAX_SNAPSHOT_VALUES:
         raise WorkLimitExceeded(
-            f"simulation.snapshot_stride: {snapshots:.0f} snapshots of {points} values"
+            f"simulation.snapshot_stride: {snapshots:.0f} snapshots of {points} values (set by {grid})"
             f" exceed the limit of {MAX_SNAPSHOT_VALUES} values"
         )
 
@@ -205,11 +213,10 @@ def _run_continuum(profile, spec: SimulationSpec, window, background_c):
         boundary=spec.boundary,
     )
     solver = ContinuumSolver(profile, grid, background_c)
-    pulse = GaussianPulse(spec.pulse_center, spec.pulse_width, spec.pulse_amplitude)
-    solver.initialize_pulse(pulse, spec.direction)
-    _check_steps(spec.t_end, solver.dt)
+    solver.initialize_pulse(spec.pulse, spec.direction)
+    _check_steps(spec.t_end, solver.dt, "simulation.n_points")
     stride = spec.snapshot_stride or max(1, int(round(spec.t_end / solver.dt / 160)))
-    _check_snapshots(spec.t_end / solver.dt, stride, spec.n_points)
+    _check_snapshots(spec.t_end / solver.dt, stride, spec.n_points, "simulation.n_points")
     snaps = solver.run(spec.t_end, stride)
     guard = solver.sponge_width + 2.0 * spec.pulse_width
     meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt, "snapshots": len(snaps)}
@@ -244,12 +251,11 @@ def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
         sim.set_flux(schedule(0.0))
     else:
         sim.set_flux(program.theta_total[:, 0])
-    pulse = GaussianPulse(spec.pulse_center, spec.pulse_width, spec.pulse_amplitude)
-    sim.initialize_pulse(pulse, spec.direction)
-    _check_steps(spec.t_end, sim.dt)
+    sim.initialize_pulse(spec.pulse, spec.direction)
+    _check_steps(spec.t_end, sim.dt, "synthesis.n_cells")
     n_steps = int(math.ceil(spec.t_end / sim.dt))
     stride = spec.snapshot_stride or max(1, int(round(n_steps / 160)))
-    _check_snapshots(n_steps, stride, program.n_cells + 1)
+    _check_snapshots(n_steps, stride, program.n_cells + 1, "synthesis.n_cells")
     snaps = sim.run(n_steps, stride, flux_schedule=schedule)
     guard = 2.0 * spec.pulse_width + 2.0 * pitch
     meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt, "snapshots": len(snaps)}

@@ -9,7 +9,9 @@ import pytest
 
 from fluxline import cli
 from fluxline.cli import main
-from fluxline.config import ConfigError
+from fluxline import config
+from fluxline.config import PRESETS, ConfigError
+from fluxline.csvio import read_table_csv
 from fluxline.metrics import ProfileDomainError, ProfileEvaluationError
 from fluxline.synthesis import (
     ArccosInfeasible,
@@ -217,6 +219,40 @@ def test_simulate_kerr_equatorial_refuses_before_simulation(tmp_path):
     assert not list(tmp_path.glob("snapshots_*.csv"))
 
 
+def test_synth_and_simulate_write_one_failure_schema(tmp_path):
+    assert main(["synth", "--preset", "kerr_pi2", "--out", str(tmp_path / "synth")]) == 2
+    assert main(["simulate", "--preset", "kerr_pi2", "--out", str(tmp_path / "simulate")]) == 2
+    synth, simulate = (
+        json.loads((tmp_path / d / "synth_failure.json").read_text()) for d in ("synth", "simulate")
+    )
+    # the hashes differ only because --out is part of the config
+    assert synth.pop("config_hash") != simulate.pop("config_hash")
+    assert synth == simulate
+    assert set(synth) == {"feasible", "reason", "cell", "time_index", "status"}
+
+
+def test_simulate_reads_a_tabulated_table_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_table_csv(path)
+
+    monkeypatch.setattr(config, "read_table_csv", counting_read)
+    table = tmp_path / "table.csv"
+    # negative everywhere: synthesis refuses, after the one read
+    table.write_text("r,ctilde_sq\n0.0,-1.0\n10.0,-1.0\n")
+    doc = {
+        "metric": {"kind": "tabulated", "csv_path": str(table)},
+        "synthesis": {"coord_window": [0.0, 10.0], "n_cells": 64},
+        "simulation": {"n_points": 200, "t_end": 3.0, "pulse": {"center": 1.0, "width": 0.3}},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert reads == [str(table)]
+
+
 def test_raytrace_flat_straight_line(tmp_path):
     rc = main(["raytrace", "--preset", "flat", "--out", str(tmp_path)])
     assert rc == 0
@@ -269,6 +305,8 @@ def test_non_finite_config_value_exits_1_naming_field(tmp_path, capsys, argv, fi
         # once exited 1 from the tracer, without a field path
         ({"r0": 0, "t_end": 5, "dt": -1}, "rays.launches[0].dt"),
         ({"r0": 0, "t0": 5, "t_end": 5}, "rays.launches[0].t_end"),
+        # t_end - t0 overflows, and so would the default dt
+        ({"r0": 0, "t0": -1e308, "t_end": 1e308}, "rays.launches[0].t_end"),
     ],
 )
 def test_unbounded_ray_launch_exits_1_naming_field(tmp_path, capsys, launch, field):
@@ -295,6 +333,65 @@ def test_unbounded_simulation_exits_1_naming_field(tmp_path, capsys, overrides, 
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # finite endpoints whose span overflows: each exited 0 and wrote inf or nan cells
+        (["profile", "--preset", "flat", "--set", 'sampling.r={"start": -1e308, "stop": 1e308, "num": 3}'],
+         "sampling.r: "),
+        (["synth", "--preset", "flat", "--set", "synthesis.coord_window=[-1e308, 1e308]",
+          "--set", "synthesis.n_cells=4"], "synthesis.coord_window: "),
+        (["feasibility", "--preset", "fig2", "--set", "feasibility.theta_dc_over_pi=[1e308]",
+          "--set", "feasibility.r=[0.0, 1.0]"], "feasibility.theta_dc_over_pi: "),
+        # grid sizes: refused before anything of that size is allocated
+        (["simulate", "--preset", "godel", "--set", "simulation.n_points=8"], "simulation.n_points: "),
+        (["simulate", "--preset", "godel", "--set", "simulation.n_points=100000000"], "simulation.n_points: "),
+        (["profile", "--preset", "godel", "--set", "sampling.r.num=1000000000"], "sampling.r.num: "),
+        (["synth", "--preset", "godel", "--set", "synthesis.n_cells=2000000"], "synthesis.n_cells: "),
+        # refused by the step bound, which names the grid that sets dt
+        (["simulate", "--preset", "godel", "--set", "simulation.n_points=1000000"],
+         "simulation.t_end: t_end / dt = 1.9666e+06 steps (dt = 2.23737e-06, set by simulation.n_points)"),
+        (["simulate", "--preset", "godel", "--set", "simulation.n_points=100000", "--set", "simulation.t_end=0.1"],
+         "simulation.snapshot_stride: 161 snapshots of 100000 values (set by simulation.n_points)"),
+    ],
+)
+def test_unbounded_or_non_finite_grid_exits_1_naming_field(tmp_path, capsys, argv, error):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "preset, key, field",
+    [
+        ("fig1", "vs_values", "vs_values"),
+        ("fig1", "theta_dc_over_pi", "theta_dc"),
+        ("fig2", "r", "r"),
+        ("fig3", "theta_values_over_pi", "theta_values"),
+    ],
+)
+def test_feasibility_scan_names_a_missing_grid(tmp_path, capsys, preset, key, field):
+    doc = json.loads(json.dumps(PRESETS[preset]))
+    del doc["feasibility"][key]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["feasibility", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: feasibility.{field}: ")
+
+
+def test_feasibility_theta_values_in_radians_match_units_of_pi(tmp_path):
+    doc = json.loads(json.dumps(PRESETS["fig3"]))
+    doc["feasibility"]["theta_values"] = [x * math.pi for x in doc["feasibility"].pop("theta_values_over_pi")]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["feasibility", "--preset", "fig3", "--out", str(tmp_path / "pi")]) == 0
+    assert main(["feasibility", "--config", str(cfg), "--out", str(tmp_path / "rad")]) == 0
+    for name in ("feasibility.csv", "boundary.csv"):
+        # line 0 is the config hash, which differs
+        pi = (tmp_path / "pi" / name).read_text().splitlines()[1:]
+        assert (tmp_path / "rad" / name).read_text().splitlines()[1:] == pi
 
 
 @pytest.mark.parametrize(

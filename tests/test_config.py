@@ -1,14 +1,26 @@
 """Strict config parsing: field paths, unknown keys, presets, overrides."""
 
+import dataclasses
 import json
 import math
+import re
+import typing
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxline.config import (
+    ANGLES,
     PRESETS,
     ConfigError,
+    FeasibilitySettings,
+    OutputSettings,
+    RayLaunch,
+    SamplingSettings,
+    SynthesisSettings,
     apply_overrides,
     config_hash,
     load_raw_config,
@@ -24,6 +36,7 @@ from fluxline.metrics import (
     SpeedProfile,
     TabulatedParams,
 )
+from fluxline.wavelab import GaussianPulse, SimulationSpec
 
 MINIMAL = {"metric": {"kind": "flat"}}
 
@@ -201,7 +214,7 @@ def test_feasibility_custom_requires_grids():
     }
     run = validate_config(doc2)
     assert run.feasibility.figure is None
-    assert len(run.feasibility.r_values) == 10
+    assert len(run.feasibility.r) == 10
 
 
 # one valid block per registered kind and the params it must build; the
@@ -300,6 +313,13 @@ DATACLASS_CHECKS = [
     ("simulate", "simulation.front_threshold=1", "simulation.front_threshold"),
     ("simulate", "simulation.tolerance=0", "simulation.tolerance"),
     ("simulate", "simulation.direction=0", "simulation.direction"),
+    # checks that moved from the parsers into SynthesisSettings, RayLaunch
+    # and FeasibilitySettings (test_cli covers the other RayLaunch checks)
+    ("synth", "synthesis.theta_dc_over_pi=0.5", "synthesis.theta_dc"),
+    ("raytrace", 'rays.launches=[{"r0": 0, "t_end": 1, "direction": 0}]', "rays.launches[0].direction"),
+    ("feasibility", 'feasibility={"figure": "fig4", "theta_dc": [0.1], "r": [0.0]}', "feasibility.figure"),
+    ("feasibility", 'feasibility={"figure": "fig1", "theta_dc": [0.1], "r": [0.0]}', "feasibility.vs_values"),
+    ("feasibility", 'feasibility={"figure": "fig3", "theta_dc": [0.1], "r": [0.0]}', "feasibility.theta_values"),
 ]
 
 
@@ -315,3 +335,174 @@ def test_tabulated_metric_takes_its_domain_from_the_samples():
     doc = {"metric": {"kind": "tabulated", "csv_path": "t.csv", "valid_range": [0.0, 1.0]}}
     with pytest.raises(ConfigError, match="unknown keys"):
         validate_config(doc)
+
+
+def _same(a, b) -> bool:
+    """Field-by-field equality of parsed settings, arrays by dtype and value."""
+    if dataclasses.is_dataclass(a):
+        fields = dataclasses.fields(a)
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+# (block, minimal document, the dataclass built with only its required fields)
+MINIMAL_BLOCKS = [
+    # _same compares the array too, with ArrayConfig()
+    ("synthesis", {}, SynthesisSettings()),
+    ("output", {}, OutputSettings()),
+    (
+        "simulation",
+        {"pulse": {"center": 0.5, "width": 0.1}, "t_end": 2.0},
+        SimulationSpec(pulse_center=0.5, pulse_width=0.1, t_end=2.0),
+    ),
+    ("rays", {"launches": [{"r0": 0.5, "t_end": 1.0}]}, [RayLaunch(r0=0.5, t_end=1.0)]),
+    ("sampling", {"r": [0.0, 1.0]}, SamplingSettings(r=np.array([0.0, 1.0]))),
+    (
+        "feasibility",
+        {"theta_dc": [0.1], "r": [0.0]},
+        FeasibilitySettings(theta_dc=np.array([0.1]), r=np.array([0.0])),
+    ),
+]
+
+
+@pytest.mark.parametrize("block, minimal, expected", MINIMAL_BLOCKS)
+def test_minimal_block_parses_to_its_dataclass_defaults(block, minimal, expected):
+    run = validate_config({"metric": {"kind": "flat"}, block: minimal})
+    assert _same(getattr(run, block), expected)
+
+
+# --------------------------------------------------------------------------
+# fuzzing validate_config: documents drawn from each block's dataclass fields
+# --------------------------------------------------------------------------
+
+
+def _fields_of(cls, skip=()):
+    """(key, type) per field of cls; a dataclass field's fields sit in the same block."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is typing.Union:
+            hint = next(a for a in typing.get_args(hint) if a is not type(None))
+        if f.name in skip:
+            continue
+        if dataclasses.is_dataclass(hint):
+            yield from _fields_of(hint)
+        else:
+            yield f.name, hint
+
+
+NUMBERS = st.floats(-10, 10) | st.integers(-3, 20) | st.sampled_from([1e308, -1e308, 5e-324, 1e-300, 2**63])
+ODD = st.none() | st.booleans() | st.text(max_size=3) | st.just([]) | st.just({}) | st.floats()
+SPANS = st.fixed_dictionaries(
+    {"start": NUMBERS, "stop": NUMBERS, "num": st.integers(-1, 60) | st.sampled_from([2**20, 2**20 + 1])}
+)
+VALUES = {
+    float: NUMBERS,
+    int: st.integers(-3, 1100) | st.sampled_from([2**20, 2**20 + 1, 10**9, 10**30]),
+    str: st.sampled_from(["continuum", "ladder", "both", "absorbing_sponge", "reflecting", "fig1", "fig2", "fig3", "out"]),
+    bool: st.booleans(),
+    np.ndarray: st.lists(NUMBERS, min_size=0, max_size=4) | SPANS,
+    tuple: st.lists(NUMBERS, min_size=2, max_size=2) | st.lists(NUMBERS, max_size=3),
+}
+
+
+def _block(base: dict, fields):
+    """base with a few of its keys set from fields, now and then an unknown key."""
+
+    @st.composite
+    def draw_block(draw):
+        block = dict(base)
+        for _ in range(draw(st.integers(1, 3))):
+            name, hint = draw(st.sampled_from(fields))
+            key = draw(st.sampled_from([name, f"{name}_over_pi"])) if name in ANGLES else name
+            block[key] = draw(st.one_of(_values(hint), _values(hint), _values(hint), ODD))
+        if draw(st.integers(0, 19)) == 0:
+            block["bogus"] = 1
+        return block
+
+    return draw_block()
+
+
+def _values(hint):
+    if hint is GaussianPulse:
+        return _block({"center": 1.0, "width": 0.1}, list(_fields_of(GaussianPulse)))
+    if hint is RayLaunch:
+        launch = _block({"r0": 0.5, "t_end": 1.0}, list(_fields_of(RayLaunch, skip=("background_c",))))
+        return st.lists(launch, min_size=0, max_size=2)
+    return VALUES[typing.get_origin(hint) or hint]
+
+
+PULSE_FIELDS = ("pulse_center", "pulse_width", "pulse_amplitude")
+BLOCK_FIELDS = {
+    "synthesis": list(_fields_of(SynthesisSettings)),
+    "simulation": [*_fields_of(SimulationSpec, skip=PULSE_FIELDS), ("pulse", GaussianPulse)],
+    "rays": [("launches", RayLaunch), ("background_c", float)],
+    "sampling": list(_fields_of(SamplingSettings)),
+    "feasibility": list(_fields_of(FeasibilitySettings)),
+    "output": list(_fields_of(OutputSettings)),
+}
+
+
+@st.composite
+def documents(draw):
+    """A preset with up to three blocks mutated, added or dropped; the metric may change kind."""
+    doc = json.loads(json.dumps(PRESETS[draw(st.sampled_from(sorted(PRESETS)))]))
+    if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(sorted(KIND_BLOCKS)))
+        doc["metric"] = dict(KIND_BLOCKS[kind][0])
+    for name in draw(st.lists(st.sampled_from(["metric", *BLOCK_FIELDS]), max_size=3, unique=True)):
+        if name == "metric":
+            kind = doc["metric"]["kind"]
+            if kind == "tabulated":
+                fields = [("csv_path", str)]
+            else:
+                fields = [*_fields_of(KINDS[kind].params), ("valid_range", tuple)]
+            doc["metric"] = draw(_block(doc["metric"], fields))
+        elif draw(st.integers(0, 3)) == 0:
+            doc.pop(name, None)
+        else:
+            doc[name] = draw(_block(doc.get(name, {}), BLOCK_FIELDS[name]))
+    return doc
+
+
+def _assert_finite(value, path):
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _assert_finite(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, tuple):
+        lo, hi = value
+        assert math.isfinite(hi - lo), path
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _assert_finite(item, f"{path}[{i}]")
+    elif isinstance(value, (float, np.ndarray)):
+        assert np.all(np.isfinite(value)), path
+
+
+@settings(derandomize=True, deadline=500, max_examples=300)
+@given(doc=documents())
+# finite endpoints whose span overflows; each once validated
+@example(doc={"metric": {"kind": "flat"}, "sampling": {"r": {"start": -1e308, "stop": 1e308, "num": 3}}})
+@example(doc={"metric": {"kind": "flat"}, "synthesis": {"coord_window": [-1e308, 1e308], "n_cells": 4}})
+@example(
+    doc={
+        "metric": {"kind": "godel", "a": 1.0},
+        "feasibility": {"figure": "fig2", "theta_dc_over_pi": [1e308], "r": [0.0, 1.0]},
+    }
+)
+def test_validate_config_fuzz(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            run = validate_config(doc)
+        except ConfigError as exc:
+            assert re.split(r"[.\[]", exc.path)[0] in doc, exc.path
+            return
+        if run.raw["metric"]["kind"] != "tabulated":
+            _assert_finite(run.profile().params, "metric")
+    for name in ("synthesis", "simulation", "rays", "sampling", "feasibility", "output"):
+        _assert_finite(getattr(run, name), name)
