@@ -53,7 +53,6 @@ from .wavelab import (
     FrontNotFound,
     GaussianPulse,
     LadderSim,
-    LadderState,
     RayPath,
     SimulationSpec,
     SingularInductance,

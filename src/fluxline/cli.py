@@ -22,6 +22,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_raw_config, validate_config
 from .csvio import column_rows, write_csv, write_json
 from .metrics import (
+    ParamError,
     ProfileDomainError,
     ProfileEvaluationError,
     alcubierre_profile,
@@ -91,9 +92,16 @@ def cmd_profile(run: RunConfig) -> int:
     if run.sampling is None:
         raise ConfigError("sampling", "required block for the profile command")
     profile = run.profile()
-    r, times = run.sampling.r, run.sampling.t
-    s = [np.asarray(profile.speed_sq(r, float(t)), dtype=float) for t in times]
-    rows = column_rows(np.tile(r, len(times)), np.repeat(times, len(r)), np.concatenate(s))
+    grid_r, grid_t = run.sampling.r, run.sampling.t
+    r, t = np.tile(grid_r, len(grid_t)), np.repeat(grid_t, len(grid_r))
+    # a metric parameter near the float limits overflows; refuse it instead of writing inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.concatenate([np.asarray(profile.speed_sq(grid_r, float(tk)), dtype=float) for tk in grid_t])
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        i = bad[0]
+        raise ProfileEvaluationError(f"metric: speed_sq = {s[i]} at r = {r[i]}, t = {t[i]} is not finite")
+    rows = column_rows(r, t, s)
     path = write_csv(_outdir(run) / "profile.csv", ("r", "t", "ctilde_sq"), rows, run.hash)
     print(f"wrote {path}")
     return EXIT_OK
@@ -159,6 +167,17 @@ def cmd_synth(run: RunConfig) -> int:
     return EXIT_OK
 
 
+def _family(build, values, path: str):
+    """(entry, build(entry)) per entry of a feasibility family; a refused entry is a config error at path."""
+    members = []
+    for v in map(float, values):
+        try:
+            members.append((v, build(v)))
+        except ParamError as exc:
+            raise ConfigError(path, f"entry {v!r}: {exc}") from None
+    return members
+
+
 def _fig_profiles(run: RunConfig):
     """Profile family and analytic boundary rows for one scan."""
     fz = run.feasibility
@@ -168,10 +187,9 @@ def _fig_profiles(run: RunConfig):
     if fz.figure == "fig1":
         if profile.kind != "alcubierre":
             raise ConfigError("metric.kind", "fig1 needs an alcubierre metric")
-        profiles = [
-            (float(v), alcubierre_profile(replace(profile.params, vs_over_c=float(v))))
-            for v in fz.vs_values
-        ]
+        profiles = _family(
+            lambda v: alcubierre_profile(replace(profile.params, vs_over_c=v)), fz.vs_values, "feasibility.vs_values"
+        )
         boundary = (
             ("vs_over_c", "theta_dc_min"),
             [(float(v), dc_feasibility_boundary((1.0 + float(v)) ** 2)) for v in fz.vs_values],
@@ -191,10 +209,9 @@ def _fig_profiles(run: RunConfig):
         if profile.kind != "kerr_extreme":
             raise ConfigError("metric.kind", "fig3 needs a kerr_extreme metric")
         M = profile.params.mass_M
-        profiles = [
-            (float(th), kerr_extreme_profile(replace(profile.params, theta=float(th))))
-            for th in fz.theta_values
-        ]
+        profiles = _family(
+            lambda th: kerr_extreme_profile(replace(profile.params, theta=th)), fz.theta_values, "feasibility.theta_values"
+        )
         rows = []
         for th in fz.theta_values:
             band = kerr_forbidden_band(float(th), M)

@@ -14,7 +14,7 @@ verify ties the pieces together into a pass/fail report.
 from .fronts import FrontNotFound, FrontSpeeds, Snapshot, front_position, front_trajectory, measure_front_speed
 from .rays import RAY_COMPLETED, RAY_LEFT_DOMAIN, RAY_NEGATIVE_SPEED_SQ, RayPath, trace_null_geodesic
 from .continuum import CflViolation, ContinuumGrid, ContinuumSolver, GaussianPulse, fdtd_step
-from .ladder import LadderSim, LadderState, SingularInductance, StabilityViolation, ladder_step
+from .ladder import LadderSim, SingularInductance, StabilityViolation, ladder_step
 from .verify import SimulationSpec, SolverResult, VerificationReport, compare_front_to_ray, verify_program
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "CflViolation",
     "fdtd_step",
     "LadderSim",
-    "LadderState",
     "StabilityViolation",
     "SingularInductance",
     "ladder_step",

@@ -6,10 +6,10 @@ The field obeys the flux-conservative form
 
 chosen so the characteristic speed equals the local c and a discrete energy
 exists. c^2 is sampled at cell faces as the arithmetic mean of the node
-values. Stability needs dt <= cfl_factor * dx / c_max with c_max the
+values. The time step is dt = cfl_factor * dx / c_max with c_max the
 profile supremum over the whole run; the step raises CflViolation whenever
-the instantaneous speed breaks the bound dt was derived from (possible for
-time-dependent or tabulated profiles whose supremum was underestimated).
+the instantaneous speed breaks that bound (possible for time-dependent or
+tabulated profiles whose supremum was underestimated).
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
 "absorbing_sponge" additionally damps the field with a quadratic ramp over
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,16 +48,11 @@ class CflViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class ContinuumGrid:
-    """Spatial/temporal discretization of one run.
-
-    dt = None means "derive from the CFL bound"; an explicit dt must still
-    satisfy it.
-    """
+    """Spatial discretization of one run; dt follows from dx and cfl_factor."""
 
     n_points: int
     dx: float
     r_start: float = 0.0
-    dt: Optional[float] = None
     cfl_factor: float = 0.5
     boundary: str = "absorbing_sponge"
 
@@ -95,20 +89,18 @@ class GaussianPulse:
         return self.amplitude * np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))
 
 
-def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, sponge_gamma=None):
-    """One leapfrog step; pure kernel shared by the solver class.
+def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, sponge_gamma):
+    """One damped leapfrog step; pure kernel shared by the solver class.
 
     psi_prev/psi_cur are the two known time levels; face_speed_sq holds
-    c^2 at the n-1 cell faces. Ends are pinned to zero.
+    c^2 at the n-1 cell faces and sponge_gamma the damping rate per node
+    (0 for no damping). Ends are pinned to zero.
     """
     flux = face_speed_sq * np.diff(psi_cur) / dx
     accel = np.zeros_like(psi_cur)
     accel[1:-1] = (flux[1:] - flux[:-1]) / dx
-    if sponge_gamma is None:
-        nxt = 2.0 * psi_cur - psi_prev + dt * dt * accel
-    else:
-        g = 0.5 * sponge_gamma * dt
-        nxt = (2.0 * psi_cur - (1.0 - g) * psi_prev + dt * dt * accel) / (1.0 + g)
+    g = 0.5 * sponge_gamma * dt
+    nxt = (2.0 * psi_cur - (1.0 - g) * psi_prev + dt * dt * accel) / (1.0 + g)
     nxt[0] = 0.0
     nxt[-1] = 0.0
     return nxt
@@ -128,18 +120,12 @@ class ContinuumSolver:
         self.grid = grid
         self.background_c = background_c
         self.r = grid.r
-        self.r_faces = 0.5 * (self.r[:-1] + self.r[1:])
         sup = profile.sup_speed_sq(grid.span)
         if sup <= 0:
             raise ValueError("profile has no positive speeds on the grid")
         self.c_max = background_c * math.sqrt(sup)
-        bound = grid.cfl_factor * grid.dx / self.c_max
-        self.dt = grid.dt if grid.dt is not None else bound
-        if self.dt > bound * (1.0 + 1e-12):
-            raise CflViolation(
-                f"dt = {self.dt} exceeds CFL bound {bound} (c_max = {self.c_max})"
-            )
-        self._sponge = self._build_sponge() if grid.boundary == "absorbing_sponge" else None
+        self.dt = grid.cfl_factor * grid.dx / self.c_max
+        self._sponge, self.sponge_width = self._build_sponge()
         self._static_face_sq = None
         if not profile.time_dependent:
             self._static_face_sq = self._face_speed_sq(0.0)
@@ -147,15 +133,18 @@ class ContinuumSolver:
         self.psi_cur = np.zeros(grid.n_points)
         self.time = 0.0
 
-    def _build_sponge(self) -> np.ndarray:
+    def _build_sponge(self) -> tuple[np.ndarray, float]:
+        """Damping rate per node, and the length it ramps over at each end (0 for reflecting ends)."""
         n = self.grid.n_points
-        width = max(4, int(round(SPONGE_FRACTION * n)))
         gamma = np.zeros(n)
+        if self.grid.boundary == "reflecting":
+            return gamma, 0.0
+        width = max(4, int(round(SPONGE_FRACTION * n)))
         ramp = (np.arange(1, width + 1) / width) ** 2
         gamma_max = SPONGE_STRENGTH * self.c_max / (width * self.grid.dx)
         gamma[:width] = gamma_max * ramp[::-1]
         gamma[-width:] = gamma_max * ramp
-        return gamma
+        return gamma, width * self.grid.dx
 
     def _node_speed_sq(self, t: float) -> np.ndarray:
         s2 = self.profile.speed_sq(self.r, t, background_c=self.background_c)
@@ -167,14 +156,7 @@ class ContinuumSolver:
         node = self._node_speed_sq(t)
         return 0.5 * (node[:-1] + node[1:])
 
-    @property
-    def sponge_width(self) -> float:
-        if self._sponge is None:
-            return 0.0
-        width = max(4, int(round(SPONGE_FRACTION * self.grid.n_points)))
-        return width * self.grid.dx
-
-    def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1, t0: float = 0.0):
+    def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
         """Launch a one-directional pulse.
 
         The second time level comes from a second-order Taylor step with
@@ -183,16 +165,16 @@ class ContinuumSolver:
         """
         g = pulse(self.r)
         g[0] = g[-1] = 0.0
-        c_local = np.sqrt(np.maximum(self._node_speed_sq(t0), 0.0))
+        c_local = np.sqrt(np.maximum(self._node_speed_sq(0.0), 0.0))
         psi_t = -direction * c_local * np.gradient(g, self.grid.dx)
-        face = self._face_speed_sq(t0)
+        face = self._face_speed_sq(0.0)
         flux = face * np.diff(g) / self.grid.dx
         accel = np.zeros_like(g)
         accel[1:-1] = (flux[1:] - flux[:-1]) / self.grid.dx
         self.psi_prev = g
         self.psi_cur = g + self.dt * psi_t + 0.5 * self.dt**2 * accel
         self.psi_cur[0] = self.psi_cur[-1] = 0.0
-        self.time = t0 + self.dt
+        self.time = self.dt
 
     def step(self):
         face = self._face_speed_sq(self.time)

@@ -48,10 +48,13 @@ class FrontSpeeds:
 def front_position(r, values, threshold: float = 0.05, direction: int = 1) -> float:
     """Leading crossing of threshold * max|values|.
 
-    direction +1 scans for the rightmost crossing, -1 for the leftmost.
+    direction +1 scans for the rightmost crossing, -1 for the leftmost,
+    found as the rightmost crossing of the reversed samples.
     """
     a = np.abs(np.asarray(values, dtype=float))
     rr = np.asarray(r, dtype=float)
+    if direction < 0:
+        a, rr = a[::-1], rr[::-1]
     peak = float(a.max(initial=0.0))
     if peak <= 0.0:
         raise FrontNotFound("field is identically zero")
@@ -59,17 +62,11 @@ def front_position(r, values, threshold: float = 0.05, direction: int = 1) -> fl
     above = np.nonzero(a >= thr)[0]
     if above.size == 0:
         raise FrontNotFound("no sample above threshold")
-    if direction >= 0:
-        j = int(above[-1])
-        if j == len(rr) - 1:
-            return float(rr[-1])
-        frac = (a[j] - thr) / (a[j] - a[j + 1])
-        return float(rr[j] + frac * (rr[j + 1] - rr[j]))
-    j = int(above[0])
-    if j == 0:
-        return float(rr[0])
-    frac = (a[j] - thr) / (a[j] - a[j - 1])
-    return float(rr[j] + frac * (rr[j - 1] - rr[j]))
+    j = int(above[-1])
+    if j == len(rr) - 1:
+        return float(rr[-1])
+    frac = (a[j] - thr) / (a[j] - a[j + 1])
+    return float(rr[j] + frac * (rr[j + 1] - rr[j]))
 
 
 def front_trajectory(

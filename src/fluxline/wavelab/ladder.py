@@ -13,10 +13,10 @@ energy bookkeeping consistent when theta_i changes during a run. The lattice
 dispersion is omega(k) = 2 sin(k d / 2) / sqrt(L C); long wavelengths travel
 at d / sqrt(L C), i.e. c0 sqrt|cos theta| in coordinate units.
 
-Stability requires dt < sqrt(L_min C). Since L_i >= L0 for any flux, the
-bound never tightens below sqrt(L0 C) during a run. Cells with
-|cos theta_i| < 1e-9 have effectively infinite inductance and are rejected
-(SingularInductance).
+Stability requires dt < sqrt(L_min C). The step is stability_factor *
+sqrt(L0 C), and since L_i >= L0 for any flux, the bound never tightens
+below sqrt(L0 C) during a run. Cells with |cos theta_i| < 1e-9 have
+effectively infinite inductance and are rejected (SingularInductance).
 
 Boundaries: "reflecting" leaves the end nodes open-circuited; "absorbing"
 terminates both ends with the matched impedance sqrt(L0 / C).
@@ -25,7 +25,6 @@ terminates both ends with the matched impedance sqrt(L0 / C).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "COS_FLOOR",
     "StabilityViolation",
     "SingularInductance",
-    "LadderState",
     "LadderSim",
     "ladder_step",
 ]
@@ -53,32 +51,18 @@ class SingularInductance(RuntimeError):
     """A cell sits at the pi/2 window where the inductance diverges."""
 
 
-@dataclass(frozen=True)
-class LadderState:
-    """User-facing view of the simulator state at one instant."""
-
-    voltages: np.ndarray
-    currents: np.ndarray
-    cell_inductance: np.ndarray
-    cell_capacitance: float
-    time: float
-
-
-def ladder_step(voltages, branch_flux, inductance, capacitance, dt, boundary="reflecting", z_load=None):
+def ladder_step(voltages, branch_flux, inductance, capacitance, dt, z_load):
     """One leapfrog step; pure kernel shared by the simulator class.
 
+    Both end nodes drain into the load z_load; math.inf leaves them open.
     Returns (voltages', branch_flux', currents at the new half step).
     """
     flux = branch_flux + dt * (voltages[:-1] - voltages[1:])
     currents = flux / inductance
     v = voltages.copy()
     v[1:-1] += (dt / capacitance) * (currents[:-1] - currents[1:])
-    if boundary == "reflecting":
-        v[0] += (dt / capacitance) * (-currents[0])
-        v[-1] += (dt / capacitance) * currents[-1]
-    else:
-        v[0] += (dt / capacitance) * (-currents[0] - voltages[0] / z_load)
-        v[-1] += (dt / capacitance) * (currents[-1] - voltages[-1] / z_load)
+    v[0] += (dt / capacitance) * (-currents[0] - voltages[0] / z_load)
+    v[-1] += (dt / capacitance) * (currents[-1] - voltages[-1] / z_load)
     return v, flux, currents
 
 
@@ -86,8 +70,8 @@ class LadderSim:
     """Flux-driven LC ladder on n_cells cells.
 
     Geometry: node i sits at r_start + i * pitch; cell midpoints halfway
-    between. L0 is derived from pitch and c0 so that the flux-free line
-    carries long wavelengths at speed c0 in coordinate units.
+    between. C is 1 and L0 is derived from pitch and c0 so that the
+    flux-free line carries long wavelengths at speed c0 in coordinate units.
     """
 
     def __init__(
@@ -96,9 +80,6 @@ class LadderSim:
         pitch: float = 1.0,
         r_start: float = 0.0,
         c0: float = 1.0,
-        capacitance: float = 1.0,
-        inductance_L0: float | None = None,
-        dt: float | None = None,
         stability_factor: float = 0.5,
         boundary: str = "reflecting",
     ):
@@ -110,24 +91,12 @@ class LadderSim:
             raise ValueError("stability_factor must lie in (0, 1)")
         self.n_cells = n_cells
         self.pitch = pitch
-        self.c0 = c0
-        self.capacitance = capacitance
-        self.boundary = boundary
-        # explicit L0 works in per-cell units (flux-free speed
-        # pitch / sqrt(L0 C)); otherwise L0 is derived so the flux-free line
-        # carries long wavelengths at c0 in coordinate units
-        if inductance_L0 is not None:
-            self.L0 = inductance_L0
-        else:
-            self.L0 = pitch * pitch / (c0 * c0 * capacitance)
-        self.z0 = math.sqrt(self.L0 / capacitance)
+        self.capacitance = 1.0
+        self.L0 = pitch * pitch / (c0 * c0 * self.capacitance)
+        self.z_load = math.sqrt(self.L0 / self.capacitance) if boundary == "absorbing" else math.inf
         self.node_r = r_start + np.arange(n_cells + 1) * pitch
         self.cell_r = 0.5 * (self.node_r[:-1] + self.node_r[1:])
-        self.dt = dt if dt is not None else stability_factor * math.sqrt(self.L0 * capacitance)
-        if self.dt >= math.sqrt(self.L0 * capacitance):
-            raise StabilityViolation(
-                f"dt = {self.dt} at or above the bound sqrt(L0 C) = {math.sqrt(self.L0 * capacitance)}"
-            )
+        self.dt = stability_factor * math.sqrt(self.L0 * self.capacitance)
         self.theta = np.zeros(n_cells)
         self.inductance = np.full(n_cells, self.L0)
         self.voltages = np.zeros(n_cells + 1)
@@ -179,19 +148,9 @@ class LadderSim:
             self.inductance,
             self.capacitance,
             self.dt,
-            self.boundary,
-            self.z0,
+            self.z_load,
         )
         self.time += self.dt
-
-    def state(self) -> LadderState:
-        return LadderState(
-            voltages=self.voltages.copy(),
-            currents=self.branch_flux / self.inductance,
-            cell_inductance=self.inductance.copy(),
-            cell_capacitance=self.capacitance,
-            time=self.time,
-        )
 
     def snapshot(self) -> Snapshot:
         return Snapshot(time=self.time, r=self.node_r.copy(), values=self.voltages.copy())

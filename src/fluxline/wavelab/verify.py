@@ -4,8 +4,9 @@ The program's window is simulated with the continuum solver and/or the
 discrete ladder, the leading pulse front is extracted from the snapshots,
 and its trajectory is compared against the null-characteristic oracle
 launched from the measured initial front. The relative deviation is
-normalized by the oracle's distance traveled; samples before 15% of the
-total travel are skipped so the ratio is well conditioned.
+normalized by the oracle's distance traveled; samples before
+MIN_TRAVEL_FRAC (15%) of the total travel are skipped so the ratio is well
+conditioned.
 
 The report keeps both lab-frame speed bookkeepings for moving-bubble
 programs (the flux-pattern speed vs_over_c * c and the interior light speed
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..metrics import MAX_GRID_POINTS, ParamError, SpeedProfile
 from ..synthesis import FluxProgram, invert_speed_sq
-from .continuum import ContinuumGrid, ContinuumSolver, GaussianPulse
+from .continuum import BOUNDARIES, ContinuumGrid, ContinuumSolver, GaussianPulse
 from .fronts import FrontNotFound, front_trajectory
 from .ladder import LadderSim
 from .rays import trace_null_geodesic
@@ -46,6 +47,7 @@ SOLVERS = ("continuum", "ladder", "both")
 # validated run finite in work and memory.
 MAX_SOLVER_STEPS = 2**20
 MAX_SNAPSHOT_VALUES = 2**23
+MIN_TRAVEL_FRAC = 0.15
 
 
 class WorkLimitExceeded(ValueError):
@@ -76,6 +78,12 @@ class SimulationSpec:
         self.pulse  # GaussianPulse checks the width
         if not 16 <= self.n_points <= MAX_GRID_POINTS:
             raise ParamError("n_points", f"must lie in [16, {MAX_GRID_POINTS}]")
+        if not 0.0 < self.cfl_factor <= 1.0:
+            raise ParamError("cfl_factor", "must lie in (0, 1]")
+        if self.boundary not in BOUNDARIES:
+            raise ParamError("boundary", f"must be one of {BOUNDARIES}")
+        if not 0.0 < self.stability_factor < 1.0:
+            raise ParamError("stability_factor", "must lie in (0, 1)")
         if self.t_end <= 0:
             raise ParamError("t_end", "must be > 0")
         if self.snapshot_stride is not None and self.snapshot_stride < 1:
@@ -142,7 +150,6 @@ def compare_front_to_ray(
     profile: SpeedProfile,
     background_c: float,
     direction: int = 1,
-    min_travel_frac: float = 0.15,
 ):
     """Worst |front - ray| / |ray travel| over the usable samples.
 
@@ -169,7 +176,7 @@ def compare_front_to_ray(
     total = travel[-1]
     if total <= 0:
         raise FrontNotFound("ray oracle did not travel; nothing to compare")
-    mask = travel >= min_travel_frac * total
+    mask = travel >= MIN_TRAVEL_FRAC * total
     rel = np.abs(rs - ray_at)[mask] / travel[mask]
     return float(np.max(rel)), ts, rs, ray_at
 
@@ -197,11 +204,6 @@ def _check_snapshots(steps: float, stride: int, points: int, grid: str):
         )
 
 
-def _measurement_stop(window, guard_lo, guard_hi, direction):
-    lo, hi = window
-    return hi - guard_hi if direction >= 0 else lo + guard_lo
-
-
 def _run_continuum(profile, spec: SimulationSpec, window, background_c):
     lo, hi = window
     dx = (hi - lo) / (spec.n_points - 1)
@@ -223,17 +225,6 @@ def _run_continuum(profile, spec: SimulationSpec, window, background_c):
     return snaps, guard, meta
 
 
-def _ladder_schedule(profile, program: FluxProgram, cell_r):
-    """Total flux angle per cell as a function of time, from the same inversion."""
-    bg = program.background_c
-
-    def schedule(t):
-        s = np.asarray(profile.speed_sq(cell_r, t, background_c=bg), dtype=float)
-        return invert_speed_sq(s, program.theta_dc)[1]
-
-    return schedule
-
-
 def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
     lo, hi = program.coord_window
     pitch = (hi - lo) / program.n_cells
@@ -247,7 +238,12 @@ def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
     )
     schedule = None
     if profile.time_dependent:
-        schedule = _ladder_schedule(profile, program, sim.cell_r)
+
+        def schedule(t):
+            """Total flux angle per cell at time t, from the same inversion."""
+            s = np.asarray(profile.speed_sq(sim.cell_r, t, background_c=program.background_c), dtype=float)
+            return invert_speed_sq(s, program.theta_dc)[1]
+
         sim.set_flux(schedule(0.0))
     else:
         sim.set_flux(program.theta_total[:, 0])
@@ -263,7 +259,8 @@ def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
 
 
 def _evaluate(snaps, guard, meta, profile, background_c, spec: SimulationSpec, window, name):
-    r_stop = _measurement_stop(window, guard, guard, spec.direction)
+    lo, hi = window
+    r_stop = hi - guard if spec.direction >= 0 else lo + guard
     ts, rs = front_trajectory(snaps, spec.front_threshold, spec.direction, r_stop=r_stop)
     if len(ts) < 3:
         raise FrontNotFound(f"{name}: fewer than 3 front samples inside the window")

@@ -56,6 +56,20 @@ def test_profile_kerr_axis_values_bounded(tmp_path):
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
+@pytest.mark.parametrize(
+    "preset, assignment, error",
+    [
+        # both overflowed to inf in most rows of profile.csv, with exit 0
+        ("godel", "metric.a=1e-310", "config error: metric: speed_sq = inf at r = 0.01, t = 0.0 is not finite"),
+        ("alcubierre", "metric.vs_over_c=1e300", "config error: metric: speed_sq = inf at r = 4.0, t = 0.0 is not finite"),
+    ],
+)
+def test_profile_overflow_exits_1_writing_nothing(tmp_path, capsys, preset, assignment, error):
+    assert main(["profile", "--preset", preset, "--set", assignment, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() == error
+    assert not (tmp_path / "out").exists()
+
+
 def test_profile_bubble_translates_with_time(tmp_path):
     rc = main(["profile", "--preset", "alcubierre_superluminal", "--out", str(tmp_path)])
     assert rc == 0
@@ -379,6 +393,22 @@ def test_feasibility_scan_names_a_missing_grid(tmp_path, capsys, preset, key, fi
     cfg.write_text(json.dumps(doc))
     assert main(["feasibility", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: feasibility.{field}: ")
+
+
+@pytest.mark.parametrize(
+    "preset, assignment, error",
+    [
+        # each entry builds one family member; its refusal once named only the
+        # profile parameter, not the feasibility field the entry came from
+        ("fig1", "feasibility.vs_values=[0.5, -1]", "feasibility.vs_values: entry -1.0: vs_over_c must be >= 0"),
+        ("fig3", "feasibility.theta_values_over_pi=[0.25, 0.75]",
+         f"feasibility.theta_values: entry {0.75 * math.pi!r}: theta must lie in [0, pi/2]"),
+    ],
+)
+def test_feasibility_family_entry_exits_1_naming_field(tmp_path, capsys, preset, assignment, error):
+    assert main(["feasibility", "--preset", preset, "--set", assignment, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip() == f"config error: {error}"
+    assert not (tmp_path / "out").exists()
 
 
 def test_feasibility_theta_values_in_radians_match_units_of_pi(tmp_path):

@@ -313,6 +313,9 @@ DATACLASS_CHECKS = [
     ("simulate", "simulation.front_threshold=1", "simulation.front_threshold"),
     ("simulate", "simulation.tolerance=0", "simulation.tolerance"),
     ("simulate", "simulation.direction=0", "simulation.direction"),
+    ("simulate", "simulation.cfl_factor=2", "simulation.cfl_factor"),
+    ("simulate", "simulation.boundary=open", "simulation.boundary"),
+    ("simulate", "simulation.stability_factor=5", "simulation.stability_factor"),
     # checks that moved from the parsers into SynthesisSettings, RayLaunch
     # and FeasibilitySettings (test_cli covers the other RayLaunch checks)
     ("synth", "synthesis.theta_dc_over_pi=0.5", "synthesis.theta_dc"),

@@ -37,6 +37,7 @@ def test_front_at_boundary_returns_edge():
     r = np.linspace(0, 5, 6)
     vals = np.array([0.0, 0.0, 0.0, 0.2, 0.7, 1.0])
     assert front_position(r, vals, 0.05, 1) == 5.0
+    assert front_position(r, vals[::-1], 0.05, -1) == 0.0
 
 
 def test_trajectory_tracks_moving_gaussian():

@@ -35,17 +35,6 @@ def test_flux_free_group_speed_is_c0_times_pitch():
     assert v == pytest.approx(1.0, abs=0.02)
 
 
-def test_group_speed_is_pitch_per_cell_time_in_normalized_units():
-    # with L0 = C = 1 fixed, long wavelengths cover one cell per unit time,
-    # i.e. pitch/sqrt(L0 C) in coordinate units
-    sim = LadderSim(n_cells=500, pitch=0.5, inductance_L0=1.0, boundary="absorbing")
-    sim.initialize_pulse(GaussianPulse(40.0, 5.0), 1)
-    n_steps = int(0.8 * 250 / 0.5 / sim.dt)
-    snaps = sim.run(n_steps, max(1, n_steps // 50))
-    v = measure_front_speed(snaps).mean
-    assert v == pytest.approx(0.5, abs=0.01)
-
-
 def test_group_speed_follows_sqrt_cos_law():
     v0 = uniform_speed(0.0)
     v3 = uniform_speed(math.pi / 3)
@@ -75,8 +64,10 @@ def test_singular_inductance_at_window():
 
 
 def test_stability_violation_for_oversized_dt():
+    sim = LadderSim(n_cells=16)
+    sim.dt = 1.5  # break the bound sqrt(L0 C) = 1 after construction
     with pytest.raises(StabilityViolation):
-        LadderSim(n_cells=16, dt=1.5)  # bound sqrt(L0 C) = 1
+        sim.set_flux(0.0)
 
 
 def test_inductance_tuning_law():
@@ -92,24 +83,30 @@ def test_ladder_step_kernel_matches_manual_kcl():
     flux = rng.normal(size=5)
     L = rng.uniform(1.0, 2.0, size=5)
     C, dt = 1.3, 0.07
-    v2, flux2, cur = ladder_step(v, flux, L, C, dt, "reflecting")
+    z = 0.8
+    open_ends = ladder_step(v, flux, L, C, dt, math.inf)
+    loaded = ladder_step(v, flux, L, C, dt, z)
     flux_want = flux + dt * (v[:-1] - v[1:])
-    np.testing.assert_allclose(flux2, flux_want, rtol=1e-14)
     cur_want = flux_want / L
-    np.testing.assert_allclose(cur, cur_want, rtol=1e-14)
-    for i in range(1, 5):
-        assert v2[i] == pytest.approx(v[i] + dt / C * (cur_want[i - 1] - cur_want[i]), rel=1e-13)
-    assert v2[0] == pytest.approx(v[0] - dt / C * cur_want[0], rel=1e-13)
-    assert v2[-1] == pytest.approx(v[-1] + dt / C * cur_want[-1], rel=1e-13)
+    for v2, flux2, cur in (open_ends, loaded):
+        np.testing.assert_allclose(flux2, flux_want, rtol=1e-14)
+        np.testing.assert_allclose(cur, cur_want, rtol=1e-14)
+        for i in range(1, 5):
+            assert v2[i] == pytest.approx(v[i] + dt / C * (cur_want[i - 1] - cur_want[i]), rel=1e-13)
+    # an open end node only feeds its one branch; a loaded one also drains V/z
+    assert open_ends[0][0] == pytest.approx(v[0] - dt / C * cur_want[0], rel=1e-13)
+    assert open_ends[0][-1] == pytest.approx(v[-1] + dt / C * cur_want[-1], rel=1e-13)
+    assert loaded[0][0] == pytest.approx(v[0] - dt / C * (cur_want[0] + v[0] / z), rel=1e-13)
+    assert loaded[0][-1] == pytest.approx(v[-1] + dt / C * (cur_want[-1] - v[-1] / z), rel=1e-13)
 
 
 def test_time_varying_flux_enters_through_branch_flux():
     # retuning a cell must rescale its current at fixed branch flux
     sim = LadderSim(n_cells=4)
     sim.branch_flux = np.array([0.5, 0.5, 0.5, 0.5])
-    i_before = sim.state().currents.copy()
+    i_before = sim.branch_flux / sim.inductance
     sim.set_flux(math.pi / 3)
-    i_after = sim.state().currents
+    i_after = sim.branch_flux / sim.inductance
     np.testing.assert_allclose(i_after, i_before * math.cos(math.pi / 3), rtol=1e-12)
 
 

@@ -1,0 +1,66 @@
+"""Print the sha256 of every artifact each CLI command writes on each preset.
+
+Usage, from any directory:
+
+    python tools/preset_hashes.py
+
+Runs profile, synth, feasibility, raytrace, simulate and simulate with
+simulation.solver=both on every preset, in-process through fluxline.cli.main
+from this checkout's src/. Each run writes to out/preset_hashes/<run> under
+the checkout root. --out enters the config hash that every artifact
+carries, so the path is the same relative path on every tree, and the
+tables that two checkouts print compare line by line.
+
+Prints one markdown row per artifact: run, exit code, file, sha256. A run
+that writes nothing prints one row with "-" for file and sha256.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = Path("out") / "preset_hashes"
+RUNS = (
+    ("profile", ()),
+    ("synth", ()),
+    ("feasibility", ()),
+    ("raytrace", ()),
+    ("simulate", ()),
+    ("simulate-both", ("--set", "simulation.solver=both")),
+)
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from fluxline.cli import main as cli_main
+    from fluxline.config import PRESETS
+
+    os.chdir(ROOT)
+    print("| run | exit | file | sha256 |")
+    print("|---|---|---|---|")
+    for name, extra in RUNS:
+        command = name.split("-")[0]
+        for preset in PRESETS:
+            run = f"{name}-{preset}"
+            out = OUT / run
+            shutil.rmtree(out, ignore_errors=True)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main([command, "--preset", preset, "--out", str(out), *extra])
+            files = sorted(out.iterdir()) if out.is_dir() else []
+            for path in files:
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"| `{run}` | {code} | `{path.name}` | `{digest}` |")
+            if not files:
+                print(f"| `{run}` | {code} | - | - |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
