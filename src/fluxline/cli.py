@@ -15,12 +15,13 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_raw_config, validate_config
-from .csvio import column_rows, write_csv, write_json
+from .csvio import grid_lines, write_csv, write_json
 from .metrics import (
     ParamError,
     ProfileDomainError,
@@ -62,7 +63,9 @@ FAILURES = (
     ((HotCellBudgetExceeded,), EXIT_HOT_BUDGET, "hot-cell budget exceeded"),
     ((SynthesisError,), EXIT_INFEASIBLE, "synthesis infeasible"),
     ((CflViolation, StabilityViolation, SingularInductance, FrontNotFound), EXIT_SIMULATION, "simulation failed"),
-    ((ProfileDomainError, ProfileEvaluationError, ValueError), EXIT_CONFIG, "config error"),
+    # a profile value that cannot be used is a fault of the metric block
+    ((ProfileEvaluationError,), EXIT_CONFIG, "config error: metric"),
+    ((ProfileDomainError, ValueError), EXIT_CONFIG, "config error"),
 )
 
 
@@ -93,33 +96,25 @@ def cmd_profile(run: RunConfig) -> int:
         raise ConfigError("sampling", "required block for the profile command")
     profile = run.profile()
     grid_r, grid_t = run.sampling.r, run.sampling.t
-    r, t = np.tile(grid_r, len(grid_t)), np.repeat(grid_t, len(grid_r))
-    # a metric parameter near the float limits overflows; refuse it instead of writing inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.concatenate([np.asarray(profile.speed_sq(grid_r, float(tk)), dtype=float) for tk in grid_t])
-    bad = np.flatnonzero(~np.isfinite(s))
-    if bad.size:
-        i = bad[0]
-        raise ProfileEvaluationError(f"metric: speed_sq = {s[i]} at r = {r[i]}, t = {t[i]} is not finite")
-    rows = column_rows(r, t, s)
+    s = np.stack([profile.finite_speed_sq(grid_r, float(tk)) for tk in grid_t])
+    rows = grid_lines(grid_r, grid_t[:, None], s)
     path = write_csv(_outdir(run) / "profile.csv", ("r", "t", "ctilde_sq"), rows, run.hash)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _program_rows(program):
-    """Cell-major rows of PROGRAM_COLUMNS, time index varying fastest."""
-    n, m = program.n_cells, len(program.times)
-    return column_rows(
-        np.repeat(np.arange(n), m),
-        np.tile(np.arange(m), n),
-        np.repeat(program.cell_coords, m),
-        np.tile(program.times, n),
-        np.full(n * m, program.theta_dc),
-        program.theta_ac.ravel(),
-        program.theta_total.ravel(),
-        program.speed_sq.ravel(),
-        program.annotations.ravel(),
+    """Cell-major lines of PROGRAM_COLUMNS, time index varying fastest."""
+    return grid_lines(
+        np.arange(program.n_cells)[:, None],
+        np.arange(len(program.times)),
+        program.cell_coords[:, None],
+        program.times,
+        program.theta_dc,
+        program.theta_ac,
+        program.theta_total,
+        program.speed_sq,
+        program.annotations,
     )
 
 
@@ -179,7 +174,7 @@ def _family(build, values, path: str):
 
 
 def _fig_profiles(run: RunConfig):
-    """Profile family and analytic boundary rows for one scan."""
+    """Config path of the scanned profiles, their parameter name, and the (value, profile) family."""
     fz = run.feasibility
     if fz is None:
         raise ConfigError("feasibility", "required block for the feasibility command")
@@ -190,45 +185,49 @@ def _fig_profiles(run: RunConfig):
         profiles = _family(
             lambda v: alcubierre_profile(replace(profile.params, vs_over_c=v)), fz.vs_values, "feasibility.vs_values"
         )
-        boundary = (
-            ("vs_over_c", "theta_dc_min"),
-            [(float(v), dc_feasibility_boundary((1.0 + float(v)) ** 2)) for v in fz.vs_values],
-        )
-        return "vs_over_c", profiles, boundary
+        return "feasibility.vs_values", "vs_over_c", profiles
     if fz.figure == "fig2":
         if profile.kind != "godel":
             raise ConfigError("metric.kind", "fig2 needs a godel metric")
-        profiles = [(profile.params.a, profile)]
-        dense = np.linspace(0.005 * math.pi, 0.4999 * math.pi, 400)
-        boundary = (
-            ("theta_dc", "r_max_over_2a"),
-            [(float(d), godel_max_radius(float(d))) for d in dense],
-        )
-        return "a", profiles, boundary
+        return "metric", "a", [(profile.params.a, profile)]
     if fz.figure == "fig3":
         if profile.kind != "kerr_extreme":
             raise ConfigError("metric.kind", "fig3 needs a kerr_extreme metric")
-        M = profile.params.mass_M
         profiles = _family(
             lambda th: kerr_extreme_profile(replace(profile.params, theta=th)), fz.theta_values, "feasibility.theta_values"
         )
-        rows = []
-        for th in fz.theta_values:
-            band = kerr_forbidden_band(float(th), M)
-            lo, hi = band if band is not None else (math.nan, math.nan)
-            rows.append((float(th), lo, hi))
-        boundary = (("theta", "r_forbidden_low", "r_forbidden_high"), rows)
-        return "theta", profiles, boundary
+        return "feasibility.theta_values", "theta", profiles
     # custom scan over the configured metric
-    profiles = [(0.0, profile)]
-    return "metric", profiles, None
+    return "metric", "metric", [(0.0, profile)]
+
+
+def _fig_boundary(run: RunConfig):
+    """Header and columns of the figure's analytic boundary, or None for a custom scan."""
+    fz = run.feasibility
+    if fz.figure == "fig1":
+        vs = [float(v) for v in fz.vs_values]
+        return ("vs_over_c", "theta_dc_min"), (vs, [dc_feasibility_boundary((1.0 + v) ** 2) for v in vs])
+    if fz.figure == "fig2":
+        dense = np.linspace(0.005 * math.pi, 0.4999 * math.pi, 400)
+        return ("theta_dc", "r_max_over_2a"), (dense, [godel_max_radius(float(d)) for d in dense])
+    if fz.figure == "fig3":
+        M = run.profile().params.mass_M
+        bands = [kerr_forbidden_band(float(th), M) or (math.nan, math.nan) for th in fz.theta_values]
+        lo, hi = zip(*bands)
+        return ("theta", "r_forbidden_low", "r_forbidden_high"), (fz.theta_values, lo, hi)
+    return None
 
 
 def cmd_feasibility(run: RunConfig) -> int:
     out = _outdir(run)
-    param_name, profiles, boundary = _fig_profiles(run)
+    source, param_name, profiles = _fig_profiles(run)
     fz = run.feasibility
-    report = feasibility_scan(profiles, fz.theta_dc, fz.r, run.synthesis.array, param_name=param_name)
+    try:
+        report = feasibility_scan(profiles, fz.theta_dc, fz.r, run.synthesis.array, param_name=param_name)
+    except ProfileEvaluationError as exc:
+        if source == "metric":
+            raise
+        raise ConfigError(source, f"entry {exc.entry!r}: {exc}") from None
     path = write_csv(
         out / "feasibility.csv",
         ("param_1", "param_2", "r", "status_code", "theta_total_or_nan"),
@@ -236,9 +235,11 @@ def cmd_feasibility(run: RunConfig) -> int:
         run.hash,
     )
     print(f"wrote {path}")
+    # built after the scan, which refuses a family entry the boundary would overflow on
+    boundary = _fig_boundary(run)
     if boundary is not None:
-        columns, rows = boundary
-        bpath = write_csv(out / "boundary.csv", columns, rows, run.hash)
+        columns, values = boundary
+        bpath = write_csv(out / "boundary.csv", columns, grid_lines(*values), run.hash)
         print(f"wrote {bpath}")
     return EXIT_OK
 
@@ -261,11 +262,8 @@ def cmd_simulate(run: RunConfig) -> int:
         return _failure(exc)[0]
     report = verify_program(program, profile, spec)
     for solver, snaps in report.snapshots.items():
-        rows = column_rows(
-            np.repeat([s.time for s in snaps], [len(s.r) for s in snaps]),
-            np.concatenate([s.r for s in snaps]),
-            np.concatenate([s.values for s in snaps]),
-        )
+        # every snapshot of one solver samples the same grid
+        rows = grid_lines(np.array([[s.time] for s in snaps]), snaps[0].r, np.stack([s.values for s in snaps]))
         path = write_csv(out / f"snapshots_{solver}.csv", ("t", "r", "value"), rows, run.hash)
         print(f"wrote {path}")
     jpath = write_json(out / "verification.json", report.to_dict(), run.hash)
@@ -292,13 +290,9 @@ def cmd_raytrace(run: RunConfig) -> int:
         )
         for launch in run.rays
     ]
-    counts = [len(path.t) for path in paths]
-    rows = column_rows(
-        np.repeat(np.arange(len(paths)), counts),
-        np.repeat([launch.direction for launch in run.rays], counts),
-        np.concatenate([path.t for path in paths]),
-        np.concatenate([path.r for path in paths]),
-        np.repeat([path.status for path in paths], counts),
+    rows = chain.from_iterable(
+        grid_lines(i, launch.direction, path.t, path.r, path.status)
+        for i, (launch, path) in enumerate(zip(run.rays, paths))
     )
     out = write_csv(
         _outdir(run) / "rays.csv",

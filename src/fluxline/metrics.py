@@ -83,7 +83,13 @@ class ProfileDomainError(ValueError):
 
 
 class ProfileEvaluationError(ValueError):
-    """The profile value cannot be used here, e.g. speed_sq <= 0 under a sqrt."""
+    """The profile value cannot be used here, e.g. speed_sq <= 0 under a sqrt.
+
+    entry is the family parameter of the failing profile when a feasibility
+    scan raised it, else None.
+    """
+
+    entry = None
 
 
 # Most points one grid may hold: an array's n_cells, a simulation's n_points
@@ -340,6 +346,21 @@ class SpeedProfile:
     def speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> ArrayLike:
         """Evaluate the profile; may return negative values (see module doc)."""
         return KINDS[self.kind].speed_sq(r, t, self.params, background_c)
+
+    def finite_speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> np.ndarray:
+        """speed_sq as a float array, or ProfileEvaluationError at its first non-finite value.
+
+        A parameter near the float limits overflows the profile; the error
+        reports that, so numpy's overflow warning is not raised as well.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.asarray(self.speed_sq(r, t, background_c), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(s))
+        if bad.size:
+            i = bad[0]
+            at = np.broadcast_to(r, s.shape).flat[i]
+            raise ProfileEvaluationError(f"speed_sq = {s.flat[i]} at r = {at}, t = {t} is not finite")
+        return s
 
     def contains(self, r: float) -> bool:
         lo, hi = self.valid_range

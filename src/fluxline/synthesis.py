@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .csvio import column_rows
-from .metrics import MAX_GRID_POINTS, ParamError, SpeedProfile
+from .csvio import grid_lines
+from .metrics import MAX_GRID_POINTS, ParamError, ProfileEvaluationError, SpeedProfile
 
 __all__ = [
     "Status",
@@ -364,7 +364,7 @@ def synthesize_program(
     theta_total = np.empty((n, m))
     annotations = np.empty((n, m), dtype=int)
     for j, t in enumerate(times):
-        s = np.asarray(profile.speed_sq(r, float(t), background_c=background_c), dtype=float)
+        s = profile.finite_speed_sq(r, float(t), background_c=background_c)
         status, theta = _classify_grid(s, theta_dc, config)
         fatal = (status == int(Status.NEGATIVE_SPEED_SQ)) | (
             status == int(Status.ARCCOS_INFEASIBLE)
@@ -403,10 +403,10 @@ class FeasibilityReport:
     """Dense classification over (metric parameter) x (theta_dc) x (r).
 
     status and theta_total have shape (P, D, R); theta_total is NaN where no
-    principal-branch total exists. rows() yields the flat CSV rows
+    principal-branch total exists. rows() yields the CSV lines
     (param, theta_dc, r, status_code, theta_total_or_nan) in deterministic
-    nested order, the status code an int and every other cell '%.17g' text
-    (csvio.column_rows), so theta_total_or_nan reads "nan" where it is NaN.
+    nested order (csvio.grid_lines), so theta_total_or_nan reads "nan" where
+    it is NaN.
     """
 
     param_name: str
@@ -417,13 +417,12 @@ class FeasibilityReport:
     theta_total: np.ndarray
 
     def rows(self):
-        n_p, n_d, n_r = self.status.shape
-        return column_rows(
-            np.repeat(self.param_values, n_d * n_r),
-            np.tile(np.repeat(self.theta_dc_values, n_r), n_p),
-            np.tile(self.r_values, n_p * n_d),
-            self.status.ravel(),
-            self.theta_total.ravel(),
+        return grid_lines(
+            self.param_values[:, None, None],
+            self.theta_dc_values[:, None],
+            self.r_values,
+            self.status,
+            self.theta_total,
         )
 
 
@@ -447,10 +446,14 @@ def feasibility_scan(
     if d.size == 0 or r.size == 0:
         raise ValueError("grid axes must be nonempty")
     params = np.array([p for p, _ in profiles], dtype=float)
-    slabs = [
-        _classify_grid(np.asarray(prof.speed_sq(r, t), dtype=float)[None, :], d[:, None], config)
-        for _, prof in profiles
-    ]
+    slabs = []
+    for p, prof in profiles:
+        try:
+            s = prof.finite_speed_sq(r, t)
+        except ProfileEvaluationError as exc:
+            exc.entry = p
+            raise
+        slabs.append(_classify_grid(s[None, :], d[:, None], config))
 
     status = np.stack([s for s, _ in slabs])
     theta = np.stack([th for _, th in slabs])

@@ -32,6 +32,7 @@ __all__ = [
     "GaussianPulse",
     "ContinuumSolver",
     "fdtd_step",
+    "sponge_factors",
 ]
 
 BOUNDARIES = ("absorbing_sponge", "reflecting")
@@ -89,18 +90,31 @@ class GaussianPulse:
         return self.amplitude * np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))
 
 
-def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, sponge_gamma):
+def sponge_factors(sponge_gamma, dt):
+    """(1 - g, 1 + g) with g = gamma dt / 2: the damping factors of fdtd_step."""
+    g = 0.5 * sponge_gamma * dt
+    return 1.0 - g, 1.0 + g
+
+
+def _flux_divergence(psi, face_speed_sq, dx, out):
+    """d_r (c^2 d_r psi) at the interior nodes, written into out[1:-1]."""
+    flux = face_speed_sq * np.diff(psi) / dx
+    out[1:-1] = (flux[1:] - flux[:-1]) / dx
+    return out
+
+
+def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, damping, accel):
     """One damped leapfrog step; pure kernel shared by the solver class.
 
     psi_prev/psi_cur are the two known time levels; face_speed_sq holds
-    c^2 at the n-1 cell faces and sponge_gamma the damping rate per node
-    (0 for no damping). Ends are pinned to zero.
+    c^2 at the n-1 cell faces, and damping is sponge_factors(gamma, dt) of
+    the damping rate gamma per node (0 for no damping). accel is a buffer of
+    psi's length with zero ends; its interior is overwritten. Ends are
+    pinned to zero.
     """
-    flux = face_speed_sq * np.diff(psi_cur) / dx
-    accel = np.zeros_like(psi_cur)
-    accel[1:-1] = (flux[1:] - flux[:-1]) / dx
-    g = 0.5 * sponge_gamma * dt
-    nxt = (2.0 * psi_cur - (1.0 - g) * psi_prev + dt * dt * accel) / (1.0 + g)
+    keep, scale = damping
+    _flux_divergence(psi_cur, face_speed_sq, dx, accel)
+    nxt = (2.0 * psi_cur - keep * psi_prev + dt * dt * accel) / scale
     nxt[0] = 0.0
     nxt[-1] = 0.0
     return nxt
@@ -124,14 +138,25 @@ class ContinuumSolver:
         if sup <= 0:
             raise ValueError("profile has no positive speeds on the grid")
         self.c_max = background_c * math.sqrt(sup)
-        self.dt = grid.cfl_factor * grid.dx / self.c_max
         self._sponge, self.sponge_width = self._build_sponge()
-        self._static_face_sq = None
+        self.dt = grid.cfl_factor * grid.dx / self.c_max
+        self._static = None
         if not profile.time_dependent:
-            self._static_face_sq = self._face_speed_sq(0.0)
+            self._static = self._face_and_speed(0.0)
+        self._accel = np.zeros(grid.n_points)
         self.psi_prev = np.zeros(grid.n_points)
         self.psi_cur = np.zeros(grid.n_points)
         self.time = 0.0
+
+    @property
+    def dt(self) -> float:
+        return self._dt
+
+    @dt.setter
+    def dt(self, value: float):
+        # the damping factors follow dt; the step reuses them until dt changes
+        self._dt = value
+        self._damping = sponge_factors(self._sponge, value)
 
     def _build_sponge(self) -> tuple[np.ndarray, float]:
         """Damping rate per node, and the length it ramps over at each end (0 for reflecting ends)."""
@@ -150,11 +175,13 @@ class ContinuumSolver:
         s2 = self.profile.speed_sq(self.r, t, background_c=self.background_c)
         return self.background_c**2 * np.asarray(s2, dtype=float)
 
-    def _face_speed_sq(self, t: float) -> np.ndarray:
-        if self._static_face_sq is not None:
-            return self._static_face_sq
+    def _face_and_speed(self, t: float) -> tuple[np.ndarray, float]:
+        """c^2 at the cell faces at time t, and the largest face speed c."""
+        if self._static is not None:
+            return self._static
         node = self._node_speed_sq(t)
-        return 0.5 * (node[:-1] + node[1:])
+        face = 0.5 * (node[:-1] + node[1:])
+        return face, math.sqrt(max(float(np.max(face)), 0.0))
 
     def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
         """Launch a one-directional pulse.
@@ -167,23 +194,20 @@ class ContinuumSolver:
         g[0] = g[-1] = 0.0
         c_local = np.sqrt(np.maximum(self._node_speed_sq(0.0), 0.0))
         psi_t = -direction * c_local * np.gradient(g, self.grid.dx)
-        face = self._face_speed_sq(0.0)
-        flux = face * np.diff(g) / self.grid.dx
-        accel = np.zeros_like(g)
-        accel[1:-1] = (flux[1:] - flux[:-1]) / self.grid.dx
+        face, _ = self._face_and_speed(0.0)
+        accel = _flux_divergence(g, face, self.grid.dx, np.zeros_like(g))
         self.psi_prev = g
         self.psi_cur = g + self.dt * psi_t + 0.5 * self.dt**2 * accel
         self.psi_cur[0] = self.psi_cur[-1] = 0.0
         self.time = self.dt
 
     def step(self):
-        face = self._face_speed_sq(self.time)
-        c_inst = math.sqrt(max(float(np.max(face)), 0.0))
+        face, c_inst = self._face_and_speed(self.time)
         if self.dt * c_inst > self.grid.cfl_factor * self.grid.dx * (1.0 + 1e-9):
             raise CflViolation(
                 f"instantaneous c_max {c_inst} breaks the bound used for dt = {self.dt}"
             )
-        nxt = fdtd_step(self.psi_prev, self.psi_cur, face, self.grid.dx, self.dt, self._sponge)
+        nxt = fdtd_step(self.psi_prev, self.psi_cur, face, self.grid.dx, self.dt, self._damping, self._accel)
         self.psi_prev = self.psi_cur
         self.psi_cur = nxt
         self.time += self.dt
@@ -216,7 +240,7 @@ class ContinuumSolver:
         """
         dx = self.grid.dx
         v = (self.psi_cur - self.psi_prev) / self.dt
-        face = self._face_speed_sq(self.time)
+        face, _ = self._face_and_speed(self.time)
         gp = np.diff(self.psi_prev) / dx
         gc = np.diff(self.psi_cur) / dx
         return 0.5 * dx * float(np.sum(v * v)) + 0.5 * dx * float(np.sum(face * gp * gc))

@@ -70,6 +70,29 @@ def test_profile_overflow_exits_1_writing_nothing(tmp_path, capsys, preset, assi
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # these printed numpy's overflow warning and reported cell 0 as
+        # ARCCOS_INFEASIBLE, exiting 2 with a synth_failure.json
+        (["synth", "--preset", "godel", "--set", "metric.a=1e-310"], "metric: speed_sq = inf at r = 0.007421875, t = 0.0"),
+        (["simulate", "--preset", "godel", "--set", "metric.a=1e-310"], "metric: speed_sq = inf at r = 0.007421875, t = 0.0"),
+        (["synth", "--preset", "alcubierre", "--set", "metric.vs_over_c=1e300"], "metric: speed_sq = inf at r = 4.0234375, t = 0.0"),
+        (["simulate", "--preset", "alcubierre", "--set", "metric.vs_over_c=1e300"], "metric: speed_sq = inf at r = 4.0234375, t = 0.0"),
+        # these exited 0 with status-3 rows, and the fig1 boundary raised OverflowError
+        (["feasibility", "--preset", "fig2", "--set", "metric.a=1e-310"], "metric: speed_sq = inf at r = 0.02, t = 0.0"),
+        (["feasibility", "--preset", "fig1", "--set", "feasibility.vs_values=[0.5, 1e300]"],
+         "feasibility.vs_values: entry 1e+300: speed_sq = inf at r = 0.0, t = 0.0"),
+        (["raytrace", "--preset", "godel", "--set", "metric.a=1e-310"], "metric: speed_sq = inf at r = 0.000244140625"),
+    ],
+)
+def test_overflowing_profile_exits_1_writing_nothing(tmp_path, capsys, argv, error):
+    # a warning would fail the test: pytest turns warnings into errors
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_profile_bubble_translates_with_time(tmp_path):
     rc = main(["profile", "--preset", "alcubierre_superluminal", "--out", str(tmp_path)])
     assert rc == 0
@@ -432,8 +455,8 @@ def test_feasibility_theta_values_in_radians_match_units_of_pi(tmp_path):
         ("kerr_theta0", 0, ["--set", "metric.mass_M=1e-200"], "config error: metric.mass_M: "),
         # far out the profile overflows; these wrote inf and nan rows with
         # status completed and exit 0
-        ("godel", 1e200, [], "config error: speed_sq = inf at r = 1e+200"),
-        ("kerr_theta0", 1e200, [], "config error: speed_sq = nan at r = 1e+200"),
+        ("godel", 1e200, [], "config error: metric: speed_sq = inf at r = 1e+200"),
+        ("kerr_theta0", 1e200, [], "config error: metric: speed_sq = nan at r = 1e+200"),
     ],
 )
 def test_non_finite_ray_speed_exits_1(tmp_path, capsys, preset, r0, extra, error):
@@ -458,7 +481,7 @@ def test_non_finite_ray_speed_exits_1(tmp_path, capsys, preset, r0, extra, error
         (SingularInductance("cos(theta) = 0"), 4, "simulation failed"),
         (FrontNotFound("no front"), 4, "simulation failed"),
         (ProfileDomainError("r outside range"), 1, "config error"),
-        (ProfileEvaluationError("speed_sq = nan"), 1, "config error"),
+        (ProfileEvaluationError("speed_sq = nan"), 1, "config error: metric"),
         (ValueError("bad value"), 1, "config error"),
     ],
 )

@@ -12,7 +12,7 @@ from fluxline.wavelab import (
     measure_front_speed,
     trace_null_geodesic,
 )
-from fluxline.wavelab.continuum import fdtd_step
+from fluxline.wavelab.continuum import fdtd_step, sponge_factors
 from fluxline.wavelab.fronts import front_trajectory
 
 
@@ -37,8 +37,8 @@ def test_fdtd_step_kernel_matches_manual_update():
     face = rng.uniform(0.5, 2.0, size=11)
     gamma = rng.uniform(0.0, 5.0, size=12)
     dx, dt = 0.1, 0.02
-    undamped = fdtd_step(prev, cur, face, dx, dt, np.zeros(12))
-    damped = fdtd_step(prev, cur, face, dx, dt, gamma)
+    undamped = fdtd_step(prev, cur, face, dx, dt, sponge_factors(np.zeros(12), dt), np.zeros(12))
+    damped = fdtd_step(prev, cur, face, dx, dt, sponge_factors(gamma, dt), np.zeros(12))
     for i in range(1, 11):
         flux_r = face[i] * (cur[i + 1] - cur[i]) / dx
         flux_l = face[i - 1] * (cur[i] - cur[i - 1]) / dx

@@ -24,7 +24,8 @@ INTS = st.one_of(
     st.integers(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
 )
-STRS = st.text(alphabet=string.ascii_letters + string.digits + "_-", max_size=12)
+# '%' is the template's own escape character, so text cells carry it too
+STRS = st.text(alphabet=string.ascii_letters + string.digits + "_-%", max_size=12)
 CELLS = {"float": FLOATS, "int": INTS, "str": STRS}
 
 
@@ -44,40 +45,119 @@ def reference_csv(columns, rows, config_hash=None) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def object_array(cells, shape=None) -> np.ndarray:
+    a = np.empty(len(cells), dtype=object)
+    a[:] = cells
+    return a if shape is None else a.reshape(shape)
+
+
+def grid_rows(values):
+    """Rows of value arrays broadcast to one grid, in C order, as Python objects."""
+    shape = np.broadcast_shapes(*(v.shape for v in values)) or (1,)
+    return list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in values)))
+
+
+def assert_grid_writes(tmp_path_factory, names, columns, rows, config_hash="h"):
+    """grid_lines gives one line per row, and write_csv the reference bytes."""
+    lines = list(csvio.grid_lines(*columns))
+    assert len(lines) == len(rows)
+    assert all(line.endswith("\n") for line in lines)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, names, csvio.grid_lines(*columns), config_hash)
+    assert path.read_bytes() == reference_csv(names, rows, config_hash)
+
+
+def as_column(kind: str, cells: list, shape) -> np.ndarray:
+    """A column of the dtype a producer would hand over for these cells."""
+    if kind == "float":
+        return np.array(cells, dtype=np.float64).reshape(shape)
+    if kind == "int":
+        fits = all(-(2**63) <= int(x) < 2**63 for x in cells)
+        return np.array(cells, dtype=np.int64).reshape(shape) if fits else object_array(cells, shape)
+    return np.array(cells, dtype=str).reshape(shape)
+
+
 @st.composite
-def tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6))
-    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=30))
-    return [f"c{i}" for i in range(len(kinds))], rows
+def grids(draw):
+    """Columns of every role on one (B, R) grid, and the values each holds."""
+    n_blocks, n_rows = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    roles = [(), (1, 1), (n_blocks, 1), (n_rows,), (n_blocks, n_rows)]
+    columns, values = [], []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6)):
+        shape = draw(st.sampled_from(roles))
+        cells = draw(st.lists(CELLS[kind], min_size=math.prod(shape), max_size=math.prod(shape)))
+        columns.append(as_column(kind, cells, shape))
+        values.append(object_array(cells, shape))
+    return columns, values
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(), st.sampled_from([None, "0123456789abcdef"]))
+@given(grids(), st.sampled_from([None, "0123456789abcdef"]))
 @example(
-    (["x", "n", "s"], [(math.nan, np.int64(-3), "ok"), (-0.0, 7, ""), (math.inf, 0, "a")]),
+    ([np.array([math.nan, -0.0, math.inf]), np.array([-3, 7, 0]), np.array(["ok", "", "a%"])],
+     [object_array([math.nan, -0.0, math.inf]), object_array([np.int64(-3), 7, 0]), object_array(["ok", "", "a%"])]),
     "0123456789abcdef",
 )
-def test_write_csv_matches_cell_by_cell_reference(tmp_path_factory, table, config_hash):
-    columns, rows = table
-    path = tmp_path_factory.mktemp("csv") / "t.csv"
-    write_csv(path, columns, iter(rows), config_hash)
-    assert path.read_bytes() == reference_csv(columns, rows, config_hash)
+def test_write_csv_matches_cell_by_cell_reference(tmp_path_factory, grid, config_hash):
+    columns, values = grid
+    names = [f"c{i}" for i in range(len(columns))]
+    assert_grid_writes(tmp_path_factory, names, columns, grid_rows(values), config_hash)
 
 
-def test_write_csv_streams_across_chunks(tmp_path, monkeypatch):
+def test_write_csv_streams_across_chunks(tmp_path_factory, monkeypatch):
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 3)
-    rows = [(i, i / 7.0, f"s{i}") for i in range(11)]
-    write_csv(tmp_path / "t.csv", ("i", "x", "s"), rows, "h")
-    assert (tmp_path / "t.csv").read_bytes() == reference_csv(("i", "x", "s"), rows, "h")
-    cols = (np.arange(11), np.arange(11) / 7.0, np.array([f"s{i}" for i in range(11)]))
-    write_csv(tmp_path / "c.csv", ("i", "x", "s"), csvio.column_rows(*cols), "h")
-    assert (tmp_path / "c.csv").read_bytes() == reference_csv(("i", "x", "s"), rows, "h")
+    blocks, rows = np.array([[10], [20]]), np.arange(11) / 7.0
+    text = np.array([[f"s{b}.{i}" for i in range(11)] for b in range(2)])
+    expected = [(int(b), float(x), f"s{j}.{i}") for j, b in enumerate((10, 20)) for i, x in enumerate(rows)]
+    assert_grid_writes(tmp_path_factory, ("b", "x", "s"), (blocks, rows, text), expected)
+    # a table of row keys alone is one block of 11 rows
+    expected = [(i, float(x), f"s0.{i}") for i, x in enumerate(rows)]
+    assert_grid_writes(tmp_path_factory, ("i", "x", "s"), (np.arange(11), rows, text[0]), expected)
 
 
-def test_column_rows_gives_python_scalars():
-    rows = list(csvio.column_rows(np.array([1, 2], dtype=np.int64), np.array([0.5, -0.0]), np.array(["a", "b"])))
-    assert rows == [(1, "0.5", "a"), (2, "-0", "b")]
-    assert [type(x) for x in rows[0]] == [int, str, str]
+def test_grid_lines_block_shapes(monkeypatch):
+    lines = lambda *cols: list(csvio.grid_lines(*cols))
+    # no blocks, or no rows: no lines
+    assert lines(np.zeros((0, 1)), np.arange(3), np.zeros((0, 3))) == []
+    assert lines(np.arange(2)[:, None], np.zeros(0)) == []
+    # (1, 1) and 0-d constants make one row
+    assert lines(np.array([[2.5]]), np.int64(3), "x") == ["2.5,3,x\n"]
+    assert lines(1.0, 2) == ["1,2\n"]
+    # leading axes are blocks in C order, the last axis the rows
+    got = lines(np.array([1, 2])[:, None, None], np.array([0.5, 0.25])[:, None], np.array([7, 8, 9]))
+    assert got == [f"{p},{d},{r}\n" for p in (1, 2) for d in (0.5, 0.25) for r in (7, 8, 9)]
+    # blocks longer than CHUNK_ROWS are split without changing a byte
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 4)
+    cells = np.arange(30).reshape(3, 10) / 3.0
+    got = lines(np.array([[0.5], [1.5], [2.5]]), np.arange(10), cells)
+    assert got == [f"{t},{r},{format_float(cells[b, r])}\n" for b, t in enumerate((0.5, 1.5, 2.5)) for r in range(10)]
+
+
+def test_grid_lines_escapes_percent_in_text():
+    got = list(csvio.grid_lines(
+        np.array([["a%s"], ["%d%%"]]), np.array(["%", "b%"]), np.array([["%(x)s", "1"], ["2", "%"]]), "100%"
+    ))
+    assert got == ["a%s,%,%(x)s,100%\n", "a%s,b%,1,100%\n", "%d%%,%,2,100%\n", "%d%%,b%,%,100%\n"]
+
+
+def test_grid_lines_splits_on_newline_only():
+    text = np.array(["a\rb", "c\x1cd", "e\u2028f", "g\x85h"])
+    assert list(csvio.grid_lines(np.arange(4), text)) == ["0,a\rb\n", "1,c\x1cd\n", "2,e\u2028f\n", "3,g\x85h\n"]
+
+
+def test_grid_lines_format_follows_dtype_kind():
+    cols = (
+        np.array([0.1], dtype=np.float32),
+        np.array([1 / 3], dtype=np.longdouble),
+        np.array([True]),
+        np.array([2**64 - 1], dtype=np.uint64),
+        np.array([-(2**63)], dtype=np.int64),
+        object_array([10**30]),
+        object_array([0.1]),
+    )
+    assert list(csvio.grid_lines(*cols)) == [
+        f"{format_float(np.float32(0.1))},{format_float(1 / 3)},1,{2**64 - 1},{-(2**63)},{10**30},0.1\n"
+    ]
 
 
 def nan_with(sign: int, payload: int) -> float:
@@ -85,46 +165,51 @@ def nan_with(sign: int, payload: int) -> float:
     return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
 
 
-# few values, so that they repeat within a chunk; 0.0 and -0.0 and the NaNs
+# few values, so that they repeat within a block; 0.0 and -0.0 and the NaNs
 # are equal or unordered as floats but distinct as bit patterns
 POOL = [0.0, -0.0, math.nan, nan_with(1, 1 << 51), nan_with(0, (1 << 51) | 5), math.inf, -math.inf,
         5e-324, 1e308, 0.1, 1.0 / 3.0]
-COLUMN_KINDS = ("float64", "float32", "int", "strided")
+COLUMN_KINDS = ("float64", "float32", "int", "strided", "transposed")
 
 
 @st.composite
-def column_tables(draw):
-    n = draw(st.integers(0, 40))
-    values = st.lists(st.sampled_from(POOL), min_size=2 * n, max_size=2 * n)
+def pool_grids(draw):
+    """Columns of POOL values on a (B, R) grid, each a block key, row key or cell."""
+    n_blocks, n_rows = draw(st.integers(0, 5)), draw(st.integers(0, 9))
     columns = []
     for kind in draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5)):
+        shape = draw(st.sampled_from([(n_blocks, 1), (n_rows,), (n_blocks, n_rows)]))
+        n = math.prod(shape)
         if kind == "int":
-            columns.append(np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64))
+            columns.append(np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=np.int64).reshape(shape))
             continue
-        x = np.array(draw(values))
+        x = np.array(draw(st.lists(st.sampled_from(POOL), min_size=2 * n, max_size=2 * n)))
         if kind == "float32":
             with np.errstate(over="ignore"):
                 x = x.astype(np.float32)
-        columns.append(x[::2] if kind == "strided" else x[:n])
+        if kind == "strided":
+            x = x[::2].reshape(shape)
+        elif kind == "transposed":
+            x = x[:n].reshape(shape[::-1]).T.reshape(shape) if len(shape) == 2 else x[:n]
+        else:
+            x = x[:n].reshape(shape)
+        columns.append(x)
     return columns
 
 
 @settings(max_examples=200, deadline=None)
-@given(column_tables(), st.sampled_from([1, 2, 3, 7, 8192]))
+@given(pool_grids(), st.sampled_from([1, 2, 3, 7, 8192]))
 @example([np.array([0.0, -0.0, 0.0, nan_with(1, 3), math.nan])], 8192)
-def test_column_rows_writes_the_bytes_of_each_float(tmp_path_factory, columns, chunk_rows):
+def test_grid_lines_writes_the_bytes_of_each_float(tmp_path_factory, columns, chunk_rows):
     names = [f"c{i}" for i in range(len(columns))]
-    rows = list(zip(*(c.tolist() for c in columns)))
-    path = tmp_path_factory.mktemp("csv") / "t.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(csvio, "CHUNK_ROWS", chunk_rows)
-        write_csv(path, names, csvio.column_rows(*columns), "h")
-    assert path.read_bytes() == reference_csv(names, rows, "h")
+        assert_grid_writes(tmp_path_factory, names, columns, grid_rows(columns))
 
 
 def failing_rows(n_good):
     for i in range(n_good):
-        yield (i, float(i))
+        yield f"{i},{float(i)}\n"
     raise RuntimeError("row source failed")
 
 
@@ -138,7 +223,7 @@ def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch):
 
 def test_failed_csv_write_keeps_previous_file(tmp_path):
     target = tmp_path / "t.csv"
-    write_csv(target, ("i", "x"), [(1, 2.0)], "h")
+    write_csv(target, ("i", "x"), csvio.grid_lines(1, 2.0), "h")
     before = target.read_bytes()
     with pytest.raises(RuntimeError):
         write_csv(target, ("i", "x"), failing_rows(3), "h")
@@ -156,12 +241,13 @@ def test_write_json_refuses_non_finite_and_leaves_no_file(tmp_path):
 
 
 def assert_writes_reference(tmp_path_factory, rows, expected):
-    """rows (cells of one type each, str for float columns) write expected's bytes."""
-    rows = list(rows)
-    assert [type(x) for x in rows[0]] == [type(x) if isinstance(x, int) else str for x in expected[0]]
+    """rows are one line per expected row, holding its cells, and write expected's bytes."""
+    lines = list(rows)
+    assert all(line.endswith("\n") for line in lines)
+    assert [line[:-1].split(",") for line in lines] == [[reference_cell(x) for x in row] for row in expected]
     columns = [f"c{i}" for i in range(len(expected[0]))]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    write_csv(path, columns, rows, "h")
+    write_csv(path, columns, lines, "h")
     assert path.read_bytes() == reference_csv(columns, expected, "h")
 
 
