@@ -56,7 +56,7 @@ from .wavelab import (
     RayPath,
     SimulationSpec,
     SingularInductance,
-    Snapshot,
+    Snapshots,
     StabilityViolation,
     VerificationReport,
     front_position,

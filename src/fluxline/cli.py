@@ -20,15 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_raw_config, validate_config
+from .config import FIGURES, ConfigError, RunConfig, load_raw_config, validate_config
 from .csvio import grid_lines, write_csv, write_json
-from .metrics import (
-    ParamError,
-    ProfileDomainError,
-    ProfileEvaluationError,
-    alcubierre_profile,
-    kerr_extreme_profile,
-)
+from .metrics import ParamError, ProfileDomainError, ProfileEvaluationError
 from .synthesis import (
     HotCellBudgetExceeded,
     Status,
@@ -94,9 +88,8 @@ def _outdir(run: RunConfig) -> Path:
 def cmd_profile(run: RunConfig) -> int:
     if run.sampling is None:
         raise ConfigError("sampling", "required block for the profile command")
-    profile = run.profile()
     grid_r, grid_t = run.sampling.r, run.sampling.t
-    s = np.stack([profile.finite_speed_sq(grid_r, float(tk)) for tk in grid_t])
+    s = np.stack([run.profile.finite_speed_sq(grid_r, float(tk)) for tk in grid_t])
     rows = grid_lines(grid_r, grid_t[:, None], s)
     path = write_csv(_outdir(run) / "profile.csv", ("r", "t", "ctilde_sq"), rows, run.hash)
     print(f"wrote {path}")
@@ -138,7 +131,7 @@ def _write_synth_failure(run: RunConfig, exc) -> Path:
 def cmd_synth(run: RunConfig) -> int:
     out = _outdir(run)
     try:
-        program = _synthesize(run, run.profile(), run.synthesis.time_samples)
+        program = _synthesize(run, run.profile, run.synthesis.time_samples)
     except (SynthesisFailed, HotCellBudgetExceeded) as exc:
         path = _write_synth_failure(run, exc)
         print(f"synthesis failed ({exc}); wrote {path}")
@@ -162,43 +155,28 @@ def cmd_synth(run: RunConfig) -> int:
     return EXIT_OK
 
 
-def _family(build, values, path: str):
-    """(entry, build(entry)) per entry of a feasibility family; a refused entry is a config error at path."""
-    members = []
-    for v in map(float, values):
-        try:
-            members.append((v, build(v)))
-        except ParamError as exc:
-            raise ConfigError(path, f"entry {v!r}: {exc}") from None
-    return members
-
-
 def _fig_profiles(run: RunConfig):
     """Config path of the scanned profiles, their parameter name, and the (value, profile) family."""
     fz = run.feasibility
     if fz is None:
         raise ConfigError("feasibility", "required block for the feasibility command")
-    profile = run.profile()
-    if fz.figure == "fig1":
-        if profile.kind != "alcubierre":
-            raise ConfigError("metric.kind", "fig1 needs an alcubierre metric")
-        profiles = _family(
-            lambda v: alcubierre_profile(replace(profile.params, vs_over_c=v)), fz.vs_values, "feasibility.vs_values"
-        )
-        return "feasibility.vs_values", "vs_over_c", profiles
-    if fz.figure == "fig2":
-        if profile.kind != "godel":
-            raise ConfigError("metric.kind", "fig2 needs a godel metric")
-        return "metric", "a", [(profile.params.a, profile)]
-    if fz.figure == "fig3":
-        if profile.kind != "kerr_extreme":
-            raise ConfigError("metric.kind", "fig3 needs a kerr_extreme metric")
-        profiles = _family(
-            lambda th: kerr_extreme_profile(replace(profile.params, theta=th)), fz.theta_values, "feasibility.theta_values"
-        )
-        return "feasibility.theta_values", "theta", profiles
-    # custom scan over the configured metric
-    return "metric", "metric", [(0.0, profile)]
+    profile = run.profile
+    if fz.figure is None:
+        # custom scan over the configured metric
+        return "metric", "metric", [(0.0, profile)]
+    kind, family, param = FIGURES[fz.figure]
+    if profile.kind != kind:
+        raise ConfigError("metric.kind", f"{fz.figure} needs {kind!r}, got {profile.kind!r}")
+    if family is None:
+        return "metric", param, [(getattr(profile.params, param), profile)]
+    path = f"feasibility.{family}"
+    members = []
+    for v in map(float, getattr(fz, family)):
+        try:
+            members.append((v, replace(profile, params=replace(profile.params, **{param: v}))))
+        except ParamError as exc:
+            raise ConfigError(path, f"entry {v!r}: {exc}") from None
+    return path, param, members
 
 
 def _fig_boundary(run: RunConfig):
@@ -211,7 +189,7 @@ def _fig_boundary(run: RunConfig):
         dense = np.linspace(0.005 * math.pi, 0.4999 * math.pi, 400)
         return ("theta_dc", "r_max_over_2a"), (dense, [godel_max_radius(float(d)) for d in dense])
     if fz.figure == "fig3":
-        M = run.profile().params.mass_M
+        M = run.profile.params.mass_M
         bands = [kerr_forbidden_band(float(th), M) or (math.nan, math.nan) for th in fz.theta_values]
         lo, hi = zip(*bands)
         return ("theta", "r_forbidden_low", "r_forbidden_high"), (fz.theta_values, lo, hi)
@@ -249,7 +227,7 @@ def cmd_simulate(run: RunConfig) -> int:
         raise ConfigError("simulation", "required block for the simulate command")
     out = _outdir(run)
     spec = run.simulation
-    profile = run.profile()
+    profile = run.profile
     # feasibility must hold over the whole run for a moving profile
     times = run.synthesis.time_samples
     if profile.time_dependent:
@@ -261,9 +239,8 @@ def cmd_simulate(run: RunConfig) -> int:
         print(f"refusing to simulate: {exc}; wrote {path}")
         return _failure(exc)[0]
     report = verify_program(program, profile, spec)
-    for solver, snaps in report.snapshots.items():
-        # every snapshot of one solver samples the same grid
-        rows = grid_lines(np.array([[s.time] for s in snaps]), snaps[0].r, np.stack([s.values for s in snaps]))
+    for solver, s in report.snapshots.items():
+        rows = grid_lines(s.times[:, None], s.r, s.values)
         path = write_csv(out / f"snapshots_{solver}.csv", ("t", "r", "value"), rows, run.hash)
         print(f"wrote {path}")
     jpath = write_json(out / "verification.json", report.to_dict(), run.hash)
@@ -277,10 +254,9 @@ def cmd_simulate(run: RunConfig) -> int:
 def cmd_raytrace(run: RunConfig) -> int:
     if run.rays is None:
         raise ConfigError("rays", "required block for the raytrace command")
-    profile = run.profile()
     paths = [
         trace_null_geodesic(
-            profile,
+            run.profile,
             launch.background_c,
             r0=launch.r0,
             t0=launch.t0,

@@ -5,7 +5,8 @@ are the allowed keys, a field's type hint says how its value is read, a
 field without a default is required, and its __post_init__ holds the value
 checks. The blocks and their classes:
 
-    metric             the kind's parameter dataclass (metrics.KINDS)
+    metric             the kind's parameter dataclass (metrics.KINDS); a
+                       tabulated kind's table is read and checked here
     synthesis          SynthesisSettings, with ArrayConfig's fields inline
     simulation         SimulationSpec, with its pulse read as a GaussianPulse
     rays.launches[i]   RayLaunch
@@ -34,7 +35,7 @@ import typing
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .wavelab.verify import SimulationSpec
 
 __all__ = [
     "ConfigError",
+    "FIGURES",
     "RunConfig",
     "RayLaunch",
     "PRESETS",
@@ -269,11 +271,8 @@ def _build(d: dict, cls, path: str, given):
         raise ConfigError(f"{path}.{exc.field}", exc.message)
 
 
-def _parse_metric(d: dict, path="metric") -> Callable[[], SpeedProfile]:
-    """Check a metric block and return what builds its profile.
-
-    Analytic kinds are built here; a tabulated table is read on each build.
-    """
+def _parse_metric(d: dict, path="metric") -> SpeedProfile:
+    """The profile of a metric block; a tabulated kind's table is read and checked here."""
     _check_object(d, path)
     kind = _get(d, "kind", path, str)
     if kind not in KINDS:
@@ -281,11 +280,13 @@ def _parse_metric(d: dict, path="metric") -> Callable[[], SpeedProfile]:
     if kind == "tabulated":
         _check_keys(d, ("kind", "csv_path"), path)
         csv_path = _get(d, "csv_path", path, str)
-        return lambda: tabulated_profile(*read_table_csv(csv_path))
+        try:
+            return tabulated_profile(*read_table_csv(csv_path))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}.csv_path", str(exc)) from None
     params = _fields(d, KINDS[kind].params, path, keys=("kind", "valid_range"))
     rng = _interval(d["valid_range"], f"{path}.valid_range") if "valid_range" in d else KINDS[kind].valid_range
-    profile = SpeedProfile(kind, params, rng)
-    return lambda: profile
+    return SpeedProfile(kind, params, rng)
 
 
 @dataclass(frozen=True)
@@ -354,9 +355,19 @@ class SamplingSettings:
     t: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
 
+# What each feasibility figure scans: (the metric kind it needs, the
+# FeasibilitySettings field listing its family or None for the configured
+# metric alone, the metric parameter each family entry sets).
+FIGURES = {
+    "fig1": ("alcubierre", "vs_values", "vs_over_c"),
+    "fig2": ("godel", None, "a"),
+    "fig3": ("kerr_extreme", "theta_values", "theta"),
+}
+
+
 @dataclass(frozen=True)
 class FeasibilitySettings:
-    """A scan over theta_dc x r, for each vs_values (fig1) or theta_values (fig3) entry."""
+    """A scan over theta_dc x r, for each entry of the figure's family (FIGURES)."""
 
     theta_dc: np.ndarray
     r: np.ndarray
@@ -365,9 +376,11 @@ class FeasibilitySettings:
     theta_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.figure not in (None, "fig1", "fig2", "fig3"):
-            raise ParamError("figure", "must be fig1, fig2 or fig3")
-        family = {"fig1": "vs_values", "fig3": "theta_values"}.get(self.figure)
+        if self.figure is None:
+            return
+        if self.figure not in FIGURES:
+            raise ParamError("figure", f"must be one of {tuple(FIGURES)}")
+        family = FIGURES[self.figure][1]
         if family is not None and getattr(self, family) is None:
             raise ParamError(family, f"required for {self.figure}")
 
@@ -384,7 +397,7 @@ TOP_LEVEL_KEYS = ("metric", "synthesis", "simulation", "output", "sampling", "ra
 class RunConfig:
     raw: dict
     hash: str
-    make_profile: Callable[[], SpeedProfile]
+    profile: SpeedProfile
     synthesis: SynthesisSettings
     simulation: Optional[SimulationSpec]
     output: OutputSettings
@@ -392,16 +405,13 @@ class RunConfig:
     rays: Optional[list]
     feasibility: Optional[FeasibilitySettings]
 
-    def profile(self) -> SpeedProfile:
-        return self.make_profile()
-
 
 def validate_config(doc: dict) -> RunConfig:
     _check_object(doc, "config")
     _check_keys(doc, TOP_LEVEL_KEYS, "config")
     if "metric" not in doc:
         raise ConfigError("metric", "required block missing")
-    make_profile = _parse_metric(doc["metric"])
+    profile = _parse_metric(doc["metric"])
     synthesis = _fields(doc.get("synthesis", {}), SynthesisSettings, "synthesis")
     simulation = _parse_simulation(doc["simulation"]) if "simulation" in doc else None
     sampling = _fields(doc["sampling"], SamplingSettings, "sampling") if "sampling" in doc else None
@@ -411,7 +421,7 @@ def validate_config(doc: dict) -> RunConfig:
     return RunConfig(
         raw=doc,
         hash=config_hash(doc),
-        make_profile=make_profile,
+        profile=profile,
         synthesis=synthesis,
         simulation=simulation,
         output=output,

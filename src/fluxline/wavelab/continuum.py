@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..metrics import ParamError, SpeedProfile
-from .fronts import Snapshot
+from .fronts import Snapshots
 
 __all__ = [
     "CflViolation",
@@ -123,10 +123,11 @@ def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, damping, accel):
 class ContinuumSolver:
     """Time-steps one profile on one grid.
 
-    The solver owns two field levels (previous and current); run() collects
-    snapshots every snapshot_stride steps. energy() returns the discrete
-    energy in the staggered product form that the leapfrog update conserves
-    exactly for static profiles with reflecting boundaries.
+    The solver owns two field levels (previous and current); run() returns
+    one Snapshots record of the field every snapshot_stride steps, on the
+    solver's own grid r. energy() returns the discrete energy in the
+    staggered product form that the leapfrog update conserves exactly for
+    static profiles with reflecting boundaries.
     """
 
     def __init__(self, profile: SpeedProfile, grid: ContinuumGrid, background_c: float = 1.0):
@@ -140,6 +141,7 @@ class ContinuumSolver:
         self.c_max = background_c * math.sqrt(sup)
         self._sponge, self.sponge_width = self._build_sponge()
         self.dt = grid.cfl_factor * grid.dx / self.c_max
+        self._damping = sponge_factors(self._sponge, self.dt)
         self._static = None
         if not profile.time_dependent:
             self._static = self._face_and_speed(0.0)
@@ -147,16 +149,6 @@ class ContinuumSolver:
         self.psi_prev = np.zeros(grid.n_points)
         self.psi_cur = np.zeros(grid.n_points)
         self.time = 0.0
-
-    @property
-    def dt(self) -> float:
-        return self._dt
-
-    @dt.setter
-    def dt(self, value: float):
-        # the damping factors follow dt; the step reuses them until dt changes
-        self._dt = value
-        self._damping = sponge_factors(self._sponge, value)
 
     def _build_sponge(self) -> tuple[np.ndarray, float]:
         """Damping rate per node, and the length it ramps over at each end (0 for reflecting ends)."""
@@ -212,24 +204,25 @@ class ContinuumSolver:
         self.psi_cur = nxt
         self.time += self.dt
 
-    def state(self) -> Snapshot:
-        return Snapshot(time=self.time, r=self.r.copy(), values=self.psi_cur.copy())
+    def run(self, t_end: float, snapshot_stride: int = 10) -> Snapshots:
+        """Advance to t_end, recording the field every snapshot_stride steps.
 
-    def run(self, t_end: float, snapshot_stride: int = 10) -> list[Snapshot]:
-        """Advance to t_end, returning snapshots every snapshot_stride steps.
-
-        The pre-run state is always included as the first snapshot.
+        The record starts with the pre-run level and ends with the final
+        state. Each step makes a new field array, so the levels are kept as
+        they are and copied once, into the record's values.
         """
-        snaps = [Snapshot(self.time - self.dt, self.r.copy(), self.psi_prev.copy())]
+        times, values = [self.time - self.dt], [self.psi_prev]
         steps = 0
         while self.time < t_end - 1e-12:
             self.step()
             steps += 1
             if steps % snapshot_stride == 0:
-                snaps.append(self.state())
-        if snaps[-1].time < self.time:
-            snaps.append(self.state())
-        return snaps
+                times.append(self.time)
+                values.append(self.psi_cur)
+        if times[-1] < self.time:
+            times.append(self.time)
+            values.append(self.psi_cur)
+        return Snapshots(np.array(times), self.r, np.array(values))
 
     def energy(self) -> float:
         """Discrete energy 1/2 sum dx [psi_t^2 + c^2 (d_r psi)^2].

@@ -1,9 +1,10 @@
 """Pulse-front extraction from field snapshots.
 
-The front is the leading crossing of a threshold set as a fraction of the
-snapshot's own peak, located by linear interpolation between samples. Using
-a relative threshold makes the front insensitive to slow amplitude drift as
-the pulse moves through regions of different speed.
+A solver run is recorded as one Snapshots table: the field at k instants on
+one fixed grid. The front is the leading crossing of a threshold set as a
+fraction of each snapshot's own peak, located by linear interpolation
+between samples. Using a relative threshold makes the front insensitive to
+slow amplitude drift as the pulse moves through regions of different speed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Snapshot",
+    "Snapshots",
     "FrontNotFound",
     "FrontSpeeds",
     "front_position",
@@ -27,12 +28,19 @@ class FrontNotFound(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    """Field state at one instant: values sampled at positions r."""
+class Snapshots:
+    """The field of one solver run: values[i] sampled on the grid r at times[i].
 
-    time: float
+    times has shape (k,) and values (k, n); r is the solver's own grid
+    array of n positions, shared with the solver and not copied.
+    """
+
+    times: np.ndarray
     r: np.ndarray
     values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -75,21 +83,22 @@ def front_trajectory(
     direction: int = 1,
     r_stop: float | None = None,
 ):
-    """Front position per snapshot as (times, positions) arrays.
+    """Front position per snapshot of a Snapshots record as (times, positions) arrays.
 
     Collection stops at the first snapshot whose front passes r_stop (in the
     travel direction), so measurements can exclude sponge zones near the
     boundary.
     """
+    r = snapshots.r
     ts, rs = [], []
-    for snap in snapshots:
-        pos = front_position(snap.r, snap.values, threshold, direction)
+    for time, values in zip(snapshots.times, snapshots.values):
+        pos = front_position(r, values, threshold, direction)
         if r_stop is not None:
             if direction >= 0 and pos > r_stop:
                 break
             if direction < 0 and pos < r_stop:
                 break
-        ts.append(snap.time)
+        ts.append(time)
         rs.append(pos)
     return np.asarray(ts), np.asarray(rs)
 
@@ -97,11 +106,10 @@ def front_trajectory(
 def measure_front_speed(
     snapshots, threshold: float = 0.05, direction: int = 1
 ) -> FrontSpeeds:
-    """Finite-difference speeds of the leading front across snapshots."""
-    snaps = list(snapshots)
-    if len(snaps) < 3:
+    """Finite-difference speeds of the leading front across a Snapshots record."""
+    if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
-    ts, rs = front_trajectory(snaps, threshold, direction)
+    ts, rs = front_trajectory(snapshots, threshold, direction)
     if len(ts) < 3:
         raise FrontNotFound("front left the measurement window too early")
     dt = np.diff(ts)

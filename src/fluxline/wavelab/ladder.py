@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .continuum import GaussianPulse
-from .fronts import Snapshot
+from .fronts import Snapshots
 
 __all__ = [
     "COS_FLOOR",
@@ -72,6 +72,7 @@ class LadderSim:
     Geometry: node i sits at r_start + i * pitch; cell midpoints halfway
     between. C is 1 and L0 is derived from pitch and c0 so that the
     flux-free line carries long wavelengths at speed c0 in coordinate units.
+    run() returns one Snapshots record of the node voltages on node_r.
     """
 
     def __init__(
@@ -152,19 +153,20 @@ class LadderSim:
         )
         self.time += self.dt
 
-    def snapshot(self) -> Snapshot:
-        return Snapshot(time=self.time, r=self.node_r.copy(), values=self.voltages.copy())
+    def run(self, n_steps: int, snapshot_stride: int = 10, flux_schedule=None) -> Snapshots:
+        """Step n_steps times, recording the voltages every snapshot_stride steps.
 
-    def run(self, n_steps: int, snapshot_stride: int = 10, flux_schedule=None) -> list[Snapshot]:
-        """Step n_steps times, collecting voltage snapshots."""
-        snaps = [self.snapshot()]
+        The record starts with the initial state and ends with the final
+        one. Each step makes a new voltage array, so the arrays are kept as
+        they are and copied once, into the record's values.
+        """
+        times, values = [self.time], [self.voltages]
         for k in range(1, n_steps + 1):
             self.step(flux_schedule)
-            if k % snapshot_stride == 0:
-                snaps.append(self.snapshot())
-        if snaps[-1].time < self.time:
-            snaps.append(self.snapshot())
-        return snaps
+            if k % snapshot_stride == 0 or k == n_steps:
+                times.append(self.time)
+                values.append(self.voltages)
+        return Snapshots(np.array(times), self.node_r, np.array(values))
 
     def energy(self) -> float:
         """1/2 C sum V^2 + 1/2 sum L I^2 in the staggered product form.

@@ -242,6 +242,23 @@ def test_simulate_runs_ladder_solver_too(tmp_path):
     assert set(report["solvers"]) == {"continuum", "ladder"}
 
 
+def test_simulate_snapshot_csv_is_the_run_record(tmp_path):
+    rc = main(["simulate", "--preset", "flat", "--out", str(tmp_path),
+               "--set", "simulation.solver=both", "--set", "simulation.n_points=64"])
+    # the verdict at this coarse grid is not the point here
+    assert rc in (cli.EXIT_OK, cli.EXIT_SIMULATION)
+    report = json.loads((tmp_path / "verification.json").read_text())
+    for solver, spacing, points in (("continuum", "dx", 64), ("ladder", "pitch", 257)):
+        grid = report["solvers"][solver]["grid"]
+        rows = cols(tmp_path / f"snapshots_{solver}.csv", ("t", "r", "value"))
+        assert len(rows) == grid["snapshots"] * points
+        table = np.array(rows, dtype=float).reshape(grid["snapshots"], points, 3)
+        # one block per snapshot: t constant within it, r the solver's grid in every block
+        assert np.all(table[:, :, 0] == table[:, :1, 0])
+        assert np.all(np.diff(table[:, 0, 0]) > 0)
+        np.testing.assert_array_equal(table[:, :, 1], np.broadcast_to(np.arange(points) * grid[spacing], table.shape[:2]))
+
+
 def test_spatially_varying_dc_rejected_at_config(tmp_path):
     rc = main(["synth", "--preset", "flat", "--out", str(tmp_path),
                "--set", "synthesis.theta_dc=[0.1, 0.2]"])
@@ -434,6 +451,14 @@ def test_feasibility_family_entry_exits_1_naming_field(tmp_path, capsys, preset,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("preset, kind", [("fig1", "alcubierre"), ("fig2", "godel"), ("fig3", "kerr_extreme")])
+def test_feasibility_figure_on_another_metric_kind_exits_1(tmp_path, capsys, preset, kind):
+    rc = main(["feasibility", "--preset", preset, "--set", 'metric={"kind": "flat"}', "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"config error: metric.kind: {preset} needs {kind!r}, got 'flat'"
+    assert not (tmp_path / "out").exists()
+
+
 def test_feasibility_theta_values_in_radians_match_units_of_pi(tmp_path):
     doc = json.loads(json.dumps(PRESETS["fig3"]))
     doc["feasibility"]["theta_values"] = [x * math.pi for x in doc["feasibility"].pop("theta_values_over_pi")]
@@ -445,6 +470,21 @@ def test_feasibility_theta_values_in_radians_match_units_of_pi(tmp_path):
         # line 0 is the config hash, which differs
         pi = (tmp_path / "pi" / name).read_text().splitlines()[1:]
         assert (tmp_path / "rad" / name).read_text().splitlines()[1:] == pi
+
+
+@pytest.mark.parametrize("table", ["missing", "directory", "nan"])
+def test_unreadable_tabulated_table_exits_1_at_validation(tmp_path, capsys, table):
+    csv = tmp_path / "table.csv"
+    if table == "directory":
+        csv.mkdir()
+    elif table == "nan":
+        csv.write_text("r,ctilde_sq\n0.0,1.0\n1.0,nan\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"metric": {"kind": "tabulated", "csv_path": str(csv)},
+                               "sampling": {"r": [0.0, 0.5]}}))
+    assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: metric.csv_path: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ MINIMAL = {"metric": {"kind": "flat"}}
 
 def test_minimal_config_valid():
     run = validate_config(MINIMAL)
-    assert run.profile().kind == "flat"
+    assert run.profile.kind == "flat"
     assert run.synthesis.theta_dc == 0.0
     assert run.output.directory == "out"
 
@@ -121,7 +121,7 @@ def test_tabulated_profile_roundtrip(tmp_path):
     csv.write_text("r,ctilde_sq\n0.0,1.0\n1.0,2.0\n2.0,5.0\n")
     doc = {"metric": {"kind": "tabulated", "csv_path": str(csv)}}
     run = validate_config(doc)
-    prof = run.profile()
+    prof = run.profile
     assert prof.kind == "tabulated"
     assert prof.speed_sq(0.5) == pytest.approx(1.5)
     assert prof.valid_range == (0.0, 2.0)
@@ -130,15 +130,14 @@ def test_tabulated_profile_roundtrip(tmp_path):
 def test_tabulated_profile_rejects_non_finite_values(tmp_path):
     csv = tmp_path / "table.csv"
     csv.write_text("r,ctilde_sq\n0.0,1.0\n1.0,nan\n2.0,5.0\n")
-    run = validate_config({"metric": {"kind": "tabulated", "csv_path": str(csv)}})
-    with pytest.raises(ValueError, match=r"table.csv:3: values must be finite"):
-        run.profile()
+    with pytest.raises(ConfigError, match=r"^metric.csv_path: .*table.csv:3: values must be finite"):
+        validate_config({"metric": {"kind": "tabulated", "csv_path": str(csv)}})
 
 
 def test_all_presets_validate():
     for name, doc in PRESETS.items():
         run = validate_config(doc)
-        assert run.profile() is not None, name
+        assert run.profile is not None, name
 
 
 def test_apply_overrides_parses_json_values():
@@ -258,7 +257,7 @@ def test_every_kind_round_trips_through_config(tmp_path, monkeypatch, kind):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "table.csv").write_text("r,ctilde_sq\n0.0,1.0\n1.0,2.0\n2.0,5.0\n")
     block, params = KIND_BLOCKS[kind]
-    prof = validate_config({"metric": block}).profile()
+    prof = validate_config({"metric": block}).profile
     assert prof.kind == kind
     assert type(prof.params) is KINDS[kind].params
     if kind == "tabulated":
@@ -506,6 +505,6 @@ def test_validate_config_fuzz(doc):
             assert re.split(r"[.\[]", exc.path)[0] in doc, exc.path
             return
         if run.raw["metric"]["kind"] != "tabulated":
-            _assert_finite(run.profile().params, "metric")
+            _assert_finite(run.profile.params, "metric")
     for name in ("synthesis", "simulation", "rays", "sampling", "feasibility", "output"):
         _assert_finite(getattr(run, name), name)

@@ -9,6 +9,7 @@ from fluxline.wavelab import (
     ContinuumGrid,
     ContinuumSolver,
     GaussianPulse,
+    Snapshots,
     measure_front_speed,
     trace_null_geodesic,
 )
@@ -26,7 +27,7 @@ def test_uniform_pulse_advances_at_unit_speed():
     sol = make_solver(flat_profile(), n=600)
     sol.initialize_pulse(GaussianPulse(1.0, 0.18), 1)
     snaps = sol.run(7.0, 20)
-    res = measure_front_speed(snaps[: len(snaps) - 4])
+    res = measure_front_speed(Snapshots(snaps.times[:-4], snaps.r, snaps.values[:-4]))
     assert res.mean == pytest.approx(1.0, abs=0.01)
 
 
@@ -125,10 +126,12 @@ def test_snapshots_carry_monotone_times():
     sol = make_solver(flat_profile(), n=200)
     sol.initialize_pulse(GaussianPulse(2.0, 0.3), 1)
     snaps = sol.run(2.0, 15)
-    times = [s.time for s in snaps]
-    assert times[0] == 0.0
-    assert all(b > a for a, b in zip(times, times[1:]))
-    assert snaps[-1].time == pytest.approx(sol.time)
+    assert snaps.times[0] == 0.0
+    assert np.all(np.diff(snaps.times) > 0)
+    assert snaps.times[-1] == pytest.approx(sol.time)
+    assert snaps.values.shape == (len(snaps), 200)
+    # every row samples the solver's own grid, shared rather than copied
+    assert snaps.r is sol.r
 
 
 def test_grid_validation():

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from fluxline.wavelab import FrontNotFound, Snapshot, front_position, front_trajectory, measure_front_speed
+from fluxline.wavelab import FrontNotFound, Snapshots, front_position, front_trajectory, measure_front_speed
 
 
 def gaussian_snaps(v=0.7, n=400, times=None):
     r = np.linspace(0.0, 20.0, n)
     times = times if times is not None else np.linspace(0.0, 10.0, 11)
-    return [Snapshot(float(t), r, np.exp(-((r - 3.0 - v * t) ** 2) / (2 * 0.4**2))) for t in times]
+    return Snapshots(times, r, np.exp(-((r - 3.0 - v * times[:, None]) ** 2) / (2 * 0.4**2)))
 
 
 def test_front_position_linear_interpolation_exact():
@@ -62,16 +62,14 @@ def test_measure_front_speed_mean():
 
 
 def test_measure_front_speed_needs_three_snapshots():
-    snaps = gaussian_snaps()[:2]
+    snaps = gaussian_snaps(times=np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         measure_front_speed(snaps)
 
 
 def test_measure_front_speed_leftward():
     r = np.linspace(0.0, 20.0, 400)
-    snaps = [
-        Snapshot(float(t), r, np.exp(-((r - 15.0 + 0.6 * t) ** 2) / (2 * 0.4**2)))
-        for t in np.linspace(0, 8, 9)
-    ]
+    times = np.linspace(0, 8, 9)
+    snaps = Snapshots(times, r, np.exp(-((r - 15.0 + 0.6 * times[:, None]) ** 2) / (2 * 0.4**2)))
     res = measure_front_speed(snaps, direction=-1)
     assert res.mean == pytest.approx(-0.6, abs=0.01)

@@ -110,6 +110,18 @@ def test_time_varying_flux_enters_through_branch_flux():
     np.testing.assert_allclose(i_after, i_before * math.cos(math.pi / 3), rtol=1e-12)
 
 
+@pytest.mark.parametrize("n_steps, recorded", [(10, [0, 4, 8, 10]), (8, [0, 4, 8]), (0, [0])])
+def test_run_records_start_every_stride_and_end(n_steps, recorded):
+    sim = LadderSim(n_cells=8)
+    sim.initialize_pulse(GaussianPulse(3.0, 1.0), 1)
+    snaps = sim.run(n_steps, 4)
+    np.testing.assert_allclose(snaps.times, np.array(recorded) * sim.dt, rtol=1e-15)
+    assert snaps.values.shape == (len(recorded), 9)
+    np.testing.assert_array_equal(snaps.values[-1], sim.voltages)
+    # every row samples the node grid, shared rather than copied
+    assert snaps.r is sim.node_r
+
+
 def test_ladder_agrees_with_continuum_on_static_profile():
     prof = godel_profile(GodelParams(a=1.0))
     theta_dc = 0.45 * math.pi
