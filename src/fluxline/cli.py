@@ -156,19 +156,19 @@ def cmd_synth(run: RunConfig) -> int:
 
 
 def _fig_profiles(run: RunConfig):
-    """Config path of the scanned profiles, their parameter name, and the (value, profile) family."""
+    """Config path of the scanned profiles and the (value, profile) family."""
     fz = run.feasibility
     if fz is None:
         raise ConfigError("feasibility", "required block for the feasibility command")
     profile = run.profile
     if fz.figure is None:
         # custom scan over the configured metric
-        return "metric", "metric", [(0.0, profile)]
+        return "metric", [(0.0, profile)]
     kind, family, param = FIGURES[fz.figure]
     if profile.kind != kind:
         raise ConfigError("metric.kind", f"{fz.figure} needs {kind!r}, got {profile.kind!r}")
     if family is None:
-        return "metric", param, [(getattr(profile.params, param), profile)]
+        return "metric", [(getattr(profile.params, param), profile)]
     path = f"feasibility.{family}"
     members = []
     for v in map(float, getattr(fz, family)):
@@ -176,7 +176,7 @@ def _fig_profiles(run: RunConfig):
             members.append((v, replace(profile, params=replace(profile.params, **{param: v}))))
         except ParamError as exc:
             raise ConfigError(path, f"entry {v!r}: {exc}") from None
-    return path, param, members
+    return path, members
 
 
 def _fig_boundary(run: RunConfig):
@@ -198,10 +198,10 @@ def _fig_boundary(run: RunConfig):
 
 def cmd_feasibility(run: RunConfig) -> int:
     out = _outdir(run)
-    source, param_name, profiles = _fig_profiles(run)
+    source, profiles = _fig_profiles(run)
     fz = run.feasibility
     try:
-        report = feasibility_scan(profiles, fz.theta_dc, fz.r, run.synthesis.array, param_name=param_name)
+        report = feasibility_scan(profiles, fz.theta_dc, fz.r, run.synthesis.array)
     except ProfileEvaluationError as exc:
         if source == "metric":
             raise

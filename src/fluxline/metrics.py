@@ -26,23 +26,25 @@ All evaluators are pure and hold no mutable state, so profiles are safe to
 share.
 
 Each kind has one formula, written with operators that act alike on a Python
-float and on an ndarray. A Python float is evaluated as it is, with plain
-float arithmetic, and a Python float comes back: the ray tracer calls the
-profile once per RK4 stage, and a numpy round-trip per call would cost
-several times the arithmetic. Anything else (lists, ndarrays, 0-d arrays,
-numpy scalars) is converted with np.asarray(..., dtype=float); an array
-point returns an ndarray and a 0-d point a Python float. Both paths give the
-same bits: IEEE +, -, *, / and abs round alike in both, (M - r)^2 is written
-d * d because numpy squares arrays by multiplication, and smooth bubble
-walls call np.tanh even on a float, because math.tanh differs from numpy's
-SIMD tanh in the last ulp (for one in five uniform draws on [-20, 20] on an
-AVX-512 Xeon).
+float and on an ndarray. Kind.bind binds it to its params once per
+SpeedProfile, computing there what depends on the params alone (2a, 2M,
+(M cos theta)^2, 2 tanh(sigma R)); the public *_speed_sq and shape_function
+evaluate through the same bound formula. A Python float goes straight to it
+and a Python float comes back: the ray tracer calls the profile once per RK4
+stage, and a numpy round-trip per call would cost several times the
+arithmetic. Anything else (lists, ndarrays, 0-d arrays, numpy scalars) is
+converted once with np.asarray(..., dtype=float); an array point returns an
+ndarray and a 0-d point a Python float. Both paths give the same bits: IEEE
++, -, *, / and abs round alike in both, (M - r)^2 is written d * d because
+numpy squares arrays by multiplication, and smooth bubble walls call np.tanh
+even on a float, because math.tanh differs from numpy's SIMD tanh in the
+last ulp (for one in five uniform draws on [-20, 20] on an AVX-512 Xeon).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -176,14 +178,55 @@ class KerrExtremeParams:
             raise ParamError("mass_M", "must keep (mass_M cos theta)^2 finite and > 0, or Sigma vanishes at r = 0")
 
 
-def _point(x: ArrayLike) -> ArrayLike:
-    """A Python float as it is; anything else as a float ndarray."""
-    return x if type(x) is float else np.asarray(x, dtype=float)
-
-
-def _value(out) -> ArrayLike:
-    """A Python float for a scalar point, an ndarray for an array point."""
+def _evaluate(formula: Callable, x: ArrayLike, *args) -> ArrayLike:
+    """formula(x, *args) at a Python float as it is, else at x as a float ndarray (see module doc)."""
+    out = formula(x if type(x) is float else np.asarray(x, dtype=float), *args)
     return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+
+
+def _shape(params: AlcubierreParams) -> Callable:
+    """The bubble wall f(r_s) of params, with its constants computed once."""
+    R, s = params.bubble_radius_R, params.sigma
+    if params.top_hat:
+        return lambda rs: 1.0 * (rs <= R)
+    two_tanh = 2.0 * math.tanh(s * R)
+    return lambda rs: (np.tanh(s * (rs + R)) - np.tanh(s * (rs - R))) / two_tanh
+
+
+def _alcubierre(params: AlcubierreParams) -> Callable:
+    shape = _shape(params)
+    x_s0, vs = params.x_s0, params.vs_over_c
+
+    def speed_sq(x, t, background_c):
+        # np.tanh, or a numpy scalar t, makes a numpy scalar of a float point
+        c_rel = 1.0 + vs * shape(abs(x - (x_s0 + vs * background_c * t)))
+        out = c_rel * c_rel
+        return out if isinstance(out, np.ndarray) else float(out)
+
+    return speed_sq
+
+
+def _godel(params: GodelParams) -> Callable:
+    two_a = 2.0 * params.a
+
+    def speed_sq(r, t, background_c):
+        u = r / two_a
+        return 1.0 + u * u
+
+    return speed_sq
+
+
+def _kerr_extreme(params: KerrExtremeParams) -> Callable:
+    M = params.mass_M
+    two_m = 2.0 * M
+    m_cos_sq = (M * math.cos(params.theta)) ** 2
+
+    def speed_sq(r, t, background_c):
+        sigma = r * r + m_cos_sq
+        d = M - r
+        return (1.0 - two_m * r / sigma) * (d * d) / sigma
+
+    return speed_sq
 
 
 def shape_function(r_s: ArrayLike, params: AlcubierreParams) -> ArrayLike:
@@ -192,14 +235,7 @@ def shape_function(r_s: ArrayLike, params: AlcubierreParams) -> ArrayLike:
     Smooth form: [tanh(sigma (r_s + R)) - tanh(sigma (r_s - R))] / (2 tanh(sigma R)).
     Sharp-wall limit: 1 for r_s <= R, 0 beyond.
     """
-    rs = _point(r_s)
-    if params.top_hat:
-        out = 1.0 * (rs <= params.bubble_radius_R)
-    else:
-        s = params.sigma
-        R = params.bubble_radius_R
-        out = (np.tanh(s * (rs + R)) - np.tanh(s * (rs - R))) / (2.0 * math.tanh(s * R))
-    return _value(out)
+    return _evaluate(_shape(params), r_s)
 
 
 def alcubierre_speed_sq(
@@ -211,16 +247,12 @@ def alcubierre_speed_sq(
     lab-frame runs at a reduced background see the bubble move at the
     correspondingly reduced velocity.
     """
-    xs = params.x_s0 + params.vs_over_c * background_c * t
-    r_s = abs(_point(x) - xs)
-    c_rel = 1.0 + params.vs_over_c * shape_function(r_s, params)
-    return c_rel * c_rel
+    return _evaluate(_alcubierre(params), x, t, background_c)
 
 
 def godel_speed_sq(r: ArrayLike, params: GodelParams) -> ArrayLike:
     """Squared speed 1 + (r / 2a)^2; even in r and independent of time."""
-    u = _point(r) / (2.0 * params.a)
-    return _value(1.0 + u * u)
+    return _evaluate(_godel(params), r, 0.0, 1.0)
 
 
 def kerr_extreme_speed_sq(r: ArrayLike, params: KerrExtremeParams) -> ArrayLike:
@@ -230,11 +262,7 @@ def kerr_extreme_speed_sq(r: ArrayLike, params: KerrExtremeParams) -> ArrayLike:
     horizon r = M. On the axis (theta = 0) it collapses to
     ((r - M)^2 / (r^2 + M^2))^2, which stays in [0, 1].
     """
-    M = params.mass_M
-    rr = _point(r)
-    sigma = rr * rr + (M * math.cos(params.theta)) ** 2
-    d = M - rr
-    return _value((1.0 - 2.0 * M * rr / sigma) * (d * d) / sigma)
+    return _evaluate(_kerr_extreme(params), r, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,17 +287,20 @@ class TabulatedParams:
         object.__setattr__(self, "speed_sq", v)
 
 
-def _flat_speed_sq(r, t, params, background_c):
-    return 1.0 if type(r) is float else _value(np.ones_like(np.asarray(r, dtype=float)))
+def _flat(params: FlatParams) -> Callable:
+    return lambda r, t, background_c: 1.0 if type(r) is float else np.ones_like(r)
 
 
-def _tabulated_speed_sq(r, t, params: TabulatedParams, background_c):
-    rr = np.asarray(r, dtype=float)
+def _tabulated(params: TabulatedParams) -> Callable:
     lo, hi = float(params.r[0]), float(params.r[-1])
-    if np.any(rr < lo) or np.any(rr > hi):
-        raise ProfileDomainError(f"tabulated profile evaluated outside [{lo}, {hi}]")
-    out = np.interp(rr, params.r, params.speed_sq)
-    return float(out) if np.ndim(r) == 0 else out
+
+    def speed_sq(r, t, background_c):
+        if np.any(r < lo) or np.any(r > hi):
+            raise ProfileDomainError(f"tabulated profile evaluated outside [{lo}, {hi}]")
+        out = np.interp(r, params.r, params.speed_sq)
+        return float(out) if type(r) is float else out
+
+    return speed_sq
 
 
 def _kerr_extreme_sup(params: KerrExtremeParams, window) -> float:
@@ -280,7 +311,7 @@ def _kerr_extreme_sup(params: KerrExtremeParams, window) -> float:
 def _tabulated_sup(params: TabulatedParams, window) -> float:
     lo, hi = window
     rs = np.linspace(lo, hi, max(len(params.r) * 4, 4097))
-    return float(np.max(_tabulated_speed_sq(rs, 0.0, params, 1.0)))
+    return float(np.max(_tabulated(params)(rs, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -288,40 +319,30 @@ class Kind:
     """One metric kind.
 
     params is the parameter dataclass: its fields are the config keys and
-    its __post_init__ holds every value check. speed_sq(r, t, params,
-    background_c) evaluates the profile. sup(params, window) bounds it on
-    the window over all times, conservatively, since CFL bounds use it.
-    valid_range is the default domain (None: the span of the samples).
+    its __post_init__ holds every value check. bind(params) returns the
+    formula speed_sq(r, t, background_c) bound to params (see module doc).
+    sup(params, window) bounds it on the window over all times,
+    conservatively, since CFL bounds use it. valid_range is the default
+    domain (None: the span of the samples).
     """
 
     params: type
-    speed_sq: Callable
+    bind: Callable
     sup: Callable
     time_dependent: bool
     valid_range: Optional[tuple[float, float]] = FULL_LINE
 
 
 KINDS: dict[str, Kind] = {
-    "flat": Kind(FlatParams, _flat_speed_sq, lambda p, window: 1.0, False),
-    "alcubierre": Kind(
-        AlcubierreParams, alcubierre_speed_sq, lambda p, window: (1.0 + p.vs_over_c) ** 2, True
-    ),
+    "flat": Kind(FlatParams, _flat, lambda p, window: 1.0, False),
+    "alcubierre": Kind(AlcubierreParams, _alcubierre, lambda p, window: (1.0 + p.vs_over_c) ** 2, True),
     # the radial formula is even in r, so the even extension over the full
     # line is used; this keeps centered stencils at the axis inside range
     "godel": Kind(
-        GodelParams,
-        lambda r, t, p, background_c: godel_speed_sq(r, p),
-        lambda p, window: godel_speed_sq(max(abs(window[0]), abs(window[1])), p),
-        False,
+        GodelParams, _godel, lambda p, window: godel_speed_sq(max(abs(window[0]), abs(window[1])), p), False
     ),
-    "kerr_extreme": Kind(
-        KerrExtremeParams,
-        lambda r, t, p, background_c: kerr_extreme_speed_sq(r, p),
-        _kerr_extreme_sup,
-        False,
-        HALF_LINE,
-    ),
-    "tabulated": Kind(TabulatedParams, _tabulated_speed_sq, _tabulated_sup, False, None),
+    "kerr_extreme": Kind(KerrExtremeParams, _kerr_extreme, _kerr_extreme_sup, False, HALF_LINE),
+    "tabulated": Kind(TabulatedParams, _tabulated, _tabulated_sup, False, None),
 }
 
 
@@ -338,6 +359,14 @@ class SpeedProfile:
     kind: str
     params: object
     valid_range: tuple[float, float]
+    _formula: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_formula", KINDS[self.kind].bind(self.params))
+
+    def __reduce__(self):
+        # the bound formula is a closure; a copy or an unpickled profile binds its own
+        return SpeedProfile, (self.kind, self.params, self.valid_range)
 
     @property
     def time_dependent(self) -> bool:
@@ -345,7 +374,9 @@ class SpeedProfile:
 
     def speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> ArrayLike:
         """Evaluate the profile; may return negative values (see module doc)."""
-        return KINDS[self.kind].speed_sq(r, t, self.params, background_c)
+        if type(r) is float:
+            return self._formula(r, t, background_c)
+        return _evaluate(self._formula, r, t, background_c)
 
     def finite_speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> np.ndarray:
         """speed_sq as a float array, or ProfileEvaluationError at its first non-finite value.

@@ -402,11 +402,11 @@ def synthesize_program(
 class FeasibilityReport:
     """Dense classification over (metric parameter) x (theta_dc) x (r).
 
-    status and theta_total have shape (P, D, R); theta_total is NaN where no
-    principal-branch total exists. rows() yields the CSV lines
-    (param, theta_dc, r, status_code, theta_total_or_nan) in deterministic
-    nested order (csvio.grid_lines), so theta_total_or_nan reads "nan" where
-    it is NaN.
+    param_name labels the parameter for library callers (the CLI's column
+    is param_1). status and theta_total have shape (P, D, R); theta_total is
+    NaN where no principal-branch total exists. rows() yields the lines
+    (param, theta_dc, r, status_code, theta_total_or_nan) in nested order
+    (csvio.grid_lines), so theta_total_or_nan reads "nan" where it is NaN.
     """
 
     param_name: str

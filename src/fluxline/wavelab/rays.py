@@ -6,7 +6,8 @@ classical 4th-order single-step scheme at fixed step size; it terminates
 early (with a status flag, not an exception) when the path leaves the
 profile's valid range or runs into speed_sq < 0. A non-finite speed_sq
 (an overflow far out on an unbounded range) raises ProfileEvaluationError:
-no path through it exists.
+no path through it exists. Every stage evaluates through profile.speed_sq,
+bound once per trace and called on Python floats (see metrics).
 """
 
 from __future__ import annotations
@@ -76,27 +77,31 @@ def trace_null_geodesic(
         raise ValueError("dt must be > 0")
 
     lo, hi = profile.valid_range
+    speed_sq = profile.speed_sq
+    velocity = direction * background_c
 
     def rhs(r: float, t: float) -> float:
         if r < lo or r > hi:
             raise _LeftDomain
-        s2 = profile.speed_sq(r, t, background_c=background_c)
+        s2 = speed_sq(r, t, background_c)
         if not 0.0 <= s2 < math.inf:
             if s2 < 0.0:
                 raise _NegativeSpeedSq
             raise ProfileEvaluationError(f"speed_sq = {s2} at r = {r}, t = {t} is not finite")
-        return direction * background_c * math.sqrt(s2)
+        return velocity * math.sqrt(s2)
 
     ts = [t0]
     rs = [r0]
     status = RAY_COMPLETED
     t, r = t0, r0
-    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
+    stop = t_end - 1e-15 * max(1.0, abs(t_end))
+    while t < stop:
         step = min(dt, t_end - t)
+        half = 0.5 * step
         try:
             k1 = rhs(r, t)
-            k2 = rhs(r + 0.5 * step * k1, t + 0.5 * step)
-            k3 = rhs(r + 0.5 * step * k2, t + 0.5 * step)
+            k2 = rhs(r + half * k1, t + half)
+            k3 = rhs(r + half * k2, t + half)
             k4 = rhs(r + step * k3, t + step)
             r_next = r + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except _LeftDomain:

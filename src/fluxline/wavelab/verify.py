@@ -30,6 +30,7 @@ from .ladder import LadderSim
 from .rays import trace_null_geodesic
 
 __all__ = [
+    "MAX_CELL_STEPS",
     "MAX_SNAPSHOT_VALUES",
     "MAX_SOLVER_STEPS",
     "SimulationSpec",
@@ -41,11 +42,14 @@ __all__ = [
 ]
 
 SOLVERS = ("continuum", "ladder", "both")
-# Most time steps one solver may take (t_end / dt), and most snapshot values
-# (snapshots x grid points) one solver may keep in memory. Presets take at
-# most 3,068 steps and keep at most 144,000 values; the bounds keep a
-# validated run finite in work and memory.
+# Most time steps one solver may take (t_end / dt), most cell-steps (steps x
+# grid points: n_points, or the ladder's n_cells + 1), and most snapshot
+# values (snapshots x grid points) one solver may keep in memory. Presets
+# take at most 3,068 steps and 2.45e6 cell-steps (alcubierre: 3,068 x 800)
+# and keep at most 144,000 values; the bounds keep a validated run finite in
+# work and memory (2**29 cell-steps is 8-18 s of stepping on one 2-core host).
 MAX_SOLVER_STEPS = 2**20
+MAX_CELL_STEPS = 2**29
 MAX_SNAPSHOT_VALUES = 2**23
 MIN_TRAVEL_FRAC = 0.15
 
@@ -181,15 +185,21 @@ def compare_front_to_ray(
     return float(np.max(rel)), ts, rs, ray_at
 
 
-def _check_steps(t_end: float, dt: float, grid: str):
-    """Refuse a run of more than MAX_SOLVER_STEPS time steps, before it steps.
+def _check_steps(t_end: float, dt: float, points: int, grid: str):
+    """Refuse a run of more than MAX_SOLVER_STEPS steps or MAX_CELL_STEPS cell-steps, before it steps.
 
-    grid names the field whose grid sets dt.
+    grid names the field whose grid sets dt and the points.
     """
-    if not t_end / dt <= MAX_SOLVER_STEPS:
+    steps = t_end / dt
+    if not steps <= MAX_SOLVER_STEPS:
         raise WorkLimitExceeded(
-            f"simulation.t_end: t_end / dt = {t_end / dt:.6g} steps (dt = {dt:.6g}, set by {grid})"
+            f"simulation.t_end: t_end / dt = {steps:.6g} steps (dt = {dt:.6g}, set by {grid})"
             f" exceeds the limit of {MAX_SOLVER_STEPS}"
+        )
+    if steps * points > MAX_CELL_STEPS:
+        raise WorkLimitExceeded(
+            f"{grid}: {steps:.6g} steps x {points} points = {steps * points:.6g} cell-steps"
+            f" exceed the limit of {MAX_CELL_STEPS}"
         )
 
 
@@ -216,7 +226,7 @@ def _run_continuum(profile, spec: SimulationSpec, window, background_c):
     )
     solver = ContinuumSolver(profile, grid, background_c)
     solver.initialize_pulse(spec.pulse, spec.direction)
-    _check_steps(spec.t_end, solver.dt, "simulation.n_points")
+    _check_steps(spec.t_end, solver.dt, spec.n_points, "simulation.n_points")
     stride = spec.snapshot_stride or max(1, int(round(spec.t_end / solver.dt / 160)))
     _check_snapshots(spec.t_end / solver.dt, stride, spec.n_points, "simulation.n_points")
     snaps = solver.run(spec.t_end, stride)
@@ -248,7 +258,7 @@ def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
     else:
         sim.set_flux(program.theta_total[:, 0])
     sim.initialize_pulse(spec.pulse, spec.direction)
-    _check_steps(spec.t_end, sim.dt, "synthesis.n_cells")
+    _check_steps(spec.t_end, sim.dt, program.n_cells + 1, "synthesis.n_cells")
     n_steps = int(math.ceil(spec.t_end / sim.dt))
     stride = spec.snapshot_stride or max(1, int(round(n_steps / 160)))
     _check_snapshots(n_steps, stride, program.n_cells + 1, "synthesis.n_cells")

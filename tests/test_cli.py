@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from fluxline.synthesis import (
     WindowViolation,
 )
 from fluxline.wavelab import CflViolation, FrontNotFound, SingularInductance, StabilityViolation
+from fluxline.wavelab.verify import MAX_CELL_STEPS
 
 
 def read_csv(path):
@@ -386,6 +388,26 @@ def test_unbounded_simulation_exits_1_naming_field(tmp_path, capsys, overrides, 
     argv = ["simulate", "--preset", "godel", *(a for o in overrides for a in ("--set", o))]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # validated, then stepped 2e5 steps x 1e5 points: about 1,000 s
+        (["simulation.n_points=100000", "simulation.snapshot_stride=1000000"], "simulation.n_points"),
+        (["simulation.solver=ladder", "synthesis.n_cells=100000", "simulation.snapshot_stride=1000000"],
+         "synthesis.n_cells"),
+    ],
+)
+def test_run_beyond_cell_step_budget_exits_1_naming_grid(tmp_path, capsys, overrides, field):
+    argv = ["simulate", "--preset", "godel", *(a for o in overrides for a in ("--set", o))]
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    assert f"exceed the limit of {MAX_CELL_STEPS}" in err
     assert not (tmp_path / "out").exists()
 
 

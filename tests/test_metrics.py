@@ -1,6 +1,8 @@
 """Profile evaluators against independent direct-substitution oracles."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -299,8 +301,8 @@ def bits(x):
 
 
 @st.composite
-def profile_points(draw):
-    kind = draw(st.sampled_from(sorted(SCALAR_ARRAY_PROFILES)))
+def profile_points(draw, kinds=tuple(sorted(SCALAR_ARRAY_PROFILES))):
+    kind = draw(st.sampled_from(kinds))
     lo, hi = SCALAR_ARRAY_PROFILES[kind].valid_range
     if kind == "tabulated":
         points = st.floats(lo, hi)
@@ -328,3 +330,62 @@ def test_scalar_point_matches_array_point_bitwise(case):
         zero_d = prof.speed_sq(np.asarray(x), t, bg)
         assert type(zero_d) is float
         assert bits(got) == bits(zero_d) == bits(whole[i]), (kind, x)
+
+
+def public_speed_sq(prof, x, t, bg):
+    """The profile's value from its kind's public function."""
+    p = prof.params
+    if prof.kind == "godel":
+        return godel_speed_sq(x, p)
+    if prof.kind == "kerr_extreme":
+        return kerr_extreme_speed_sq(x, p)
+    return alcubierre_speed_sq(x, t, p, bg)
+
+
+def speed_sq_from_shape(prof, x, t, bg):
+    """An alcubierre profile's value rebuilt from shape_function at r_s = |x - x_s(t)|."""
+    p = prof.params
+    r_s = abs(x - (p.x_s0 + p.vs_over_c * bg * t))
+    c_rel = 1.0 + p.vs_over_c * shape_function(r_s, p)
+    return c_rel * c_rel
+
+
+# the public formulas and SpeedProfile.speed_sq evaluate one bound formula
+# per kind, so they agree to the bit on float and on array points
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(profile_points(kinds=("alcubierre_smooth", "alcubierre_top_hat", "godel", "kerr_pi4", "kerr_theta0")))
+def test_public_formulas_match_profile_bitwise(case):
+    kind, r, t, bg = case
+    prof = SCALAR_ARRAY_PROFILES[kind]
+    rebuilds = [public_speed_sq]
+    if prof.kind == "alcubierre":
+        rebuilds.append(speed_sq_from_shape)
+    whole = prof.speed_sq(np.asarray(r), t, bg)
+    for rebuild in rebuilds:
+        got = rebuild(prof, np.asarray(r), t, bg)
+        assert isinstance(got, np.ndarray) and got.tobytes() == whole.tobytes(), (kind, rebuild.__name__)
+    for x in r:
+        want = prof.speed_sq(float(x), t, bg)
+        for rebuild in rebuilds:
+            got = rebuild(prof, float(x), t, bg)
+            assert type(got) is float
+            assert bits(got) == bits(want), (kind, rebuild.__name__, x)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_ARRAY_PROFILES))
+def test_profile_copies_and_pickles_with_its_formula(kind):
+    prof = SCALAR_ARRAY_PROFILES[kind]
+    r = np.linspace(*(prof.valid_range if kind == "tabulated" else (0.0, 4.0)), 9)
+    for twin in (copy.deepcopy(prof), pickle.loads(pickle.dumps(prof))):
+        assert (twin.kind, twin.valid_range) == (prof.kind, prof.valid_range)
+        assert twin.speed_sq(r, 0.7, 0.9).tobytes() == prof.speed_sq(r, 0.7, 0.9).tobytes()
+        assert bits(twin.speed_sq(1.5, 0.7, 0.9)) == bits(prof.speed_sq(1.5, 0.7, 0.9))
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_ARRAY_PROFILES))
+def test_float_point_with_numpy_scalar_time_gives_python_float(kind):
+    prof = SCALAR_ARRAY_PROFILES[kind]
+    got = prof.speed_sq(1.5, np.float64(0.7), np.float64(0.9))
+    assert type(got) is float
+    assert bits(got) == bits(prof.speed_sq(1.5, 0.7, 0.9))

@@ -10,6 +10,7 @@ from fluxline.metrics import (
     GodelParams,
     KerrExtremeParams,
     ProfileDomainError,
+    ProfileEvaluationError,
     alcubierre_profile,
     flat_profile,
     godel_profile,
@@ -159,3 +160,92 @@ def test_float_oracle_path_matches_array_path(prof, r0, direction, t_end, bg):
     assert fast.status == slow.status
     assert fast.t.tobytes() == slow.t.tobytes()
     assert fast.r.tobytes() == slow.r.tobytes()
+
+
+class _RefLeftDomain(Exception):
+    pass
+
+
+class _RefNegativeSpeedSq(Exception):
+    pass
+
+
+def reference_trace(profile, background_c, r0, t0, direction, t_end, dt):
+    """The RK4 loop of trace_null_geodesic as first written, before its invariants were hoisted."""
+    lo, hi = profile.valid_range
+
+    def rhs(r, t):
+        if r < lo or r > hi:
+            raise _RefLeftDomain
+        s2 = profile.speed_sq(r, t, background_c=background_c)
+        if not 0.0 <= s2 < math.inf:
+            if s2 < 0.0:
+                raise _RefNegativeSpeedSq
+            raise ProfileEvaluationError(f"speed_sq = {s2} at r = {r}, t = {t} is not finite")
+        return direction * background_c * math.sqrt(s2)
+
+    ts = [t0]
+    rs = [r0]
+    status = RAY_COMPLETED
+    t, r = t0, r0
+    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
+        step = min(dt, t_end - t)
+        try:
+            k1 = rhs(r, t)
+            k2 = rhs(r + 0.5 * step * k1, t + 0.5 * step)
+            k3 = rhs(r + 0.5 * step * k2, t + 0.5 * step)
+            k4 = rhs(r + step * k3, t + step)
+            r_next = r + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except _RefLeftDomain:
+            status = RAY_LEFT_DOMAIN
+            break
+        except _RefNegativeSpeedSq:
+            status = RAY_NEGATIVE_SPEED_SQ
+            break
+        if r_next < lo or r_next > hi:
+            status = RAY_LEFT_DOMAIN
+            break
+        t += step
+        r = r_next
+        ts.append(t)
+        rs.append(r)
+    return np.asarray(ts), np.asarray(rs), status
+
+
+# every built-in kind; t_end is no multiple of dt, so each completed ray
+# ends on a partial step, and one case per early end
+REFERENCE_CASES = {
+    "flat": (flat_profile(), 0.8, 0.0, 1, 5.0, 0.0071, RAY_COMPLETED),
+    "alcubierre_top_hat": (
+        alcubierre_profile(AlcubierreParams(vs_over_c=1.5, bubble_radius_R=0.4, x_s0=6.0, top_hat=True)),
+        1.0, 5.5, 1, 3.0, 0.0043, RAY_COMPLETED,
+    ),
+    "alcubierre_smooth": (
+        alcubierre_profile(AlcubierreParams(vs_over_c=0.9, bubble_radius_R=0.3, sigma=10.0, x_s0=6.0)),
+        0.7, 5.5, 1, 4.0, 0.0057, RAY_COMPLETED,
+    ),
+    "godel": (godel_profile(GodelParams(a=0.7)), 1.0, 0.3, -1, 2.5, 0.0037, RAY_COMPLETED),
+    "godel_left_domain": (
+        godel_profile(GodelParams(a=0.7), valid_range=(-1.0, 2.0)), 1.0, 0.3, 1, 5.0, 0.0037, RAY_LEFT_DOMAIN,
+    ),
+    "kerr_theta0": (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=0.0)), 1.0, 2.0, -1, 20.0, 0.031,
+                    RAY_COMPLETED),
+    "kerr_pi4": (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=math.pi / 4)), 1.0, 3.0, -1, 20.0, 0.031,
+                 RAY_NEGATIVE_SPEED_SQ),
+    "tabulated": (tabulated_profile([0.0, 2.0, 5.0], [1.0, 3.0, 0.5]), 1.0, 1.0, 1, 10.0, 0.013,
+                  RAY_LEFT_DOMAIN),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_trace_matches_reference_loop_bitwise(case):
+    prof, bg, r0, direction, t_end, dt, status = REFERENCE_CASES[case]
+    path = trace_null_geodesic(prof, bg, r0=r0, direction=direction, t_end=t_end, dt=dt)
+    ts, rs, ref_status = reference_trace(prof, bg, r0, 0.0, direction, t_end, dt)
+    assert path.status == ref_status == status
+    assert path.t.tobytes() == ts.tobytes()
+    assert path.r.tobytes() == rs.tobytes()
+    assert len(path.t) > 100
+    if status == RAY_COMPLETED:
+        # the last step is the partial one up to t_end
+        assert path.t[-1] == t_end and 0.0 < path.t[-1] - path.t[-2] < dt
