@@ -14,14 +14,10 @@ from .metrics import (
     ProfileEvaluationError,
     SpeedProfile,
     alcubierre_profile,
-    alcubierre_speed_sq,
     flat_profile,
     godel_profile,
-    godel_speed_sq,
     kerr_extreme_profile,
-    kerr_extreme_speed_sq,
     ricci_scalar,
-    shape_function,
     tabulated_profile,
 )
 from .synthesis import (
@@ -36,8 +32,6 @@ from .synthesis import (
     SynthesisFailed,
     WindowViolation,
     cell_midpoints,
-    classify_point,
-    dc_calibration,
     dc_feasibility_boundary,
     feasibility_scan,
     godel_max_radius,

@@ -28,9 +28,8 @@ share.
 Each kind has one formula, written with operators that act alike on a Python
 float and on an ndarray. Kind.bind binds it to its params once per
 SpeedProfile, computing there what depends on the params alone (2a, 2M,
-(M cos theta)^2, 2 tanh(sigma R)); the public *_speed_sq and shape_function
-evaluate through the same bound formula. A Python float goes straight to it
-and a Python float comes back: the ray tracer calls the profile once per RK4
+(M cos theta)^2, 2 tanh(sigma R)). A Python float goes straight to it and a
+Python float comes back: the ray tracer calls the profile once per RK4
 stage, and a numpy round-trip per call would cost several times the
 arithmetic. Anything else (lists, ndarrays, 0-d arrays, numpy scalars) is
 converted once with np.asarray(..., dtype=float); an array point returns an
@@ -62,10 +61,6 @@ __all__ = [
     "Kind",
     "KINDS",
     "SpeedProfile",
-    "shape_function",
-    "alcubierre_speed_sq",
-    "godel_speed_sq",
-    "kerr_extreme_speed_sq",
     "ricci_scalar",
     "flat_profile",
     "alcubierre_profile",
@@ -178,12 +173,6 @@ class KerrExtremeParams:
             raise ParamError("mass_M", "must keep (mass_M cos theta)^2 finite and > 0, or Sigma vanishes at r = 0")
 
 
-def _evaluate(formula: Callable, x: ArrayLike, *args) -> ArrayLike:
-    """formula(x, *args) at a Python float as it is, else at x as a float ndarray (see module doc)."""
-    out = formula(x if type(x) is float else np.asarray(x, dtype=float), *args)
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
-
-
 def _shape(params: AlcubierreParams) -> Callable:
     """The bubble wall f(r_s) of params, with its constants computed once."""
     R, s = params.bubble_radius_R, params.sigma
@@ -229,42 +218,6 @@ def _kerr_extreme(params: KerrExtremeParams) -> Callable:
     return speed_sq
 
 
-def shape_function(r_s: ArrayLike, params: AlcubierreParams) -> ArrayLike:
-    """Bubble wall shape f(r_s) in [0, 1].
-
-    Smooth form: [tanh(sigma (r_s + R)) - tanh(sigma (r_s - R))] / (2 tanh(sigma R)).
-    Sharp-wall limit: 1 for r_s <= R, 0 beyond.
-    """
-    return _evaluate(_shape(params), r_s)
-
-
-def alcubierre_speed_sq(
-    x: ArrayLike, t: float, params: AlcubierreParams, background_c: float = 1.0
-) -> ArrayLike:
-    """Squared speed (1 + vs_over_c * f(r_s))^2 around the moving center.
-
-    The center travels at vs_over_c * background_c in coordinate units, so
-    lab-frame runs at a reduced background see the bubble move at the
-    correspondingly reduced velocity.
-    """
-    return _evaluate(_alcubierre(params), x, t, background_c)
-
-
-def godel_speed_sq(r: ArrayLike, params: GodelParams) -> ArrayLike:
-    """Squared speed 1 + (r / 2a)^2; even in r and independent of time."""
-    return _evaluate(_godel(params), r, 0.0, 1.0)
-
-
-def kerr_extreme_speed_sq(r: ArrayLike, params: KerrExtremeParams) -> ArrayLike:
-    """Squared speed (1 - 2Mr/Sigma) (M - r)^2 / Sigma, Sigma = r^2 + M^2 cos^2(theta).
-
-    Negative inside the ergoregion band (theta > 0); exactly zero at the
-    horizon r = M. On the axis (theta = 0) it collapses to
-    ((r - M)^2 / (r^2 + M^2))^2, which stays in [0, 1].
-    """
-    return _evaluate(_kerr_extreme(params), r, 0.0, 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class TabulatedParams:
     """Read-only copies of samples: strictly increasing r, finite values."""
@@ -305,7 +258,7 @@ def _tabulated(params: TabulatedParams) -> Callable:
 
 def _kerr_extreme_sup(params: KerrExtremeParams, window) -> float:
     lo, hi = window
-    return float(np.max(kerr_extreme_speed_sq(np.linspace(lo, hi, 4097), params)))
+    return float(np.max(_kerr_extreme(params)(np.linspace(lo, hi, 4097), 0.0, 1.0)))
 
 
 def _tabulated_sup(params: TabulatedParams, window) -> float:
@@ -339,7 +292,7 @@ KINDS: dict[str, Kind] = {
     # the radial formula is even in r, so the even extension over the full
     # line is used; this keeps centered stencils at the axis inside range
     "godel": Kind(
-        GodelParams, _godel, lambda p, window: godel_speed_sq(max(abs(window[0]), abs(window[1])), p), False
+        GodelParams, _godel, lambda p, window: float(_godel(p)(max(abs(window[0]), abs(window[1])), 0.0, 1.0)), False
     ),
     "kerr_extreme": Kind(KerrExtremeParams, _kerr_extreme, _kerr_extreme_sup, False, HALF_LINE),
     "tabulated": Kind(TabulatedParams, _tabulated, _tabulated_sup, False, None),
@@ -376,7 +329,8 @@ class SpeedProfile:
         """Evaluate the profile; may return negative values (see module doc)."""
         if type(r) is float:
             return self._formula(r, t, background_c)
-        return _evaluate(self._formula, r, t, background_c)
+        out = self._formula(np.asarray(r, dtype=float), t, background_c)
+        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
     def finite_speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> np.ndarray:
         """speed_sq as a float array, or ProfileEvaluationError at its first non-finite value.

@@ -52,13 +52,11 @@ __all__ = [
     "FluxProgram",
     "FeasibilityReport",
     "speed_sq_from_flux",
-    "dc_calibration",
     "invert_speed_sq",
     "synthesize_flux",
     "dc_feasibility_boundary",
     "godel_max_radius",
     "kerr_forbidden_band",
-    "classify_point",
     "cell_midpoints",
     "synthesize_program",
     "feasibility_scan",
@@ -156,18 +154,6 @@ def speed_sq_from_flux(theta_total, c0: float = 1.0):
     """Line speed squared c0^2 |cos theta| at total flux angle theta."""
     out = c0 * c0 * np.abs(np.cos(theta_total))
     return float(out) if np.ndim(theta_total) == 0 else out
-
-
-def dc_calibration(c_over_c0_sq: float, sign: int = 1) -> float:
-    """DC angle that reduces the background to c^2 = c0^2 * c_over_c0_sq.
-
-    sign picks which side of zero the bias sits on; the speed is even in it.
-    """
-    if not 0.0 < c_over_c0_sq <= 1.0:
-        raise ValueError("c_over_c0_sq must lie in (0, 1]")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    return sign * math.acos(c_over_c0_sq)
 
 
 def invert_speed_sq(speed_sq, theta_dc):
@@ -277,12 +263,6 @@ def _classify_grid(speed_sq, theta_dc, config: ArrayConfig):
     )
     theta = np.where(negative | infeasible, np.nan, theta)
     return status, theta
-
-
-def classify_point(speed_sq: float, theta_dc: float, config: ArrayConfig) -> Status:
-    """Feasibility status of one (speed_sq, theta_dc) point."""
-    status, _ = _classify_grid(speed_sq, theta_dc, config)
-    return Status(int(status))
 
 
 def cell_midpoints(coord_window: tuple[float, float], n_cells: int) -> np.ndarray:

@@ -110,6 +110,19 @@ def test_time_varying_flux_enters_through_branch_flux():
     np.testing.assert_allclose(i_after, i_before * math.cos(math.pi / 3), rtol=1e-12)
 
 
+def test_flux_schedule_is_sampled_at_each_half_step():
+    # the branch currents live at (k + 1/2) dt, so that is where the cells are retuned
+    sim = LadderSim(n_cells=8)
+    seen = []
+
+    def schedule(t):
+        seen.append(t)
+        return 0.0
+
+    sim.run(4, 2, flux_schedule=schedule)
+    np.testing.assert_allclose(seen, (np.arange(4) + 0.5) * sim.dt, rtol=1e-12)
+
+
 @pytest.mark.parametrize("n_steps, recorded", [(10, [0, 4, 8, 10]), (8, [0, 4, 8]), (0, [0])])
 def test_run_records_start_every_stride_and_end(n_steps, recorded):
     sim = LadderSim(n_cells=8)

@@ -22,12 +22,12 @@ from fluxline.synthesis import (
     Status,
     SynthesisFailed,
     WindowViolation,
+    _classify_grid,
     cell_midpoints,
-    classify_point,
-    dc_calibration,
     dc_feasibility_boundary,
     feasibility_scan,
     godel_max_radius,
+    invert_speed_sq,
     kerr_forbidden_band,
     speed_sq_from_flux,
     synthesize_flux,
@@ -50,19 +50,19 @@ def test_speed_sq_from_flux_values():
 
 
 def test_dc_calibration_examples_and_roundtrip():
-    assert dc_calibration(1.0) == 0.0
-    assert dc_calibration(0.5) == pytest.approx(math.pi / 3, rel=1e-15)
-    deep = dc_calibration(math.cos(0.44 * math.pi), sign=-1)
+    # with no bias, inverting a background c^2 / c0^2 gives the DC angle that sets it
+    def dc_angle(target):
+        return invert_speed_sq(target, 0.0)[1]
+
+    assert dc_angle(1.0) == 0.0
+    assert dc_angle(0.5) == pytest.approx(math.pi / 3, rel=1e-15)
+    # the speed is even in the angle, so the bias may sit on either side
+    deep = -dc_angle(math.cos(0.44 * math.pi))
     assert deep == pytest.approx(-0.44 * math.pi, rel=1e-12)
+    assert speed_sq_from_flux(deep) == pytest.approx(math.cos(0.44 * math.pi), abs=1e-12)
     for target in (1.0, 0.7, 0.1874, 0.02):
-        theta = dc_calibration(target)
+        theta = dc_angle(target)
         assert speed_sq_from_flux(theta) == pytest.approx(target, abs=1e-12)
-    with pytest.raises(ValueError):
-        dc_calibration(0.0)
-    with pytest.raises(ValueError):
-        dc_calibration(1.2)
-    with pytest.raises(ValueError):
-        dc_calibration(0.5, sign=2)
 
 
 def test_synthesize_flux_flat_no_drive():
@@ -157,27 +157,32 @@ def test_kerr_forbidden_band():
 
 
 def test_classify_precedence_chain():
-    cfg = ArrayConfig()
-    # ergoregion value beats everything
-    assert classify_point(-0.04, 0.0, cfg) is Status.NEGATIVE_SPEED_SQ
-    # superluminal request without bias
-    assert classify_point(6.25, 0.0, cfg) is Status.ARCCOS_INFEASIBLE
-    # DC at the window edge is unusable regardless of the request
-    assert classify_point(1.0, HALF_PI, cfg) is Status.WINDOW_VIOLATION
-    # the horizon cell: total exactly pi/2, reported as the extreme
-    # impedance case (hot cell), not as a window violation
-    assert classify_point(0.0, 0.0, cfg) is Status.IMPEDANCE_WARNING
-    # a deep but in-window total
-    assert classify_point(math.cos(0.45 * math.pi), 0.0, cfg) is Status.IMPEDANCE_WARNING
-    # comfortable point
-    assert classify_point(1.0, 0.0, cfg) is Status.FEASIBLE
-    assert classify_point(0.9, 0.3, cfg) is Status.FEASIBLE
+    cases = [
+        # ergoregion value beats everything
+        (-0.04, 0.0, Status.NEGATIVE_SPEED_SQ),
+        # superluminal request without bias
+        (6.25, 0.0, Status.ARCCOS_INFEASIBLE),
+        # DC at the window edge is unusable regardless of the request
+        (1.0, HALF_PI, Status.WINDOW_VIOLATION),
+        # the horizon cell: total exactly pi/2, reported as the extreme
+        # impedance case (hot cell), not as a window violation
+        (0.0, 0.0, Status.IMPEDANCE_WARNING),
+        # a deep but in-window total
+        (math.cos(0.45 * math.pi), 0.0, Status.IMPEDANCE_WARNING),
+        # comfortable points
+        (1.0, 0.0, Status.FEASIBLE),
+        (0.9, 0.3, Status.FEASIBLE),
+    ]
+    speed_sq, theta_dc, want = zip(*cases)
+    status, _ = _classify_grid(speed_sq, theta_dc, ArrayConfig())
+    assert status.tolist() == list(want)
 
 
 def test_classify_feasible_at_exact_boundary():
     cfg = ArrayConfig()
     b = dc_feasibility_boundary(6.25)
-    assert classify_point(6.25, -b, cfg) is Status.FEASIBLE
+    status, _ = _classify_grid(6.25, -b, cfg)
+    assert status == Status.FEASIBLE
     _, total = synthesize_flux(6.25, -b)
     assert total == pytest.approx(0.0, abs=1e-6)
 

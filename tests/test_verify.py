@@ -131,6 +131,17 @@ def test_compare_front_to_ray_requires_samples():
         compare_front_to_ray([0.0], [0.0], prof, 1.0)
 
 
+@pytest.mark.parametrize("k, want", [(3, 0.05 / 3.0), (1, 0.0)], ids=["at_30pct", "at_10pct"])
+def test_compare_front_to_ray_skips_only_the_first_travel(k, want):
+    # a flat-profile front on the ray except one sample pushed 0.05 ahead,
+    # k tenths into a 10-unit travel: counted at 30%, skipped at 10%
+    ts = np.linspace(0.0, 10.0, 11)
+    rs = ts.copy()
+    rs[k] += 0.05
+    worst = compare_front_to_ray(ts, rs, flat_profile(), 1.0)[0]
+    assert worst == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
 def test_simulation_spec_validation():
     with pytest.raises(ValueError):
         SimulationSpec(pulse_center=0, pulse_width=0.1, t_end=1.0, solver="magic")
