@@ -1,7 +1,9 @@
 """Command-line contract: exit codes, CSV schemas, determinism, presets."""
 
+import hashlib
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -576,6 +578,21 @@ def test_commands_deterministic_and_idempotent(tmp_path):
     assert ca.splitlines()[1:] == cb.splitlines()[1:]
     assert main(["synth", "--preset", "godel", "--out", str(a)]) == 0
     assert (a / "program.csv").read_text() == ca
+
+
+def test_simulate_writes_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    digests = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        argv = ["simulate", "--preset", "alcubierre", "--set", "simulation.solver=both", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()})
+    assert digests[0] == digests[1]
+    assert {"snapshots_continuum.csv", "snapshots_ladder.csv"} <= set(digests[0])
+    # no fork on one CPU; on two, each snapshot CSV forks one child
+    assert len(forks) == 2
 
 
 def test_output_files_carry_config_hash(tmp_path):

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import string
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -57,14 +60,36 @@ def grid_rows(values):
     return list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in values)))
 
 
+def on_cpus(mp, n):
+    """Make n CPUs the process's affinity set, which write_csv forks across."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def counted_forks(mp) -> list:
+    """The pids of the children os.fork starts from here on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counted)
+    return pids
+
+
 def assert_grid_writes(tmp_path_factory, names, columns, rows, config_hash="h"):
-    """grid_lines gives one line per row, and write_csv the reference bytes."""
+    """grid_lines gives one line per row, and write_csv the reference bytes on 1, 2 and 3 CPUs."""
     lines = list(csvio.grid_lines(*columns))
     assert len(lines) == len(rows)
     assert all(line.endswith("\n") for line in lines)
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    write_csv(path, names, csvio.grid_lines(*columns), config_hash)
-    assert path.read_bytes() == reference_csv(names, rows, config_hash)
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            on_cpus(mp, cpus)
+            write_csv(path, names, csvio.grid_lines(*columns), config_hash)
+        assert path.read_bytes() == reference_csv(names, rows, config_hash)
 
 
 def as_column(kind: str, cells: list, shape) -> np.ndarray:
@@ -205,6 +230,95 @@ def test_grid_lines_writes_the_bytes_of_each_float(tmp_path_factory, columns, ch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(csvio, "CHUNK_ROWS", chunk_rows)
         assert_grid_writes(tmp_path_factory, names, columns, grid_rows(columns))
+
+
+def block_grid(n_blocks=3, n_rows=12):
+    """(names, columns, rows) of a grid with a block key, a row key and float cells."""
+    cells = np.arange(n_blocks * n_rows).reshape(n_blocks, n_rows) / 7.0
+    columns = (np.arange(n_blocks)[:, None], np.arange(n_rows), cells)
+    rows = [(b, r, float(cells[b, r])) for b in range(n_blocks) for r in range(n_rows)]
+    return ("b", "r", "x"), columns, rows
+
+
+@pytest.mark.parametrize("cpus, n_forks", [(1, 0), (2, 1), (3, 2), (16, 8)])
+def test_write_csv_forks_one_process_per_range_after_the_first(tmp_path, monkeypatch, cpus, n_forks):
+    # 36 rows in chunks of 2: at most 36 // (2 * 2) = 9 ranges, whatever the CPU count
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, cpus)
+    forks = counted_forks(monkeypatch)
+    ranges, texts, parent = [], csvio.Grid.texts, os.getpid()
+
+    def recorded_texts(self, lo, hi):
+        if os.getpid() == parent:
+            ranges.append((lo, hi))
+        return texts(self, lo, hi)
+
+    monkeypatch.setattr(csvio.Grid, "texts", recorded_texts)
+    names, columns, rows = block_grid()
+    write_csv(tmp_path / "t.csv", names, csvio.grid_lines(*columns), "h")
+    assert len(forks) == n_forks
+    # the parent formats the first of n_forks + 1 ranges of equal rows: 18 chunks of 2 rows
+    assert ranges == [(0, 18 // (n_forks + 1) if n_forks else None)]
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(names, rows, "h")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("why", ["one_cpu", "no_affinity", "no_fork", "second_thread"])
+def test_write_csv_does_not_fork_where_a_fork_is_missing_or_unsafe(tmp_path, monkeypatch, why):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 1 if why == "one_cpu" else 3)
+    forks = counted_forks(monkeypatch)
+    if why == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    if why == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    names, columns, rows = block_grid()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "second_thread":
+        thread.start()
+    try:
+        write_csv(tmp_path / "t.csv", names, csvio.grid_lines(*columns), "h")
+    finally:
+        stop.set()
+    if why == "second_thread":
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert forks == []
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(names, rows, "h")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_failed_range_leaves_no_part_file_and_no_child(tmp_path, monkeypatch, failing, existing):
+    target = tmp_path / "t.csv"
+    if existing:
+        target.write_bytes(b"old\n")
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 3)
+    forks = counted_forks(monkeypatch)
+    texts = csvio.Grid.texts
+
+    def failing_texts(self, lo, hi):
+        # range 0 is the parent's own; the others run in forked children
+        if (lo == 0) == (failing == "parent"):
+            raise RuntimeError("range failed")
+        if failing == "parent":
+            time.sleep(60)  # a child still formatting when the parent fails
+        yield from texts(self, lo, hi)
+
+    monkeypatch.setattr(csvio.Grid, "texts", failing_texts)
+    names, columns, _ = block_grid()
+    start = time.monotonic()
+    with pytest.raises(ChildProcessError if failing == "child" else RuntimeError):
+        write_csv(target, names, csvio.grid_lines(*columns), "h")
+    assert time.monotonic() - start < 30  # the parent killed its children instead of waiting
+    assert len(forks) == 2
+    assert [p.name for p in tmp_path.iterdir()] == (["t.csv"] if existing else [])
+    if existing:
+        assert target.read_bytes() == b"old\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def failing_rows(n_good):
