@@ -10,16 +10,17 @@ grid_lines is the one emission path: a producer hands it columns on one
 (blocks, rows) grid, such as a snapshot time per block, the r grid per row and
 the field values per cell, and it fills a '%' template per block instead of
 formatting row by row. write_csv streams lines to disk in chunks of CHUNK_ROWS,
-so a file is never held in memory whole. It splits a grid's chunks into W
-ranges of about equal rows, W = min(CPUs in the affinity set,
-rows // (2 * CHUNK_ROWS)), formats ranges 1..W-1 in forked processes into part
-files and appends them after range 0, so the bytes do not depend on W. One CPU,
-no os.fork, or a second thread (a forked child could deadlock) means no fork.
-Every emitted file starts with a comment line (CSV) or a field (JSON) carrying
-the hash of the configuration that produced it. CSV and JSON files are written
-to a temporary sibling and moved into place with os.replace, so a reader sees
-either the old file or the complete new one, and a failed write leaves no
-partial file behind. JSON is standard: NaN and infinities are refused.
+so a file is never held in memory whole. It cuts a grid's chunks into W =
+min(CPUs in the affinity set, rows // (2 * CHUNK_ROWS)) ranges of about equal
+rows. The parent formats range 0 on the first CPU; ranges 1..W-1 go to forked
+processes on the other CPUs, whose part files follow range 0: the bytes do not
+depend on W. One CPU, no os.fork, or a second thread (a forked child could
+deadlock) means no fork. Every emitted file starts with a comment line
+(CSV) or a field (JSON) carrying the hash of the configuration that produced
+it. CSV and JSON files are written to a temporary sibling and moved into place
+with os.replace, so a reader sees either the old file or the complete new one,
+and a failed write leaves no partial file behind. JSON is standard: NaN and
+infinities are refused.
 """
 
 from __future__ import annotations
@@ -150,16 +151,20 @@ def write_csv(path, columns, rows, config_hash: str | None = None) -> Path:
 
 def _write_grid(fh, grid: Grid, path: Path) -> None:
     """Write grid's chunks in W ranges of about equal rows, ranges 1..W-1 each from a forked child."""
-    starts = np.arange(math.prod(grid.blocks))[:, None] * grid.n_rows + range(0, grid.n_rows, grid.chunk_rows)
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    n = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, grid.rows // (2 * grid.chunk_rows)))
+    cpus = sorted(os.sched_getaffinity(0)) if forks else [0]
+    if (n := min(len(cpus), grid.rows // (2 * grid.chunk_rows))) < 2:
+        return fh.writelines(grid.texts(0, None))
+    starts = np.arange(math.prod(grid.blocks))[:, None] * grid.n_rows + range(0, grid.n_rows, grid.chunk_rows)
     bounds = [*np.searchsorted(starts.ravel(), np.arange(n) * grid.rows / n).tolist(), None]
     parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(1, n)]
     children = []
+    os.sched_setaffinity(0, cpus[:1])  # a kernel need not move a child off its parent's CPU
     try:
         for k, part in enumerate(parts, 1):
             if not (pid := os.fork()):  # the child never returns into its caller's stack
                 try:
+                    os.sched_setaffinity(0, cpus[1:])
                     with open(part, "w") as out:
                         out.writelines(grid.texts(bounds[k], bounds[k + 1]))
                 except BaseException:
@@ -182,6 +187,7 @@ def _write_grid(fh, grid: Grid, path: Path) -> None:
             os.waitpid(pid, 0)
         raise
     finally:
+        os.sched_setaffinity(0, cpus)
         for part in parts:
             part.unlink(missing_ok=True)
 

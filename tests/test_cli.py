@@ -583,6 +583,8 @@ def test_commands_deterministic_and_idempotent(tmp_path):
 def test_simulate_writes_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    # the CPU sets below are pretended: place this process on none of them
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
     digests = []
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))

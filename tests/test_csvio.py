@@ -60,9 +60,16 @@ def grid_rows(values):
     return list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in values)))
 
 
-def on_cpus(mp, n):
-    """Make n CPUs the process's affinity set, which write_csv forks across."""
+def on_cpus(mp, n) -> list:
+    """Make n CPUs the process's affinity set, which write_csv forks across.
+
+    Returns the CPU lists this process then places itself on; the placement
+    is recorded, not applied, since these CPUs need not exist.
+    """
+    placed = []
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    mp.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(sorted(cpus)))
+    return placed
 
 
 def counted_forks(mp) -> list:
@@ -244,7 +251,7 @@ def block_grid(n_blocks=3, n_rows=12):
 def test_write_csv_forks_one_process_per_range_after_the_first(tmp_path, monkeypatch, cpus, n_forks):
     # 36 rows in chunks of 2: at most 36 // (2 * 2) = 9 ranges, whatever the CPU count
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
-    on_cpus(monkeypatch, cpus)
+    placed = on_cpus(monkeypatch, cpus)
     forks = counted_forks(monkeypatch)
     ranges, texts, parent = [], csvio.Grid.texts, os.getpid()
 
@@ -259,14 +266,38 @@ def test_write_csv_forks_one_process_per_range_after_the_first(tmp_path, monkeyp
     assert len(forks) == n_forks
     # the parent formats the first of n_forks + 1 ranges of equal rows: 18 chunks of 2 rows
     assert ranges == [(0, 18 // (n_forks + 1) if n_forks else None)]
+    # while it forks, the parent sits on the first CPU, then gets its whole set back
+    assert placed == ([[0], list(range(cpus))] if n_forks else [])
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(names, rows, "h")
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two CPUs")
+def test_forked_ranges_run_on_other_cpus_than_the_parents(tmp_path, monkeypatch):
+    # a kernel that does not balance load (a cpuset with sched_load_balance 0)
+    # leaves a forked child on its parent's CPU unless the child is moved
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    cpus, texts = sorted(os.sched_getaffinity(0)), csvio.Grid.texts
+
+    def recorded_texts(self, lo, hi):
+        (tmp_path / f"{os.getpid()}.cpus").write_text(repr(sorted(os.sched_getaffinity(0))))
+        return texts(self, lo, hi)
+
+    monkeypatch.setattr(csvio.Grid, "texts", recorded_texts)
+    names, columns, rows = block_grid()
+    write_csv(tmp_path / "out" / "t.csv", names, csvio.grid_lines(*columns), "h")
+    assert sorted(os.sched_getaffinity(0)) == cpus
+    placed = {int(p.stem): p.read_text() for p in tmp_path.glob("*.cpus")}
+    assert placed.pop(os.getpid()) == repr(cpus[:1])
+    assert len(placed) == min(len(cpus), 9) - 1
+    assert set(placed.values()) == {repr(cpus[1:])}
+    assert (tmp_path / "out" / "t.csv").read_bytes() == reference_csv(names, rows, "h")
 
 
 @pytest.mark.parametrize("why", ["one_cpu", "no_affinity", "no_fork", "second_thread"])
 def test_write_csv_does_not_fork_where_a_fork_is_missing_or_unsafe(tmp_path, monkeypatch, why):
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
-    on_cpus(monkeypatch, 1 if why == "one_cpu" else 3)
+    placed = on_cpus(monkeypatch, 1 if why == "one_cpu" else 3)
     forks = counted_forks(monkeypatch)
     if why == "no_affinity":
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -284,7 +315,7 @@ def test_write_csv_does_not_fork_where_a_fork_is_missing_or_unsafe(tmp_path, mon
     if why == "second_thread":
         thread.join(timeout=10)
         assert not thread.is_alive()
-    assert forks == []
+    assert forks == [] and placed == []
     assert (tmp_path / "t.csv").read_bytes() == reference_csv(names, rows, "h")
 
 
@@ -295,7 +326,7 @@ def test_failed_range_leaves_no_part_file_and_no_child(tmp_path, monkeypatch, fa
     if existing:
         target.write_bytes(b"old\n")
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
-    on_cpus(monkeypatch, 3)
+    placed = on_cpus(monkeypatch, 3)
     forks = counted_forks(monkeypatch)
     texts = csvio.Grid.texts
 
@@ -314,6 +345,7 @@ def test_failed_range_leaves_no_part_file_and_no_child(tmp_path, monkeypatch, fa
         write_csv(target, names, csvio.grid_lines(*columns), "h")
     assert time.monotonic() - start < 30  # the parent killed its children instead of waiting
     assert len(forks) == 2
+    assert placed == [[0], [0, 1, 2]]  # the parent got its whole CPU set back
     assert [p.name for p in tmp_path.iterdir()] == (["t.csv"] if existing else [])
     if existing:
         assert target.read_bytes() == b"old\n"
