@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import FIGURES, ConfigError, RunConfig, load_raw_config, validate_config
-from .csvio import grid_lines, write_csv, write_json
+from .csvio import emission, grid_lines, write_csv, write_json
 from .metrics import ParamError, ProfileDomainError, ProfileEvaluationError
 from .synthesis import (
     HotCellBudgetExceeded,
@@ -238,10 +238,16 @@ def cmd_simulate(run: RunConfig) -> int:
         path = _write_synth_failure(run, exc)
         print(f"refusing to simulate: {exc}; wrote {path}")
         return _failure(exc)[0]
-    report = verify_program(program, profile, spec)
-    for solver, s in report.snapshots.items():
+    paths = []
+
+    def emit(solver, s):
         rows = grid_lines(s.times[:, None], s.r, s.values)
-        path = write_csv(out / f"snapshots_{solver}.csv", ("t", "r", "value"), rows, run.hash)
+        paths.append(write_csv(out / f"snapshots_{solver}.csv", ("t", "r", "value"), rows, run.hash))
+
+    # a solver's snapshot CSV is formatted while the solvers after it and the ray oracle run
+    with emission():
+        report = verify_program(program, profile, spec, emit)
+    for path in paths:
         print(f"wrote {path}")
     jpath = write_json(out / "verification.json", report.to_dict(), run.hash)
     print(f"wrote {jpath}")

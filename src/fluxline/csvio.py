@@ -10,16 +10,21 @@ grid_lines is the one emission path: a producer hands it columns on one
 (blocks, rows) grid, such as a snapshot time per block, the r grid per row and
 the field values per cell, and it fills a '%' template per block instead of
 formatting row by row. write_csv streams lines to disk in chunks of CHUNK_ROWS,
-so a file is never held in memory whole. It cuts a grid's chunks into W =
-min(CPUs in the affinity set, rows // (2 * CHUNK_ROWS)) ranges of about equal
-rows. The parent formats range 0 on the first CPU; ranges 1..W-1 go to forked
-processes on the other CPUs, whose part files follow range 0: the bytes do not
-depend on W. One CPU, no os.fork, or a second thread (a forked child could
-deadlock) means no fork. Every emitted file starts with a comment line
-(CSV) or a field (JSON) carrying the hash of the configuration that produced
-it. CSV and JSON files are written to a temporary sibling and moved into place
-with os.replace, so a reader sees either the old file or the complete new one,
-and a failed write leaves no partial file behind. JSON is standard: NaN and
+so a file is never held in memory whole. A grid's chunks are cut into units of
+about CHUNK_ROWS rows (at most MAX_UNITS), whose indices fill a pipe, and
+min(CPUs in the affinity set, units // 2) - 1 forked helpers on the other CPUs
+each take the next index and format that unit into a part file. Inside an
+emission() block write_csv returns once the helpers are forked, and the caller
+keeps computing on the first CPU; at block exit it formats the units left,
+reaps the helpers and joins the parts in order. Outside a block write_csv is a
+block of its own. The bytes do not depend on who took which unit. One CPU, no
+os.fork, a second thread when the block opens (a forked child could deadlock),
+or a grid of fewer than 4 units means no helper: the caller writes that grid
+whole at block exit. Every emitted file starts with a comment line (CSV) or a
+field (JSON) carrying the hash of the configuration that produced it. CSV and
+JSON files are written to a temporary sibling and moved into place with
+os.replace, so a reader sees either the old file or the complete new one, and a
+failed write leaves no partial file behind. JSON is standard: NaN and
 infinities are refused.
 """
 
@@ -31,12 +36,14 @@ import math
 import os
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "emission",
     "format_float",
     "grid_lines",
     "write_csv",
@@ -45,6 +52,8 @@ __all__ = [
 ]
 
 CHUNK_ROWS = 8192
+# most units of one grid CSV: their 4-byte indices fill one PIPE_BUF
+MAX_UNITS = 1024
 
 
 def format_float(x) -> str:
@@ -107,10 +116,11 @@ class Grid:
 
     def texts(self, lo: int, hi: int | None):
         """The '%'-filled texts of chunks lo..hi, each of at most CHUNK_ROWS rows of one block."""
-        n_rows, chunk_rows = self.n_rows, self.chunk_rows
+        n_rows, chunk_rows, per_block = self.n_rows, self.chunk_rows, len(self.templates)
         args = np.empty((min(n_rows, chunk_rows), len(self.keys) + len(self.cells)), dtype=object)
-        chunks = ((block, j) for block in np.ndindex(*self.blocks) for j in range(len(self.templates)))
-        for block, j in islice(chunks, lo, hi):
+        for c in range(lo, math.prod(self.blocks) * per_block if hi is None else hi):
+            b, j = divmod(c, per_block)
+            block = np.unravel_index(b, self.blocks)
             for slot, values, spec in self.keys:
                 args[:, slot] = spec % (values.item(block),)
             part = args[: min(chunk_rows, n_rows - j * chunk_rows)]
@@ -134,61 +144,113 @@ def _replaced_atomically(path: Path):
 
 
 def write_csv(path, columns, rows, config_hash: str | None = None) -> Path:
-    """Stream rows ('\n'-terminated lines, or a Grid) to path under a header of columns."""
+    """Write rows ('\n'-terminated lines, or a Grid) to path under a header of columns.
+
+    A Grid is queued in the open emission block, and its file is in place when the block exits.
+    """
     path = Path(path)
+    head = ("" if config_hash is None else f"# config_hash={config_hash}\n") + ",".join(columns) + "\n"
+    if isinstance(rows, Grid):
+        with emission():  # the open block, or one of its own
+            _Units(path, head, rows, *_block.get())
+        return path
     with _replaced_atomically(path) as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        fh.write(",".join(columns) + "\n")
-        if isinstance(rows, Grid):
-            _write_grid(fh, rows, path)
-        else:
-            rows = iter(rows)
-            while chunk := "".join(islice(rows, CHUNK_ROWS)):
-                fh.write(chunk)
+        fh.write(head)
+        rows = iter(rows)
+        while chunk := "".join(islice(rows, CHUNK_ROWS)):
+            fh.write(chunk)
     return path
 
 
-def _write_grid(fh, grid: Grid, path: Path) -> None:
-    """Write grid's chunks in W ranges of about equal rows, ranges 1..W-1 each from a forked child."""
+# the open emission block's queued grid CSVs and CPU set, or None outside one
+_block = ContextVar("emission_block", default=None)
+
+
+@contextmanager
+def emission():
+    """A block in which write_csv queues each grid CSV and returns while forked helpers format it.
+
+    At exit the caller formats the units left and moves each file into place;
+    after an exception no queued file is written. A block inside a block is that block.
+    """
+    if _block.get() is not None:
+        yield
+        return
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    cpus = sorted(os.sched_getaffinity(0)) if forks else [0]
-    if (n := min(len(cpus), grid.rows // (2 * grid.chunk_rows))) < 2:
-        return fh.writelines(grid.texts(0, None))
-    starts = np.arange(math.prod(grid.blocks))[:, None] * grid.n_rows + range(0, grid.n_rows, grid.chunk_rows)
-    bounds = [*np.searchsorted(starts.ravel(), np.arange(n) * grid.rows / n).tolist(), None]
-    parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(1, n)]
-    children = []
-    os.sched_setaffinity(0, cpus[:1])  # a kernel need not move a child off its parent's CPU
+    queue, cpus = [], sorted(os.sched_getaffinity(0)) if forks else [0]
+    token = _block.set((queue, cpus))
     try:
-        for k, part in enumerate(parts, 1):
-            if not (pid := os.fork()):  # the child never returns into its caller's stack
+        if len(cpus) > 1:
+            os.sched_setaffinity(0, cpus[:1])  # a kernel need not move a child off its parent's CPU
+        yield
+        for units in queue:
+            units.take()
+        for units in queue:
+            units.join()
+    finally:
+        _block.reset(token)
+        for units in queue:
+            units.close()
+        if len(cpus) > 1:
+            os.sched_setaffinity(0, cpus)
+
+
+class _Units:
+    """A queued grid CSV: its units, the pipe handing out their indices, and the helpers taking them."""
+
+    def __init__(self, path: Path, head: str, grid: Grid, queue: list, cpus: list):
+        self.path, self.head, self.grid, self.pids = path, head, grid, []
+        n_units = min(-(-grid.rows // grid.chunk_rows), MAX_UNITS)
+        if (n := min(len(cpus), n_units // 2)) < 2:
+            n_units = 0  # no helper: the caller writes the grid whole at block exit
+        starts = np.arange(math.prod(grid.blocks))[:, None] * grid.n_rows + range(0, grid.n_rows, grid.chunk_rows)
+        self.bounds = [*np.searchsorted(starts.ravel(), np.arange(n_units) * grid.rows / n_units).tolist(), None]
+        self.parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(n_units)]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.fd, w = os.pipe()  # at most PIPE_BUF bytes: one write, which cannot block
+        os.write(w, b"".join(k.to_bytes(4, "little") for k in range(n_units)))
+        os.close(w)
+        queue.append(self)  # before any fork, so that the block reaps what a failed fork leaves
+        for _ in range(n - 1):
+            if not (pid := os.fork()):  # the helper never returns into its caller's stack
                 try:
                     os.sched_setaffinity(0, cpus[1:])
-                    with open(part, "w") as out:
-                        out.writelines(grid.texts(bounds[k], bounds[k + 1]))
+                    self.take()
                 except BaseException:
                     os._exit(1)
                 os._exit(0)
-            children.append(pid)
-        fh.writelines(grid.texts(bounds[0], bounds[1]))
-        fh.flush()
-        for part in parts:
-            status = os.waitpid(children[0], 0)[1]
-            del children[0]
+            self.pids.append(pid)
+
+    def take(self) -> None:
+        """Format the next unit into its part file until the pipe is empty."""
+        while k := os.read(self.fd, 4):
+            k = int.from_bytes(k, "little")
+            with open(self.parts[k], "w") as out:
+                out.writelines(self.grid.texts(self.bounds[k], self.bounds[k + 1]))
+
+    def join(self) -> None:
+        """Reap the helpers, then move the header and the parts, in order, into place."""
+        while self.pids:
+            status = os.waitpid(self.pids[0], 0)[1]
+            del self.pids[0]
             if code := os.waitstatus_to_exitcode(status):
-                raise ChildProcessError(f"formatting {path.name}: a forked range exited with {code}")
-            with open(part, "rb") as src:
-                while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
-                    pass
-    except BaseException:
-        for pid in children:
+                raise ChildProcessError(f"formatting {self.path.name}: a helper exited with {code}")
+        with _replaced_atomically(self.path) as fh:
+            fh.write(self.head)
+            fh.writelines(() if self.parts else self.grid.texts(0, None))
+            fh.flush()
+            for part in self.parts:
+                with open(part, "rb") as src:
+                    while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
+                        pass
+
+    def close(self) -> None:
+        """Kill and reap the helpers left, and remove every part file."""
+        for pid in self.pids:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-        raise
-    finally:
-        os.sched_setaffinity(0, cpus)
-        for part in parts:
+        os.close(self.fd)
+        for part in self.parts:
             part.unlink(missing_ok=True)
 
 

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..metrics import MAX_GRID_POINTS, ParamError, SpeedProfile
 from ..synthesis import FluxProgram, invert_speed_sq
 from .continuum import BOUNDARIES, ContinuumGrid, ContinuumSolver, GaussianPulse
-from .fronts import FrontNotFound, front_trajectory
+from .fronts import FrontNotFound, Snapshots, front_trajectory
 from .ladder import LadderSim
 from .rays import trace_null_geodesic
 
@@ -293,18 +293,25 @@ def verify_program(
     program: FluxProgram,
     profile: SpeedProfile,
     spec: SimulationSpec,
+    on_snapshots: Callable[[str, Snapshots], None] = lambda solver, snapshots: None,
 ) -> VerificationReport:
-    """Simulate the program and compare fronts against the ray oracle."""
+    """Simulate the program and compare fronts against the ray oracle.
+
+    on_snapshots(solver, snapshots) is called as soon as each solver has run,
+    before its front is compared with the ray.
+    """
     window = program.coord_window
     bg = program.background_c
     results = {}
     all_snaps = {}
     if spec.solver in ("continuum", "both"):
         snaps, guard, meta = _run_continuum(profile, spec, window, bg)
+        on_snapshots("continuum", snaps)
         results["continuum"] = _evaluate(snaps, guard, meta, profile, bg, spec, window, "continuum")
         all_snaps["continuum"] = snaps
     if spec.solver in ("ladder", "both"):
         snaps, guard, meta = _run_ladder(profile, program, spec)
+        on_snapshots("ladder", snaps)
         results["ladder"] = _evaluate(snaps, guard, meta, profile, bg, spec, window, "ladder")
         all_snaps["ladder"] = snaps
 

@@ -25,6 +25,7 @@ from fluxline.synthesis import (
     WindowViolation,
 )
 from fluxline.wavelab import CflViolation, FrontNotFound, SingularInductance, StabilityViolation
+from fluxline.wavelab import verify
 from fluxline.wavelab.verify import MAX_CELL_STEPS
 
 
@@ -595,6 +596,60 @@ def test_simulate_writes_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatc
     assert {"snapshots_continuum.csv", "snapshots_ladder.csv"} <= set(digests[0])
     # no fork on one CPU; on two, each snapshot CSV forks one child
     assert len(forks) == 2
+
+
+def on_two_cpus(monkeypatch) -> list:
+    """Pretend a two-CPU affinity set, placing this process on none of it; returns the forks."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    return forks
+
+
+def test_simulate_prints_wrote_for_files_in_place_in_order(tmp_path, monkeypatch):
+    on_two_cpus(monkeypatch)
+    printed = []
+
+    def recorded_print(*args, **kwargs):
+        line = " ".join(map(str, args))
+        if line.startswith("wrote "):
+            path = Path(line[len("wrote "):])
+            printed.append((path.name, path.is_file(), sorted(p.name for p in path.parent.iterdir())))
+
+    monkeypatch.setattr(cli, "print", recorded_print, raising=False)
+    argv = ["simulate", "--preset", "alcubierre", "--set", "simulation.solver=both", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    csvs = ["snapshots_continuum.csv", "snapshots_ladder.csv"]
+    # both snapshot CSVs are in place, with no temporary or part file beside them, before either is named
+    assert printed == [
+        ("snapshots_continuum.csv", True, csvs),
+        ("snapshots_ladder.csv", True, csvs),
+        ("verification.json", True, [*csvs, "verification.json"]),
+    ]
+
+
+def test_simulate_failing_after_a_queued_snapshot_csv_writes_no_snapshot(tmp_path, monkeypatch, capsys):
+    forks = on_two_cpus(monkeypatch)
+
+    def singular(*args):
+        raise SingularInductance("a cell sits at the pi/2 window")
+
+    monkeypatch.setattr(verify, "_run_ladder", singular)
+    # the forks made when each ray oracle starts
+    forks_at_ray, trace = [], verify.trace_null_geodesic
+    monkeypatch.setattr(verify, "trace_null_geodesic", lambda *a, **k: forks_at_ray.append(len(forks)) or trace(*a, **k))
+    argv = ["simulate", "--preset", "alcubierre", "--set", "simulation.solver=both", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    # the continuum snapshot CSV was queued, with one helper, before its ray oracle ran
+    assert forks_at_ray == [1] and len(forks) == 1
+    # no snapshots_*.csv, .part or .tmp file, and no helper left
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "simulation failed: a cell sits at the pi/2 window\n"
 
 
 def test_output_files_carry_config_hash(tmp_path):

@@ -247,51 +247,132 @@ def block_grid(n_blocks=3, n_rows=12):
     return ("b", "r", "x"), columns, rows
 
 
+def logged_units(mp, log):
+    """Append "pid lo hi" to log for each unit any process formats; returns the caller's pid."""
+    texts = csvio.Grid.texts
+
+    def recorded_texts(self, lo, hi):
+        with open(log, "a") as fh:  # one short append per unit, whichever process takes it
+            fh.write(f"{os.getpid()} {lo} {hi}\n")
+        return texts(self, lo, hi)
+
+    mp.setattr(csvio.Grid, "texts", recorded_texts)
+    return os.getpid()
+
+
+def units_by_pid(log) -> dict:
+    """pid -> sorted (lo, hi) units it formatted, from a logged_units log."""
+    out = {}
+    for line in log.read_text().splitlines() if log.exists() else ():
+        pid, lo, hi = line.split()
+        out.setdefault(int(pid), []).append((int(lo), None if hi == "None" else int(hi)))
+    return {pid: sorted(units) for pid, units in out.items()}
+
+
+# block_grid's 36 rows in chunks of 2 are 18 units of one chunk each; the last runs to the end
+UNITS = [(k, k + 1) for k in range(17)] + [(17, None)]
+
+
+def wait_for(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
 @pytest.mark.parametrize("cpus, n_forks", [(1, 0), (2, 1), (3, 2), (16, 8)])
 def test_write_csv_forks_one_process_per_range_after_the_first(tmp_path, monkeypatch, cpus, n_forks):
-    # 36 rows in chunks of 2: at most 36 // (2 * 2) = 9 ranges, whatever the CPU count
+    # 18 units, taken by at most 18 // 2 = 9 processes, the caller and n_forks helpers
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
     placed = on_cpus(monkeypatch, cpus)
     forks = counted_forks(monkeypatch)
-    ranges, texts, parent = [], csvio.Grid.texts, os.getpid()
-
-    def recorded_texts(self, lo, hi):
-        if os.getpid() == parent:
-            ranges.append((lo, hi))
-        return texts(self, lo, hi)
-
-    monkeypatch.setattr(csvio.Grid, "texts", recorded_texts)
+    log = tmp_path / "units.log"
+    parent = logged_units(monkeypatch, log)
     names, columns, rows = block_grid()
-    write_csv(tmp_path / "t.csv", names, csvio.grid_lines(*columns), "h")
+    write_csv(tmp_path / "out" / "t.csv", names, csvio.grid_lines(*columns), "h")
     assert len(forks) == n_forks
-    # the parent formats the first of n_forks + 1 ranges of equal rows: 18 chunks of 2 rows
-    assert ranges == [(0, 18 // (n_forks + 1) if n_forks else None)]
-    # while it forks, the parent sits on the first CPU, then gets its whole set back
+    taken = units_by_pid(log)
+    if n_forks:
+        # every unit is formatted once, by the caller or one of its helpers
+        assert set(taken) <= {parent, *forks}
+        assert sorted(u for units in taken.values() for u in units) == UNITS
+    else:
+        assert taken == {parent: [(0, None)]}  # no fork: the caller writes the whole grid at once
+    # from its first fork the caller sits on the first CPU, then gets its whole set back
     assert placed == ([[0], list(range(cpus))] if n_forks else [])
-    assert (tmp_path / "t.csv").read_bytes() == reference_csv(names, rows, "h")
-    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert (tmp_path / "out" / "t.csv").read_bytes() == reference_csv(names, rows, "h")
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["t.csv"]
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two CPUs")
 def test_forked_ranges_run_on_other_cpus_than_the_parents(tmp_path, monkeypatch):
     # a kernel that does not balance load (a cpuset with sched_load_balance 0)
-    # leaves a forked child on its parent's CPU unless the child is moved
+    # leaves a forked helper on its caller's CPU unless the helper is moved
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
-    cpus, texts = sorted(os.sched_getaffinity(0)), csvio.Grid.texts
+    cpus, texts, parent = sorted(os.sched_getaffinity(0)), csvio.Grid.texts, os.getpid()
+    n_helpers = min(len(cpus), 9) - 1
 
     def recorded_texts(self, lo, hi):
-        (tmp_path / f"{os.getpid()}.cpus").write_text(repr(sorted(os.sched_getaffinity(0))))
+        (tmp_path / f"{os.getpid()}.{lo}.cpus").write_text(repr(sorted(os.sched_getaffinity(0))))
+        if os.getpid() != parent:
+            time.sleep(0.02)  # leave units for every helper and for the caller
         return texts(self, lo, hi)
+
+    def placed() -> dict:
+        out = {}
+        for p in tmp_path.glob("*.cpus"):
+            out.setdefault(int(p.name.split(".")[0]), set()).add(p.read_text())
+        return out
 
     monkeypatch.setattr(csvio.Grid, "texts", recorded_texts)
     names, columns, rows = block_grid()
-    write_csv(tmp_path / "out" / "t.csv", names, csvio.grid_lines(*columns), "h")
+    with csvio.emission():
+        write_csv(tmp_path / "out" / "t.csv", names, csvio.grid_lines(*columns), "h")
+        # the caller stays on the first CPU for the rest of the block
+        assert sorted(os.sched_getaffinity(0)) == cpus[:1]
+        wait_for(lambda: len(placed()) == n_helpers)
     assert sorted(os.sched_getaffinity(0)) == cpus
-    placed = {int(p.stem): p.read_text() for p in tmp_path.glob("*.cpus")}
-    assert placed.pop(os.getpid()) == repr(cpus[:1])
-    assert len(placed) == min(len(cpus), 9) - 1
-    assert set(placed.values()) == {repr(cpus[1:])}
+    by_pid = placed()
+    assert by_pid.pop(parent) == {repr(cpus[:1])}  # the caller formats what is left at exit
+    assert list(by_pid.values()) == [{repr(cpus[1:])}] * n_helpers
     assert (tmp_path / "out" / "t.csv").read_bytes() == reference_csv(names, rows, "h")
+
+
+@pytest.mark.parametrize("helper", ["stalls", "takes_none", "takes_all"])
+def test_written_bytes_do_not_depend_on_which_process_takes_which_unit(tmp_path, monkeypatch, helper):
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    log = tmp_path / "units.log"
+    parent = logged_units(monkeypatch, log)
+    take = csvio._Units.take
+
+    def helper_take(self):
+        if os.getpid() != parent:
+            if helper == "takes_none":
+                os._exit(0)
+            if helper == "stalls":
+                time.sleep(0.5)  # the caller formats the units meanwhile
+        take(self)
+
+    monkeypatch.setattr(csvio._Units, "take", helper_take)
+    names, columns, rows = block_grid()
+    target = tmp_path / "out" / "t.csv"
+    with csvio.emission():
+        write_csv(target, names, csvio.grid_lines(*columns), "h")
+        if helper == "takes_all":
+            wait_for(lambda: sum(map(len, units_by_pid(log).values())) == len(UNITS))
+    assert len(forks) == 1
+    taken = units_by_pid(log)
+    assert sorted(u for units in taken.values() for u in units) == UNITS
+    if helper == "takes_all":
+        assert list(taken) == forks
+    else:
+        assert parent in taken and len(taken[parent]) >= len(UNITS) - 1
+    assert target.read_bytes() == reference_csv(names, rows, "h")
+    assert [p.name for p in target.parent.iterdir()] == ["t.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("why", ["one_cpu", "no_affinity", "no_fork", "second_thread"])
@@ -320,33 +401,43 @@ def test_write_csv_does_not_fork_where_a_fork_is_missing_or_unsafe(tmp_path, mon
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-@pytest.mark.parametrize("failing", ["child", "parent"])
+@pytest.mark.parametrize("failing", ["child", "parent", "block"])
 def test_failed_range_leaves_no_part_file_and_no_child(tmp_path, monkeypatch, failing, existing):
-    target = tmp_path / "t.csv"
+    # child: a helper's unit raises; parent: the caller's unit raises; block: the
+    # caller raises inside the emission block after the write was queued
+    target = tmp_path / "out" / "t.csv"
+    target.parent.mkdir()
     if existing:
         target.write_bytes(b"old\n")
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
     placed = on_cpus(monkeypatch, 3)
     forks = counted_forks(monkeypatch)
-    texts = csvio.Grid.texts
+    texts, parent, failed = csvio.Grid.texts, os.getpid(), tmp_path / "helper.failed"
 
     def failing_texts(self, lo, hi):
-        # range 0 is the parent's own; the others run in forked children
-        if (lo == 0) == (failing == "parent"):
-            raise RuntimeError("range failed")
-        if failing == "parent":
-            time.sleep(60)  # a child still formatting when the parent fails
+        if os.getpid() == parent:
+            if failing == "parent":
+                raise RuntimeError("unit failed")
+            wait_for(failed.exists if failing == "child" else lambda: True)
+        elif failing == "child":
+            failed.touch()
+            raise RuntimeError("unit failed")
+        else:
+            time.sleep(60)  # a helper still formatting when the caller fails
         yield from texts(self, lo, hi)
 
     monkeypatch.setattr(csvio.Grid, "texts", failing_texts)
     names, columns, _ = block_grid()
     start = time.monotonic()
     with pytest.raises(ChildProcessError if failing == "child" else RuntimeError):
-        write_csv(target, names, csvio.grid_lines(*columns), "h")
-    assert time.monotonic() - start < 30  # the parent killed its children instead of waiting
+        with csvio.emission():
+            write_csv(target, names, csvio.grid_lines(*columns), "h")
+            if failing == "block":
+                raise RuntimeError("the caller failed after queueing")
+    assert time.monotonic() - start < 30  # the caller killed its helpers instead of waiting
     assert len(forks) == 2
-    assert placed == [[0], [0, 1, 2]]  # the parent got its whole CPU set back
-    assert [p.name for p in tmp_path.iterdir()] == (["t.csv"] if existing else [])
+    assert placed == [[0], [0, 1, 2]]  # the caller got its whole CPU set back
+    assert [p.name for p in target.parent.iterdir()] == (["t.csv"] if existing else [])
     if existing:
         assert target.read_bytes() == b"old\n"
     with pytest.raises(ChildProcessError):
