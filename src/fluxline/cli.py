@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
 
@@ -249,9 +249,9 @@ def cmd_simulate(run: RunConfig) -> int:
         report = verify_program(program, profile, spec, emit)
     for path in paths:
         print(f"wrote {path}")
-    jpath = write_json(out / "verification.json", report.to_dict(), run.hash)
+    jpath = write_json(out / "verification.json", asdict(report), run.hash)
     print(f"wrote {jpath}")
-    worst = max((res.max_rel_deviation for res in report.solvers.values()), default=math.nan)
+    worst = max(res.max_rel_deviation for res in report.solvers.values())
     verdict = "PASS" if report.passed else "FAIL"
     print(f"verification: {verdict} (max relative deviation {worst:.4f}, tolerance {report.tolerance})")
     return EXIT_OK if report.passed else EXIT_SIMULATION

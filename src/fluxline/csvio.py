@@ -25,7 +25,7 @@ field (JSON) carrying the hash of the configuration that produced it. CSV and
 JSON files are written to a temporary sibling and moved into place with
 os.replace, so a reader sees either the old file or the complete new one, and a
 failed write leaves no partial file behind. JSON is standard: NaN and
-infinities are refused.
+infinities are refused, also inside an ndarray, which is written as its list.
 """
 
 from __future__ import annotations
@@ -259,7 +259,8 @@ def write_json(path, payload: dict, config_hash: str | None = None) -> Path:
     doc = dict(payload)
     if config_hash is not None:
         doc["config_hash"] = config_hash
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # an ndarray is written as its list; any other object JSON cannot encode is refused with TypeError
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist) + "\n"
     with _replaced_atomically(path) as fh:
         fh.write(text)
     return path

@@ -12,12 +12,16 @@ The report keeps both lab-frame speed bookkeepings for moving-bubble
 programs (the flux-pattern speed vs_over_c * c and the interior light speed
 (1 + vs_over_c) * c) without adjudicating which one a given experiment
 quotes.
+
+verification.json holds the report's dataclass fields, every solver's
+among them, with arrays written as lists; the snapshots go to their own CSVs
+through on_snapshots.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -115,18 +119,6 @@ class SolverResult:
     front_positions: np.ndarray
     ray_positions: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "passed": self.passed,
-            "max_rel_deviation": self.max_rel_deviation,
-            "n_compared": self.n_compared,
-            "grid": dict(self.grid),
-            "front_times": self.front_times.tolist(),
-            "front_positions": self.front_positions.tolist(),
-            "ray_positions": self.ray_positions.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -135,17 +127,6 @@ class VerificationReport:
     background_c: float
     solvers: dict
     speeds: dict
-    snapshots: dict = field(repr=False, default_factory=dict)
-
-    def to_dict(self) -> dict:
-        # snapshots are bulky raw data; they are emitted separately as CSV
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "background_c": self.background_c,
-            "speeds": dict(self.speeds),
-            "solvers": {name: res.to_dict() for name, res in self.solvers.items()},
-        }
 
 
 def compare_front_to_ray(
@@ -185,12 +166,14 @@ def compare_front_to_ray(
     return float(np.max(rel)), ts, rs, ray_at
 
 
-def _check_steps(t_end: float, dt: float, points: int, grid: str):
-    """Refuse a run of more than MAX_SOLVER_STEPS steps or MAX_CELL_STEPS cell-steps, before it steps.
+def _check_work(spec: SimulationSpec, dt: float, points: int, grid: str, whole_steps: bool = False) -> int:
+    """The snapshot stride of a run, refused before it steps if it would exceed a bound above.
 
-    grid names the field whose grid sets dt and the points.
+    grid names the field whose grid sets dt and the points. whole_steps counts
+    the steps as the ladder takes them, t_end / dt rounded up; the step bound
+    is checked first, as an infinite ratio does not round.
     """
-    steps = t_end / dt
+    steps = spec.t_end / dt
     if not steps <= MAX_SOLVER_STEPS:
         raise WorkLimitExceeded(
             f"simulation.t_end: t_end / dt = {steps:.6g} steps (dt = {dt:.6g}, set by {grid})"
@@ -201,10 +184,9 @@ def _check_steps(t_end: float, dt: float, points: int, grid: str):
             f"{grid}: {steps:.6g} steps x {points} points = {steps * points:.6g} cell-steps"
             f" exceed the limit of {MAX_CELL_STEPS}"
         )
-
-
-def _check_snapshots(steps: float, stride: int, points: int, grid: str):
-    """Refuse a run that would keep more than MAX_SNAPSHOT_VALUES snapshot values."""
+    if whole_steps:
+        steps = math.ceil(steps)
+    stride = spec.snapshot_stride or max(1, int(round(steps / 160)))
     # the pre-run state, one snapshot per stride steps, and the final state
     snapshots = steps // stride + 2
     if snapshots * points > MAX_SNAPSHOT_VALUES:
@@ -212,10 +194,11 @@ def _check_snapshots(steps: float, stride: int, points: int, grid: str):
             f"simulation.snapshot_stride: {snapshots:.0f} snapshots of {points} values (set by {grid})"
             f" exceed the limit of {MAX_SNAPSHOT_VALUES} values"
         )
+    return stride
 
 
-def _run_continuum(profile, spec: SimulationSpec, window, background_c):
-    lo, hi = window
+def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpec):
+    lo, hi = program.coord_window
     dx = (hi - lo) / (spec.n_points - 1)
     grid = ContinuumGrid(
         n_points=spec.n_points,
@@ -224,18 +207,16 @@ def _run_continuum(profile, spec: SimulationSpec, window, background_c):
         cfl_factor=spec.cfl_factor,
         boundary=spec.boundary,
     )
-    solver = ContinuumSolver(profile, grid, background_c)
+    solver = ContinuumSolver(profile, grid, program.background_c)
     solver.initialize_pulse(spec.pulse, spec.direction)
-    _check_steps(spec.t_end, solver.dt, spec.n_points, "simulation.n_points")
-    stride = spec.snapshot_stride or max(1, int(round(spec.t_end / solver.dt / 160)))
-    _check_snapshots(spec.t_end / solver.dt, stride, spec.n_points, "simulation.n_points")
+    stride = _check_work(spec, solver.dt, spec.n_points, "simulation.n_points")
     snaps = solver.run(spec.t_end, stride)
     guard = solver.sponge_width + 2.0 * spec.pulse_width
     meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt, "snapshots": len(snaps)}
     return snaps, guard, meta
 
 
-def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
+def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpec):
     lo, hi = program.coord_window
     pitch = (hi - lo) / program.n_cells
     sim = LadderSim(
@@ -258,35 +239,11 @@ def _run_ladder(profile, program: FluxProgram, spec: SimulationSpec):
     else:
         sim.set_flux(program.theta_total[:, 0])
     sim.initialize_pulse(spec.pulse, spec.direction)
-    _check_steps(spec.t_end, sim.dt, program.n_cells + 1, "synthesis.n_cells")
-    n_steps = int(math.ceil(spec.t_end / sim.dt))
-    stride = spec.snapshot_stride or max(1, int(round(n_steps / 160)))
-    _check_snapshots(n_steps, stride, program.n_cells + 1, "synthesis.n_cells")
-    snaps = sim.run(n_steps, stride, flux_schedule=schedule)
+    stride = _check_work(spec, sim.dt, program.n_cells + 1, "synthesis.n_cells", whole_steps=True)
+    snaps = sim.run(math.ceil(spec.t_end / sim.dt), stride, flux_schedule=schedule)
     guard = 2.0 * spec.pulse_width + 2.0 * pitch
     meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt, "snapshots": len(snaps)}
     return snaps, guard, meta
-
-
-def _evaluate(snaps, guard, meta, profile, background_c, spec: SimulationSpec, window, name):
-    lo, hi = window
-    r_stop = hi - guard if spec.direction >= 0 else lo + guard
-    ts, rs = front_trajectory(snaps, spec.front_threshold, spec.direction, r_stop=r_stop)
-    if len(ts) < 3:
-        raise FrontNotFound(f"{name}: fewer than 3 front samples inside the window")
-    max_rel, ts_used, rs_used, ray_at = compare_front_to_ray(
-        ts, rs, profile, background_c, spec.direction
-    )
-    return SolverResult(
-        solver=name,
-        passed=max_rel <= spec.tolerance,
-        max_rel_deviation=max_rel,
-        n_compared=len(ts_used),
-        grid=meta,
-        front_times=ts_used,
-        front_positions=rs_used,
-        ray_positions=ray_at,
-    )
 
 
 def verify_program(
@@ -300,20 +257,30 @@ def verify_program(
     on_snapshots(solver, snapshots) is called as soon as each solver has run,
     before its front is compared with the ray.
     """
-    window = program.coord_window
+    lo, hi = program.coord_window
     bg = program.background_c
     results = {}
-    all_snaps = {}
-    if spec.solver in ("continuum", "both"):
-        snaps, guard, meta = _run_continuum(profile, spec, window, bg)
-        on_snapshots("continuum", snaps)
-        results["continuum"] = _evaluate(snaps, guard, meta, profile, bg, spec, window, "continuum")
-        all_snaps["continuum"] = snaps
-    if spec.solver in ("ladder", "both"):
-        snaps, guard, meta = _run_ladder(profile, program, spec)
-        on_snapshots("ladder", snaps)
-        results["ladder"] = _evaluate(snaps, guard, meta, profile, bg, spec, window, "ladder")
-        all_snaps["ladder"] = snaps
+    for name in ("continuum", "ladder"):
+        if spec.solver not in (name, "both"):
+            continue
+        # looked up when called, so that a replaced runner is the one that runs
+        snaps, guard, meta = globals()[f"_run_{name}"](program, profile, spec)
+        on_snapshots(name, snaps)
+        r_stop = hi - guard if spec.direction >= 0 else lo + guard
+        ts, rs = front_trajectory(snaps, spec.front_threshold, spec.direction, r_stop=r_stop)
+        if len(ts) < 3:
+            raise FrontNotFound(f"{name}: fewer than 3 front samples inside the window")
+        max_rel, ts_used, rs_used, ray_at = compare_front_to_ray(ts, rs, profile, bg, spec.direction)
+        results[name] = SolverResult(
+            solver=name,
+            passed=max_rel <= spec.tolerance,
+            max_rel_deviation=max_rel,
+            n_compared=len(ts_used),
+            grid=meta,
+            front_times=ts_used,
+            front_positions=rs_used,
+            ray_positions=ray_at,
+        )
 
     speeds = {"c_over_c0": bg / program.c0}
     if profile.kind == "alcubierre":
@@ -326,5 +293,4 @@ def verify_program(
         background_c=bg,
         solvers=results,
         speeds=speeds,
-        snapshots=all_snaps,
     )

@@ -247,6 +247,32 @@ def test_simulate_runs_ladder_solver_too(tmp_path):
     assert set(report["solvers"]) == {"continuum", "ladder"}
 
 
+def test_verification_json_schema(tmp_path):
+    # verification.json holds the report's dataclass fields, so a new field shows here
+    argv = ["simulate", "--preset", "godel", "--set", "simulation.solver=both", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "verification.json").read_text())
+    assert set(report) == {"background_c", "config_hash", "passed", "solvers", "speeds", "tolerance"}
+    assert set(report["solvers"]) == {"continuum", "ladder"}
+    grids = {"continuum": {"n_points", "dx", "dt", "snapshots"}, "ladder": {"n_cells", "pitch", "dt", "snapshots"}}
+    for solver, grid in grids.items():
+        res = report["solvers"][solver]
+        assert set(res) == {
+            "solver",
+            "passed",
+            "max_rel_deviation",
+            "n_compared",
+            "grid",
+            "front_times",
+            "front_positions",
+            "ray_positions",
+        }
+        assert res["solver"] == solver
+        assert set(res["grid"]) == grid
+        for key in ("front_times", "front_positions", "ray_positions"):
+            assert len(res[key]) == res["n_compared"]
+
+
 def test_simulate_snapshot_csv_is_the_run_record(tmp_path):
     rc = main(["simulate", "--preset", "flat", "--out", str(tmp_path),
                "--set", "simulation.solver=both", "--set", "simulation.n_points=64"])
@@ -434,6 +460,17 @@ def test_run_beyond_cell_step_budget_exits_1_naming_grid(tmp_path, capsys, overr
          "simulation.t_end: t_end / dt = 1.9666e+06 steps (dt = 2.23737e-06, set by simulation.n_points)"),
         (["simulate", "--preset", "godel", "--set", "simulation.n_points=100000", "--set", "simulation.t_end=0.1"],
          "simulation.snapshot_stride: 161 snapshots of 100000 values (set by simulation.n_points)"),
+        # the ladder's bounds, checked on t_end / dt before its step count is rounded up
+        (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "simulation.t_end=1e6"],
+         "simulation.t_end: t_end / dt = 1.34737e+08 steps (dt = 0.00742187, set by synthesis.n_cells)"
+         " exceeds the limit of 1048576\n"),
+        (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "simulation.t_end=1e308"],
+         "simulation.t_end: t_end / dt = inf steps (dt = 0.00742187, set by synthesis.n_cells)"
+         " exceeds the limit of 1048576\n"),
+        (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "synthesis.n_cells=4000",
+          "--set", "simulation.snapshot_stride=1"],
+         "simulation.snapshot_stride: 9266 snapshots of 4001 values (set by synthesis.n_cells)"
+         " exceed the limit of 8388608 values\n"),
     ],
 )
 def test_unbounded_or_non_finite_grid_exits_1_naming_field(tmp_path, capsys, argv, error):

@@ -469,12 +469,27 @@ def test_failed_csv_write_keeps_previous_file(tmp_path):
 
 
 def test_write_json_refuses_non_finite_and_leaves_no_file(tmp_path):
-    for bad in (math.nan, math.inf, -math.inf):
+    for bad in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
             write_json(tmp_path / "v.json", {"x": bad}, "h")
     assert list(tmp_path.iterdir()) == []
     path = write_json(tmp_path / "v.json", {"x": 1.5}, "h")
     assert json.loads(path.read_text()) == {"x": 1.5, "config_hash": "h"}
+
+
+def test_write_json_writes_an_array_as_its_list(tmp_path):
+    values = np.array([[0.1, -0.0, 1e-300], [3.0, 2.5, 1.0 / 3.0]])
+    payload = {"grid": {"dt": np.float64(0.25)}, "values": values, "front": np.arange(3.0)}
+    listed = {"grid": {"dt": 0.25}, "values": values.tolist(), "front": [0.0, 1.0, 2.0]}
+    got = write_json(tmp_path / "a.json", payload, "h").read_bytes()
+    assert got == write_json(tmp_path / "b.json", listed, "h").read_bytes()
+
+
+def test_write_json_refuses_any_other_object_json_cannot_encode(tmp_path):
+    for unencodable in ({1, 2}, np.float32(1.5), object()):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "v.json", {"x": unencodable}, "h")
+    assert list(tmp_path.iterdir()) == []
 
 
 def assert_writes_reference(tmp_path_factory, rows, expected):

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from fluxline.csvio import write_json
 from fluxline.metrics import (
     AlcubierreParams,
     GodelParams,
@@ -43,17 +45,20 @@ def test_godel_program_passes_default_tolerance():
         assert res.max_rel_deviation <= 0.05
 
 
-def test_report_serializes_to_json():
+def test_report_serializes_to_json(tmp_path):
     prof = flat_profile()
     cfg = ArrayConfig(n_cells=64)
     program = synthesize_program(prof, 0.0, cfg, (0.0, 10.0))
     spec = SimulationSpec(pulse_center=1.0, pulse_width=0.2, t_end=4.0, n_points=400)
-    report = verify_program(program, prof, spec)
-    doc = json.loads(json.dumps(report.to_dict()))
+    handed = {}
+    report = verify_program(program, prof, spec, handed.__setitem__)
+    doc = json.loads(write_json(tmp_path / "verification.json", asdict(report)).read_text())
     assert doc["passed"] is True
     assert "continuum" in doc["solvers"]
+    assert doc["solvers"]["continuum"]["front_times"] == report.solvers["continuum"].front_times.tolist()
+    # the snapshots are handed to the caller, not kept in the report
     assert "snapshots" not in doc
-    assert report.snapshots["continuum"]
+    assert handed["continuum"]
 
 
 def test_speed_bookkeeping_for_moving_bubble():
@@ -77,9 +82,12 @@ def test_superluminal_front_locks_to_pattern_speed():
     # i.e. it moves at the flux-pattern speed, about 0.6 c0 for these numbers
     p = AlcubierreParams(vs_over_c=1.5, bubble_radius_R=2.0, x_s0=6.0, top_hat=True)
     prof = alcubierre_profile(p)
+    cfg = ArrayConfig(n_cells=256)
+    program = synthesize_program(prof, -0.449 * math.pi, cfg, (0.0, 40.0), np.linspace(0, 40, 17))
     bg = math.sqrt(math.cos(0.449 * math.pi))
+    assert program.background_c == bg
     spec = SimulationSpec(pulse_center=6.0, pulse_width=0.35, t_end=40.0, n_points=900)
-    snaps, guard, _ = _run_continuum(prof, spec, (0.0, 40.0), bg)
+    snaps, guard, _ = _run_continuum(program, prof, spec)
     ts, rs = front_trajectory(snaps, 0.05, 1, r_stop=40.0 - guard)
     third = len(ts) // 3
     slope = np.polyfit(ts[-third:], rs[-third:], 1)[0]
@@ -95,7 +103,7 @@ def test_front_never_exceeds_local_speed():
     program = synthesize_program(prof, 0.45 * math.pi, cfg, (0.0, 3.8))
     bg = program.background_c
     spec = SimulationSpec(pulse_center=0.4, pulse_width=0.12, t_end=4.4, n_points=900)
-    snaps, guard, _ = _run_continuum(prof, spec, (0.0, 3.8), bg)
+    snaps, guard, _ = _run_continuum(program, prof, spec)
     ts, rs = front_trajectory(snaps, 0.05, 1, r_stop=3.8 - guard)
     speeds = np.diff(rs) / np.diff(ts)
     mids = 0.5 * (rs[:-1] + rs[1:])
