@@ -19,13 +19,15 @@ keeps computing on the first CPU; at block exit it formats the units left,
 reaps the helpers and joins the parts in order. Outside a block write_csv is a
 block of its own. The bytes do not depend on who took which unit. One CPU, no
 os.fork, a second thread when the block opens (a forked child could deadlock),
-or a grid of fewer than 4 units means no helper: the caller writes that grid
-whole at block exit. Every emitted file starts with a comment line (CSV) or a
-field (JSON) carrying the hash of the configuration that produced it. CSV and
-JSON files are written to a temporary sibling and moved into place with
-os.replace, so a reader sees either the old file or the complete new one, and a
-failed write leaves no partial file behind. JSON is standard: NaN and
-infinities are refused, also inside an ndarray, which is written as its list.
+or a grid of fewer than 4 units means no helper: the grid is one unit, which
+the caller formats at block exit before it takes units of grids that have
+helpers, so that they keep the other CPUs busy meanwhile. Every emitted file
+starts with a comment line (CSV) or a field (JSON) carrying the hash of the
+configuration that produced it. CSV and JSON files are written to a temporary
+sibling and moved into place with os.replace, so a reader sees either the old
+file or the complete new one, and a failed write leaves no partial file
+behind. JSON is standard: NaN and infinities are refused, also inside an
+ndarray, which is written as its list.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def emission():
         if len(cpus) > 1:
             os.sched_setaffinity(0, cpus[:1])  # a kernel need not move a child off its parent's CPU
         yield
-        for units in queue:
+        # grids without a helper first, while the helpers format the others
+        for units in sorted(queue, key=lambda units: bool(units.pids)):
             units.take()
         for units in queue:
             units.join()
@@ -202,7 +205,7 @@ class _Units:
         self.path, self.head, self.grid, self.pids = path, head, grid, []
         n_units = min(-(-grid.rows // grid.chunk_rows), MAX_UNITS)
         if (n := min(len(cpus), n_units // 2)) < 2:
-            n_units = 0  # no helper: the caller writes the grid whole at block exit
+            n_units = min(n_units, 1)  # no helper: the caller formats the grid as one unit
         starts = np.arange(math.prod(grid.blocks))[:, None] * grid.n_rows + range(0, grid.n_rows, grid.chunk_rows)
         self.bounds = [*np.searchsorted(starts.ravel(), np.arange(n_units) * grid.rows / n_units).tolist(), None]
         self.parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(n_units)]
@@ -237,7 +240,6 @@ class _Units:
                 raise ChildProcessError(f"formatting {self.path.name}: a helper exited with {code}")
         with _replaced_atomically(self.path) as fh:
             fh.write(self.head)
-            fh.writelines(() if self.parts else self.grid.texts(0, None))
             fh.flush()
             for part in self.parts:
                 with open(part, "rb") as src:

@@ -27,13 +27,13 @@ share.
 
 Each kind has one formula, written with operators that act alike on a Python
 float and on an ndarray. Kind.bind binds it to its params once per
-SpeedProfile, computing there what depends on the params alone (2a, 2M,
-(M cos theta)^2, 2 tanh(sigma R)). A Python float goes straight to it and a
-Python float comes back: the ray tracer calls the profile once per RK4
-stage, and a numpy round-trip per call would cost several times the
-arithmetic. Anything else (lists, ndarrays, 0-d arrays, numpy scalars) is
-converted once with np.asarray(..., dtype=float); an array point returns an
-ndarray and a 0-d point a Python float. Both paths give the same bits: IEEE
+SpeedProfile, as SpeedProfile.formula, computing there what depends on the
+params alone (2a, 2M, (M cos theta)^2, 2 tanh(sigma R)). A Python float goes
+straight to it and a Python float comes back: the ray tracer calls formula
+once per RK4 stage, and a numpy round-trip per call would cost several times
+the arithmetic. speed_sq converts anything else (lists, ndarrays, 0-d arrays,
+numpy scalars) once with np.asarray(..., dtype=float); an array point returns
+an ndarray and a 0-d point a Python float. Both paths give the same bits: IEEE
 +, -, *, / and abs round alike in both, (M - r)^2 is written d * d because
 numpy squares arrays by multiplication, and smooth bubble walls call np.tanh
 even on a float, because math.tanh differs from numpy's SIMD tanh in the
@@ -306,16 +306,18 @@ class SpeedProfile:
     kind names an entry of KINDS and params is an instance of its parameter
     dataclass. valid_range is the r interval callers may rely on; tabulated
     profiles enforce it hard, the analytic ones use it to bound solvers and
-    ray tracers.
+    ray tracers. formula(r, t, background_c) is the kind's formula bound to
+    params: a Python float r gives a Python float, an ndarray r an ndarray
+    (see module doc); speed_sq also takes any other point.
     """
 
     kind: str
     params: object
     valid_range: tuple[float, float]
-    _formula: Callable = field(init=False, repr=False, compare=False)
+    formula: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_formula", KINDS[self.kind].bind(self.params))
+        object.__setattr__(self, "formula", KINDS[self.kind].bind(self.params))
 
     def __reduce__(self):
         # the bound formula is a closure; a copy or an unpickled profile binds its own
@@ -328,8 +330,8 @@ class SpeedProfile:
     def speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> ArrayLike:
         """Evaluate the profile; may return negative values (see module doc)."""
         if type(r) is float:
-            return self._formula(r, t, background_c)
-        out = self._formula(np.asarray(r, dtype=float), t, background_c)
+            return self.formula(r, t, background_c)
+        out = self.formula(np.asarray(r, dtype=float), t, background_c)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
     def finite_speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> np.ndarray:

@@ -18,6 +18,11 @@ sqrt(L0 C), and since L_i >= L0 for any flux, the bound never tightens
 below sqrt(L0 C) during a run. Cells with |cos theta_i| < 1e-9 have
 effectively infinite inductance and are rejected (SingularInductance).
 
+A flux schedule takes the (k, 1) half-step times of a block of up to
+BLOCK_STEPS steps that run() will take and returns (k, n_cells) angles,
+turned into inductances at once by set_flux's checks; each step applies its
+row, and step() alone is a block of one.
+
 Boundaries: "reflecting" leaves the end nodes open-circuited; "absorbing"
 terminates both ends with the matched impedance sqrt(L0 / C).
 """
@@ -28,7 +33,7 @@ import math
 
 import numpy as np
 
-from .continuum import GaussianPulse
+from .continuum import BLOCK_STEPS, GaussianPulse
 from .fronts import Snapshots
 
 __all__ = [
@@ -107,17 +112,30 @@ class LadderSim:
 
     def set_flux(self, theta_total):
         """Apply total flux angles per cell (scalar broadcasts)."""
-        theta = np.broadcast_to(np.asarray(theta_total, dtype=float), (self.n_cells,)).copy()
+        for _ in self._set_flux_rows(np.broadcast_to(theta_total, (1, self.n_cells))):
+            pass
+
+    def _set_flux_rows(self, theta_total):
+        """Apply each row of a (k, n_cells) block of angles in turn, yielding after each.
+
+        The block is converted at once; a bad row raises when it is applied.
+        """
+        theta = np.array(theta_total, dtype=float)
         cos = np.abs(np.cos(theta))
-        if np.any(cos < COS_FLOOR):
-            i = int(np.argmin(cos))
-            raise SingularInductance(
-                f"|cos theta| = {cos[i]} < {COS_FLOOR} at cell {i}"
-            )
-        self.theta = theta
-        self.inductance = self.L0 / cos
-        if self.dt >= math.sqrt(float(self.inductance.min()) * self.capacitance):
-            raise StabilityViolation("dt at or above sqrt(L_min C) after flux update")
+        singular = np.any(cos < COS_FLOOR, axis=1).tolist()
+        inductance = self.L0 / cos
+        unstable = (self.dt >= np.sqrt(inductance.min(axis=1) * self.capacitance)).tolist()
+        for j in range(len(theta)):
+            if singular[j]:
+                i = int(np.argmin(cos[j]))
+                raise SingularInductance(
+                    f"|cos theta| = {cos[j, i]} < {COS_FLOOR} at cell {i}"
+                )
+            self.theta = theta[j]
+            self.inductance = inductance[j]
+            if unstable[j]:
+                raise StabilityViolation("dt at or above sqrt(L_min C) after flux update")
+            yield
 
     def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
         """Launch a one-directional voltage pulse.
@@ -134,24 +152,41 @@ class LadderSim:
         self._v_prev = self.voltages.copy()
         self.time = 0.0
 
-    def step(self, flux_schedule=None):
-        """Advance one step; flux_schedule(t) may retune the cells first.
+    def _steps(self, n_steps: int, flux_schedule):
+        """Take n_steps steps, yielding the count after each; flux_schedule retunes the cells first.
 
-        The schedule is sampled at the half step where the branch currents
-        live.
+        It is sampled at the half steps, where the branch currents live, from
+        the same += dt as self.time, and never past the last step.
         """
-        if flux_schedule is not None:
-            self.set_flux(flux_schedule(self.time + 0.5 * self.dt))
-        self._v_prev = self.voltages
-        self.voltages, self.branch_flux, _ = ladder_step(
-            self.voltages,
-            self.branch_flux,
-            self.inductance,
-            self.capacitance,
-            self.dt,
-            self.z_load,
-        )
-        self.time += self.dt
+        done = 0
+        while done < n_steps:
+            k = min(BLOCK_STEPS, n_steps - done)
+            tunings = range(k)
+            if flux_schedule is not None:
+                halves, t = [], self.time
+                for _ in range(k):
+                    halves.append(t + 0.5 * self.dt)
+                    t += self.dt
+                theta = flux_schedule(np.array(halves)[:, None])
+                tunings = self._set_flux_rows(np.broadcast_to(theta, (k, self.n_cells)))
+            for _ in tunings:
+                self._v_prev = self.voltages
+                self.voltages, self.branch_flux, _ = ladder_step(
+                    self.voltages,
+                    self.branch_flux,
+                    self.inductance,
+                    self.capacitance,
+                    self.dt,
+                    self.z_load,
+                )
+                self.time += self.dt
+                done += 1
+                yield done
+
+    def step(self, flux_schedule=None):
+        """Advance one step, a block of one; flux_schedule may retune the cells first (see _steps)."""
+        for _ in self._steps(1, flux_schedule):
+            pass
 
     def run(self, n_steps: int, snapshot_stride: int = 10, flux_schedule=None) -> Snapshots:
         """Step n_steps times, recording the voltages every snapshot_stride steps.
@@ -161,8 +196,7 @@ class LadderSim:
         they are and copied once, into the record's values.
         """
         times, values = [self.time], [self.voltages]
-        for k in range(1, n_steps + 1):
-            self.step(flux_schedule)
+        for k in self._steps(n_steps, flux_schedule):
             if k % snapshot_stride == 0 or k == n_steps:
                 times.append(self.time)
                 values.append(self.voltages)

@@ -6,8 +6,8 @@ classical 4th-order single-step scheme at fixed step size; it terminates
 early (with a status flag, not an exception) when the path leaves the
 profile's valid range or runs into speed_sq < 0. A non-finite speed_sq
 (an overflow far out on an unbounded range) raises ProfileEvaluationError:
-no path through it exists. Every stage evaluates through profile.speed_sq,
-bound once per trace and called on Python floats (see metrics).
+no path through it exists. Every stage calls profile.formula, the kind's
+formula bound to its params, on Python floats (see metrics).
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def trace_null_geodesic(
         raise ValueError("dt must be > 0")
 
     lo, hi = profile.valid_range
-    speed_sq = profile.speed_sq
+    speed_sq = profile.formula
     velocity = direction * background_c
 
     def rhs(r: float, t: float) -> float:

@@ -231,7 +231,7 @@ def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpe
     if profile.time_dependent:
 
         def schedule(t):
-            """Total flux angle per cell at time t, from the same inversion."""
+            """Total flux angle per cell at the (k, 1) half-step times t, a row per time, from the same inversion."""
             s = np.asarray(profile.speed_sq(sim.cell_r, t, background_c=program.background_c), dtype=float)
             return invert_speed_sq(s, program.theta_dc)[1]
 

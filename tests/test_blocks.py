@@ -1,0 +1,236 @@
+"""Moving profiles evaluated once per block of steps, against per-step loops.
+
+The continuum solver evaluates a moving profile, and the ladder samples its
+flux schedule, for a block of up to BLOCK_STEPS upcoming step times in one
+numpy call. The
+reference loops below are the solvers' step loops as first written, one
+profile evaluation per step; every operation involved is elementwise, so the
+snapshots must agree bit for bit, and every refusal must come at the same
+step with the same text.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fluxline.config import load_raw_config, validate_config
+from fluxline.synthesis import invert_speed_sq
+from fluxline.wavelab import (
+    CflViolation,
+    ContinuumGrid,
+    ContinuumSolver,
+    GaussianPulse,
+    LadderSim,
+    SingularInductance,
+    StabilityViolation,
+    ladder_step,
+)
+from fluxline.wavelab.continuum import BLOCK_STEPS, fdtd_step
+from fluxline.wavelab.fronts import Snapshots
+from fluxline.wavelab.ladder import COS_FLOOR
+
+THETA_DC = -0.36 * math.pi
+BG = math.sqrt(math.cos(THETA_DC))
+PROFILES = {
+    "top_hat": [],
+    "smooth_wall": ["metric.top_hat=false", "metric.sigma=8"],
+}
+# one run shorter than a block, one across two block boundaries
+STEPS = (BLOCK_STEPS // 2 + 3, 2 * BLOCK_STEPS + 5)
+
+
+def alcubierre(wall):
+    return validate_config(load_raw_config(preset="alcubierre", overrides=PROFILES[wall])).profile
+
+
+class Recording:
+    """A profile that records every time it is evaluated at."""
+
+    def __init__(self, profile):
+        self._profile = profile
+        self.times = []
+
+    def __getattr__(self, name):
+        return getattr(self._profile, name)
+
+    def speed_sq(self, r, t=0.0, background_c=1.0):
+        self.times.extend(np.ravel(t).tolist())
+        return self._profile.speed_sq(r, t, background_c)
+
+
+def continuum_solver(profile):
+    grid = ContinuumGrid(n_points=400, dx=40.0 / 399, cfl_factor=0.5)
+    solver = ContinuumSolver(profile, grid, BG)
+    solver.initialize_pulse(GaussianPulse(6.0, 0.35), 1)
+    return solver
+
+
+def reference_continuum_run(solver, t_end, stride):
+    """ContinuumSolver.run as first written: the profile evaluated at each step's own time."""
+
+    def face_and_speed(t):
+        s2 = solver.profile.speed_sq(solver.r, t, background_c=solver.background_c)
+        node = solver.background_c**2 * np.asarray(s2, dtype=float)
+        face = 0.5 * (node[:-1] + node[1:])
+        return face, math.sqrt(max(float(np.max(face)), 0.0))
+
+    dx, dt = solver.grid.dx, solver.dt
+    times, values = [solver.time - dt], [solver.psi_prev]
+    steps = 0
+    while solver.time < t_end - 1e-12:
+        face, c_inst = face_and_speed(solver.time)
+        if dt * c_inst > solver.grid.cfl_factor * dx * (1.0 + 1e-9):
+            raise CflViolation(f"instantaneous c_max {c_inst} breaks the bound used for dt = {dt}")
+        nxt = fdtd_step(solver.psi_prev, solver.psi_cur, face, dx, dt, solver._damping, np.zeros(len(solver.r)))
+        solver.psi_prev, solver.psi_cur = solver.psi_cur, nxt
+        solver.time += dt
+        steps += 1
+        if steps % stride == 0:
+            times.append(solver.time)
+            values.append(solver.psi_cur)
+    if times[-1] < solver.time:
+        times.append(solver.time)
+        values.append(solver.psi_cur)
+    return Snapshots(np.array(times), solver.r, np.array(values))
+
+
+def ladder_sim():
+    sim = LadderSim(n_cells=128, pitch=40.0 / 128, boundary="absorbing")
+    sim.initialize_pulse(GaussianPulse(6.0, 0.35), 1)
+    return sim
+
+
+def profile_schedule(profile, sim):
+    def schedule(t):
+        """Total flux angle per cell at the half-step times t, as verify builds it."""
+        s = np.asarray(profile.speed_sq(sim.cell_r, t, background_c=BG), dtype=float)
+        return invert_speed_sq(s, THETA_DC)[1]
+
+    return schedule
+
+
+def reference_ladder_run(sim, n_steps, stride, schedule):
+    """LadderSim.run as first written: the schedule sampled and the cells retuned at each half step."""
+    times, values = [sim.time], [sim.voltages]
+    for k in range(1, n_steps + 1):
+        theta = np.broadcast_to(np.asarray(schedule(sim.time + 0.5 * sim.dt), dtype=float), (sim.n_cells,)).copy()
+        cos = np.abs(np.cos(theta))
+        if np.any(cos < COS_FLOOR):
+            i = int(np.argmin(cos))
+            raise SingularInductance(f"|cos theta| = {cos[i]} < {COS_FLOOR} at cell {i}")
+        sim.theta = theta
+        sim.inductance = sim.L0 / cos
+        if sim.dt >= math.sqrt(float(sim.inductance.min()) * sim.capacitance):
+            raise StabilityViolation("dt at or above sqrt(L_min C) after flux update")
+        sim._v_prev = sim.voltages
+        sim.voltages, sim.branch_flux, _ = ladder_step(
+            sim.voltages, sim.branch_flux, sim.inductance, sim.capacitance, sim.dt, sim.z_load
+        )
+        sim.time += sim.dt
+        if k % stride == 0 or k == n_steps:
+            times.append(sim.time)
+            values.append(sim.voltages)
+    return Snapshots(np.array(times), sim.node_r, np.array(values))
+
+
+def assert_same_snapshots(got, want):
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", STEPS)
+@pytest.mark.parametrize("wall", sorted(PROFILES))
+def test_continuum_blocks_match_per_step_loop(wall, n_steps):
+    profile = alcubierre(wall)
+    solver, ref = continuum_solver(Recording(profile)), continuum_solver(Recording(profile))
+    t_end = (n_steps + 0.5) * solver.dt
+    got = solver.run(t_end, 7)
+    want = reference_continuum_run(ref, t_end, 7)
+    assert_same_snapshots(got, want)
+    # the profile is asked for the times the per-step loop asks for, none past the last step
+    assert solver.profile.times == ref.profile.times
+    assert len(solver.profile.times) == 2 + n_steps  # initialize_pulse evaluates twice at 0
+
+
+@pytest.mark.parametrize("n_steps", STEPS)
+@pytest.mark.parametrize("wall", sorted(PROFILES))
+def test_ladder_blocks_match_per_step_loop(wall, n_steps):
+    profile = alcubierre(wall)
+    sim, ref = ladder_sim(), ladder_sim()
+    seen, ref_seen = [], []
+
+    def recorded(sim, seen):
+        schedule = profile_schedule(profile, sim)
+
+        def record(t):
+            seen.extend(np.ravel(t).tolist())
+            return schedule(t)
+
+        return record
+
+    got = sim.run(n_steps, 7, flux_schedule=recorded(sim, seen))
+    want = reference_ladder_run(ref, n_steps, 7, recorded(ref, ref_seen))
+    assert_same_snapshots(got, want)
+    assert sim.inductance.tobytes() == ref.inductance.tobytes()
+    # the schedule is asked for the half-step times the per-step loop asks for, none past the last step
+    assert seen == ref_seen
+    assert len(seen) == n_steps
+
+
+# the step that refuses, in the middle of the second block
+RAISE_AT = BLOCK_STEPS + 6
+
+
+def window_schedule(sim):
+    """Every cell at 0.3, and from step RAISE_AT on cell 5 at pi/2, where its inductance diverges."""
+    cell5 = np.arange(sim.n_cells) == 5
+    return lambda t: np.where(cell5 & (np.asarray(t) > RAISE_AT * sim.dt), math.pi / 2, 0.3)
+
+
+def softening_schedule(sim):
+    """Every cell at 1.0, then 0.2 from step RAISE_AT on, which puts L_min below dt^2 / C for this dt."""
+    sim.dt = 1.2 * math.sqrt(sim.L0 * sim.capacitance)
+    return lambda t: np.where(np.asarray(t) > RAISE_AT * sim.dt, 0.2, 1.0) + np.zeros(sim.n_cells)
+
+
+@pytest.mark.parametrize(
+    "make_schedule, error",
+    [(window_schedule, SingularInductance), (softening_schedule, StabilityViolation)],
+    ids=["singular", "unstable"],
+)
+def test_ladder_refuses_mid_block_at_the_reference_step(make_schedule, error):
+    sim, ref = ladder_sim(), ladder_sim()
+    with pytest.raises(error) as got:
+        sim.run(2 * BLOCK_STEPS, 7, flux_schedule=make_schedule(sim))
+    with pytest.raises(error) as want:
+        reference_ladder_run(ref, 2 * BLOCK_STEPS, 7, make_schedule(ref))
+    assert str(got.value) == str(want.value)
+    assert sim.time == ref.time == pytest.approx(RAISE_AT * sim.dt, rel=1e-12)
+    assert sim.voltages.tobytes() == ref.voltages.tobytes()
+    # a row that breaks the stability bound is applied before it raises
+    assert sim.inductance.tobytes() == ref.inductance.tobytes()
+
+
+class Quickening:
+    """A moving profile with speed_sq 1 that jumps to 4 from t_jump on."""
+
+    def __init__(self, t_jump):
+        self.t_jump = t_jump
+
+    def speed_sq(self, r, t=0.0, background_c=1.0):
+        return np.where(np.asarray(t) >= self.t_jump, 4.0, 1.0) + np.zeros_like(r)
+
+
+def test_continuum_refuses_mid_block_at_the_reference_step():
+    solver, ref = continuum_solver(alcubierre("top_hat")), continuum_solver(alcubierre("top_hat"))
+    # dt is set from the supremum (1 + vs)^2 = 2.25, which speed_sq 4 breaks
+    for s in (solver, ref):
+        s.profile = Quickening((RAISE_AT + 0.5) * s.dt)
+    with pytest.raises(CflViolation) as got:
+        solver.run(3 * BLOCK_STEPS * solver.dt, 7)
+    with pytest.raises(CflViolation) as want:
+        reference_continuum_run(ref, 3 * BLOCK_STEPS * ref.dt, 7)
+    assert str(got.value) == str(want.value)
+    assert solver.time == ref.time == pytest.approx((RAISE_AT + 1) * solver.dt, rel=1e-12)
+    assert solver.psi_cur.tobytes() == ref.psi_cur.tobytes()

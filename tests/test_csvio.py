@@ -1,5 +1,6 @@
 """CSV/JSON emission: byte contract, row order of the producers, atomic writes."""
 
+import contextlib
 import json
 import math
 import os
@@ -373,6 +374,50 @@ def test_written_bytes_do_not_depend_on_which_process_takes_which_unit(tmp_path,
     assert [p.name for p in target.parent.iterdir()] == ["t.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["ok", "failing"])
+def test_block_exit_formats_helperless_grids_first(tmp_path, monkeypatch, failing):
+    # a grid of 2 units has no helper; the caller formats it at block exit
+    # before any unit of the grid queued ahead of it, whose helper stalls
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    log = tmp_path / "units.log"
+    parent = logged_units(monkeypatch, log)
+    texts, take = csvio.Grid.texts, csvio._Units.take
+
+    def failing_texts(self, lo, hi):
+        if failing and self.rows == 4:
+            raise RuntimeError("unit failed")
+        return texts(self, lo, hi)
+
+    def helper_take(self):
+        if os.getpid() != parent:
+            time.sleep(0.3)
+        take(self)
+
+    monkeypatch.setattr(csvio.Grid, "texts", failing_texts)
+    monkeypatch.setattr(csvio._Units, "take", helper_take)
+    out = tmp_path / "out"
+    big, small = block_grid(), block_grid(n_blocks=1, n_rows=4)
+    with pytest.raises(RuntimeError) if failing else contextlib.nullcontext():
+        with csvio.emission():
+            write_csv(out / "big.csv", big[0], csvio.grid_lines(*big[1]), "h")
+            write_csv(out / "small.csv", small[0], csvio.grid_lines(*small[1]), "h")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if failing:
+        # a failed unit leaves no file, not even the one whose units had all been formatted
+        assert list(out.iterdir()) == []
+        return
+    order = [tuple(line.split()) for line in log.read_text().splitlines() if int(line.split()[0]) == parent]
+    assert order[0] == (str(parent), "0", "None")  # the small grid, as one unit
+    assert len(order) > 1  # then units of the big grid, while the helper stalls
+    assert (out / "big.csv").read_bytes() == reference_csv(big[0], big[2], "h")
+    assert (out / "small.csv").read_bytes() == reference_csv(small[0], small[2], "h")
+    assert sorted(p.name for p in out.iterdir()) == ["big.csv", "small.csv"]
 
 
 @pytest.mark.parametrize("why", ["one_cpu", "no_affinity", "no_fork", "second_thread"])

@@ -17,6 +17,7 @@ from fluxline.wavelab import (
     measure_front_speed,
 )
 from fluxline.wavelab.fronts import front_trajectory
+from fluxline.wavelab.continuum import BLOCK_STEPS
 from fluxline.wavelab.ladder import ladder_step
 
 
@@ -111,16 +112,20 @@ def test_time_varying_flux_enters_through_branch_flux():
 
 
 def test_flux_schedule_is_sampled_at_each_half_step():
-    # the branch currents live at (k + 1/2) dt, so that is where the cells are retuned
+    # the branch currents live at (k + 1/2) dt, so that is where the cells are
+    # retuned; the schedule gets a (k, 1) column of half-step times per block
     sim = LadderSim(n_cells=8)
+    n_steps = BLOCK_STEPS + 3  # a full block, then a short one
     seen = []
 
     def schedule(t):
-        seen.append(t)
-        return 0.0
+        assert t.ndim == 2 and t.shape[1] == 1
+        seen.extend(t[:, 0])
+        return math.pi / 3  # a scalar broadcasts to every cell and half step
 
-    sim.run(4, 2, flux_schedule=schedule)
-    np.testing.assert_allclose(seen, (np.arange(4) + 0.5) * sim.dt, rtol=1e-12)
+    sim.run(n_steps, 2, flux_schedule=schedule)
+    np.testing.assert_allclose(seen, (np.arange(n_steps) + 0.5) * sim.dt, rtol=1e-12)
+    np.testing.assert_allclose(sim.inductance, np.full(8, 2.0 * sim.L0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("n_steps, recorded", [(10, [0, 4, 8, 10]), (8, [0, 4, 8]), (0, [0])])

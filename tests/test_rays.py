@@ -137,6 +137,9 @@ class ArrayPointProfile:
     def speed_sq(self, r, t=0.0, background_c=1.0):
         return self._profile.speed_sq(np.asarray(r), t, background_c)
 
+    # the tracer calls the bound formula, so it too takes the ndarray path
+    formula = speed_sq
+
 
 @pytest.mark.parametrize(
     "prof, r0, direction, t_end, bg",
