@@ -19,9 +19,10 @@ keeps computing on the first CPU; at block exit it formats the units left,
 reaps the helpers and joins the parts in order. Outside a block write_csv is a
 block of its own. The bytes do not depend on who took which unit. One CPU, no
 os.fork, a second thread when the block opens (a forked child could deadlock),
-or a grid of fewer than 4 units means no helper: the grid is one unit, which
-the caller formats at block exit before it takes units of grids that have
-helpers, so that they keep the other CPUs busy meanwhile. Every emitted file
+or a grid of fewer than 4 units means no helper. With more than one CPU such a
+grid is one unit, which the caller formats at block exit before it takes units
+of grids that have helpers, so that they keep the other CPUs busy meanwhile;
+with one CPU the caller writes it whole into its file at join. Every emitted file
 starts with a comment line (CSV) or a field (JSON) carrying the hash of the
 configuration that produced it. CSV and JSON files are written to a temporary
 sibling and moved into place with os.replace, so a reader sees either the old
@@ -205,7 +206,8 @@ class _Units:
         self.path, self.head, self.grid, self.pids = path, head, grid, []
         n_units = min(-(-grid.rows // grid.chunk_rows), MAX_UNITS)
         if (n := min(len(cpus), n_units // 2)) < 2:
-            n_units = min(n_units, 1)  # no helper: the caller formats the grid as one unit
+            # no helper: one unit beside other CPUs' helpers, or written whole at join
+            n_units = min(n_units, int(len(cpus) > 1))
         starts = np.arange(math.prod(grid.blocks))[:, None] * grid.n_rows + range(0, grid.n_rows, grid.chunk_rows)
         self.bounds = [*np.searchsorted(starts.ravel(), np.arange(n_units) * grid.rows / n_units).tolist(), None]
         self.parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(n_units)]
@@ -240,6 +242,7 @@ class _Units:
                 raise ChildProcessError(f"formatting {self.path.name}: a helper exited with {code}")
         with _replaced_atomically(self.path) as fh:
             fh.write(self.head)
+            fh.writelines(() if self.parts else self.grid.texts(0, None))
             fh.flush()
             for part in self.parts:
                 with open(part, "rb") as src:

@@ -153,7 +153,7 @@ class ContinuumSolver:
         self._static = None
         if not profile.time_dependent:
             face, speed = self._face_and_speed([0.0])
-            self._static = face[0], speed
+            self._static = face[0], speed[0]
         self._accel = np.zeros(grid.n_points)
         self.psi_prev = np.zeros(grid.n_points)
         self.psi_cur = np.zeros(grid.n_points)
@@ -181,7 +181,7 @@ class ContinuumSolver:
         """c^2 at the cell faces, one row per time, and each row's largest face speed c."""
         if self._static is not None:
             face, speed = self._static
-            return [face] * len(times), speed * len(times)
+            return [face] * len(times), [speed] * len(times)
         node = self._node_speed_sq(times)
         face = 0.5 * (node[:, :-1] + node[:, 1:])
         return face, np.sqrt(np.maximum(face.max(axis=1), 0.0)).tolist()

@@ -156,7 +156,9 @@ class LadderSim:
         """Take n_steps steps, yielding the count after each; flux_schedule retunes the cells first.
 
         It is sampled at the half steps, where the branch currents live, from
-        the same += dt as self.time, and never past the last step.
+        the same += dt as self.time, and never past the last step: it takes a
+        (k, 1) array of a block's half-step times and returns its angles,
+        broadcastable to (k, n_cells).
         """
         done = 0
         while done < n_steps:
@@ -183,9 +185,9 @@ class LadderSim:
                 done += 1
                 yield done
 
-    def step(self, flux_schedule=None):
-        """Advance one step, a block of one; flux_schedule may retune the cells first (see _steps)."""
-        for _ in self._steps(1, flux_schedule):
+    def step(self):
+        """Advance one step with the cells as they are."""
+        for _ in self._steps(1, None):
             pass
 
     def run(self, n_steps: int, snapshot_stride: int = 10, flux_schedule=None) -> Snapshots:

@@ -425,6 +425,7 @@ def test_write_csv_does_not_fork_where_a_fork_is_missing_or_unsafe(tmp_path, mon
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
     placed = on_cpus(monkeypatch, 1 if why == "one_cpu" else 3)
     forks = counted_forks(monkeypatch)
+    monkeypatch.delattr(os, "sendfile")  # Windows lacks it and macOS/BSD send only to a socket
     if why == "no_affinity":
         monkeypatch.delattr(os, "sched_getaffinity")
     if why == "no_fork":
