@@ -2,9 +2,9 @@
 
 CSV output uses '.' decimals and no thousands separators. A column's dtype
 kind picks its format: any float prints with 17 significant digits ('%.17g'
-of its float64 value, the same bytes as format_float, including nan, inf and
--0), so values round-trip exactly; int, uint and bool print as '%d'; every
-other kind prints as '%s' (an object int as str(int)).
+of its float64 value, including nan, inf and -0), so values round-trip
+exactly; int, uint and bool print as '%d'; every other kind prints as '%s'
+(an object int as str(int)).
 
 grid_lines is the one emission path: a producer hands it columns on one
 (blocks, rows) grid, such as a snapshot time per block, the r grid per row and
@@ -47,7 +47,6 @@ import numpy as np
 
 __all__ = [
     "emission",
-    "format_float",
     "grid_lines",
     "write_csv",
     "write_json",
@@ -57,13 +56,6 @@ __all__ = [
 CHUNK_ROWS = 8192
 # most units of one grid CSV: their 4-byte indices fill one PIPE_BUF
 MAX_UNITS = 1024
-
-
-def format_float(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
 
 
 def _spec(dtype: np.dtype) -> str:

@@ -195,6 +195,41 @@ def _alcubierre(params: AlcubierreParams) -> Callable:
     return speed_sq
 
 
+def _alcubierre_ray(params: AlcubierreParams) -> Optional[Callable]:
+    """The top-hat ray, piecewise linear in the comoving xi = r - x_s0 - vs c t; None for smooth walls.
+
+    xi moves at c (d (1 + vs) - vs) inside |xi| <= R and at c (d - vs)
+    outside. Where the region ahead pushes the ray back, or holds it, it
+    rides the wall it reached.
+    """
+    if not params.top_hat:
+        return None
+    R, x_s0, vs = params.bubble_radius_R, params.x_s0, params.vs_over_c
+    walls = (-R, R)  # between regions 0 (behind), 1 (inside) and 2 (ahead)
+
+    def ray(r0, t0, t, direction, background_c):
+        out, inside = background_c * (direction - vs), background_c * (direction * (1.0 + vs) - vs)
+        speeds = (out, inside, out)
+        knots_t, knots_xi = [t0], [r0 - x_s0 - vs * background_c * t0]
+        region = 0 if knots_xi[0] < -R else 2 if knots_xi[0] > R else 1
+        v = speeds[region]
+        while v:
+            ahead = region + (1 if v > 0 else -1)
+            if not 0 <= ahead <= 2:
+                break  # no wall left in its way
+            wall = walls[min(region, ahead)]
+            knots_t.append(knots_t[-1] + (wall - knots_xi[-1]) / v)
+            knots_xi.append(wall)
+            # a region that pushes the ray back, or holds it, keeps it on the wall
+            region, v = ahead, speeds[ahead] if speeds[ahead] * v > 0 else 0.0
+        end = max(knots_t[-1], t[-1])
+        knots_xi.append(knots_xi[-1] + v * (end - knots_t[-1]))
+        knots_t.append(end)
+        return np.interp(t, knots_t, knots_xi) + (x_s0 + vs * background_c * t)
+
+    return ray
+
+
 def _godel(params: GodelParams) -> Callable:
     two_a = 2.0 * params.a
 
@@ -203,6 +238,13 @@ def _godel(params: GodelParams) -> Callable:
         return 1.0 + u * u
 
     return speed_sq
+
+
+def _godel_ray(params: GodelParams) -> Callable:
+    two_a = 2.0 * params.a
+    return lambda r0, t0, t, direction, background_c: two_a * np.sinh(
+        np.arcsinh(r0 / two_a) + direction * background_c * (t - t0) / two_a
+    )
 
 
 def _kerr_extreme(params: KerrExtremeParams) -> Callable:
@@ -244,6 +286,10 @@ def _flat(params: FlatParams) -> Callable:
     return lambda r, t, background_c: 1.0 if type(r) is float else np.ones_like(r)
 
 
+def _flat_ray(params: FlatParams) -> Callable:
+    return lambda r0, t0, t, direction, background_c: r0 + direction * background_c * (t - t0)
+
+
 def _tabulated(params: TabulatedParams) -> Callable:
     lo, hi = float(params.r[0]), float(params.r[-1])
 
@@ -276,7 +322,11 @@ class Kind:
     formula speed_sq(r, t, background_c) bound to params (see module doc).
     sup(params, window) bounds it on the window over all times,
     conservatively, since CFL bounds use it. valid_range is the default
-    domain (None: the span of the samples).
+    domain (None: the span of the samples). ray(params) binds the exact null
+    ray, positions(r0, t0, t, direction, background_c) at an ndarray of
+    times t >= t0 of the ray launched from (t0, r0), or is None where the
+    kind has no closed form: flat, godel and top-hat alcubierre have one,
+    smooth-wall alcubierre, kerr_extreme and tabulated do not.
     """
 
     params: type
@@ -284,15 +334,22 @@ class Kind:
     sup: Callable
     time_dependent: bool
     valid_range: Optional[tuple[float, float]] = FULL_LINE
+    ray: Callable = lambda params: None
 
 
 KINDS: dict[str, Kind] = {
-    "flat": Kind(FlatParams, _flat, lambda p, window: 1.0, False),
-    "alcubierre": Kind(AlcubierreParams, _alcubierre, lambda p, window: (1.0 + p.vs_over_c) ** 2, True),
+    "flat": Kind(FlatParams, _flat, lambda p, window: 1.0, False, ray=_flat_ray),
+    "alcubierre": Kind(
+        AlcubierreParams, _alcubierre, lambda p, window: (1.0 + p.vs_over_c) ** 2, True, ray=_alcubierre_ray
+    ),
     # the radial formula is even in r, so the even extension over the full
     # line is used; this keeps centered stencils at the axis inside range
     "godel": Kind(
-        GodelParams, _godel, lambda p, window: float(_godel(p)(max(abs(window[0]), abs(window[1])), 0.0, 1.0)), False
+        GodelParams,
+        _godel,
+        lambda p, window: float(_godel(p)(max(abs(window[0]), abs(window[1])), 0.0, 1.0)),
+        False,
+        ray=_godel_ray,
     ),
     "kerr_extreme": Kind(KerrExtremeParams, _kerr_extreme, _kerr_extreme_sup, False, HALF_LINE),
     "tabulated": Kind(TabulatedParams, _tabulated, _tabulated_sup, False, None),

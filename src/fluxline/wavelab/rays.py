@@ -1,4 +1,4 @@
-"""Null-characteristic tracing.
+"""Null-characteristic tracing and the verification oracle.
 
 A light front in the reduced section follows dr/dt = direction *
 background_c * sqrt(speed_sq(r, t)). The tracer integrates this with a
@@ -7,7 +7,13 @@ early (with a status flag, not an exception) when the path leaves the
 profile's valid range or runs into speed_sq < 0. A non-finite speed_sq
 (an overflow far out on an unbounded range) raises ProfileEvaluationError:
 no path through it exists. Every stage calls profile.formula, the kind's
-formula bound to its params, on Python floats (see metrics).
+formula bound to its params, on Python floats (see metrics). The raytrace
+command always traces.
+
+oracle_positions is the ray every verification compares a front with. It
+evaluates the kind's exact ray (Kind.ray) where the section has one: flat,
+godel and top-hat alcubierre. Elsewhere (smooth-wall alcubierre,
+kerr_extreme, tabulated) it traces 8192 steps and interpolates linearly.
 """
 
 from __future__ import annotations
@@ -17,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..metrics import ProfileDomainError, ProfileEvaluationError, SpeedProfile
+from ..metrics import KINDS, ProfileDomainError, ProfileEvaluationError, SpeedProfile
 
 __all__ = [
     "RAY_COMPLETED",
     "RAY_LEFT_DOMAIN",
     "RAY_NEGATIVE_SPEED_SQ",
     "RayPath",
+    "oracle_positions",
     "trace_null_geodesic",
 ]
 
@@ -118,3 +125,43 @@ def trace_null_geodesic(
         ts.append(t)
         rs.append(r)
     return RayPath(t=np.asarray(ts), r=np.asarray(rs), direction=direction, status=status)
+
+
+def oracle_positions(profile: SpeedProfile, background_c: float, t, r0: float, direction: int = 1) -> np.ndarray:
+    """The ray launched from (t[0], r0) at the increasing times t, up to where it leaves valid_range.
+
+    Returns the positions at the prefix of t that the ray reaches inside the
+    range; the first is r0. The exact ray is monotone in r, so it is cut at
+    its first sample outside; a traced one is cut where the trace stopped.
+    A launch outside the range raises ProfileDomainError, and a non-finite
+    position ProfileEvaluationError.
+    """
+    t = np.asarray(t, dtype=float)
+    if not profile.contains(r0):
+        raise ProfileDomainError(f"r0 = {r0} outside profile range {profile.valid_range}")
+    exact = KINDS[profile.kind].ray(profile.params)
+    if exact is None:
+        ray = trace_null_geodesic(
+            profile,
+            background_c,
+            r0=r0,
+            t0=float(t[0]),
+            direction=direction,
+            t_end=float(t[-1]) + 1e-12,
+            dt=(float(t[-1]) - float(t[0])) / 8192.0,
+        )
+        t = t[t <= ray.t[-1] + 1e-12]
+        r = np.interp(t, ray.t, ray.r)
+    else:
+        lo, hi = profile.valid_range
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = exact(r0, float(t[0]), t, direction, background_c)
+        r[0] = r0
+        outside = np.flatnonzero((r < lo) | (r > hi))
+        if outside.size:
+            r = r[: outside[0]]
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        i = bad[0]
+        raise ProfileEvaluationError(f"ray position {r[i]} at t = {t[i]} is not finite")
+    return r

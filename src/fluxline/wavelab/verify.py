@@ -3,10 +3,11 @@
 The program's window is simulated with the continuum solver and/or the
 discrete ladder, the leading pulse front is extracted from the snapshots,
 and its trajectory is compared against the null-characteristic oracle
-launched from the measured initial front. The relative deviation is
-normalized by the oracle's distance traveled; samples before
-MIN_TRAVEL_FRAC (15%) of the total travel are skipped so the ratio is well
-conditioned.
+launched from the measured initial front: the exact ray on flat, godel and
+top-hat alcubierre sections, an RK4 trace elsewhere (rays.oracle_positions).
+The relative deviation is normalized by the oracle's distance traveled;
+samples before MIN_TRAVEL_FRAC (15%) of the total travel are skipped so the
+ratio is well conditioned.
 
 The report keeps both lab-frame speed bookkeepings for moving-bubble
 programs (the flux-pattern speed vs_over_c * c and the interior light speed
@@ -31,7 +32,7 @@ from ..synthesis import FluxProgram, invert_speed_sq
 from .continuum import BOUNDARIES, ContinuumGrid, ContinuumSolver, GaussianPulse
 from .fronts import FrontNotFound, Snapshots, front_trajectory
 from .ladder import LadderSim
-from .rays import trace_null_geodesic
+from .rays import oracle_positions
 
 __all__ = [
     "MAX_CELL_STEPS",
@@ -138,25 +139,16 @@ def compare_front_to_ray(
 ):
     """Worst |front - ray| / |ray travel| over the usable samples.
 
-    The oracle is launched from the first measured front sample, so constant
-    pulse-shape offsets do not count against the simulator.
+    The oracle (rays.oracle_positions) is launched from the first measured
+    front sample, so constant pulse-shape offsets do not count against the
+    simulator; samples after it leaves the profile's valid range are dropped.
     """
     ts = np.asarray(front_t, dtype=float)
     rs = np.asarray(front_r, dtype=float)
     if len(ts) < 3:
         raise FrontNotFound("need at least 3 front samples to compare")
-    ray = trace_null_geodesic(
-        profile,
-        background_c,
-        r0=float(rs[0]),
-        t0=float(ts[0]),
-        direction=direction,
-        t_end=float(ts[-1]) + 1e-12,
-        dt=(float(ts[-1]) - float(ts[0])) / 8192.0,
-    )
-    usable = ts <= ray.t[-1] + 1e-12
-    ts, rs = ts[usable], rs[usable]
-    ray_at = np.interp(ts, ray.t, ray.r)
+    ray_at = oracle_positions(profile, background_c, ts, float(rs[0]), direction)
+    ts, rs = ts[: len(ray_at)], rs[: len(ray_at)]
     travel = np.abs(ray_at - ray_at[0])
     total = travel[-1]
     if total <= 0:

@@ -673,9 +673,9 @@ def test_simulate_failing_after_a_queued_snapshot_csv_writes_no_snapshot(tmp_pat
         raise SingularInductance("a cell sits at the pi/2 window")
 
     monkeypatch.setattr(verify, "_run_ladder", singular)
-    # the forks made when each ray oracle starts
-    forks_at_ray, trace = [], verify.trace_null_geodesic
-    monkeypatch.setattr(verify, "trace_null_geodesic", lambda *a, **k: forks_at_ray.append(len(forks)) or trace(*a, **k))
+    # the forks made when each solver's ray oracle starts
+    forks_at_ray, oracle = [], verify.oracle_positions
+    monkeypatch.setattr(verify, "oracle_positions", lambda *a, **k: forks_at_ray.append(len(forks)) or oracle(*a, **k))
     argv = ["simulate", "--preset", "alcubierre", "--set", "simulation.solver=both", "--out", str(tmp_path)]
     assert main(argv) == 4
     # the continuum snapshot CSV was queued, with one helper, before its ray oracle ran

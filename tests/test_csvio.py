@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fluxline import csvio
 from fluxline.cli import _program_rows
-from fluxline.csvio import format_float, write_csv, write_json
+from fluxline.csvio import write_csv, write_json
 from fluxline.synthesis import FeasibilityReport, FluxProgram
 
 FLOATS = st.one_of(
@@ -31,6 +31,14 @@ INTS = st.one_of(
 # '%' is the template's own escape character, so text cells carry it too
 STRS = st.text(alphabet=string.ascii_letters + string.digits + "_-%", max_size=12)
 CELLS = {"float": FLOATS, "int": INTS, "str": STRS}
+
+
+def format_float(x) -> str:
+    """The per-cell float format the emitters reproduce: 17 significant digits, 'nan' for any NaN."""
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    return f"{x:.17g}"
 
 
 def reference_cell(x) -> str:

@@ -1,11 +1,13 @@
-"""Null-characteristic tracer against closed-form trajectories."""
+"""Null-characteristic tracer and verification oracle against closed-form trajectories."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fluxline.metrics import (
+    KINDS,
     AlcubierreParams,
     GodelParams,
     KerrExtremeParams,
@@ -21,8 +23,10 @@ from fluxline.wavelab import (
     RAY_COMPLETED,
     RAY_LEFT_DOMAIN,
     RAY_NEGATIVE_SPEED_SQ,
+    compare_front_to_ray,
     trace_null_geodesic,
 )
+from fluxline.wavelab.rays import oracle_positions
 
 
 def test_flat_ray_is_straight():
@@ -252,3 +256,192 @@ def test_trace_matches_reference_loop_bitwise(case):
     if status == RAY_COMPLETED:
         # the last step is the partial one up to t_end
         assert path.t[-1] == t_end and 0.0 < path.t[-1] - path.t[-2] < dt
+
+
+# --- the exact rays (Kind.ray) against the tracer at the oracle's steps ---
+
+ORACLE_STEPS = 8192
+T0, SPAN, BG = 0.5, 12.0, 0.8
+R, X_S0 = 2.0, 6.0
+# comoving launch offsets xi0 = r0 - x_s0 - vs c t0: behind, inside and ahead of the bubble
+LAUNCHES = {"behind": -3.0, "inside": 0.5, "ahead": 3.0}
+TOP_HAT_CASES = {
+    f"vs{vs}_{'fwd' if d > 0 else 'back'}_{where}": (vs, d, xi0)
+    for vs in (0.5, 1.0, 1.5)
+    for d in (1, -1)
+    for where, xi0 in LAUNCHES.items()
+}
+
+
+def top_hat(vs, valid_range=(-math.inf, math.inf)):
+    return alcubierre_profile(
+        AlcubierreParams(vs_over_c=vs, bubble_radius_R=R, x_s0=X_S0, top_hat=True), valid_range
+    )
+
+
+def exact_ray(prof, r0, direction, t, t0=T0, bg=BG):
+    return KINDS[prof.kind].ray(prof.params)(r0, t0, np.asarray(t, dtype=float), direction, bg)
+
+
+def trace_errors(prof, r0, direction):
+    """Worst |trace - exact ray| over the tracer's nodes at the oracle's steps and 8x as many."""
+    errors = []
+    for steps in (ORACLE_STEPS, 8 * ORACLE_STEPS):
+        path = trace_null_geodesic(prof, BG, r0=r0, t0=T0, direction=direction, t_end=T0 + SPAN, dt=SPAN / steps)
+        assert path.status == RAY_COMPLETED and len(path.t) == steps + 1
+        errors.append(float(np.max(np.abs(path.r - exact_ray(prof, r0, direction, path.t)))))
+    return errors
+
+
+@pytest.mark.parametrize("case", sorted(TOP_HAT_CASES))
+def test_tracer_converges_to_the_exact_top_hat_ray(case):
+    vs, direction, xi0 = TOP_HAT_CASES[case]
+    coarse, fine = trace_errors(top_hat(vs), X_S0 + vs * BG * T0 + xi0, direction)
+    # across a wall the tracer is first order: measured at most half a step of
+    # light travel at both step counts (riding the wall); the margin is round-off
+    step = BG * SPAN / ORACLE_STEPS
+    assert coarse <= (0.5 + 1e-8) * step
+    assert fine <= (0.5 + 1e-8) * step / 8
+    if coarse > 1e-6:
+        # a wall event: the error fell 4-8x with 8x the steps
+        assert fine <= coarse / 3
+
+
+@pytest.mark.parametrize(
+    "prof, r0, direction",
+    [
+        (flat_profile(), 0.3, 1),
+        (flat_profile(), 0.3, -1),
+        (godel_profile(GodelParams(a=0.8)), -1.0, 1),
+        (godel_profile(GodelParams(a=0.8)), 0.4, -1),
+    ],
+    ids=["flat_fwd", "flat_back", "godel_fwd", "godel_back"],
+)
+def test_tracer_meets_the_exact_smooth_ray_to_round_off(prof, r0, direction):
+    # RK4's truncation error is below round-off at these steps: measured at
+    # most 1.3e-12 of the largest |r|
+    scale = np.max(np.abs(exact_ray(prof, r0, direction, [T0, T0 + SPAN])))
+    assert max(trace_errors(prof, r0, direction)) <= 2e-12 * scale
+
+
+def test_top_hat_ray_rides_the_superluminal_wall():
+    vs, xi0 = 1.5, 0.5
+    r0 = X_S0 + vs * BG * T0 + xi0
+    t = np.linspace(T0, T0 + SPAN, 97)
+    r = exact_ray(top_hat(vs), r0, 1, t)
+    # inside, the ray gains c on the bubble until it meets the leading wall at
+    # t0 + (R - xi0) / c; from there it moves with the bubble
+    meet = T0 + (R - xi0) / BG
+    inside = t <= meet
+    np.testing.assert_allclose(r[inside], r0 + (1.0 + vs) * BG * (t[inside] - T0), rtol=1e-15, atol=1e-14)
+    np.testing.assert_allclose(r[~inside], X_S0 + R + vs * BG * t[~inside], rtol=1e-15, atol=1e-14)
+
+
+def reference_oracle(profile, background_c, ts, r0, direction):
+    """compare_front_to_ray's oracle as it was before exact rays: 8192 RK4 steps and np.interp."""
+    ray = trace_null_geodesic(
+        profile,
+        background_c,
+        r0=r0,
+        t0=float(ts[0]),
+        direction=direction,
+        t_end=float(ts[-1]) + 1e-12,
+        dt=(float(ts[-1]) - float(ts[0])) / 8192.0,
+    )
+    ts = ts[ts <= ray.t[-1] + 1e-12]
+    return np.interp(ts, ray.t, ray.r)
+
+
+# kinds without a closed form, with a trace that completes, one that leaves
+# the domain and one that runs into speed_sq < 0
+TRACED_CASES = {
+    "alcubierre_smooth": (
+        alcubierre_profile(AlcubierreParams(vs_over_c=0.9, bubble_radius_R=0.3, sigma=10.0, x_s0=6.0)),
+        0.7, 5.5, 1, 4.0,
+    ),
+    "kerr_theta0": (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=0.0)), 1.0, 2.0, -1, 20.0),
+    "kerr_pi4": (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=math.pi / 4)), 1.0, 3.0, -1, 20.0),
+    "tabulated": (tabulated_profile([0.0, 2.0, 5.0], [1.0, 3.0, 0.5]), 1.0, 1.0, 1, 10.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACED_CASES))
+def test_oracle_traces_kinds_without_a_closed_form_bitwise(case):
+    prof, bg, r0, direction, t_end = TRACED_CASES[case]
+    assert KINDS[prof.kind].ray(prof.params) is None
+    ts = np.linspace(0.25, t_end, 201)
+    got = oracle_positions(prof, bg, ts, r0, direction)
+    want = reference_oracle(prof, bg, ts, r0, direction)
+    assert got.tobytes() == want.tobytes()
+    assert len(got) == 201 if case in ("alcubierre_smooth", "kerr_theta0") else 1 < len(got) < 201
+
+
+@pytest.mark.parametrize(
+    "prof",
+    [flat_profile((0.0, 5.0)), godel_profile(GodelParams(a=0.7), (0.0, 5.0)), top_hat(1.5, (0.0, 5.0))],
+    ids=["flat", "godel", "alcubierre_top_hat"],
+)
+def test_exact_oracle_refuses_a_launch_outside_the_range_like_the_tracer(prof):
+    ts = np.linspace(0.0, 2.0, 11)
+    with pytest.raises(ProfileDomainError):
+        reference_oracle(prof, 1.0, ts, 6.0, 1)
+    with pytest.raises(ProfileDomainError):
+        oracle_positions(prof, 1.0, ts, 6.0, 1)
+    with pytest.raises(ProfileDomainError):
+        compare_front_to_ray(ts, np.full(11, 6.0), prof, 1.0)
+
+
+@pytest.mark.parametrize(
+    "prof, r0, direction",
+    [
+        (flat_profile((-1.0, 4.0)), 0.5, 1),
+        (flat_profile((-1.0, 4.0)), 3.5, -1),
+        (godel_profile(GodelParams(a=0.7), (-3.0, 3.0)), 0.2, 1),
+        (top_hat(0.5, (0.0, 14.0)), 6.0, 1),
+        (top_hat(1.5, (1.0, 20.0)), 9.0, -1),
+    ],
+    ids=["flat_fwd", "flat_back", "godel", "alcubierre_subluminal", "alcubierre_superluminal_back"],
+)
+def test_exact_oracle_keeps_the_samples_inside_a_finite_range(prof, r0, direction):
+    bg = 1.0
+    ts = np.linspace(0.0, 10.0, 161)
+    got = oracle_positions(prof, bg, ts, r0, direction)
+    want = reference_oracle(prof, bg, ts, r0, direction)
+    lo, hi = prof.valid_range
+    # the range cuts the ray off; every kept sample lies inside, and the
+    # next one would not
+    assert 10 < len(got) < len(ts)
+    assert np.all((lo <= got) & (got <= hi))
+    assert not lo <= exact_ray(prof, r0, direction, ts[len(got) : len(got) + 1], t0=0.0, bg=bg)[0] <= hi
+    assert abs(len(got) - len(want)) <= 1
+    n = min(len(got), len(want))
+    np.testing.assert_allclose(got[:n], want[:n], rtol=0, atol=1e-3)
+    # a front on the ray: the comparison keeps as many samples
+    fronts = exact_ray(prof, r0, direction, ts, t0=0.0, bg=bg)
+    worst, ts_used, rs_used, ray_at = compare_front_to_ray(ts, fronts, prof, bg, direction)
+    assert len(ts_used) == len(rs_used) == len(ray_at) == len(got)
+    assert worst == 0.0
+
+
+def test_exact_oracle_starts_on_the_launch_point():
+    # 2a sinh(asinh(r0 / 2a)) rounds one ulp above this r0, the range's upper
+    # end; launched inward from there, the ray keeps every sample
+    hi = 1.6615384615384616
+    prof = godel_profile(GodelParams(a=0.7), (-3.0, hi))
+    assert exact_ray(prof, hi, -1, [0.0], t0=0.0, bg=1.0)[0] > hi
+    got = oracle_positions(prof, 1.0, np.linspace(0.0, 1.0, 21), hi, -1)
+    assert len(got) == 21 and got[0] == hi
+
+
+def test_overflowing_exact_godel_ray_raises_like_the_tracer():
+    # sinh overflows: 2a = 2e-3 against a span of 10
+    prof = godel_profile(GodelParams(a=1e-3))
+    ts = np.linspace(0.0, 10.0, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProfileEvaluationError):
+            reference_oracle(prof, 1.0, ts, 0.1, 1)
+        with pytest.raises(ProfileEvaluationError, match="not finite"):
+            oracle_positions(prof, 1.0, ts, 0.1, 1)
+        with pytest.raises(ProfileEvaluationError, match="not finite"):
+            compare_front_to_ray(ts, np.linspace(0.1, 10.1, 101), prof, 1.0)

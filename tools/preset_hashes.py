@@ -11,8 +11,10 @@ the checkout root. --out enters the config hash that every artifact
 carries, so the path is the same relative path on every tree, and the
 tables that two checkouts print compare line by line.
 
-Prints one markdown row per artifact: run, exit code, file, sha256. A run
-that writes nothing prints one row with "-" for file and sha256.
+Prints one markdown row per artifact: run, exit code, file, sha256 and, on
+a verification.json row, each solver's max_rel_deviation (%.6g), so a
+by-design byte change shows how far it moved each verdict. A run that
+writes nothing, and every other artifact, prints "-" where it has no value.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -37,14 +40,21 @@ RUNS = (
 )
 
 
+def _deviations(path: Path) -> str:
+    if path.name != "verification.json":
+        return "-"
+    solvers = json.loads(path.read_text())["solvers"]
+    return " ".join(f"{name}={result['max_rel_deviation']:.6g}" for name, result in solvers.items())
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from fluxline.cli import main as cli_main
     from fluxline.config import PRESETS
 
     os.chdir(ROOT)
-    print("| run | exit | file | sha256 |")
-    print("|---|---|---|---|")
+    print("| run | exit | file | sha256 | max_rel_deviation |")
+    print("|---|---|---|---|---|")
     for name, extra in RUNS:
         command = name.split("-")[0]
         for preset in PRESETS:
@@ -56,9 +66,9 @@ def main() -> int:
             files = sorted(out.iterdir()) if out.is_dir() else []
             for path in files:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"| `{run}` | {code} | `{path.name}` | `{digest}` |")
+                print(f"| `{run}` | {code} | `{path.name}` | `{digest}` | {_deviations(path)} |")
             if not files:
-                print(f"| `{run}` | {code} | - | - |")
+                print(f"| `{run}` | {code} | - | - | - |")
     return 0
 
 
