@@ -88,9 +88,9 @@ def _outdir(run: RunConfig) -> Path:
 def cmd_profile(run: RunConfig) -> int:
     if run.sampling is None:
         raise ConfigError("sampling", "required block for the profile command")
-    grid_r, grid_t = run.sampling.r, run.sampling.t
-    s = np.stack([run.profile.finite_speed_sq(grid_r, float(tk)) for tk in grid_t])
-    rows = grid_lines(grid_r, grid_t[:, None], s)
+    grid_r, grid_t = run.sampling.r, run.sampling.t[:, None]
+    s = run.profile.finite_speed_sq(grid_r, grid_t)
+    rows = grid_lines(grid_r, grid_t, s)
     path = write_csv(_outdir(run) / "profile.csv", ("r", "t", "ctilde_sq"), rows, run.hash)
     print(f"wrote {path}")
     return EXIT_OK
@@ -145,7 +145,7 @@ def cmd_synth(run: RunConfig) -> int:
         "background_c": program.background_c,
         "c0": program.c0,
         "coord_window": list(program.coord_window),
-        "hot_cells_per_time": [int(x) for x in program.hot_cell_counts(run.synthesis.array.window_epsilon)],
+        "hot_cells_per_time": program.hot_cells.tolist(),
         "status_counts": counts,
     }
     csv_path = write_csv(out / "program.csv", PROGRAM_COLUMNS, _program_rows(program), run.hash)

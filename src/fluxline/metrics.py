@@ -391,19 +391,20 @@ class SpeedProfile:
         out = self.formula(np.asarray(r, dtype=float), t, background_c)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
-    def finite_speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> np.ndarray:
-        """speed_sq as a float array, or ProfileEvaluationError at its first non-finite value.
+    def finite_speed_sq(self, r: ArrayLike, t: ArrayLike = 0.0, background_c: float = 1.0) -> np.ndarray:
+        """speed_sq on the full grid r and t broadcast to, or ProfileEvaluationError at its first non-finite value.
 
-        A parameter near the float limits overflows the profile; the error
-        reports that, so numpy's overflow warning is not raised as well.
+        It names the first in C order by its own r and t: for t = times[:, None]
+        the earliest time. A parameter near the float limits overflows the
+        profile; this error, not a numpy overflow warning, reports that.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            s = np.asarray(self.speed_sq(r, t, background_c), dtype=float)
+            at_r, at_t, s = np.broadcast_arrays(r, t, self.speed_sq(r, t, background_c))
+        s = s.astype(float, order="C")
         bad = np.flatnonzero(~np.isfinite(s))
         if bad.size:
             i = bad[0]
-            at = np.broadcast_to(r, s.shape).flat[i]
-            raise ProfileEvaluationError(f"speed_sq = {s.flat[i]} at r = {at}, t = {t} is not finite")
+            raise ProfileEvaluationError(f"speed_sq = {s.flat[i]} at r = {at_r.flat[i]}, t = {at_t.flat[i]} is not finite")
         return s
 
     def contains(self, r: float) -> bool:

@@ -189,7 +189,7 @@ def synthesize_flux(
         raise ArccosInfeasible(
             f"arccos argument {arg} > 1 (speed_sq={speed_sq}, theta_dc={theta_dc})"
         )
-    if theta_total > HALF_PI - window_epsilon:
+    if theta_total >= HALF_PI - window_epsilon:
         raise WindowViolation(
             f"total flux angle {theta_total} within {window_epsilon} of pi/2",
             theta_total=theta_total,
@@ -282,6 +282,7 @@ class FluxProgram:
     simulated flat-spacetime speed c0 sqrt(cos theta_dc). annotations holds
     one Status code per entry (shape cells x times); a program produced by
     synthesize_program contains only FEASIBLE and IMPEDANCE_WARNING entries.
+    hot_cells holds the per-time hot-cell counts the budget was held to.
     """
 
     theta_dc: float
@@ -290,6 +291,7 @@ class FluxProgram:
     times: np.ndarray
     speed_sq: np.ndarray
     annotations: np.ndarray
+    hot_cells: np.ndarray
     background_c: float
     c0: float
     coord_window: tuple[float, float]
@@ -302,14 +304,6 @@ class FluxProgram:
     def n_cells(self) -> int:
         return len(self.cell_coords)
 
-    def hot_cell_counts(self, window_epsilon: float) -> np.ndarray:
-        """Number of cells within window_epsilon of pi/2, per time sample.
-
-        Pass the ArrayConfig.window_epsilon the program was synthesized
-        with, so the counts are the ones its hot-cell budget was held to.
-        """
-        return np.count_nonzero(self.theta_total >= HALF_PI - window_epsilon, axis=0)
-
 
 def synthesize_program(
     profile: SpeedProfile,
@@ -320,10 +314,10 @@ def synthesize_program(
 ) -> FluxProgram:
     """Synthesize the whole array program over the coordinate window.
 
-    Fails with SynthesisFailed on the first negative or arccos-infeasible
-    entry (time-major order), or with HotCellBudgetExceeded when a time
-    sample pins more than max_hot_cells cells at the window. Hot cells
-    within budget are kept and annotated as impedance warnings.
+    One pass classifies the whole (time, cell) grid, and the earliest failing
+    time sample raises: SynthesisFailed at its first negative or
+    arccos-infeasible cell, else HotCellBudgetExceeded when it pins more
+    than max_hot_cells cells at the window. Hot cells within budget are kept.
     """
     if abs(theta_dc) >= HALF_PI - config.window_epsilon:
         raise ValueError("theta_dc must lie strictly inside the admissible window")
@@ -339,30 +333,22 @@ def synthesize_program(
     r = cell_midpoints(coord_window, config.n_cells)
     background_c = config.c0 * math.sqrt(math.cos(theta_dc))
 
-    n, m = config.n_cells, len(times)
-    speed = np.empty((n, m))
-    theta_total = np.empty((n, m))
-    annotations = np.empty((n, m), dtype=int)
-    for j, t in enumerate(times):
-        s = profile.finite_speed_sq(r, float(t), background_c=background_c)
-        status, theta = _classify_grid(s, theta_dc, config)
-        fatal = (status == int(Status.NEGATIVE_SPEED_SQ)) | (
-            status == int(Status.ARCCOS_INFEASIBLE)
-        )
-        if np.any(fatal):
-            i = int(np.argmax(fatal))
-            raise SynthesisFailed(i, j, Status(int(status[i])))
-        hot = int(np.count_nonzero(theta >= HALF_PI - config.window_epsilon))
-        if hot > config.max_hot_cells:
-            raise HotCellBudgetExceeded(j, hot, config.max_hot_cells)
-        speed[:, j] = s
-        theta_total[:, j] = theta
-        annotations[:, j] = status
+    speed = profile.finite_speed_sq(r, times[:, None], background_c=background_c)
+    status, theta = _classify_grid(speed, theta_dc, config)
+    fatal = np.isin(status, (int(Status.NEGATIVE_SPEED_SQ), int(Status.ARCCOS_INFEASIBLE)))
+    hot_cells = np.count_nonzero(theta >= HALF_PI - config.window_epsilon, axis=1)
+    j = int(np.argmax(fatal.any(axis=1) | (hot_cells > config.max_hot_cells)))
+    if fatal[j].any():
+        i = int(np.argmax(fatal[j]))
+        raise SynthesisFailed(i, j, Status(int(status[j, i])))
+    if hot_cells[j] > config.max_hot_cells:
+        raise HotCellBudgetExceeded(j, int(hot_cells[j]), config.max_hot_cells)
 
-    theta_ac = theta_total - theta_dc
+    theta_ac = (theta - theta_dc).T
     theta_ac.setflags(write=False)
     speed.setflags(write=False)
-    annotations.setflags(write=False)
+    status.setflags(write=False)
+    hot_cells.setflags(write=False)
     r.setflags(write=False)
     times.setflags(write=False)
     return FluxProgram(
@@ -370,8 +356,9 @@ def synthesize_program(
         theta_ac=theta_ac,
         cell_coords=r,
         times=times,
-        speed_sq=speed,
-        annotations=annotations,
+        speed_sq=speed.T,
+        annotations=status.T,
+        hot_cells=hot_cells,
         background_c=background_c,
         c0=config.c0,
         coord_window=(float(lo), float(hi)),

@@ -75,6 +75,9 @@ def test_profile_overflow_exits_1_writing_nothing(tmp_path, capsys, preset, assi
     assert not (tmp_path / "out").exists()
 
 
+LATE_BUBBLE = ("--preset", "alcubierre", "--set", "metric.vs_over_c=1e160", "--set", "metric.x_s0=-1e160")
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -89,6 +92,10 @@ def test_profile_overflow_exits_1_writing_nothing(tmp_path, capsys, preset, assi
         (["feasibility", "--preset", "fig1", "--set", "feasibility.vs_values=[0.5, 1e300]"],
          "feasibility.vs_values: entry 1e+300: speed_sq = inf at r = 0.0, t = 0.0"),
         (["raytrace", "--preset", "godel", "--set", "metric.a=1e-310"], "metric: speed_sq = inf at r = 0.000244140625"),
+        # the bubble reaches the window only at the last time sample, which the error names
+        (["synth", *LATE_BUBBLE, "--set", "synthesis.theta_dc_over_pi=0", "--set", "synthesis.time_samples=[0.0, 0.5, 1.0]"],
+         "metric: speed_sq = inf at r = 0.0390625, t = 1.0 is not finite\n"),
+        (["profile", *LATE_BUBBLE, "--set", "sampling.t=[0.0, 0.5, 1.0]"], "metric: speed_sq = inf at r = 0.0, t = 1.0 is not finite\n"),
     ],
 )
 def test_overflowing_profile_exits_1_writing_nothing(tmp_path, capsys, argv, error):

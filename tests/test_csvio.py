@@ -597,6 +597,7 @@ def test_program_rows_keep_nested_loop_order(tmp_path_factory, n, m, seed):
         times=rng.standard_normal(m),
         speed_sq=rng.standard_normal((n, m)),
         annotations=rng.integers(0, 2, size=(n, m)),
+        hot_cells=np.zeros(m, dtype=int),
         background_c=1.0,
         c0=1.0,
         coord_window=(0.0, 1.0),

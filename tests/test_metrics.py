@@ -345,3 +345,26 @@ def test_float_point_with_numpy_scalar_time_gives_python_float(kind):
     got = prof.speed_sq(1.5, np.float64(0.7), np.float64(0.9))
     assert type(got) is float
     assert bits(got) == bits(prof.speed_sq(1.5, 0.7, 0.9))
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_ARRAY_PROFILES))
+def test_finite_speed_sq_time_column_matches_per_time_rows(kind):
+    # the profile command once stacked one finite_speed_sq call per time sample
+    prof = SCALAR_ARRAY_PROFILES[kind]
+    r = np.linspace(*(prof.valid_range if kind == "tabulated" else (0.0, 12.0)), 37)
+    times = np.linspace(0.0, 5.0, 6)
+    grid = prof.finite_speed_sq(r, times[:, None], 0.9)
+    rows = np.stack([prof.finite_speed_sq(r, float(t), 0.9) for t in times])
+    assert grid.shape == (6, 37) and grid.flags.c_contiguous and grid.flags.writeable
+    assert grid.tobytes() == rows.tobytes()
+
+
+def test_finite_speed_sq_names_the_first_bad_value_by_its_own_r_and_t():
+    # vs = 1e160 overflows the bubble to inf; it covers r = 8 at t = 0 and r = 3 at the second time
+    prof = alcubierre_profile(AlcubierreParams(vs_over_c=1e160, bubble_radius_R=0.5, x_s0=8.0, top_hat=True))
+    r, times = np.arange(12.0), np.array([0.0, -5e-160])
+    with pytest.raises(ProfileEvaluationError, match=r"^speed_sq = inf at r = 8\.0, t = 0\.0 is not finite$"):
+        prof.finite_speed_sq(r, times[:, None])
+    # C order on a (cell, time) grid runs over the times of a cell first
+    with pytest.raises(ProfileEvaluationError, match=r"^speed_sq = inf at r = 3\.0, t = -5e-160 is not finite$"):
+        prof.finite_speed_sq(r[:, None], times)

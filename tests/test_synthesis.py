@@ -6,20 +6,26 @@ import numpy as np
 import pytest
 
 from fluxline.metrics import (
+    KINDS,
     AlcubierreParams,
     GodelParams,
+    Kind,
     KerrExtremeParams,
+    SpeedProfile,
     alcubierre_profile,
     flat_profile,
     godel_profile,
     kerr_extreme_profile,
+    tabulated_profile,
 )
 from fluxline.synthesis import (
     ArccosInfeasible,
     ArrayConfig,
+    FluxProgram,
     HotCellBudgetExceeded,
     NegativeSpeedSquared,
     Status,
+    SynthesisError,
     SynthesisFailed,
     WindowViolation,
     _classify_grid,
@@ -92,6 +98,32 @@ def test_synthesize_flux_window_violation_at_horizon():
     with pytest.raises(WindowViolation) as err:
         synthesize_flux(0.0, 0.0)
     assert err.value.theta_total == pytest.approx(HALF_PI, abs=1e-15)
+
+
+def test_synthesize_flux_refuses_a_total_on_the_hot_edge():
+    # the total is exactly pi/2 - window_epsilon, which the budget counts as hot
+    speed_sq = 1.000000143972511e-09
+    with pytest.raises(WindowViolation) as err:
+        synthesize_flux(speed_sq, 0.0)
+    assert err.value.theta_total == HALF_PI - 1e-9
+
+
+def test_synthesize_flux_accepts_exactly_the_cells_the_budget_does_not_count():
+    cfg = ArrayConfig(n_cells=2, max_hot_cells=2)
+    accepted, counted = [], []
+    for v in np.linspace(1.000000143972511e-09 - 2e-15, 1.000000143972511e-09 + 2e-15, 401):
+        program = synthesize_program(tabulated_profile([0.0, 1.0], [v, v]), 0.0, cfg, (0.0, 1.0))
+        counted.append(int(program.hot_cells[0]) == 2)
+        try:
+            _, total = synthesize_flux(float(v), 0.0)
+        except WindowViolation as exc:
+            total = exc.theta_total
+            accepted.append(False)
+        else:
+            accepted.append(True)
+        assert total == program.theta_total[0, 0]
+    assert accepted == [not hot for hot in counted]
+    assert True in accepted and False in accepted
 
 
 def test_synthesize_flux_flat_region_no_ac_for_nonnegative_dc():
@@ -245,11 +277,155 @@ def test_program_kerr_horizon_cell_budget():
 
     cfg1 = ArrayConfig(n_cells=10, max_hot_cells=1)
     program = synthesize_program(prof, 0.0, cfg1, (0.0, 4.0))
-    assert list(program.hot_cell_counts(cfg1.window_epsilon)) == [1]
+    assert list(program.hot_cells) == [1]
     hot = int(np.argmax(program.theta_total[:, 0]))
     assert program.cell_coords[hot] == pytest.approx(1.0)
     assert program.theta_total[hot, 0] == pytest.approx(HALF_PI, abs=1e-15)
     assert program.annotations[hot, 0] == int(Status.IMPEDANCE_WARNING)
+
+
+def reference_synthesize_program(profile, theta_dc, config, coord_window, time_samples):
+    """synthesize_program as a loop over time samples, as first written; the argument checks are left out."""
+    times = np.asarray(list(time_samples), dtype=float)
+    r = cell_midpoints(coord_window, config.n_cells)
+    background_c = config.c0 * math.sqrt(math.cos(theta_dc))
+    n, m = config.n_cells, len(times)
+    speed = np.empty((n, m))
+    theta_total = np.empty((n, m))
+    annotations = np.empty((n, m), dtype=int)
+    hot_cells = np.empty(m, dtype=np.intp)
+    for j, t in enumerate(times):
+        s = profile.finite_speed_sq(r, float(t), background_c=background_c)
+        status, theta = _classify_grid(s, theta_dc, config)
+        fatal = (status == int(Status.NEGATIVE_SPEED_SQ)) | (status == int(Status.ARCCOS_INFEASIBLE))
+        if np.any(fatal):
+            i = int(np.argmax(fatal))
+            raise SynthesisFailed(i, j, Status(int(status[i])))
+        hot = int(np.count_nonzero(theta >= HALF_PI - config.window_epsilon))
+        if hot > config.max_hot_cells:
+            raise HotCellBudgetExceeded(j, hot, config.max_hot_cells)
+        speed[:, j] = s
+        theta_total[:, j] = theta
+        annotations[:, j] = status
+        hot_cells[j] = hot
+    return FluxProgram(
+        theta_dc=theta_dc,
+        theta_ac=theta_total - theta_dc,
+        cell_coords=r,
+        times=times,
+        speed_sq=speed,
+        annotations=annotations,
+        hot_cells=hot_cells,
+        background_c=background_c,
+        c0=config.c0,
+        coord_window=(float(coord_window[0]), float(coord_window[1])),
+    )
+
+
+def outcome(synthesize, *args):
+    try:
+        return synthesize(*args)
+    except SynthesisError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    """Equal programs bit for bit, or the same failure in type, fields and message."""
+    assert type(got) is type(want)
+    if isinstance(want, SynthesisError):
+        fields = ("cell", "time_index", "status", "count", "budget")
+        assert str(got) == str(want)
+        assert [getattr(got, f, None) for f in fields] == [getattr(want, f, None) for f in fields]
+        return
+    for name in ("theta_ac", "theta_total", "speed_sq", "annotations", "hot_cells", "cell_coords", "times"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("theta_dc", "background_c", "c0", "coord_window"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+ONE_PASS_CASES = {
+    # profile, theta_dc, array, coord_window
+    "flat": (flat_profile(), 0.3, ArrayConfig(n_cells=16), (0.0, 8.0)),
+    "godel": (godel_profile(GodelParams(a=1.0)), math.pi / 3, ArrayConfig(n_cells=32), (0.0, 2.0)),
+    # n = 10 over [0, 4] puts a cell midpoint on the horizon
+    "kerr_theta0_budget0": (
+        kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=0.0)), 0.0, ArrayConfig(n_cells=10, max_hot_cells=0), (0.0, 4.0)
+    ),
+    "kerr_theta0_budget1": (
+        kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=0.0)), 0.0, ArrayConfig(n_cells=10, max_hot_cells=1), (0.0, 4.0)
+    ),
+    "kerr_pi2_negative": (
+        kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=math.pi / 2)), 0.0, ArrayConfig(n_cells=8), (1.2, 1.8)
+    ),
+    "alcubierre_top_hat": (
+        alcubierre_profile(AlcubierreParams(vs_over_c=0.5, bubble_radius_R=1.5, x_s0=4.0, top_hat=True)),
+        -0.449 * math.pi, ArrayConfig(n_cells=64), (0.0, 40.0),
+    ),
+    "alcubierre_smooth": (
+        alcubierre_profile(AlcubierreParams(vs_over_c=1.2, bubble_radius_R=1.5, sigma=4.0, x_s0=4.0)),
+        -0.449 * math.pi, ArrayConfig(n_cells=64), (0.0, 40.0),
+    ),
+    # unbiased, the bubble is arccos-infeasible once it enters the window at t > 17.5
+    "alcubierre_top_hat_unbiased": (
+        alcubierre_profile(AlcubierreParams(vs_over_c=0.5, bubble_radius_R=1.5, x_s0=-10.0, top_hat=True)),
+        0.0, ArrayConfig(n_cells=64), (0.0, 40.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("m", [1, 17, 64])
+@pytest.mark.parametrize("case", sorted(ONE_PASS_CASES))
+def test_program_one_pass_matches_per_time_loop(case, m):
+    profile, theta_dc, cfg, window = ONE_PASS_CASES[case]
+    times = np.linspace(0.0, 20.0, m)
+    got = outcome(synthesize_program, profile, theta_dc, cfg, window, times)
+    assert_same_outcome(got, outcome(reference_synthesize_program, profile, theta_dc, cfg, window, times))
+    if case.startswith("alcubierre_top_hat") and m > 1 and isinstance(got, FluxProgram):
+        # the bubble moves, so the program is not one column repeated
+        assert not np.array_equal(got.theta_ac[:, 0], got.theta_ac[:, -1])
+
+
+class Schedule:
+    """speed_sq per cell i (at r = i + 1/2), from before to after at t = 1/2."""
+
+    def __init__(self, before, after):
+        self.before, self.after = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
+
+    def __call__(self, r, t, background_c):
+        i = np.asarray(r).astype(int)
+        return np.where(np.asarray(t) >= 0.5, self.after[i], self.before[i])
+
+
+@pytest.fixture
+def schedule_profile(monkeypatch):
+    monkeypatch.setitem(KINDS, "schedule", Kind(Schedule, lambda params: params, lambda params, window: 4.0, True))
+    return lambda before, after: SpeedProfile("schedule", Schedule(before, after), (0.0, len(before)))
+
+
+# 1 is feasible, 0 a hot cell (total pi/2), -1 negative and 4 arccos-infeasible without bias
+ORDER_CASES = [
+    # cell 5 fails at time 0 and cell 2, with a lower index, at time 1
+    ([1, 1, 1, 1, 1, -1, 1, 1], [1, 1, 4, 1, 1, 1, 1, 1], SynthesisFailed, {"cell": 5, "time_index": 0, "status": Status.NEGATIVE_SPEED_SQ}),
+    # two hot cells over a budget of 1 at time 0, an infeasible cell at time 1
+    ([1, 0, 0, 1, 1, 1, 1, 1], [-1, 1, 1, 1, 1, 1, 1, 1], HotCellBudgetExceeded, {"time_index": 0, "count": 2, "budget": 1}),
+    # both at time 0: the infeasible cell wins over the budget
+    ([1, 0, 0, 1, 1, 1, 4, 1], [1, 1, 1, 1, 1, 1, 1, 1], SynthesisFailed, {"cell": 6, "time_index": 0, "status": Status.ARCCOS_INFEASIBLE}),
+    # both at time 1 only
+    ([1, 1, 1, 1, 1, 1, 1, 1], [0, 0, 1, 1, -1, 1, 1, 1], SynthesisFailed, {"cell": 4, "time_index": 1, "status": Status.NEGATIVE_SPEED_SQ}),
+    # the budget alone, at time 1
+    ([1, 0, 1, 1, 1, 1, 1, 1], [1, 0, 1, 1, 1, 1, 0, 1], HotCellBudgetExceeded, {"time_index": 1, "count": 2, "budget": 1}),
+]
+
+
+@pytest.mark.parametrize("before, after, error, fields", ORDER_CASES)
+def test_program_failure_order_matches_per_time_loop(schedule_profile, before, after, error, fields):
+    profile = schedule_profile(before, after)
+    cfg, window, times = ArrayConfig(n_cells=8, max_hot_cells=1), (0.0, 8.0), [0.0, 1.0]
+    got = outcome(synthesize_program, profile, 0.0, cfg, window, times)
+    assert_same_outcome(got, outcome(reference_synthesize_program, profile, 0.0, cfg, window, times))
+    assert type(got) is error
+    assert {name: getattr(got, name) for name in fields} == fields
 
 
 def test_program_fails_on_first_negative_entry():

@@ -4,7 +4,8 @@ Usage, from any directory:
 
     python tools/preset_hashes.py
 
-Runs profile, synth, feasibility, raytrace, simulate and simulate with
+Runs profile, synth, synth over the benchmark's 64 time samples
+(synth-moving), feasibility, raytrace, simulate and simulate with
 simulation.solver=both on every preset, in-process through fluxline.cli.main
 from this checkout's src/. Each run writes to out/preset_hashes/<run> under
 the checkout root. --out enters the config hash that every artifact
@@ -33,6 +34,8 @@ OUT = Path("out") / "preset_hashes"
 RUNS = (
     ("profile", ()),
     ("synth", ()),
+    # every preset's own synth writes one time sample; this run writes a (cell, time) table
+    ("synth-moving", ("--set", 'synthesis.time_samples={"start":0,"stop":20,"num":64}')),
     ("feasibility", ()),
     ("raytrace", ()),
     ("simulate", ()),
