@@ -17,7 +17,12 @@ each take the next index and format that unit into a part file. Inside an
 emission() block write_csv returns once the helpers are forked, and the caller
 keeps computing on the first CPU; at block exit it formats the units left,
 reaps the helpers and joins the parts in order. Outside a block write_csv is a
-block of its own. The bytes do not depend on who took which unit. One CPU, no
+block of its own. A float cell column in which at most half the cells start a
+run, in C order, of equal float64 bit patterns (0.0 and -0.0 differ, and so do
+NaNs of another sign or payload, though they print alike) is written through
+its runs: a unit formats the first cell of each run it holds once and repeats
+that text, so a run that crosses units is cut there. Every other column
+formats each cell. The bytes do not depend on who took which unit. One CPU, no
 os.fork, a second thread when the block opens (a forked child could deadlock),
 or a grid of fewer than 4 units means no helper. With more than one CPU such a
 grid is one unit, which the caller formats at block exit before it takes units
@@ -71,8 +76,11 @@ def grid_lines(*columns) -> Grid:
     row key, along the blocks only a block key, and along both a cell.
     Constants and row keys are formatted once per table into a '%' template,
     block keys once per block, and the cells of at most CHUNK_ROWS rows of
-    one block go into that template with one '%' call. Text cells may hold
-    '%'; lines are split on '\n' only.
+    one block go into that template with one '%' call. A float cell column
+    in which at most half the cells differ in bits from the cell before them
+    in C order fills its '%s' slot from the text of each run's first cell,
+    which a unit formats once; other cells fill their own '%.17g' slot. Text
+    cells may hold '%'; lines are split on '\n' only.
     """
     return Grid(columns)
 
@@ -93,8 +101,9 @@ class Grid:
             if max(dims[:-1], default=1) > 1:
                 slot = len(self.keys) + len(self.cells)
                 if dims[-1] > 1:
-                    self.cells.append((slot, view))
-                    fields.append([spec] * n_rows)
+                    runs = c.dtype.kind == "f" and 2 * _run_starts(view) <= view.size
+                    self.cells.append((slot, view, runs))
+                    fields.append(["%s" if runs else spec] * n_rows)
                 else:
                     self.keys.append((slot, view[..., 0], spec))
                     fields.append(["%s"] * n_rows)
@@ -112,16 +121,44 @@ class Grid:
     def texts(self, lo: int, hi: int | None):
         """The '%'-filled texts of chunks lo..hi, each of at most CHUNK_ROWS rows of one block."""
         n_rows, chunk_rows, per_block = self.n_rows, self.chunk_rows, len(self.templates)
+        hi = math.prod(self.blocks) * per_block if hi is None else hi
         args = np.empty((min(n_rows, chunk_rows), len(self.keys) + len(self.cells)), dtype=object)
-        for c in range(lo, math.prod(self.blocks) * per_block if hi is None else hi):
+        # each run column's cells of these chunks, in C order, as the texts of their runs' heads
+        first = lambda c: c // per_block * n_rows + c % per_block * chunk_rows  # chunk c's first cell
+        texts = {
+            slot: _run_texts(values[np.unravel_index(np.arange(first(lo), first(hi)), values.shape)])
+            for slot, values, runs in self.cells
+            if runs
+        }
+        for c in range(lo, hi):
             b, j = divmod(c, per_block)
             block = np.unravel_index(b, self.blocks)
             for slot, values, spec in self.keys:
                 args[:, slot] = spec % (values.item(block),)
             part = args[: min(chunk_rows, n_rows - j * chunk_rows)]
-            for slot, values in self.cells:
-                part[:, slot] = values[block][j * chunk_rows : (j + 1) * chunk_rows]
+            for slot, values, runs in self.cells:
+                if runs:
+                    at = first(c) - first(lo)
+                    part[:, slot] = texts[slot][at : at + len(part)]
+                else:
+                    part[:, slot] = values[block][j * chunk_rows : (j + 1) * chunk_rows]
             yield self.templates[j] % tuple(part.ravel().tolist())
+
+
+def _run_starts(values) -> int:
+    """How many cells of a (..., R) float grid, in C order, start a run of equal float64 bits."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    heads, tails = bits[..., 0].ravel(), bits[..., -1].ravel()
+    return 1 + np.count_nonzero(bits[..., 1:] != bits[..., :-1]) + np.count_nonzero(heads[1:] != tails[:-1])
+
+
+def _run_texts(values) -> np.ndarray:
+    """The '%.17g' text of each of a 1-d values, formatted once per run of equal bits."""
+    x = np.asarray(values, dtype=np.float64)
+    bits = x.view(np.int64)
+    starts = np.flatnonzero(np.r_[bits.size > 0, bits[1:] != bits[:-1]])
+    heads = np.array(["%.17g" % v for v in x[starts].tolist()], dtype=object)
+    return np.repeat(heads, np.diff(starts, append=bits.size))
 
 
 @contextmanager

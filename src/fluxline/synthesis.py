@@ -140,7 +140,7 @@ class ArrayConfig:
     def __post_init__(self):
         if not 2 <= self.n_cells <= MAX_GRID_POINTS:
             raise ParamError("n_cells", f"must lie in [2, {MAX_GRID_POINTS}]")
-        if self.c0 <= 0:
+        if not self.c0 > 0:
             raise ParamError("c0", "must be > 0")
         if not 0.0 < self.impedance_margin < HALF_PI:
             raise ParamError("impedance_margin", "must lie in (0, pi/2)")
@@ -180,7 +180,7 @@ def synthesize_flux(
     """
     if not math.isfinite(speed_sq):
         raise ValueError("speed_sq must be finite")
-    if abs(theta_dc) >= HALF_PI:
+    if not abs(theta_dc) < HALF_PI:
         raise ValueError("theta_dc must lie strictly inside (-pi/2, pi/2)")
     if speed_sq < 0.0:
         raise NegativeSpeedSquared(f"speed_sq = {speed_sq} < 0")
@@ -203,7 +203,7 @@ def dc_feasibility_boundary(speed_sq_max: float) -> float:
     cos(theta_dc) must not exceed 1 / speed_sq_max, so the boundary is
     arccos(1 / speed_sq_max).
     """
-    if speed_sq_max < 1.0:
+    if not speed_sq_max >= 1.0:
         raise ValueError("speed_sq_max must be >= 1")
     return math.acos(1.0 / speed_sq_max)
 
@@ -215,7 +215,7 @@ def godel_max_radius(theta_dc: float) -> float:
     sec|theta_dc|, so the boundary radius is sqrt(sec|theta_dc| - 1).
     Returns 0 at theta_dc = 0.
     """
-    if abs(theta_dc) >= HALF_PI:
+    if not abs(theta_dc) < HALF_PI:
         raise ValueError("theta_dc must lie strictly inside (-pi/2, pi/2)")
     sec = 1.0 / math.cos(theta_dc)
     return math.sqrt(max(sec - 1.0, 0.0))
@@ -228,6 +228,8 @@ def kerr_forbidden_band(theta: float, mass_M: float = 1.0) -> Optional[tuple[flo
     roots are M (1 +- sin theta); on the axis the band degenerates to the
     single horizon point and None is returned.
     """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     s = math.sin(theta)
     if s <= 0.0:
         return None
@@ -239,16 +241,17 @@ def _classify_grid(speed_sq, theta_dc, config: ArrayConfig):
 
     Returns (status int array, theta_total float array); theta_total is NaN
     where no principal-branch total exists (negative speed_sq, arccos
-    infeasible). Broadcasting rules are numpy's.
+    infeasible); a NaN DC bias is a window violation. Broadcasting rules
+    are numpy's; NaN is written into the arccos result in place, so that
+    no other grid-sized float array is alive with it.
     """
     s = np.asarray(speed_sq, dtype=float)
     d = np.asarray(theta_dc, dtype=float)
     arg, theta = invert_speed_sq(s, d)
     negative = s < 0.0
     infeasible = arg > 1.0 + ARCCOS_SLACK
-    bad_dc = np.abs(d) >= HALF_PI - config.window_epsilon
-    beyond = arg < -ARCCOS_SLACK
-    window = bad_dc | beyond
+    window = ~(np.abs(d) < HALF_PI - config.window_epsilon) | (arg < -ARCCOS_SLACK)
+    del arg
     hot = theta >= HALF_PI - config.window_epsilon
     warn = (theta > config.impedance_margin) | hot
     status = np.select(
@@ -261,7 +264,8 @@ def _classify_grid(speed_sq, theta_dc, config: ArrayConfig):
         ],
         default=int(Status.FEASIBLE),
     )
-    theta = np.where(negative | infeasible, np.nan, theta)
+    theta = np.asarray(theta)  # a 0-d call's arccos is a scalar
+    np.copyto(theta, np.nan, where=negative | infeasible)
     return status, theta
 
 
@@ -319,7 +323,7 @@ def synthesize_program(
     arccos-infeasible cell, else HotCellBudgetExceeded when it pins more
     than max_hot_cells cells at the window. Hot cells within budget are kept.
     """
-    if abs(theta_dc) >= HALF_PI - config.window_epsilon:
+    if not abs(theta_dc) < HALF_PI - config.window_epsilon:
         raise ValueError("theta_dc must lie strictly inside the admissible window")
     lo, hi = coord_window
     vlo, vhi = profile.valid_range
@@ -413,17 +417,14 @@ def feasibility_scan(
     if d.size == 0 or r.size == 0:
         raise ValueError("grid axes must be nonempty")
     params = np.array([p for p, _ in profiles], dtype=float)
-    slabs = []
-    for p, prof in profiles:
+    speeds = np.empty((len(profiles), 1, r.size))
+    for k, (p, prof) in enumerate(profiles):
         try:
-            s = prof.finite_speed_sq(r, t)
+            speeds[k, 0] = prof.finite_speed_sq(r, t)
         except ProfileEvaluationError as exc:
             exc.entry = p
             raise
-        slabs.append(_classify_grid(s[None, :], d[:, None], config))
-
-    status = np.stack([s for s, _ in slabs])
-    theta = np.stack([th for _, th in slabs])
+    status, theta = _classify_grid(speeds, d[:, None], config)
     return FeasibilityReport(
         param_name=param_name,
         param_values=params,

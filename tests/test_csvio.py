@@ -248,6 +248,85 @@ def test_grid_lines_writes_the_bytes_of_each_float(tmp_path_factory, columns, ch
         assert_grid_writes(tmp_path_factory, names, columns, grid_rows(columns))
 
 
+def pool_runs(draw, n: int) -> list:
+    """n POOL values in runs of 1 to 20 equal values."""
+    cells = []
+    while len(cells) < n:
+        cells += [draw(st.sampled_from(POOL))] * draw(st.integers(1, 20))
+    return cells[:n]
+
+
+@st.composite
+def run_grids(draw):
+    """A key per axis of a (P, D, R) grid, and cells of runs of POOL values, each of some float layout."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 40)))
+    columns = [np.arange(shape[0])[:, None, None], np.arange(shape[1])[:, None] / 3.0, np.arange(shape[2])]
+    for kind in draw(st.lists(st.sampled_from(("float64", "float32", "strided", "transposed")), min_size=1, max_size=3)):
+        x = np.array(pool_runs(draw, math.prod(shape))).reshape(shape)
+        if kind == "float32":
+            with np.errstate(over="ignore"):
+                x = x.astype(np.float32)
+        elif kind == "strided":
+            x = np.stack([x, -x], axis=-1)[..., 0]
+        elif kind == "transposed":
+            x = x.T.copy().T
+        columns.append(x)
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_grids(), st.sampled_from([1, 2, 3, 7, 8192]))
+def test_grid_lines_writes_runs_of_floats_as_each_float(tmp_path_factory, columns, chunk_rows):
+    # units split the runs between processes on 2 and 3 CPUs
+    names = [f"c{i}" for i in range(len(columns))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "CHUNK_ROWS", chunk_rows)
+        assert_grid_writes(tmp_path_factory, names, columns, grid_rows(columns))
+
+
+def run_flags(*columns) -> list:
+    """Per cell column of the grid, whether it is written through its runs."""
+    return [runs for _, _, runs in csvio.grid_lines(*columns).cells]
+
+
+@pytest.mark.parametrize("cells, runs", [
+    # 4 of 8 cells start a run in C order, the run of 1.0 going on across the blocks
+    ([[0.0, 0.0, 1.0, 1.0], [1.0, -0.0, -0.0, 2.0]], True),
+    ([[0.0, 0.0, 1.0, 1.0], [2.0, -0.0, -0.0, 3.0]], False),
+    # NaNs print alike, but a NaN of another sign or payload starts a run
+    ([[math.nan, math.nan, 0.0, 0.0], [0.0, 0.0, -math.nan, 1.0]], True),
+    ([[math.nan, nan_with(0, (1 << 51) | 5), 0.0, 0.0], [0.0, 0.0, -math.nan, 1.0]], False),
+])
+def test_a_float_column_goes_through_its_runs_while_at_most_half_its_cells_start_one(tmp_path_factory, cells, runs):
+    cells = np.array(cells)
+    columns = (np.array([[0.5], [1.5]]), np.arange(4), cells)
+    assert run_flags(*columns) == [runs]
+    assert_grid_writes(tmp_path_factory, ("t", "r", "x"), columns, grid_rows(columns))
+
+
+def test_runs_compare_bits_not_values(tmp_path_factory, monkeypatch):
+    # 0.0 == -0.0 as floats, but they print differently
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 3)
+    cells = np.array([0.0, 0.0, 0.0, -0.0, -0.0, -0.0] * 6).reshape(3, 12)
+    columns = (np.arange(3)[:, None], np.arange(12), cells, cells.astype(np.float32))
+    assert run_flags(*columns) == [True, True]
+    assert_grid_writes(tmp_path_factory, ("b", "r", "x", "y"), columns, grid_rows(columns))
+
+
+def test_each_unit_formats_the_head_of_a_run_it_starts_inside(tmp_path_factory, monkeypatch):
+    # one run of 1/3 through the whole table: every unit but the first starts inside it
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    cells = np.full((4, 5), 1.0 / 3.0).T.copy().T
+    cells[3, 4] = -0.0
+    columns = (np.arange(4)[:, None], np.arange(5), cells)
+    grid = csvio.grid_lines(*columns)
+    assert run_flags(*columns) == [True]
+    whole = "".join(grid.texts(0, None))
+    assert "".join(text for c in range(12) for text in grid.texts(c, c + 1)) == whole
+    assert "".join(text for lo, hi in ((0, 5), (5, 7), (7, None)) for text in grid.texts(lo, hi)) == whole
+    assert_grid_writes(tmp_path_factory, ("b", "r", "x"), columns, grid_rows(columns))
+
+
 def block_grid(n_blocks=3, n_rows=12):
     """(names, columns, rows) of a grid with a block key, a row key and float cells."""
     cells = np.arange(n_blocks * n_rows).reshape(n_blocks, n_rows) / 7.0

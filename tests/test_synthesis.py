@@ -514,3 +514,73 @@ def test_array_config_validation():
         ArrayConfig(max_hot_cells=-1)
     with pytest.raises(ValueError):
         ArrayConfig(window_epsilon=0.0)
+
+
+def test_synthesize_program_refuses_nan_dc():
+    with pytest.raises(ValueError, match="theta_dc"):
+        synthesize_program(flat_profile(), math.nan, ArrayConfig(n_cells=4), (0.0, 1.0))
+
+
+def test_synthesize_flux_refuses_nan_dc():
+    with pytest.raises(ValueError, match="theta_dc"):
+        synthesize_flux(1.0, math.nan)
+
+
+def test_scan_marks_nan_dc_window_violation():
+    report = feasibility_scan([(0.0, flat_profile())], [math.nan, 0.1], [0.0, 1.0], ArrayConfig())
+    assert report.status.tolist() == [[[int(Status.WINDOW_VIOLATION)] * 2, [int(Status.FEASIBLE)] * 2]]
+    assert np.isnan(report.theta_total[0, 0]).all()
+    assert report.theta_total[0, 1].tolist() == [math.acos(math.cos(0.1))] * 2
+
+
+def test_godel_max_radius_refuses_nan():
+    with pytest.raises(ValueError):
+        godel_max_radius(math.nan)
+
+
+def test_dc_feasibility_boundary_refuses_nan():
+    with pytest.raises(ValueError):
+        dc_feasibility_boundary(math.nan)
+
+
+def test_kerr_forbidden_band_refuses_nan():
+    with pytest.raises(ValueError):
+        kerr_forbidden_band(math.nan)
+
+
+def test_array_config_refuses_nan_c0():
+    with pytest.raises(ValueError):
+        ArrayConfig(c0=math.nan)
+
+
+def test_classify_writes_nan_into_a_0d_total():
+    status, theta = _classify_grid(6.25, 0.0, ArrayConfig())
+    assert status == Status.ARCCOS_INFEASIBLE and np.isnan(theta)
+    status, theta = _classify_grid(-1.0, 0.0, ArrayConfig())
+    assert status == Status.NEGATIVE_SPEED_SQ and np.isnan(theta)
+    status, theta = _classify_grid(1.0, 0.0, ArrayConfig())
+    assert status == Status.FEASIBLE and theta == 0.0
+
+
+@pytest.mark.parametrize("family", ["alcubierre", "godel", "kerr"])
+def test_scan_classifies_the_whole_grid_as_each_profile_alone(family):
+    # one call on the stacked (P, 1, R) speeds gives each (D, R) slab's bits
+    if family == "alcubierre":
+        profiles = [(vs, alcubierre_profile(AlcubierreParams(vs_over_c=vs, bubble_radius_R=1.0, x_s0=0.0, top_hat=True)))
+                    for vs in (0.5, 1.0, 1.5)]
+        r = np.linspace(-3.0, 3.0, 161)
+    elif family == "godel":
+        profiles = [(a, godel_profile(GodelParams(a=a))) for a in (0.5, 1.0)]
+        r = np.linspace(0.0, 6.0, 301)
+    else:
+        profiles = [(th, kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=th))) for th in (0.0, math.pi / 4, 1.5)]
+        r = np.linspace(0.0, 4.0, 201)
+    dc = np.r_[np.linspace(-0.5 * math.pi, 0.5 * math.pi, 37), math.nan]
+    cfg = ArrayConfig()
+    report = feasibility_scan(profiles, dc, r, cfg)
+    for k, (_, prof) in enumerate(profiles):
+        status, theta = _classify_grid(prof.finite_speed_sq(r)[None, :], dc[:, None], cfg)
+        assert report.status[k].dtype == status.dtype and report.status[k].tobytes() == status.tobytes()
+        assert report.theta_total[k].dtype == theta.dtype and report.theta_total[k].tobytes() == theta.tobytes()
+    assert report.status.shape == report.theta_total.shape == (len(profiles), dc.size, r.size)
+    assert report.theta_total.flags.c_contiguous

@@ -5,7 +5,8 @@ Usage, from any directory:
     python tools/preset_hashes.py
 
 Runs profile, synth, synth over the benchmark's 64 time samples
-(synth-moving), feasibility, raytrace, simulate and simulate with
+(synth-moving), feasibility, feasibility over the benchmark's 161 radii
+(feasibility-dense), raytrace, simulate and simulate with
 simulation.solver=both on every preset, in-process through fluxline.cli.main
 from this checkout's src/. Each run writes to out/preset_hashes/<run> under
 the checkout root. --out enters the config hash that every artifact
@@ -37,6 +38,8 @@ RUNS = (
     # every preset's own synth writes one time sample; this run writes a (cell, time) table
     ("synth-moving", ("--set", 'synthesis.time_samples={"start":0,"stop":20,"num":64}')),
     ("feasibility", ()),
+    # the preset fig1 scans one r; this run writes the benchmark's fig1 grid of 161 radii per block
+    ("feasibility-dense", ("--set", 'feasibility.r={"start":-3,"stop":3,"num":161}')),
     ("raytrace", ()),
     ("simulate", ()),
     ("simulate-both", ("--set", "simulation.solver=both")),
