@@ -260,18 +260,8 @@ def cmd_simulate(run: RunConfig) -> int:
 def cmd_raytrace(run: RunConfig) -> int:
     if run.rays is None:
         raise ConfigError("rays", "required block for the raytrace command")
-    paths = [
-        trace_null_geodesic(
-            run.profile,
-            launch.background_c,
-            r0=launch.r0,
-            t0=launch.t0,
-            direction=launch.direction,
-            t_end=launch.t_end,
-            dt=launch.dt,
-        )
-        for launch in run.rays
-    ]
+    # a launch's fields are trace_null_geodesic's keyword parameters
+    paths = [trace_null_geodesic(run.profile, **vars(launch)) for launch in run.rays]
     rows = chain.from_iterable(
         grid_lines(i, launch.direction, path.t, path.r, path.status)
         for i, (launch, path) in enumerate(zip(run.rays, paths))

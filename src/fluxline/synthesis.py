@@ -142,6 +142,8 @@ class ArrayConfig:
             raise ParamError("n_cells", f"must lie in [2, {MAX_GRID_POINTS}]")
         if not self.c0 > 0:
             raise ParamError("c0", "must be > 0")
+        if not math.isfinite(self.c0):
+            raise ParamError("c0", "must be finite")
         if not 0.0 < self.impedance_margin < HALF_PI:
             raise ParamError("impedance_margin", "must lie in (0, pi/2)")
         if self.max_hot_cells < 0:
@@ -161,10 +163,12 @@ def invert_speed_sq(speed_sq, theta_dc):
 
     arg = speed_sq * cos(theta_dc) and theta_total = arccos(arg) on the
     principal branch, with arg clipped to [-1, 1] first; callers judge the
-    unclipped arg (see _classify_grid). Broadcasting rules are numpy's.
+    unclipped arg (see _classify_grid). Broadcasting rules are numpy's; an
+    array's arccos is taken in place on its clipped copy.
     """
     arg = speed_sq * np.cos(theta_dc)
-    return arg, np.arccos(np.clip(arg, -1.0, 1.0))
+    theta = np.clip(arg, -1.0, 1.0)
+    return arg, np.arccos(theta, out=theta if np.ndim(theta) else None)
 
 
 def synthesize_flux(
@@ -230,6 +234,8 @@ def kerr_forbidden_band(theta: float, mass_M: float = 1.0) -> Optional[tuple[flo
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    if not 0.0 < mass_M < math.inf:
+        raise ValueError("mass_M must be finite and > 0")
     s = math.sin(theta)
     if s <= 0.0:
         return None

@@ -9,9 +9,10 @@ exists. c^2 is sampled at cell faces as the arithmetic mean of the node
 values. The time step is dt = cfl_factor * dx / c_max with c_max the
 profile supremum over the whole run; the step raises CflViolation whenever
 the instantaneous speed breaks that bound (possible for time-dependent or
-tabulated profiles whose supremum was underestimated). A time-dependent
-profile is evaluated once per block of up to BLOCK_STEPS step times, the
-times of the steps run() will take, and each step takes its row; step()
+tabulated profiles whose supremum was underestimated). run_blocks, the run
+loop of both wavelab solvers, takes a given step count in blocks of up to
+BLOCK_STEPS step times and records snapshot_count levels; a time-dependent
+profile is evaluated once per block, each step takes its row, and step()
 alone is a block of one.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
@@ -49,6 +50,34 @@ SPONGE_STRENGTH = 22.0
 # 64 was no faster per step and raised an alcubierre simulate's peak RSS by
 # 1.7 MB, against 0.1 MB for 16.
 BLOCK_STEPS = 16
+
+
+def snapshot_count(n_steps: int, stride: int) -> int:
+    """Levels run_blocks records over n_steps steps: the first, every stride-th and the last."""
+    return 1 + -(-n_steps // stride)
+
+
+def run_blocks(solver, n_steps: int, stride: int, first: tuple, *args) -> tuple:
+    """Take solver's next n_steps steps; returns (times, values) of first, every stride-th level and the last.
+
+    Blocks of up to BLOCK_STEPS step times, from the same += dt as
+    solver.time, go with args to solver._steps(times, *args), which yields
+    each new level into a table allocated before the first step.
+    """
+    times = np.empty(snapshot_count(n_steps, stride))
+    values = np.empty((len(times), len(first[1])))
+    times[0], values[0] = first
+    row, t = 0, solver.time
+    for start in range(0, n_steps, BLOCK_STEPS):
+        block = []
+        for _ in range(min(BLOCK_STEPS, n_steps - start)):
+            block.append(t)
+            t += solver.dt
+        for done, level in enumerate(solver._steps(np.array(block), *args), start + 1):
+            if done % stride == 0 or done == n_steps:
+                row += 1
+                times[row], values[row] = solver.time, level
+    return times, values
 
 
 class CflViolation(RuntimeError):
@@ -204,7 +233,7 @@ class ContinuumSolver:
         self.time = self.dt
 
     def _steps(self, times):
-        """Step once at each of times in turn, yielding after each; the profile is evaluated for all at once."""
+        """Step once at each of times in turn, yielding the new level after each; the profile is evaluated for all at once."""
         for face, c_inst in zip(*self._face_and_speed(times)):
             if self.dt * c_inst > self.grid.cfl_factor * self.grid.dx * (1.0 + 1e-9):
                 raise CflViolation(
@@ -214,36 +243,20 @@ class ContinuumSolver:
             self.psi_prev = self.psi_cur
             self.psi_cur = nxt
             self.time += self.dt
-            yield
+            yield nxt
 
     def step(self):
         for _ in self._steps([self.time]):
             pass
 
-    def run(self, t_end: float, snapshot_stride: int = 10) -> Snapshots:
-        """Advance to t_end, recording the field every snapshot_stride steps.
+    def run(self, n_steps: int, snapshot_stride: int = 10) -> Snapshots:
+        """Step n_steps times through run_blocks, recording the field every snapshot_stride steps.
 
-        The record starts with the pre-run level and ends with the final
-        state. Each step makes a new field array, so the levels are kept as
-        they are and copied once, into the record's values. The step times of
-        a block come from the same += dt as self.time, none past the last step.
+        The record starts with the pre-run level, psi_prev at time - dt, and
+        ends with the final state.
         """
-        times, values = [self.time - self.dt], [self.psi_prev]
-        steps = 0
-        while self.time < t_end - 1e-12:
-            block, t = [], self.time
-            while len(block) < BLOCK_STEPS and t < t_end - 1e-12:
-                block.append(t)
-                t += self.dt
-            for _ in self._steps(block):
-                steps += 1
-                if steps % snapshot_stride == 0:
-                    times.append(self.time)
-                    values.append(self.psi_cur)
-        if times[-1] < self.time:
-            times.append(self.time)
-            values.append(self.psi_cur)
-        return Snapshots(np.array(times), self.r, np.array(values))
+        times, values = run_blocks(self, n_steps, snapshot_stride, (self.time - self.dt, self.psi_prev))
+        return Snapshots(times, self.r, values)
 
     def energy(self) -> float:
         """Discrete energy 1/2 sum dx [psi_t^2 + c^2 (d_r psi)^2].

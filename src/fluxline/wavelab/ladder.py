@@ -18,10 +18,10 @@ sqrt(L0 C), and since L_i >= L0 for any flux, the bound never tightens
 below sqrt(L0 C) during a run. Cells with |cos theta_i| < 1e-9 have
 effectively infinite inductance and are rejected (SingularInductance).
 
-A flux schedule takes the (k, 1) half-step times of a block of up to
-BLOCK_STEPS steps that run() will take and returns (k, n_cells) angles,
-turned into inductances at once by set_flux's checks; each step applies its
-row, and step() alone is a block of one.
+A flux schedule takes the (k, 1) half-step times of each block of up to
+BLOCK_STEPS steps that run() takes through continuum.run_blocks and returns
+(k, n_cells) angles, turned into inductances at once by set_flux's checks;
+each step applies its row, and step() alone is a block of one.
 
 Boundaries: "reflecting" leaves the end nodes open-circuited; "absorbing"
 terminates both ends with the matched impedance sqrt(L0 / C).
@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .continuum import BLOCK_STEPS, GaussianPulse
+from .continuum import GaussianPulse, run_blocks
 from .fronts import Snapshots
 
 __all__ = [
@@ -152,57 +152,42 @@ class LadderSim:
         self._v_prev = self.voltages.copy()
         self.time = 0.0
 
-    def _steps(self, n_steps: int, flux_schedule):
-        """Take n_steps steps, yielding the count after each; flux_schedule retunes the cells first.
+    def _steps(self, times, flux_schedule=None):
+        """Step once per entry of times, yielding the new voltages after each; flux_schedule retunes the cells first.
 
-        It is sampled at the half steps, where the branch currents live, from
-        the same += dt as self.time, and never past the last step: it takes a
-        (k, 1) array of a block's half-step times and returns its angles,
-        broadcastable to (k, n_cells).
+        It is sampled at the half steps times + dt/2, where the branch
+        currents live: it takes a (k, 1) array of a block's half-step times
+        and returns its angles, broadcastable to (k, n_cells).
         """
-        done = 0
-        while done < n_steps:
-            k = min(BLOCK_STEPS, n_steps - done)
-            tunings = range(k)
-            if flux_schedule is not None:
-                halves, t = [], self.time
-                for _ in range(k):
-                    halves.append(t + 0.5 * self.dt)
-                    t += self.dt
-                theta = flux_schedule(np.array(halves)[:, None])
-                tunings = self._set_flux_rows(np.broadcast_to(theta, (k, self.n_cells)))
-            for _ in tunings:
-                self._v_prev = self.voltages
-                self.voltages, self.branch_flux, _ = ladder_step(
-                    self.voltages,
-                    self.branch_flux,
-                    self.inductance,
-                    self.capacitance,
-                    self.dt,
-                    self.z_load,
-                )
-                self.time += self.dt
-                done += 1
-                yield done
+        tunings = range(len(times))
+        if flux_schedule is not None:
+            theta = flux_schedule((times + 0.5 * self.dt)[:, None])
+            tunings = self._set_flux_rows(np.broadcast_to(theta, (len(times), self.n_cells)))
+        for _ in tunings:
+            self._v_prev = self.voltages
+            self.voltages, self.branch_flux, _ = ladder_step(
+                self.voltages,
+                self.branch_flux,
+                self.inductance,
+                self.capacitance,
+                self.dt,
+                self.z_load,
+            )
+            self.time += self.dt
+            yield self.voltages
 
     def step(self):
         """Advance one step with the cells as they are."""
-        for _ in self._steps(1, None):
+        for _ in self._steps([self.time]):
             pass
 
     def run(self, n_steps: int, snapshot_stride: int = 10, flux_schedule=None) -> Snapshots:
-        """Step n_steps times, recording the voltages every snapshot_stride steps.
+        """Step n_steps times through run_blocks, recording the voltages every snapshot_stride steps.
 
-        The record starts with the initial state and ends with the final
-        one. Each step makes a new voltage array, so the arrays are kept as
-        they are and copied once, into the record's values.
+        The record starts with the initial state and ends with the final one.
         """
-        times, values = [self.time], [self.voltages]
-        for k in self._steps(n_steps, flux_schedule):
-            if k % snapshot_stride == 0 or k == n_steps:
-                times.append(self.time)
-                values.append(self.voltages)
-        return Snapshots(np.array(times), self.node_r, np.array(values))
+        times, values = run_blocks(self, n_steps, snapshot_stride, (self.time, self.voltages), flux_schedule)
+        return Snapshots(times, self.node_r, values)
 
     def energy(self) -> float:
         """1/2 C sum V^2 + 1/2 sum L I^2 in the staggered product form.

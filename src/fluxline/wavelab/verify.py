@@ -29,7 +29,7 @@ import numpy as np
 
 from ..metrics import MAX_GRID_POINTS, ParamError, SpeedProfile
 from ..synthesis import FluxProgram, invert_speed_sq
-from .continuum import BOUNDARIES, ContinuumGrid, ContinuumSolver, GaussianPulse
+from .continuum import BOUNDARIES, ContinuumGrid, ContinuumSolver, GaussianPulse, snapshot_count
 from .fronts import FrontNotFound, Snapshots, front_trajectory
 from .ladder import LadderSim
 from .rays import oracle_positions
@@ -50,7 +50,7 @@ SOLVERS = ("continuum", "ladder", "both")
 # Most time steps one solver may take (t_end / dt), most cell-steps (steps x
 # grid points: n_points, or the ladder's n_cells + 1), and most snapshot
 # values (snapshots x grid points) one solver may keep in memory. Presets
-# take at most 3,068 steps and 2.45e6 cell-steps (alcubierre: 3,068 x 800)
+# take at most 3,068 steps and 2.45e6 cell-steps (kerr_theta0: 3,068 x 800)
 # and keep at most 144,000 values; the bounds keep a validated run finite in
 # work and memory (2**29 cell-steps is 8-18 s of stepping on one 2-core host).
 MAX_SOLVER_STEPS = 2**20
@@ -158,35 +158,34 @@ def compare_front_to_ray(
     return float(np.max(rel)), ts, rs, ray_at
 
 
-def _check_work(spec: SimulationSpec, dt: float, points: int, grid: str, whole_steps: bool = False) -> int:
-    """The snapshot stride of a run, refused before it steps if it would exceed a bound above.
+def _check_work(spec: SimulationSpec, solver, points: int, grid: str) -> tuple[int, int]:
+    """The (steps, stride) of a solver's run, refused before it steps if it would exceed a bound above.
 
-    grid names the field whose grid sets dt and the points. whole_steps counts
-    the steps as the ladder takes them, t_end / dt rounded up; the step bound
-    is checked first, as an infinite ratio does not round.
+    grid names the field whose grid sets dt and the points. Both solvers take
+    ceil((t_end - solver.time) / dt) steps; the step and cell-step bounds are
+    checked on t_end / dt first, as an infinite ratio does not round, and the
+    snapshot bound on the snapshot_count that the run allocates.
     """
-    steps = spec.t_end / dt
-    if not steps <= MAX_SOLVER_STEPS:
+    ratio = spec.t_end / solver.dt
+    if not ratio <= MAX_SOLVER_STEPS:
         raise WorkLimitExceeded(
-            f"simulation.t_end: t_end / dt = {steps:.6g} steps (dt = {dt:.6g}, set by {grid})"
+            f"simulation.t_end: t_end / dt = {ratio:.6g} steps (dt = {solver.dt:.6g}, set by {grid})"
             f" exceeds the limit of {MAX_SOLVER_STEPS}"
         )
-    if steps * points > MAX_CELL_STEPS:
+    if ratio * points > MAX_CELL_STEPS:
         raise WorkLimitExceeded(
-            f"{grid}: {steps:.6g} steps x {points} points = {steps * points:.6g} cell-steps"
+            f"{grid}: {ratio:.6g} steps x {points} points = {ratio * points:.6g} cell-steps"
             f" exceed the limit of {MAX_CELL_STEPS}"
         )
-    if whole_steps:
-        steps = math.ceil(steps)
+    steps = max(0, math.ceil((spec.t_end - solver.time) / solver.dt))
     stride = spec.snapshot_stride or max(1, int(round(steps / 160)))
-    # the pre-run state, one snapshot per stride steps, and the final state
-    snapshots = steps // stride + 2
+    snapshots = snapshot_count(steps, stride)
     if snapshots * points > MAX_SNAPSHOT_VALUES:
         raise WorkLimitExceeded(
-            f"simulation.snapshot_stride: {snapshots:.0f} snapshots of {points} values (set by {grid})"
+            f"simulation.snapshot_stride: {snapshots} snapshots of {points} values (set by {grid})"
             f" exceed the limit of {MAX_SNAPSHOT_VALUES} values"
         )
-    return stride
+    return steps, stride
 
 
 def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpec):
@@ -201,8 +200,7 @@ def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: Simulation
     )
     solver = ContinuumSolver(profile, grid, program.background_c)
     solver.initialize_pulse(spec.pulse, spec.direction)
-    stride = _check_work(spec, solver.dt, spec.n_points, "simulation.n_points")
-    snaps = solver.run(spec.t_end, stride)
+    snaps = solver.run(*_check_work(spec, solver, spec.n_points, "simulation.n_points"))
     guard = solver.sponge_width + 2.0 * spec.pulse_width
     meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt, "snapshots": len(snaps)}
     return snaps, guard, meta
@@ -231,8 +229,7 @@ def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpe
     else:
         sim.set_flux(program.theta_total[:, 0])
     sim.initialize_pulse(spec.pulse, spec.direction)
-    stride = _check_work(spec, sim.dt, program.n_cells + 1, "synthesis.n_cells", whole_steps=True)
-    snaps = sim.run(math.ceil(spec.t_end / sim.dt), stride, flux_schedule=schedule)
+    snaps = sim.run(*_check_work(spec, sim, program.n_cells + 1, "synthesis.n_cells"), flux_schedule=schedule)
     guard = 2.0 * spec.pulse_width + 2.0 * pitch
     meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt, "snapshots": len(snaps)}
     return snaps, guard, meta

@@ -145,7 +145,7 @@ def test_continuum_blocks_match_per_step_loop(wall, n_steps):
     profile = alcubierre(wall)
     solver, ref = continuum_solver(Recording(profile)), continuum_solver(Recording(profile))
     t_end = (n_steps + 0.5) * solver.dt
-    got = solver.run(t_end, 7)
+    got = solver.run(n_steps, 7)
     want = reference_continuum_run(ref, t_end, 7)
     assert_same_snapshots(got, want)
     # the profile is asked for the times the per-step loop asks for, none past the last step
@@ -228,7 +228,7 @@ def test_continuum_refuses_mid_block_at_the_reference_step():
     for s in (solver, ref):
         s.profile = Quickening((RAISE_AT + 0.5) * s.dt)
     with pytest.raises(CflViolation) as got:
-        solver.run(3 * BLOCK_STEPS * solver.dt, 7)
+        solver.run(3 * BLOCK_STEPS - 1, 7)
     with pytest.raises(CflViolation) as want:
         reference_continuum_run(ref, 3 * BLOCK_STEPS * ref.dt, 7)
     assert str(got.value) == str(want.value)

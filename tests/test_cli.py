@@ -26,6 +26,7 @@ from fluxline.synthesis import (
 )
 from fluxline.wavelab import CflViolation, FrontNotFound, SingularInductance, StabilityViolation
 from fluxline.wavelab import verify
+from fluxline.wavelab.continuum import snapshot_count
 from fluxline.wavelab.verify import MAX_CELL_STEPS
 
 
@@ -476,7 +477,7 @@ def test_run_beyond_cell_step_budget_exits_1_naming_grid(tmp_path, capsys, overr
          " exceeds the limit of 1048576\n"),
         (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "synthesis.n_cells=4000",
           "--set", "simulation.snapshot_stride=1"],
-         "simulation.snapshot_stride: 9266 snapshots of 4001 values (set by synthesis.n_cells)"
+         "simulation.snapshot_stride: 9265 snapshots of 4001 values (set by synthesis.n_cells)"
          " exceed the limit of 8388608 values\n"),
     ],
 )
@@ -484,6 +485,54 @@ def test_unbounded_or_non_finite_grid_exits_1_naming_field(tmp_path, capsys, arg
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {error}")
     assert not (tmp_path / "out").exists()
+
+
+# the presets whose program synthesizes, so that simulate runs both solvers
+SIMULATED = ("flat", "godel", "alcubierre", "alcubierre_superluminal", "kerr_theta0", "kerr_pi4")
+
+
+def bounded_runs(monkeypatch):
+    """{solver: (snapshot count, points)} of each run that _check_work lets through, as it bounded them."""
+    bounded = {}
+    check = verify._check_work
+
+    def record(spec, solver, points, grid):
+        steps, stride = check(spec, solver, points, grid)
+        name = "continuum" if grid == "simulation.n_points" else "ladder"
+        bounded[name] = (snapshot_count(steps, stride), points)
+        return steps, stride
+
+    monkeypatch.setattr(verify, "_check_work", record)
+    return bounded
+
+
+@pytest.mark.parametrize("preset", SIMULATED)
+def test_each_run_records_the_snapshot_count_it_was_bounded_by(tmp_path, monkeypatch, preset):
+    bounded = bounded_runs(monkeypatch)
+    assert main(["simulate", "--preset", preset, "--set", "simulation.solver=both", "--out", str(tmp_path)]) in (0, 4)
+    solvers = json.loads((tmp_path / "verification.json").read_text())["solvers"]
+    assert {name: result["grid"]["snapshots"] for name, result in solvers.items()} == {
+        name: count for name, (count, _) in bounded.items()
+    }
+
+
+# a stride of 6 divides both runs' step counts, 1374 and 960, where an estimate
+# of steps // stride + 2 counted the last level twice
+@pytest.mark.parametrize("preset, solver", [("godel", "continuum"), ("kerr_theta0", "ladder")])
+def test_snapshot_bound_is_the_exact_count_of_values(tmp_path, capsys, monkeypatch, preset, solver):
+    argv = ["simulate", "--preset", preset, "--set", f"simulation.solver={solver}", "--set", "simulation.snapshot_stride=6"]
+    bounded = bounded_runs(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+    count, points = bounded[solver]
+    monkeypatch.setattr(verify, "MAX_SNAPSHOT_VALUES", count * points)
+    assert main([*argv, "--out", str(tmp_path / "at")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(verify, "MAX_SNAPSHOT_VALUES", count * points - 1)
+    assert main([*argv, "--out", str(tmp_path / "below")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: simulation.snapshot_stride: {count} snapshots of {points} values"
+    )
+    assert not (tmp_path / "below").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Strict config parsing: field paths, unknown keys, presets, overrides."""
 
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -36,7 +37,7 @@ from fluxline.metrics import (
     SpeedProfile,
     TabulatedParams,
 )
-from fluxline.wavelab import GaussianPulse, SimulationSpec
+from fluxline.wavelab import GaussianPulse, SimulationSpec, trace_null_geodesic
 
 MINIMAL = {"metric": {"kind": "flat"}}
 
@@ -508,3 +509,9 @@ def test_validate_config_fuzz(doc):
             _assert_finite(run.profile.params, "metric")
     for name in ("synthesis", "simulation", "rays", "sampling", "feasibility", "output"):
         _assert_finite(getattr(run, name), name)
+
+
+def test_ray_launch_fields_are_trace_null_geodesic_keywords():
+    # cmd_raytrace passes each launch's fields to trace_null_geodesic as they are
+    _, *keywords = inspect.signature(trace_null_geodesic).parameters
+    assert {f.name for f in dataclasses.fields(RayLaunch)} == set(keywords)

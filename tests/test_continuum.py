@@ -1,5 +1,6 @@
 """Variable-speed leapfrog solver: propagation, stability, energy."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,10 +29,15 @@ def make_solver(profile, n=500, span=(0.0, 10.0), boundary="absorbing_sponge", c
     return ContinuumSolver(profile, grid)
 
 
+def steps_to(sol, t_end):
+    """The step count of a run to t_end: the steps whose times start below it."""
+    return math.ceil((t_end - sol.time) / sol.dt)
+
+
 def test_uniform_pulse_advances_at_unit_speed():
     sol = make_solver(flat_profile(), n=600)
     sol.initialize_pulse(GaussianPulse(1.0, 0.18), 1)
-    snaps = sol.run(7.0, 20)
+    snaps = sol.run(steps_to(sol, 7.0), 20)
     res = measure_front_speed(Snapshots(snaps.times[:-4], snaps.r, snaps.values[:-4]))
     assert res.mean == pytest.approx(1.0, abs=0.01)
 
@@ -99,7 +105,7 @@ def test_sponge_absorbs_outgoing_pulse():
         sol = make_solver(flat_profile(), n=800, boundary="absorbing_sponge")
         sol.initialize_pulse(GaussianPulse(5.0, width), 1)
         peak0 = np.max(np.abs(sol.psi_cur))
-        sol.run(14.0, 10_000)  # pulse reaches the far wall and should die there
+        sol.run(steps_to(sol, 14.0), 10_000)  # pulse reaches the far wall and should die there
         residuals.append(np.max(np.abs(sol.psi_cur[100:700])) / peak0)
     assert residuals[0] < 0.1
     assert residuals[1] < residuals[0]
@@ -109,7 +115,7 @@ def test_reflecting_wall_returns_pulse():
     sol = make_solver(flat_profile(), n=800, boundary="reflecting")
     sol.initialize_pulse(GaussianPulse(5.0, 0.3), 1)
     peak0 = np.max(np.abs(sol.psi_cur))
-    sol.run(14.0, 10_000)
+    sol.run(steps_to(sol, 14.0), 10_000)
     assert np.max(np.abs(sol.psi_cur)) > 0.5 * peak0
 
 
@@ -117,7 +123,7 @@ def test_front_tracks_ray_on_curved_profile():
     prof = godel_profile(GodelParams(a=1.0))
     sol = make_solver(prof, n=700, span=(0.0, 3.8))
     sol.initialize_pulse(GaussianPulse(0.4, 0.12), 1)
-    snaps = sol.run(1.75, 25)
+    snaps = sol.run(steps_to(sol, 1.75), 25)
     ts, rs = front_trajectory(snaps, 0.05, 1, r_stop=3.1)
     ray = trace_null_geodesic(prof, 1.0, r0=rs[0], t0=ts[0], t_end=ts[-1] + 1e-9)
     ray_at = np.interp(ts, ray.t, ray.r)
@@ -130,7 +136,7 @@ def test_front_tracks_ray_on_curved_profile():
 def test_snapshots_carry_monotone_times():
     sol = make_solver(flat_profile(), n=200)
     sol.initialize_pulse(GaussianPulse(2.0, 0.3), 1)
-    snaps = sol.run(2.0, 15)
+    snaps = sol.run(steps_to(sol, 2.0), 15)
     assert snaps.times[0] == 0.0
     assert np.all(np.diff(snaps.times) > 0)
     assert snaps.times[-1] == pytest.approx(sol.time)

@@ -159,7 +159,7 @@ def test_ladder_agrees_with_continuum_on_static_profile():
     grid = ContinuumGrid(n_points=n_pts, dx=(window[1] - window[0]) / (n_pts - 1), r_start=window[0])
     solver = ContinuumSolver(prof, grid, background_c=bg)
     solver.initialize_pulse(GaussianPulse(0.4, 0.12), 1)
-    cont_snaps = solver.run(4.4, 20)
+    cont_snaps = solver.run(math.ceil((4.4 - solver.time) / solver.dt), 20)
 
     lt, lr = front_trajectory(lad_snaps, 0.05, 1, r_stop=3.1)
     ct, cr = front_trajectory(cont_snaps, 0.05, 1, r_stop=3.1)

@@ -1,6 +1,7 @@
 """Flux algebra, feasibility classification and program synthesis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,6 +552,49 @@ def test_kerr_forbidden_band_refuses_nan():
 def test_array_config_refuses_nan_c0():
     with pytest.raises(ValueError):
         ArrayConfig(c0=math.nan)
+
+
+def test_kerr_forbidden_band_refuses_nan_mass():
+    # once (nan, nan)
+    with pytest.raises(ValueError, match="mass_M"):
+        kerr_forbidden_band(math.pi / 4, math.nan)
+
+
+def test_kerr_forbidden_band_refuses_negative_mass():
+    # once a reversed band of negative radii
+    with pytest.raises(ValueError, match="mass_M"):
+        kerr_forbidden_band(math.pi / 4, -1.0)
+
+
+def test_array_config_refuses_infinite_c0():
+    # once accepted, and synthesize_program then gave background_c = inf
+    with pytest.raises(ValueError, match="c0"):
+        ArrayConfig(c0=math.inf)
+
+
+def test_invert_speed_sq_keeps_numpy_scalars_and_array_bits():
+    arg, theta = invert_speed_sq(0.5, 0.3)
+    assert type(arg) is type(theta) is np.float64
+    s = np.linspace(-0.5, 1.5, 41)
+    arg, theta = invert_speed_sq(s, 0.3)
+    assert theta.tobytes() == np.arccos(np.clip(s * np.cos(0.3), -1.0, 1.0)).tobytes()
+
+
+def test_scan_peak_holds_fewer_than_three_grid_sized_float_arrays():
+    # the benchmark's fig1 grid: 3 bubble speeds x 512 theta_dc x 161 radii
+    profiles = [(vs, alcubierre_profile(AlcubierreParams(vs_over_c=vs, bubble_radius_R=1.0, x_s0=0.0, top_hat=True)))
+                for vs in (0.5, 1.0, 1.5)]
+    dc = math.pi * np.linspace(-0.4999, 0.0, 512)
+    tracemalloc.start()
+    try:
+        report = feasibility_scan(profiles, dc, np.linspace(-3.0, 3.0, 161), ArrayConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_bytes = 8 * report.status.size
+    # measured 2.63 grids (5.21 MB) with numpy 2.4; an arccos beside arg and its
+    # clipped copy made it 3.00 (5.94 MB)
+    assert peak < 2.8 * grid_bytes
 
 
 def test_classify_writes_nan_into_a_0d_total():

@@ -3,9 +3,12 @@
 import json
 import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxline.csvio import write_json
 from fluxline.metrics import (
@@ -20,7 +23,7 @@ from fluxline.metrics import (
 from fluxline.synthesis import ArrayConfig, synthesize_program
 from fluxline.wavelab import SimulationSpec, verify_program
 from fluxline.wavelab.fronts import front_trajectory
-from fluxline.wavelab.verify import _run_continuum, compare_front_to_ray
+from fluxline.wavelab.verify import _check_work, _run_continuum, compare_front_to_ray
 
 
 def test_flat_program_verifies_below_one_percent():
@@ -157,3 +160,61 @@ def test_simulation_spec_validation():
         SimulationSpec(pulse_center=0, pulse_width=-1.0, t_end=1.0)
     with pytest.raises(ValueError):
         SimulationSpec(pulse_center=0, pulse_width=0.1, t_end=1.0, direction=0)
+
+
+def while_loop_steps(time, dt, t_end):
+    """The steps the continuum's run once took: it stepped while its time stayed below t_end - 1e-12."""
+    steps = 0
+    while time < t_end - 1e-12:
+        time += dt
+        steps += 1
+    return steps
+
+
+def bounded_steps(time, dt, t_end):
+    spec = SimpleNamespace(t_end=t_end, snapshot_stride=None)
+    return _check_work(spec, SimpleNamespace(time=time, dt=dt), 16, "simulation.n_points")[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dt=st.floats(1e-6, 1.0),
+    whole=st.integers(0, 3000),
+    frac=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([1e-16, 1e-14, 1e-12, 1 - 1e-12])),
+)
+# a run started one step in, as the continuum's is, whose t_end lies on a step
+# time up to rounding: ceil takes the step that starts there, the loop did not
+@example(dt=0.1, whole=3, frac=0.0)
+# t_end = 93: the loop's summed times fall more than 1e-12 short of the
+# ratio's, and it took a 930th step that starts there, which ceil does not
+@example(dt=0.1, whole=929, frac=0.0)
+def test_step_count_is_the_while_loops_but_at_whole_ratios(dt, whole, frac):
+    """ceil((t_end - time) / dt) steps, against the loop it replaced.
+
+    The two agree unless t_end lies within the loop's 1e-12 slack plus the
+    rounding of its summed times of a step time; there they differ by at
+    most one step, and ceil is what runs.
+    """
+    time = dt  # initialize_pulse leaves the continuum one step in
+    t_end = time + (whole + frac) * dt
+    got, want = bounded_steps(time, dt, t_end), while_loop_steps(time, dt, t_end)
+    ratio = (t_end - time) / dt
+    if abs(ratio - round(ratio)) * dt > 1e-12 + (round(ratio) + 1) * 2**-52 * t_end:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1
+
+
+@pytest.mark.parametrize(
+    "t_end, steps, loop_steps",
+    # the two inputs above: ceil runs the step that starts at t_end up to rounding, whichever side the loop fell
+    [(0.4, 4, 3), (93.0, 929, 930)],
+)
+def test_step_count_ceil_ships_at_whole_ratios(t_end, steps, loop_steps):
+    assert while_loop_steps(0.1, 0.1, t_end) == loop_steps
+    assert bounded_steps(0.1, 0.1, t_end) == steps
+
+
+def test_step_count_is_zero_not_negative_when_t_end_rounds_away():
+    # t_end - dt rounds to -dt, whose ratio ceil would take as -1 steps
+    assert bounded_steps(0.01, 0.01, 1e-300) == 0

@@ -6,8 +6,9 @@ Usage, from any directory:
 
 Runs profile, synth, synth over the benchmark's 64 time samples
 (synth-moving), feasibility, feasibility over the benchmark's 161 radii
-(feasibility-dense), raytrace, simulate and simulate with
-simulation.solver=both on every preset, in-process through fluxline.cli.main
+(feasibility-dense), raytrace, simulate, simulate with
+simulation.solver=both, and that again with simulation.snapshot_stride=4
+(simulate-stride) on every preset, in-process through fluxline.cli.main
 from this checkout's src/. Each run writes to out/preset_hashes/<run> under
 the checkout root. --out enters the config hash that every artifact
 carries, so the path is the same relative path on every tree, and the
@@ -43,6 +44,8 @@ RUNS = (
     ("raytrace", ()),
     ("simulate", ()),
     ("simulate-both", ("--set", "simulation.solver=both")),
+    # a stride of 4 ends some runs on a stride and some off one, which pins the last-level rule
+    ("simulate-stride", ("--set", "simulation.solver=both", "--set", "simulation.snapshot_stride=4")),
 )
 
 
