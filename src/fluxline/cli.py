@@ -15,7 +15,6 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -262,16 +261,16 @@ def cmd_raytrace(run: RunConfig) -> int:
         raise ConfigError("rays", "required block for the raytrace command")
     # a launch's fields are trace_null_geodesic's keyword parameters
     paths = [trace_null_geodesic(run.profile, **vars(launch)) for launch in run.rays]
-    rows = chain.from_iterable(
-        grid_lines(i, launch.direction, path.t, path.r, path.status)
-        for i, (launch, path) in enumerate(zip(run.rays, paths))
+    # one row per sample of every path, each tagged with its launch
+    tag = lambda values: np.repeat(values, [len(path.t) for path in paths])
+    rows = grid_lines(
+        tag(np.arange(len(paths))),
+        tag([launch.direction for launch in run.rays]),
+        np.concatenate([path.t for path in paths]),
+        np.concatenate([path.r for path in paths]),
+        tag([path.status for path in paths]),
     )
-    out = write_csv(
-        _outdir(run) / "rays.csv",
-        ("launch_index", "direction", "t", "r", "status"),
-        rows,
-        run.hash,
-    )
+    out = write_csv(_outdir(run) / "rays.csv", ("launch_index", "direction", "t", "r", "status"), rows, run.hash)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -308,8 +308,9 @@ def _kerr_extreme_sup(params: KerrExtremeParams, window) -> float:
 
 
 def _tabulated_sup(params: TabulatedParams, window) -> float:
+    # a linear interpolant peaks at a window end or at a knot inside the window
     lo, hi = window
-    rs = np.linspace(lo, hi, max(len(params.r) * 4, 4097))
+    rs = np.r_[lo, params.r[(params.r > lo) & (params.r < hi)], hi]
     return float(np.max(_tabulated(params)(rs, 0.0, 1.0)))
 
 

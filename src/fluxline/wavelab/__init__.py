@@ -12,36 +12,12 @@ simulator's run returns; verify ties the pieces together into a pass/fail
 report.
 """
 
-from .fronts import FrontNotFound, FrontSpeeds, Snapshots, front_position, front_trajectory, measure_front_speed
-from .rays import RAY_COMPLETED, RAY_LEFT_DOMAIN, RAY_NEGATIVE_SPEED_SQ, RayPath, trace_null_geodesic
-from .continuum import CflViolation, ContinuumGrid, ContinuumSolver, GaussianPulse, fdtd_step
-from .ladder import LadderSim, SingularInductance, StabilityViolation, ladder_step
-from .verify import SimulationSpec, SolverResult, VerificationReport, compare_front_to_ray, verify_program
+from . import continuum, fronts, ladder, rays, verify
+from .fronts import *
+from .rays import *
+from .continuum import *
+from .ladder import *
+from .verify import *
 
-__all__ = [
-    "Snapshots",
-    "FrontNotFound",
-    "FrontSpeeds",
-    "front_position",
-    "front_trajectory",
-    "measure_front_speed",
-    "RayPath",
-    "trace_null_geodesic",
-    "RAY_COMPLETED",
-    "RAY_LEFT_DOMAIN",
-    "RAY_NEGATIVE_SPEED_SQ",
-    "ContinuumGrid",
-    "ContinuumSolver",
-    "GaussianPulse",
-    "CflViolation",
-    "fdtd_step",
-    "LadderSim",
-    "StabilityViolation",
-    "SingularInductance",
-    "ladder_step",
-    "SimulationSpec",
-    "SolverResult",
-    "VerificationReport",
-    "compare_front_to_ray",
-    "verify_program",
-]
+# each module states its public names once; the package republishes them
+__all__ = fronts.__all__ + rays.__all__ + continuum.__all__ + ladder.__all__ + verify.__all__

@@ -249,7 +249,7 @@ class ContinuumSolver:
         for _ in self._steps([self.time]):
             pass
 
-    def run(self, n_steps: int, snapshot_stride: int = 10) -> Snapshots:
+    def run(self, n_steps: int, snapshot_stride: int) -> Snapshots:
         """Step n_steps times through run_blocks, recording the field every snapshot_stride steps.
 
         The record starts with the pre-run level, psi_prev at time - dt, and

@@ -181,7 +181,7 @@ class LadderSim:
         for _ in self._steps([self.time]):
             pass
 
-    def run(self, n_steps: int, snapshot_stride: int = 10, flux_schedule=None) -> Snapshots:
+    def run(self, n_steps: int, snapshot_stride: int, flux_schedule=None) -> Snapshots:
         """Step n_steps times through run_blocks, recording the voltages every snapshot_stride steps.
 
         The record starts with the initial state and ends with the final one.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -57,10 +57,13 @@ MAX_SOLVER_STEPS = 2**20
 MAX_CELL_STEPS = 2**29
 MAX_SNAPSHOT_VALUES = 2**23
 MIN_TRAVEL_FRAC = 0.15
+# About how many levels a run records: every max(1, round(steps / SNAPSHOTS))-th
+# step, plus the first and the last
+SNAPSHOTS = 160
 
 
 class WorkLimitExceeded(ValueError):
-    """A run would step or keep more than the bounds above; the message starts with the knob."""
+    """A run would step or keep more than the bounds above; the message starts with the field to change."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,6 @@ class SimulationSpec:
     cfl_factor: float = 0.5
     boundary: str = "absorbing_sponge"
     pulse_amplitude: float = 1.0
-    snapshot_stride: Optional[int] = None
     front_threshold: float = 0.05
     tolerance: float = 0.05
     stability_factor: float = 0.5
@@ -95,8 +97,6 @@ class SimulationSpec:
             raise ParamError("stability_factor", "must lie in (0, 1)")
         if self.t_end <= 0:
             raise ParamError("t_end", "must be > 0")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ParamError("snapshot_stride", "must be >= 1")
         if not 0.0 < self.front_threshold < 1.0:
             raise ParamError("front_threshold", "must lie in (0, 1)")
         if self.tolerance <= 0:
@@ -164,7 +164,9 @@ def _check_work(spec: SimulationSpec, solver, points: int, grid: str) -> tuple[i
     grid names the field whose grid sets dt and the points. Both solvers take
     ceil((t_end - solver.time) / dt) steps; the step and cell-step bounds are
     checked on t_end / dt first, as an infinite ratio does not round, and the
-    snapshot bound on the snapshot_count that the run allocates.
+    snapshot bound on the snapshot_count that the run allocates. The stride
+    follows from the steps, so no recording setting decides which front
+    samples the comparison sees.
     """
     ratio = spec.t_end / solver.dt
     if not ratio <= MAX_SOLVER_STEPS:
@@ -178,12 +180,11 @@ def _check_work(spec: SimulationSpec, solver, points: int, grid: str) -> tuple[i
             f" exceed the limit of {MAX_CELL_STEPS}"
         )
     steps = max(0, math.ceil((spec.t_end - solver.time) / solver.dt))
-    stride = spec.snapshot_stride or max(1, int(round(steps / 160)))
+    stride = max(1, round(steps / SNAPSHOTS))
     snapshots = snapshot_count(steps, stride)
     if snapshots * points > MAX_SNAPSHOT_VALUES:
         raise WorkLimitExceeded(
-            f"simulation.snapshot_stride: {snapshots} snapshots of {points} values (set by {grid})"
-            f" exceed the limit of {MAX_SNAPSHOT_VALUES} values"
+            f"{grid}: {snapshots} snapshots of {points} values exceed the limit of {MAX_SNAPSHOT_VALUES} values"
         )
     return steps, stride
 

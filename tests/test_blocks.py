@@ -234,3 +234,18 @@ def test_continuum_refuses_mid_block_at_the_reference_step():
     assert str(got.value) == str(want.value)
     assert solver.time == ref.time == pytest.approx((RAISE_AT + 1) * solver.dt, rel=1e-12)
     assert solver.psi_cur.tobytes() == ref.psi_cur.tobytes()
+
+
+@pytest.mark.parametrize("n_steps, stride", [(2 * BLOCK_STEPS, 4), (21, 7), (9, 1)])
+@pytest.mark.parametrize("solver", ["continuum", "ladder"])
+def test_stride_that_divides_the_steps_records_the_last_level_once(solver, n_steps, stride):
+    """run(n_steps, stride) with stride | n_steps records 1 + n_steps / stride levels.
+
+    After the first (the continuum's is its pre-run level, one step before
+    its start) they lie stride steps apart, and the last is the final state.
+    """
+    sim = continuum_solver(alcubierre("top_hat")) if solver == "continuum" else ladder_sim()
+    snaps = sim.run(n_steps, stride)
+    assert len(snaps) == snaps.values.shape[0] == 1 + n_steps // stride
+    np.testing.assert_allclose(np.diff(snaps.times[1:]), stride * sim.dt, rtol=1e-9)
+    assert snaps.times[-1] == sim.time

@@ -23,6 +23,7 @@ from fluxline.synthesis import (
     Status,
     SynthesisFailed,
     WindowViolation,
+    godel_max_radius,
 )
 from fluxline.wavelab import CflViolation, FrontNotFound, SingularInductance, StabilityViolation
 from fluxline.wavelab import verify
@@ -206,6 +207,25 @@ def test_feasibility_fig2_boundary_law(tmp_path):
     for dc_s, rmax_s in rows:
         dc, rmax = float(dc_s), float(rmax_s)
         assert rmax == pytest.approx(math.sqrt(1.0 / math.cos(dc) - 1.0), rel=1e-12)
+
+
+def test_feasibility_without_figure_scans_the_configured_metric(tmp_path):
+    argv = ["feasibility", "--preset", "godel", "--set", "feasibility.theta_dc_over_pi=[0.1,0.3]",
+            "--set", 'feasibility.r={"start":0,"stop":3,"num":31}', "--out", str(tmp_path)]
+    assert main(argv) == 0
+    # a custom scan has no analytic boundary to write
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["feasibility.csv"]
+    rows = cols(tmp_path / "feasibility.csv", ("param_1", "param_2", "r", "status_code", "theta_total_or_nan"))
+    assert len(rows) == 2 * 31
+    assert {row[0] for row in rows} == {"0"}  # one member, the metric itself
+    for dc_over_pi in (0.1, 0.3):
+        dc = dc_over_pi * math.pi
+        scan = [(float(r), int(code)) for _, d, r, code, _ in rows if float(d) == dc]
+        # godel with a = 1: feasible out to r = 2 r_max/(2a), arccos-infeasible beyond
+        edge = 2.0 * godel_max_radius(dc)
+        assert [code for _, code in scan] == [
+            Status.FEASIBLE if r <= edge else Status.ARCCOS_INFEASIBLE for r, _ in scan
+        ]
 
 
 def test_feasibility_fig3_structure(tmp_path):
@@ -416,9 +436,9 @@ def test_unbounded_ray_launch_exits_1_naming_field(tmp_path, capsys, launch, fie
         (["simulation.t_end=1e9"], "simulation.t_end"),
         (["simulation.t_end=1e9", "simulation.solver=ladder"], "simulation.t_end"),
         (["simulation.t_end=1e308", "simulation.solver=ladder"], "simulation.t_end"),
-        (["simulation.t_end=100", "simulation.snapshot_stride=1"], "simulation.snapshot_stride"),
-        (["simulation.t_end=400", "simulation.snapshot_stride=1", "simulation.solver=ladder"],
-         "simulation.snapshot_stride"),
+        # past the snapshot bound, which names the grid whose values a snapshot holds
+        (["simulation.n_points=60000", "simulation.t_end=0.3"], "simulation.n_points"),
+        (["synthesis.n_cells=60000", "simulation.t_end=0.25", "simulation.solver=ladder"], "synthesis.n_cells"),
     ],
 )
 def test_unbounded_simulation_exits_1_naming_field(tmp_path, capsys, overrides, field):
@@ -432,9 +452,8 @@ def test_unbounded_simulation_exits_1_naming_field(tmp_path, capsys, overrides, 
     "overrides, field",
     [
         # validated, then stepped 2e5 steps x 1e5 points: about 1,000 s
-        (["simulation.n_points=100000", "simulation.snapshot_stride=1000000"], "simulation.n_points"),
-        (["simulation.solver=ladder", "synthesis.n_cells=100000", "simulation.snapshot_stride=1000000"],
-         "synthesis.n_cells"),
+        (["simulation.n_points=100000"], "simulation.n_points"),
+        (["simulation.solver=ladder", "synthesis.n_cells=100000"], "synthesis.n_cells"),
     ],
 )
 def test_run_beyond_cell_step_budget_exits_1_naming_grid(tmp_path, capsys, overrides, field):
@@ -467,7 +486,7 @@ def test_run_beyond_cell_step_budget_exits_1_naming_grid(tmp_path, capsys, overr
         (["simulate", "--preset", "godel", "--set", "simulation.n_points=1000000"],
          "simulation.t_end: t_end / dt = 1.9666e+06 steps (dt = 2.23737e-06, set by simulation.n_points)"),
         (["simulate", "--preset", "godel", "--set", "simulation.n_points=100000", "--set", "simulation.t_end=0.1"],
-         "simulation.snapshot_stride: 161 snapshots of 100000 values (set by simulation.n_points)"),
+         "simulation.n_points: 161 snapshots of 100000 values exceed the limit of 8388608 values\n"),
         # the ladder's bounds, checked on t_end / dt before its step count is rounded up
         (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "simulation.t_end=1e6"],
          "simulation.t_end: t_end / dt = 1.34737e+08 steps (dt = 0.00742187, set by synthesis.n_cells)"
@@ -475,10 +494,9 @@ def test_run_beyond_cell_step_budget_exits_1_naming_grid(tmp_path, capsys, overr
         (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "simulation.t_end=1e308"],
          "simulation.t_end: t_end / dt = inf steps (dt = 0.00742187, set by synthesis.n_cells)"
          " exceeds the limit of 1048576\n"),
-        (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "synthesis.n_cells=4000",
-          "--set", "simulation.snapshot_stride=1"],
-         "simulation.snapshot_stride: 9265 snapshots of 4001 values (set by synthesis.n_cells)"
-         " exceed the limit of 8388608 values\n"),
+        (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "synthesis.n_cells=60000",
+          "--set", "simulation.t_end=0.25"],
+         "synthesis.n_cells: 163 snapshots of 60001 values exceed the limit of 8388608 values\n"),
     ],
 )
 def test_unbounded_or_non_finite_grid_exits_1_naming_field(tmp_path, capsys, argv, error):
@@ -492,14 +510,14 @@ SIMULATED = ("flat", "godel", "alcubierre", "alcubierre_superluminal", "kerr_the
 
 
 def bounded_runs(monkeypatch):
-    """{solver: (snapshot count, points)} of each run that _check_work lets through, as it bounded them."""
+    """{solver: (snapshot count, points, grid field)} of each run that _check_work lets through, as it bounded them."""
     bounded = {}
     check = verify._check_work
 
     def record(spec, solver, points, grid):
         steps, stride = check(spec, solver, points, grid)
         name = "continuum" if grid == "simulation.n_points" else "ladder"
-        bounded[name] = (snapshot_count(steps, stride), points)
+        bounded[name] = (snapshot_count(steps, stride), points, grid)
         return steps, stride
 
     monkeypatch.setattr(verify, "_check_work", record)
@@ -512,25 +530,27 @@ def test_each_run_records_the_snapshot_count_it_was_bounded_by(tmp_path, monkeyp
     assert main(["simulate", "--preset", preset, "--set", "simulation.solver=both", "--out", str(tmp_path)]) in (0, 4)
     solvers = json.loads((tmp_path / "verification.json").read_text())["solvers"]
     assert {name: result["grid"]["snapshots"] for name, result in solvers.items()} == {
-        name: count for name, (count, _) in bounded.items()
+        name: count for name, (count, *_) in bounded.items()
     }
 
 
-# a stride of 6 divides both runs' step counts, 1374 and 960, where an estimate
-# of steps // stride + 2 counted the last level twice
+# godel's continuum takes 1374 steps at the derived stride 9, 154 levels; the
+# kerr_theta0 ladder 960 at stride 6, which divides them, where an estimate of
+# steps // stride + 2 counted the last level twice
 @pytest.mark.parametrize("preset, solver", [("godel", "continuum"), ("kerr_theta0", "ladder")])
 def test_snapshot_bound_is_the_exact_count_of_values(tmp_path, capsys, monkeypatch, preset, solver):
-    argv = ["simulate", "--preset", preset, "--set", f"simulation.solver={solver}", "--set", "simulation.snapshot_stride=6"]
+    argv = ["simulate", "--preset", preset, "--set", f"simulation.solver={solver}"]
     bounded = bounded_runs(monkeypatch)
     assert main([*argv, "--out", str(tmp_path / "first")]) == 0
-    count, points = bounded[solver]
+    count, points, grid = bounded[solver]
+    assert count == {"godel": 154, "kerr_theta0": 161}[preset]
     monkeypatch.setattr(verify, "MAX_SNAPSHOT_VALUES", count * points)
     assert main([*argv, "--out", str(tmp_path / "at")]) == 0
     capsys.readouterr()
     monkeypatch.setattr(verify, "MAX_SNAPSHOT_VALUES", count * points - 1)
     assert main([*argv, "--out", str(tmp_path / "below")]) == 1
     assert capsys.readouterr().err.startswith(
-        f"config error: simulation.snapshot_stride: {count} snapshots of {points} values"
+        f"config error: {grid}: {count} snapshots of {points} values exceed the limit"
     )
     assert not (tmp_path / "below").exists()
 
@@ -590,13 +610,21 @@ def test_feasibility_theta_values_in_radians_match_units_of_pi(tmp_path):
         assert (tmp_path / "rad" / name).read_text().splitlines()[1:] == pi
 
 
-@pytest.mark.parametrize("table", ["missing", "directory", "nan"])
+BAD_TABLES = {
+    "nan": "r,ctilde_sq\n0.0,1.0\n1.0,nan\n",
+    "three_columns": "r,ctilde_sq\n0.0,1.0\n1.0,2.0,3.0\n",
+    "late_header": "0.0,1.0\nr,ctilde_sq\n1.0,2.0\n",
+    "one_row": "# a comment\nr,ctilde_sq\n0.0,1.0\n",
+}
+
+
+@pytest.mark.parametrize("table", ["missing", "directory", *BAD_TABLES])
 def test_unreadable_tabulated_table_exits_1_at_validation(tmp_path, capsys, table):
     csv = tmp_path / "table.csv"
     if table == "directory":
         csv.mkdir()
-    elif table == "nan":
-        csv.write_text("r,ctilde_sq\n0.0,1.0\n1.0,nan\n")
+    elif table in BAD_TABLES:
+        csv.write_text(BAD_TABLES[table])
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"metric": {"kind": "tabulated", "csv_path": str(csv)},
                                "sampling": {"r": [0.0, 0.5]}}))

@@ -128,6 +128,14 @@ def test_tabulated_profile_roundtrip(tmp_path):
     assert prof.valid_range == (0.0, 2.0)
 
 
+def test_tabulated_table_skips_comments_and_blank_lines(tmp_path):
+    csv = tmp_path / "table.csv"
+    csv.write_text("# from a sweep\n\nr,ctilde_sq\n0.0,1.0\n  \n# mid-table note\n2.0,5.0\n")
+    prof = validate_config({"metric": {"kind": "tabulated", "csv_path": str(csv)}}).profile
+    np.testing.assert_array_equal(prof.params.r, [0.0, 2.0])
+    np.testing.assert_array_equal(prof.params.speed_sq, [1.0, 5.0])
+
+
 def test_tabulated_profile_rejects_non_finite_values(tmp_path):
     csv = tmp_path / "table.csv"
     csv.write_text("r,ctilde_sq\n0.0,1.0\n1.0,nan\n2.0,5.0\n")
@@ -175,6 +183,25 @@ def test_load_raw_config_bad_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_raw_config(str(bad), None)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (None, "--config: no such file: "),
+        ("[1, 2]", "config: top level must be a JSON object"),
+        ('{"metric": {"kind": "warp"}}', "metric.kind: must be one of "),
+        ('{"sampling": {"r": [0.0]}}', "metric: required block missing"),
+    ],
+    ids=["missing_file", "not_an_object", "unknown_kind", "no_metric"],
+)
+def test_config_document_error_exits_1_naming_field(tmp_path, capsys, text, error):
+    cfg = tmp_path / "config.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_hash_stable_and_sensitive():
@@ -290,12 +317,15 @@ def test_every_kind_rejects_invalid_parameter_naming_field(tmp_path, capsys, kin
         # parsed and validated, never read; removed with the keys
         "synthesis.cell_pitch=2.0",
         'output.formats=["csv"]',
+        # a recording density that decided which front samples a verdict saw
+        "simulation.snapshot_stride=0",
     ],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
     argv = ["synth", "--preset", "godel", "--set", assignment, "--out", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert "unknown keys" in capsys.readouterr().err
+    block, _, key = assignment.split("=")[0].rpartition(".")
+    assert capsys.readouterr().err.startswith(f"config error: {block}: unknown keys [{key!r}]; ")
 
 
 # (command, --set assignment, field the error must name): one case per
@@ -309,7 +339,6 @@ DATACLASS_CHECKS = [
     ("simulate", "simulation.solver=warp", "simulation.solver"),
     ("simulate", "simulation.pulse.width=0", "simulation.pulse.width"),
     ("simulate", "simulation.t_end=-1", "simulation.t_end"),
-    ("simulate", "simulation.snapshot_stride=0", "simulation.snapshot_stride"),
     ("simulate", "simulation.front_threshold=1", "simulation.front_threshold"),
     ("simulate", "simulation.tolerance=0", "simulation.tolerance"),
     ("simulate", "simulation.direction=0", "simulation.direction"),

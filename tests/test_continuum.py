@@ -8,7 +8,7 @@ import pytest
 
 from fluxline.cli import _synthesize
 from fluxline.config import load_raw_config, validate_config
-from fluxline.metrics import GodelParams, flat_profile, godel_profile
+from fluxline.metrics import GodelParams, flat_profile, godel_profile, tabulated_profile
 from fluxline.wavelab import (
     CflViolation,
     ContinuumGrid,
@@ -94,6 +94,18 @@ def test_cfl_bound_checked_against_instantaneous_speed():
     sol.dt = 3.0 * sol.dt  # break the precomputed bound after construction
     with pytest.raises(CflViolation):
         sol.step()
+
+
+def test_dt_bound_holds_at_a_tabulated_peak_between_grid_points():
+    # the peak knot at 5.000244 lies between the grid points of [4, 6], and
+    # between the 4097 points the supremum was once sampled at; a dt from the
+    # sampled 1.0 broke the bound on the first step
+    profile = tabulated_profile([0, 5.000044, 5.000244, 5.000444, 10], [1, 1, 4, 1, 1])
+    sol = ContinuumSolver(profile, ContinuumGrid(16385, dx=2 / 16384, r_start=4))
+    assert sol.dt == pytest.approx(0.5 * (2 / 16384) / 2.0)
+    sol.initialize_pulse(GaussianPulse(4.5, 0.1), 1)
+    sol.run(32, 8)
+    assert sol.time == pytest.approx(33 * sol.dt)
 
 
 def test_sponge_absorbs_outgoing_pulse():

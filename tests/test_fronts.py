@@ -6,10 +6,10 @@ import pytest
 from fluxline.wavelab import FrontNotFound, Snapshots, front_position, front_trajectory, measure_front_speed
 
 
-def gaussian_snaps(v=0.7, n=400, times=None):
+def gaussian_snaps(v=0.7, n=400, times=None, r0=3.0):
     r = np.linspace(0.0, 20.0, n)
     times = times if times is not None else np.linspace(0.0, 10.0, 11)
-    return Snapshots(times, r, np.exp(-((r - 3.0 - v * times[:, None]) ** 2) / (2 * 0.4**2)))
+    return Snapshots(times, r, np.exp(-((r - r0 - v * times[:, None]) ** 2) / (2 * 0.4**2)))
 
 
 def test_front_position_linear_interpolation_exact():
@@ -52,6 +52,15 @@ def test_trajectory_stops_at_limit():
     ts, rs = front_trajectory(snaps, threshold=0.05, r_stop=8.0)
     assert np.all(rs <= 8.0)
     assert len(ts) < len(snaps)
+
+
+def test_leftward_trajectory_stops_at_limit():
+    snaps = gaussian_snaps(v=-0.6, r0=15.0)
+    ts, rs = front_trajectory(snaps, threshold=0.05, direction=-1, r_stop=12.0)
+    assert np.all(rs >= 12.0)
+    assert 0 < len(ts) < len(snaps)
+    # the first front past the limit ends the record
+    assert front_trajectory(snaps, threshold=0.05, direction=-1)[1][len(ts)] < 12.0
 
 
 def test_measure_front_speed_mean():

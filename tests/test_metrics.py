@@ -276,6 +276,15 @@ def test_sup_speed_sq():
     assert k.sup_speed_sq((0.5, 3.0)) <= 1.0
 
 
+def test_tabulated_sup_is_exact_between_sample_points():
+    # a linear interpolant peaks at a knot or a window end; a 4097-point
+    # sampling of [4, 6] misses the knot at 5.000244 and once returned 1.0
+    prof = tabulated_profile([0, 5.000044, 5.000244, 5.000444, 10], [1, 1, 4, 1, 1])
+    assert prof.sup_speed_sq((4, 6)) == 4.0
+    # no knot inside: the larger end
+    assert prof.sup_speed_sq((5.000144, 5.000194)) == pytest.approx(3.25)
+
+
 # one profile per evaluator formula; a float point and an array point must
 # take the same arithmetic to the same bits
 SCALAR_ARRAY_PROFILES = {

@@ -23,3 +23,17 @@ def test_all_names_resolve_and_star_import(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+# each package republishes its modules' names, in this order, and lists none itself
+PACKAGES = {
+    "fluxline": ("fluxline.metrics", "fluxline.synthesis", "fluxline.wavelab"),
+    "fluxline.wavelab": tuple(f"fluxline.wavelab.{m}" for m in ("fronts", "rays", "continuum", "ladder", "verify")),
+}
+
+
+@pytest.mark.parametrize("package", sorted(PACKAGES))
+def test_package_all_is_its_modules_lists(package):
+    names = [n for module in PACKAGES[package] for n in importlib.import_module(module).__all__]
+    assert importlib.import_module(package).__all__ == names
+    assert len(set(names)) == len(names), f"{package} republishes a name twice"

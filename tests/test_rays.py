@@ -105,6 +105,15 @@ def test_ray_leaves_tabulated_domain_with_flag():
     assert path.r[-1] <= 5.0
 
 
+def test_ray_step_landing_outside_the_range_is_not_taken():
+    # every stage of the step from r = 4 with dt = 0.5 lies inside [0, 5]
+    # (4, 4.25, 4.25, 4.5), but the fast last stage carries its end to 5.25
+    prof = tabulated_profile([0.0, 4.25, 4.5, 5.0], [1.0, 1.0, 100.0, 100.0])
+    path = trace_null_geodesic(prof, 1.0, r0=4.0, t_end=2.0, dt=0.5)
+    assert path.status == RAY_LEFT_DOMAIN
+    assert path.t.tolist() == [0.0] and path.r.tolist() == [4.0]
+
+
 def test_ray_rejects_launch_outside_domain():
     prof = tabulated_profile([0.0, 5.0], [1.0, 1.0])
     with pytest.raises(ProfileDomainError):

@@ -19,9 +19,10 @@ from fluxline.metrics import (
     flat_profile,
     godel_profile,
     kerr_extreme_profile,
+    tabulated_profile,
 )
 from fluxline.synthesis import ArrayConfig, synthesize_program
-from fluxline.wavelab import SimulationSpec, verify_program
+from fluxline.wavelab import FrontNotFound, SimulationSpec, verify_program
 from fluxline.wavelab.fronts import front_trajectory
 from fluxline.wavelab.verify import _check_work, _run_continuum, compare_front_to_ray
 
@@ -142,6 +143,27 @@ def test_compare_front_to_ray_requires_samples():
         compare_front_to_ray([0.0], [0.0], prof, 1.0)
 
 
+def test_compare_front_to_ray_refuses_a_ray_that_does_not_travel():
+    # speed_sq = 0 everywhere: the traced ray stays at its launch point
+    prof = tabulated_profile([0.0, 10.0], [0.0, 0.0])
+    with pytest.raises(FrontNotFound, match="did not travel"):
+        compare_front_to_ray([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], prof, 1.0)
+
+
+@pytest.mark.parametrize("solver", ["continuum", "ladder"])
+@pytest.mark.parametrize("center, direction", [(9.5, 1), (0.5, -1)])
+def test_front_launched_past_the_guard_is_refused(solver, center, direction):
+    # each solver leaves a guard at the window's edge out of the comparison
+    # (1.6 for the continuum, 0.91 for the ladder); this pulse starts in it, heading out
+    prof = flat_profile()
+    program = synthesize_program(prof, 0.0, ArrayConfig(n_cells=64), (0.0, 10.0))
+    spec = SimulationSpec(
+        pulse_center=center, pulse_width=0.3, t_end=0.5, solver=solver, n_points=200, direction=direction
+    )
+    with pytest.raises(FrontNotFound, match=f"^{solver}: fewer than 3 front samples inside the window"):
+        verify_program(program, prof, spec)
+
+
 @pytest.mark.parametrize("k, want", [(3, 0.05 / 3.0), (1, 0.0)], ids=["at_30pct", "at_10pct"])
 def test_compare_front_to_ray_skips_only_the_first_travel(k, want):
     # a flat-profile front on the ray except one sample pushed 0.05 ahead,
@@ -172,7 +194,7 @@ def while_loop_steps(time, dt, t_end):
 
 
 def bounded_steps(time, dt, t_end):
-    spec = SimpleNamespace(t_end=t_end, snapshot_stride=None)
+    spec = SimpleNamespace(t_end=t_end)
     return _check_work(spec, SimpleNamespace(time=time, dt=dt), 16, "simulation.n_points")[0]
 
 

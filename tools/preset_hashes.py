@@ -6,10 +6,12 @@ Usage, from any directory:
 
 Runs profile, synth, synth over the benchmark's 64 time samples
 (synth-moving), feasibility, feasibility over the benchmark's 161 radii
-(feasibility-dense), raytrace, simulate, simulate with
-simulation.solver=both, and that again with simulation.snapshot_stride=4
-(simulate-stride) on every preset, in-process through fluxline.cli.main
-from this checkout's src/. Each run writes to out/preset_hashes/<run> under
+(feasibility-dense), feasibility over two DC angles and 31 radii, a scan
+of the configured metric on every preset without a figure
+(feasibility-custom), raytrace, raytrace of three launches into one file
+(raytrace-multi), simulate, and simulate with simulation.solver=both on
+every preset, in-process through fluxline.cli.main from this
+checkout's src/. Each run writes to out/preset_hashes/<run> under
 the checkout root. --out enters the config hash that every artifact
 carries, so the path is the same relative path on every tree, and the
 tables that two checkouts print compare line by line.
@@ -41,11 +43,23 @@ RUNS = (
     ("feasibility", ()),
     # the preset fig1 scans one r; this run writes the benchmark's fig1 grid of 161 radii per block
     ("feasibility-dense", ("--set", 'feasibility.r={"start":-3,"stop":3,"num":161}')),
+    # a scan of the configured metric, which writes no boundary.csv
+    (
+        "feasibility-custom",
+        ("--set", "feasibility.theta_dc_over_pi=[0.1,0.3]", "--set", 'feasibility.r={"start":0,"stop":3,"num":31}'),
+    ),
     ("raytrace", ()),
+    # one rays.csv over launches of different lengths, one of which stops early on kerr_pi4
+    (
+        "raytrace-multi",
+        (
+            "--set",
+            'rays.launches=[{"r0":2.3,"t_end":5.0},{"r0":0.5,"direction":-1,"t_end":5.0},'
+            '{"r0":3.0,"direction":-1,"t_end":3.0,"dt":0.01}]',
+        ),
+    ),
     ("simulate", ()),
     ("simulate-both", ("--set", "simulation.solver=both")),
-    # a stride of 4 ends some runs on a stride and some off one, which pins the last-level rule
-    ("simulate-stride", ("--set", "simulation.solver=both", "--set", "simulation.snapshot_stride=4")),
 )
 
 
