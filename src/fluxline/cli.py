@@ -6,7 +6,12 @@ Commands: profile, synth, feasibility, simulate, raytrace. Each takes
 output directory.
 
 Exit codes: 0 success, 1 configuration error, 2 synthesis infeasible,
-3 hot-cell budget exceeded, 4 simulation or verification failure.
+3 hot-cell budget exceeded, 4 simulation or verification failure. A
+command raises on failure; main maps the exception to its exit code and
+prints "<prefix>: <message>" on stderr (FAILURES). The one code a command
+returns itself is 4 for a verification that fails. A synthesis failure
+first writes synth_failure.json. Each COMMANDS entry names the config block
+its command requires, which main checks once.
 """
 
 from __future__ import annotations
@@ -62,11 +67,6 @@ FAILURES = (
 )
 
 
-def _failure(exc: Exception) -> tuple[int, str]:
-    """Exit code and stderr prefix of the first FAILURES row exc matches."""
-    return next((code, prefix) for types, code, prefix in FAILURES if isinstance(exc, types))
-
-
 PROGRAM_COLUMNS = (
     "cell_index",
     "time_index",
@@ -85,10 +85,12 @@ def _outdir(run: RunConfig) -> Path:
 
 
 def cmd_profile(run: RunConfig) -> int:
-    if run.sampling is None:
-        raise ConfigError("sampling", "required block for the profile command")
     grid_r, grid_t = run.sampling.r, run.sampling.t[:, None]
-    s = run.profile.finite_speed_sq(grid_r, grid_t)
+    try:
+        s = run.profile.finite_speed_sq(grid_r, grid_t)
+    except ProfileDomainError as exc:
+        # only a tabulated profile refuses a radius; analytic ones are sampled anywhere
+        raise ConfigError("sampling.r", str(exc)) from None
     rows = grid_lines(grid_r, grid_t, s)
     path = write_csv(_outdir(run) / "profile.csv", ("r", "t", "ctilde_sq"), rows, run.hash)
     print(f"wrote {path}")
@@ -111,30 +113,25 @@ def _program_rows(program):
 
 
 def _synthesize(run: RunConfig, profile, times):
+    """The program over the configured window; a failure writes synth_failure.json and re-raises."""
     s = run.synthesis
     if s.coord_window is None:
         raise ConfigError("synthesis.coord_window", "required for this command")
-    return synthesize_program(profile, s.theta_dc, s.array, s.coord_window, times)
-
-
-def _write_synth_failure(run: RunConfig, exc) -> Path:
-    """synth_failure.json for a failed synthesis, one schema for every command."""
-    payload = {"feasible": False, "reason": str(exc)}
-    if isinstance(exc, SynthesisFailed):
-        payload.update(cell=exc.cell, time_index=exc.time_index, status=exc.status.name.lower())
-    else:
-        payload.update(time_index=exc.time_index, hot_cells=exc.count, budget=exc.budget)
-    return write_json(_outdir(run) / "synth_failure.json", payload, run.hash)
+    try:
+        return synthesize_program(profile, s.theta_dc, s.array, s.coord_window, times)
+    except (SynthesisFailed, HotCellBudgetExceeded) as exc:
+        if isinstance(exc, SynthesisFailed):
+            detail = {"cell": exc.cell, "time_index": exc.time_index, "status": exc.status.name.lower()}
+        else:
+            detail = {"time_index": exc.time_index, "hot_cells": exc.count, "budget": exc.budget}
+        path = write_json(_outdir(run) / "synth_failure.json", {"feasible": False, "reason": str(exc), **detail}, run.hash)
+        print(f"wrote {path}")
+        raise
 
 
 def cmd_synth(run: RunConfig) -> int:
     out = _outdir(run)
-    try:
-        program = _synthesize(run, run.profile, run.synthesis.time_samples)
-    except (SynthesisFailed, HotCellBudgetExceeded) as exc:
-        path = _write_synth_failure(run, exc)
-        print(f"synthesis failed ({exc}); wrote {path}")
-        return _failure(exc)[0]
+    program = _synthesize(run, run.profile, run.synthesis.time_samples)
     counts = {status.name.lower(): int(np.count_nonzero(program.annotations == int(status))) for status in Status}
     summary = {
         "feasible": True,
@@ -157,8 +154,6 @@ def cmd_synth(run: RunConfig) -> int:
 def _fig_profiles(run: RunConfig):
     """Config path of the scanned profiles and the (value, profile) family."""
     fz = run.feasibility
-    if fz is None:
-        raise ConfigError("feasibility", "required block for the feasibility command")
     profile = run.profile
     if fz.figure is None:
         # custom scan over the configured metric
@@ -222,8 +217,6 @@ def cmd_feasibility(run: RunConfig) -> int:
 
 
 def cmd_simulate(run: RunConfig) -> int:
-    if run.simulation is None:
-        raise ConfigError("simulation", "required block for the simulate command")
     out = _outdir(run)
     spec = run.simulation
     profile = run.profile
@@ -231,12 +224,7 @@ def cmd_simulate(run: RunConfig) -> int:
     times = run.synthesis.time_samples
     if profile.time_dependent:
         times = np.linspace(0.0, spec.t_end, 17)
-    try:
-        program = _synthesize(run, profile, times)
-    except (SynthesisFailed, HotCellBudgetExceeded) as exc:
-        path = _write_synth_failure(run, exc)
-        print(f"refusing to simulate: {exc}; wrote {path}")
-        return _failure(exc)[0]
+    program = _synthesize(run, profile, times)
     paths = []
 
     def emit(solver, s):
@@ -257,8 +245,6 @@ def cmd_simulate(run: RunConfig) -> int:
 
 
 def cmd_raytrace(run: RunConfig) -> int:
-    if run.rays is None:
-        raise ConfigError("rays", "required block for the raytrace command")
     # a launch's fields are trace_null_geodesic's keyword parameters
     paths = [trace_null_geodesic(run.profile, **vars(launch)) for launch in run.rays]
     # one row per sample of every path, each tagged with its launch
@@ -275,12 +261,13 @@ def cmd_raytrace(run: RunConfig) -> int:
     return EXIT_OK
 
 
+# name -> (command, help text, the RunConfig block it requires or None)
 COMMANDS = {
-    "profile": (cmd_profile, "sample the speed profile over an (r, t) grid"),
-    "synth": (cmd_synth, "synthesize the flux program for the configured window"),
-    "feasibility": (cmd_feasibility, "scan feasibility over a parameter grid"),
-    "simulate": (cmd_simulate, "synthesize, simulate and verify against the ray oracle"),
-    "raytrace": (cmd_raytrace, "integrate null characteristics"),
+    "profile": (cmd_profile, "sample the speed profile over an (r, t) grid", "sampling"),
+    "synth": (cmd_synth, "synthesize the flux program for the configured window", None),
+    "feasibility": (cmd_feasibility, "scan feasibility over a parameter grid", "feasibility"),
+    "simulate": (cmd_simulate, "synthesize, simulate and verify against the ray oracle", "simulation"),
+    "raytrace": (cmd_raytrace, "integrate null characteristics", "rays"),
 }
 
 
@@ -290,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Flux programs for a SQUID-array transmission line mimicking curved-section light propagation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in COMMANDS.items():
+    for name, (fn, help_text, block) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--preset", help="named built-in configuration")
@@ -302,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config field by dotted path (repeatable)",
         )
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, block=block)
     return parser
 
 
@@ -313,9 +300,11 @@ def main(argv=None) -> int:
         overrides.append(f"output.directory={args.out}")
     try:
         run = validate_config(load_raw_config(args.config, args.preset, overrides))
+        if args.block is not None and getattr(run, args.block) is None:
+            raise ConfigError(args.block, f"required block for the {args.command} command")
         return args.func(run)
     except tuple(t for types, _, _ in FAILURES for t in types) as exc:
-        code, prefix = _failure(exc)
+        code, prefix = next((code, prefix) for types, code, prefix in FAILURES if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 

@@ -299,8 +299,9 @@ class SynthesisSettings:
     array: ArrayConfig = field(default_factory=ArrayConfig)
 
     def __post_init__(self):
-        if abs(self.theta_dc) >= math.pi / 2:
-            raise ParamError("theta_dc", "must lie strictly inside (-pi/2, pi/2)")
+        # the bound synthesize_program enforces, so that no validated bias is refused there
+        if not abs(self.theta_dc) < math.pi / 2 - self.array.window_epsilon:
+            raise ParamError("theta_dc", "must lie strictly inside (-pi/2 + window_epsilon, pi/2 - window_epsilon)")
 
 
 def _parse_simulation(d: dict, path="simulation") -> SimulationSpec:
@@ -418,6 +419,16 @@ def validate_config(doc: dict) -> RunConfig:
     rays = _parse_rays(doc["rays"]) if "rays" in doc else None
     feasibility = _fields(doc["feasibility"], FeasibilitySettings, "feasibility") if "feasibility" in doc else None
     output = _fields(doc.get("output", {}), OutputSettings, "output")
+    # across blocks: the window and each ray launch lie in the profile's range, the pulse in the window
+    lo, hi = profile.valid_range
+    window = synthesis.coord_window
+    if window is not None and not lo <= window[0] < window[1] <= hi:
+        raise ConfigError("synthesis.coord_window", f"{list(window)} not contained in profile range [{lo}, {hi}]")
+    for i, launch in enumerate(rays or ()):
+        if not profile.contains(launch.r0):
+            raise ConfigError(f"rays.launches[{i}].r0", f"{launch.r0} outside profile range [{lo}, {hi}]")
+    if window is not None and simulation is not None and not window[0] <= simulation.pulse_center <= window[1]:
+        raise ConfigError("simulation.pulse.center", f"{simulation.pulse_center} outside synthesis.coord_window {list(window)}")
     return RunConfig(
         raw=doc,
         hash=config_hash(doc),

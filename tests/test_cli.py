@@ -344,6 +344,45 @@ def test_synth_and_simulate_write_one_failure_schema(tmp_path):
     assert set(synth) == {"feasible", "reason", "cell", "time_index", "status"}
 
 
+NEGATIVE_CELL = "synthesis failed at cell 0, time index 0: NEGATIVE_SPEED_SQ"
+TWO_HOT_CELLS = "2 hot cells at time index 0, budget 1"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr, failure",
+    [
+        (["synth", "--preset", "kerr_pi2"], 2, f"synthesis infeasible: {NEGATIVE_CELL}",
+         {"reason": NEGATIVE_CELL, "cell": 0, "time_index": 0, "status": "negative_speed_sq"}),
+        (["simulate", "--preset", "kerr_pi2"], 2, f"synthesis infeasible: {NEGATIVE_CELL}",
+         {"reason": NEGATIVE_CELL, "cell": 0, "time_index": 0, "status": "negative_speed_sq"}),
+        (["synth", "--preset", "kerr_theta0", "--set", "synthesis.n_cells=200"], 3,
+         f"hot-cell budget exceeded: {TWO_HOT_CELLS}",
+         {"reason": TWO_HOT_CELLS, "time_index": 0, "hot_cells": 2, "budget": 1}),
+    ],
+)
+def test_synthesis_failure_writes_its_artifact_and_exits_through_failures(tmp_path, capsys, argv, code, stderr, failure):
+    assert main([*argv, "--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    # the artifact is announced as every other one is; the refusal goes to stderr with its FAILURES prefix
+    assert out == f"wrote {tmp_path / 'synth_failure.json'}\n"
+    assert err == f"{stderr}\n"
+    written = json.loads((tmp_path / "synth_failure.json").read_text())
+    assert written.pop("config_hash")
+    assert written == {"feasible": False, **failure}
+    assert [p.name for p in tmp_path.iterdir()] == ["synth_failure.json"]
+
+
+@pytest.mark.parametrize(
+    "command, preset, block",
+    [("profile", "fig1", "sampling"), ("feasibility", "godel", "feasibility"),
+     ("simulate", "fig1", "simulation"), ("raytrace", "fig2", "rays")],
+)
+def test_command_without_its_block_exits_1(tmp_path, capsys, command, preset, block):
+    assert main([command, "--preset", preset, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {block}: required block for the {command} command\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_reads_a_tabulated_table_once(tmp_path, monkeypatch):
     reads = []
 
@@ -497,6 +536,14 @@ def test_run_beyond_cell_step_budget_exits_1_naming_grid(tmp_path, capsys, overr
         (["simulate", "--preset", "godel", "--set", "simulation.solver=ladder", "--set", "synthesis.n_cells=60000",
           "--set", "simulation.t_end=0.25"],
          "synthesis.n_cells: 163 snapshots of 60001 values exceed the limit of 8388608 values\n"),
+        # outside the profile's range or the window: each was refused only by the library, naming no field,
+        # and the pulse ran to exit 4 with an identically zero field
+        (["synth", "--preset", "kerr_pi4", "--set", "synthesis.coord_window=[-1,2]"],
+         "synthesis.coord_window: [-1.0, 2.0] not contained in profile range [0.0, inf]\n"),
+        (["raytrace", "--preset", "kerr_pi4", "--set", 'rays.launches=[{"r0":-1,"t_end":1}]'],
+         "rays.launches[0].r0: -1.0 outside profile range [0.0, inf]\n"),
+        (["simulate", "--preset", "godel", "--set", "simulation.pulse.center=50"],
+         "simulation.pulse.center: 50.0 outside synthesis.coord_window [0.0, 3.8]\n"),
     ],
 )
 def test_unbounded_or_non_finite_grid_exits_1_naming_field(tmp_path, capsys, argv, error):
@@ -633,6 +680,23 @@ def test_unreadable_tabulated_table_exits_1_at_validation(tmp_path, capsys, tabl
     assert not (tmp_path / "out").exists()
 
 
+def test_tabulated_range_refusals_name_their_field(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text("r,ctilde_sq\n0.0,1.0\n2.0,1.5\n")
+    metric = json.dumps({"kind": "tabulated", "csv_path": str(table)})
+    for assignment, error in [
+        ("sampling.r=[0.0, 3.0]", "sampling.r: tabulated profile evaluated outside [0.0, 2.0]"),
+        ("synthesis.coord_window=[0.0, 3.0]", "synthesis.coord_window: [0.0, 3.0] not contained in profile range [0.0, 2.0]"),
+    ]:
+        # the flat preset's window, launch and pulse centre lie inside the table's [0, 2] once the window is
+        argv = ["profile", "--preset", "flat", "--set", f"metric={metric}", "--set", "synthesis.coord_window=[0.0, 2.0]"]
+        assert main([*argv, "--set", assignment, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+    # an analytic profile is sampled outside its valid_range
+    assert main(["profile", "--preset", "kerr_pi4", "--set", "sampling.r=[-1,1]", "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize(
     "preset, r0, extra, error",
     [
@@ -675,7 +739,7 @@ def test_failure_maps_to_exit_code_and_stderr_prefix(monkeypatch, capsys, tmp_pa
     def fail(run):
         raise exc
 
-    monkeypatch.setitem(cli.COMMANDS, "profile", (fail, "raise"))
+    monkeypatch.setitem(cli.COMMANDS, "profile", (fail, "raise", None))
     assert main(["profile", "--preset", "flat", "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
@@ -684,7 +748,7 @@ def test_unmapped_failure_propagates(monkeypatch, tmp_path):
     def fail(run):
         raise ZeroDivisionError("not a documented failure")
 
-    monkeypatch.setitem(cli.COMMANDS, "profile", (fail, "raise"))
+    monkeypatch.setitem(cli.COMMANDS, "profile", (fail, "raise", None))
     with pytest.raises(ZeroDivisionError):
         main(["profile", "--preset", "flat", "--out", str(tmp_path)])
 

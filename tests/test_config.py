@@ -348,6 +348,8 @@ DATACLASS_CHECKS = [
     # checks that moved from the parsers into SynthesisSettings, RayLaunch
     # and FeasibilitySettings (test_cli covers the other RayLaunch checks)
     ("synth", "synthesis.theta_dc_over_pi=0.5", "synthesis.theta_dc"),
+    # inside pi/2 but within window_epsilon of it: synthesize_program's bound, once met there naming no field
+    ("synth", "synthesis.theta_dc_over_pi=0.4999999999999", "synthesis.theta_dc"),
     ("raytrace", 'rays.launches=[{"r0": 0, "t_end": 1, "direction": 0}]', "rays.launches[0].direction"),
     ("feasibility", 'feasibility={"figure": "fig4", "theta_dc": [0.1], "r": [0.0]}', "feasibility.figure"),
     ("feasibility", 'feasibility={"figure": "fig1", "theta_dc": [0.1], "r": [0.0]}', "feasibility.vs_values"),

@@ -16,10 +16,12 @@ the checkout root. --out enters the config hash that every artifact
 carries, so the path is the same relative path on every tree, and the
 tables that two checkouts print compare line by line.
 
-Prints one markdown row per artifact: run, exit code, file, sha256 and, on
-a verification.json row, each solver's max_rel_deviation (%.6g), so a
-by-design byte change shows how far it moved each verdict. A run that
-writes nothing, and every other artifact, prints "-" where it has no value.
+Prints one markdown row per artifact: run, exit code, the first line the
+run printed on stderr (its refusal, if any), file, sha256 and, on a
+verification.json row, each solver's max_rel_deviation (%.6g), so a
+by-design byte change shows how far it moved each verdict, and a moved
+refusal message shows too. A run that writes nothing, and every other
+artifact, prints "-" where it has no value.
 """
 
 from __future__ import annotations
@@ -76,22 +78,24 @@ def main() -> int:
     from fluxline.config import PRESETS
 
     os.chdir(ROOT)
-    print("| run | exit | file | sha256 | max_rel_deviation |")
-    print("|---|---|---|---|---|")
+    print("| run | exit | stderr | file | sha256 | max_rel_deviation |")
+    print("|---|---|---|---|---|---|")
     for name, extra in RUNS:
         command = name.split("-")[0]
         for preset in PRESETS:
             run = f"{name}-{preset}"
             out = OUT / run
             shutil.rmtree(out, ignore_errors=True)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli_main([command, "--preset", preset, "--out", str(out), *extra])
+            stderr = next(iter(err.getvalue().splitlines()), "-")
             files = sorted(out.iterdir()) if out.is_dir() else []
             for path in files:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"| `{run}` | {code} | `{path.name}` | `{digest}` | {_deviations(path)} |")
+                print(f"| `{run}` | {code} | {stderr} | `{path.name}` | `{digest}` | {_deviations(path)} |")
             if not files:
-                print(f"| `{run}` | {code} | - | - | - |")
+                print(f"| `{run}` | {code} | {stderr} | - | - | - |")
     return 0
 
 
