@@ -200,6 +200,9 @@ def cmd_feasibility(run: RunConfig) -> int:
         if source == "metric":
             raise
         raise ConfigError(source, f"entry {exc.entry!r}: {exc}") from None
+    except ProfileDomainError as exc:
+        # a tabulated profile refuses a radius outside its table, as in cmd_profile
+        raise ConfigError("feasibility.r", str(exc)) from None
     path = write_csv(
         out / "feasibility.csv",
         ("param_1", "param_2", "r", "status_code", "theta_total_or_nan"),

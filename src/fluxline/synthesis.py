@@ -408,13 +408,12 @@ def feasibility_scan(
     theta_dc_values,
     r_values,
     config: ArrayConfig,
-    t: float = 0.0,
     param_name: str = "param",
 ) -> FeasibilityReport:
     """Classify every grid point of a profile family.
 
     profiles is a sequence of (parameter value, profile) pairs; the scan is
-    dense over parameters x theta_dc_values x r_values at fixed time t.
+    dense over parameters x theta_dc_values x r_values at time 0.
     """
     if len(profiles) == 0:
         raise ValueError("need at least one (param, profile) pair")
@@ -426,7 +425,7 @@ def feasibility_scan(
     speeds = np.empty((len(profiles), 1, r.size))
     for k, (p, prof) in enumerate(profiles):
         try:
-            speeds[k, 0] = prof.finite_speed_sq(r, t)
+            speeds[k, 0] = prof.finite_speed_sq(r)
         except ProfileEvaluationError as exc:
             exc.entry = p
             raise

@@ -6,14 +6,14 @@ The field obeys the flux-conservative form
 
 chosen so the characteristic speed equals the local c and a discrete energy
 exists. c^2 is sampled at cell faces as the arithmetic mean of the node
-values. The time step is dt = cfl_factor * dx / c_max with c_max the
-profile supremum over the whole run; the step raises CflViolation whenever
-the instantaneous speed breaks that bound (possible for time-dependent or
-tabulated profiles whose supremum was underestimated). run_blocks, the run
-loop of both wavelab solvers, takes a given step count in blocks of up to
-BLOCK_STEPS step times and records snapshot_count levels; a time-dependent
-profile is evaluated once per block, each step takes its row, and step()
-alone is a block of one.
+values. The time step is dt = cfl_factor * dx / c_max (verification uses
+the default 0.5) with c_max the profile supremum over the whole run; the
+step raises CflViolation whenever the instantaneous speed breaks that bound
+(possible for time-dependent or tabulated profiles whose supremum was
+underestimated). run_blocks, the run loop of both wavelab solvers, takes a
+given step count in blocks of up to BLOCK_STEPS step times and records
+snapshot_count levels; a time-dependent profile is evaluated once per
+block, each step takes its row, and step() alone is a block of one.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
 "absorbing_sponge" additionally damps the field with a quadratic ramp over
@@ -115,16 +115,17 @@ class ContinuumGrid:
 
 @dataclass(frozen=True)
 class GaussianPulse:
+    """A unit-peak Gaussian; the equations are linear and fronts are relative to the peak, so no amplitude is needed."""
+
     center: float
     width: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not self.width > 0:
             raise ParamError("width", "must be > 0")
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))
+        return np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))
 
 
 def sponge_factors(sponge_gamma, dt):

@@ -2,9 +2,10 @@
 
 A solver run is recorded as one Snapshots table: the field at k instants on
 one fixed grid. The front is the leading crossing of a threshold set as a
-fraction of each snapshot's own peak, located by linear interpolation
-between samples. Using a relative threshold makes the front insensitive to
-slow amplitude drift as the pulse moves through regions of different speed.
+fraction of each snapshot's own peak (FRONT_THRESHOLD unless a caller passes
+another), located by linear interpolation between samples. Using a relative
+threshold makes the front insensitive to slow amplitude drift as the pulse
+moves through regions of different speed, and to the pulse's amplitude.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# The fraction of each snapshot's peak that locates the front; no setting moves it
+FRONT_THRESHOLD = 0.05
 
 __all__ = [
     "Snapshots",
@@ -53,7 +57,7 @@ class FrontSpeeds:
     mean: float
 
 
-def front_position(r, values, threshold: float = 0.05, direction: int = 1) -> float:
+def front_position(r, values, threshold: float = FRONT_THRESHOLD, direction: int = 1) -> float:
     """Leading crossing of threshold * max|values|.
 
     direction +1 scans for the rightmost crossing, -1 for the leftmost,
@@ -79,7 +83,7 @@ def front_position(r, values, threshold: float = 0.05, direction: int = 1) -> fl
 
 def front_trajectory(
     snapshots,
-    threshold: float = 0.05,
+    threshold: float = FRONT_THRESHOLD,
     direction: int = 1,
     r_stop: float | None = None,
 ):
@@ -104,7 +108,7 @@ def front_trajectory(
 
 
 def measure_front_speed(
-    snapshots, threshold: float = 0.05, direction: int = 1
+    snapshots, threshold: float = FRONT_THRESHOLD, direction: int = 1
 ) -> FrontSpeeds:
     """Finite-difference speeds of the leading front across a Snapshots record."""
     if len(snapshots) < 3:

@@ -14,9 +14,10 @@ dispersion is omega(k) = 2 sin(k d / 2) / sqrt(L C); long wavelengths travel
 at d / sqrt(L C), i.e. c0 sqrt|cos theta| in coordinate units.
 
 Stability requires dt < sqrt(L_min C). The step is stability_factor *
-sqrt(L0 C), and since L_i >= L0 for any flux, the bound never tightens
-below sqrt(L0 C) during a run. Cells with |cos theta_i| < 1e-9 have
-effectively infinite inductance and are rejected (SingularInductance).
+sqrt(L0 C) (verification uses the default 0.5), and since L_i >= L0 for any
+flux, the bound never tightens below sqrt(L0 C) during a run. Cells with
+|cos theta_i| < 1e-9 have effectively infinite inductance and are rejected
+(SingularInductance).
 
 A flux schedule takes the (k, 1) half-step times of each block of up to
 BLOCK_STEPS steps that run() takes through continuum.run_blocks and returns

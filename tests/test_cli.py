@@ -697,6 +697,26 @@ def test_tabulated_range_refusals_name_their_field(tmp_path, capsys):
     assert main(["profile", "--preset", "kerr_pi4", "--set", "sampling.r=[-1,1]", "--out", str(tmp_path / "out")]) == 0
 
 
+def test_custom_scan_past_a_tabulated_table_names_feasibility_r(tmp_path, capsys):
+    # once "config error: tabulated profile evaluated outside [0.0, 2.0]", naming no field
+    table = tmp_path / "table.csv"
+    table.write_text("r,ctilde_sq\n0.0,1.0\n2.0,1.5\n")
+    metric = json.dumps({"kind": "tabulated", "csv_path": str(table)})
+    scan = json.dumps({"theta_dc": [0.1], "r": [0.0, 3.0]})
+    argv = ["feasibility", "--preset", "flat", "--set", f"metric={metric}", "--set", "synthesis.coord_window=[0.0, 2.0]"]
+    assert main([*argv, "--set", f"feasibility={scan}", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: feasibility.r: tabulated profile evaluated outside [0.0, 2.0]\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_front_threshold_cannot_turn_a_failing_verdict_into_a_pass(tmp_path, capsys):
+    # this run fails at the fixed threshold (exit 4); at 0.01 it once exited 0
+    argv = ["simulate", "--preset", "alcubierre_superluminal", "--set", "simulation.solver=both"]
+    assert main([*argv, "--set", "simulation.front_threshold=0.01", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: simulation: unknown keys ['front_threshold']; ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "preset, r0, extra, error",
     [

@@ -319,6 +319,13 @@ def test_every_kind_rejects_invalid_parameter_naming_field(tmp_path, capsys, kin
         'output.formats=["csv"]',
         # a recording density that decided which front samples a verdict saw
         "simulation.snapshot_stride=0",
+        # a measurement setting that turned a failing verdict into a pass
+        "simulation.front_threshold=0.01",
+        # one value each in every preset and tool; now the solvers' defaults
+        "simulation.cfl_factor=0.4",
+        "simulation.stability_factor=0.4",
+        # the equations are linear and the front is relative to the peak
+        "simulation.pulse.amplitude=3.0",
     ],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
@@ -339,12 +346,9 @@ DATACLASS_CHECKS = [
     ("simulate", "simulation.solver=warp", "simulation.solver"),
     ("simulate", "simulation.pulse.width=0", "simulation.pulse.width"),
     ("simulate", "simulation.t_end=-1", "simulation.t_end"),
-    ("simulate", "simulation.front_threshold=1", "simulation.front_threshold"),
     ("simulate", "simulation.tolerance=0", "simulation.tolerance"),
     ("simulate", "simulation.direction=0", "simulation.direction"),
-    ("simulate", "simulation.cfl_factor=2", "simulation.cfl_factor"),
     ("simulate", "simulation.boundary=open", "simulation.boundary"),
-    ("simulate", "simulation.stability_factor=5", "simulation.stability_factor"),
     # checks that moved from the parsers into SynthesisSettings, RayLaunch
     # and FeasibilitySettings (test_cli covers the other RayLaunch checks)
     ("synth", "synthesis.theta_dc_over_pi=0.5", "synthesis.theta_dc"),
@@ -470,7 +474,7 @@ def _values(hint):
     return VALUES[typing.get_origin(hint) or hint]
 
 
-PULSE_FIELDS = ("pulse_center", "pulse_width", "pulse_amplitude")
+PULSE_FIELDS = ("pulse_center", "pulse_width")
 BLOCK_FIELDS = {
     "synthesis": list(_fields_of(SynthesisSettings)),
     "simulation": [*_fields_of(SimulationSpec, skip=PULSE_FIELDS), ("pulse", GaussianPulse)],
