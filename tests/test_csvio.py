@@ -1,12 +1,14 @@
 """CSV/JSON emission: byte contract, row order of the producers, atomic writes."""
 
 import contextlib
+import importlib.util
 import json
 import math
 import os
 import string
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +30,8 @@ INTS = st.one_of(
     st.integers(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
 )
-# '%' is the template's own escape character, so text cells carry it too
-STRS = st.text(alphabet=string.ascii_letters + string.digits + "_-%", max_size=12)
+# NUL is the emitter's padding byte and ',' its separator; 'é' is two bytes in UTF-8
+STRS = st.text(alphabet=string.ascii_letters + string.digits + "_-%\x00,é ", max_size=12)
 CELLS = {"float": FLOATS, "int": INTS, "str": STRS}
 
 
@@ -127,8 +129,10 @@ def grids(draw):
     for kind in draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=6)):
         shape = draw(st.sampled_from(roles))
         cells = draw(st.lists(CELLS[kind], min_size=math.prod(shape), max_size=math.prod(shape)))
-        columns.append(as_column(kind, cells, shape))
-        values.append(object_array(cells, shape))
+        column = as_column(kind, cells, shape)
+        columns.append(column)
+        # a numpy str array drops its cells' trailing NULs; the emitter keeps every byte it holds
+        values.append(object_array(column.ravel().tolist() if kind == "str" else cells, shape))
     return columns, values
 
 
@@ -138,6 +142,12 @@ def grids(draw):
     ([np.array([math.nan, -0.0, math.inf]), np.array([-3, 7, 0]), np.array(["ok", "", "a%"])],
      [object_array([math.nan, -0.0, math.inf]), object_array([np.int64(-3), 7, 0]), object_array(["ok", "", "a%"])]),
     "0123456789abcdef",
+)
+@example(
+    # NULs inside and at the end of 2-d text cells, which a numpy str array cannot hold at the end
+    ([object_array(["a\x00", "\x00", ",", "é\x00b"], (2, 2)), np.array([["a\x00b", " "], ["", "\x00x"]])],
+     [object_array(["a\x00", "\x00", ",", "é\x00b"], (2, 2)), object_array(["a\x00b", " ", "", "\x00x"], (2, 2))]),
+    None,
 )
 def test_write_csv_matches_cell_by_cell_reference(tmp_path_factory, grid, config_hash):
     columns, values = grid
@@ -199,6 +209,52 @@ def test_grid_lines_format_follows_dtype_kind():
     assert list(csvio.grid_lines(*cols)) == [
         f"{format_float(np.float32(0.1))},{format_float(1 / 3)},1,{2**64 - 1},{-(2**63)},{10**30},0.1\n"
     ]
+
+
+def load_tool(name: str):
+    """A module of the checkout's tools/ directory."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FLOAT_TEXT_CHECK = load_tool("float_text_check")
+# every 10**k with both neighbours, 17-digit carries, the notation switches, near ties, subnormals, +-0, +-inf, NaNs
+EDGE_FLOATS = FLOAT_TEXT_CHECK.edge_floats()
+
+
+def kernel_texts(text) -> list:
+    """Per row of a kernel's NUL-padded bytes, its text."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in text]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(64, np.float64), (32, np.float32), (16, np.float16)]).flatmap(
+    lambda width: st.tuples(st.just(width[1]), st.lists(st.integers(0, 2 ** width[0] - 1), min_size=1, max_size=40))
+))
+def test_float_kernel_matches_format_float_on_any_bit_pattern(case):
+    dtype, bits = case
+    x = np.array(bits, dtype=f"u{dtype(0).itemsize}").view(dtype)
+    assert kernel_texts(csvio._text(x)) == [format_float(v) for v in x]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.longdouble])
+def test_float_kernel_matches_format_float_on_the_edge_list(dtype):
+    with np.errstate(over="ignore", invalid="ignore"):  # a signalling NaN and values past the type's range
+        x = EDGE_FLOATS.astype(dtype)
+    if dtype is np.longdouble:
+        # values between two float64s, which round to the nearer
+        x = np.concatenate([x, x[np.isfinite(x)] * (1 + np.finfo(np.longdouble).eps * 3)])
+    assert kernel_texts(csvio._float_text(x.astype(np.float64))) == [format_float(v) for v in x]
+    assert kernel_texts(csvio._text(x)) == [format_float(v) for v in x]
+
+
+def test_float_kernel_hands_values_near_a_tie_to_python():
+    # scaled, each lies within TIE_BAND of a rounding tie, nearer than the scaling's error bound allows to decide
+    x = np.array([1e15 + 0.25, 1e14 + 0.125, *FLOAT_TEXT_CHECK.near_ties()])
+    assert not csvio._digits(x)[2].any()
+    assert kernel_texts(csvio._float_text(x)) == [format_float(v) for v in x]
 
 
 def nan_with(sign: int, payload: int) -> float:
@@ -284,9 +340,22 @@ def test_grid_lines_writes_runs_of_floats_as_each_float(tmp_path_factory, column
         assert_grid_writes(tmp_path_factory, names, columns, grid_rows(columns))
 
 
-def run_flags(*columns) -> list:
-    """Per cell column of the grid, whether it is written through its runs."""
-    return [runs for _, _, runs in csvio.grid_lines(*columns).cells]
+def kernel_sizes(mp) -> list:
+    """How many floats each call of the float kernel takes from here on."""
+    sizes, kernel = [], csvio._float_text
+
+    def counted(x):
+        sizes.append(len(x))
+        return kernel(x)
+
+    mp.setattr(csvio, "_float_text", counted)
+    return sizes
+
+
+def run_heads(cells) -> int:
+    """How many cells of a float grid, in C order, start a run of equal float64 bits."""
+    bits = np.ascontiguousarray(cells, dtype=np.float64).view(np.int64).ravel()
+    return 1 + np.count_nonzero(bits[1:] != bits[:-1])
 
 
 @pytest.mark.parametrize("cells, runs", [
@@ -297,33 +366,43 @@ def run_flags(*columns) -> list:
     ([[math.nan, math.nan, 0.0, 0.0], [0.0, 0.0, -math.nan, 1.0]], True),
     ([[math.nan, nan_with(0, (1 << 51) | 5), 0.0, 0.0], [0.0, 0.0, -math.nan, 1.0]], False),
 ])
-def test_a_float_column_goes_through_its_runs_while_at_most_half_its_cells_start_one(tmp_path_factory, cells, runs):
+def test_a_float_column_goes_through_its_runs_while_at_most_half_its_cells_start_one(
+    tmp_path_factory, monkeypatch, cells, runs
+):
+    # runs marks the columns in which at most half the cells start a run; every
+    # float cell column is written through its runs, each run of a chunk formatted once
     cells = np.array(cells)
     columns = (np.array([[0.5], [1.5]]), np.arange(4), cells)
-    assert run_flags(*columns) == [runs]
+    assert (2 * run_heads(cells) <= cells.size) == runs
+    sizes = kernel_sizes(monkeypatch)
+    list(csvio.grid_lines(*columns))
+    assert sizes == [2, run_heads(cells)]  # the block keys once, then the one chunk's runs
     assert_grid_writes(tmp_path_factory, ("t", "r", "x"), columns, grid_rows(columns))
 
 
 def test_runs_compare_bits_not_values(tmp_path_factory, monkeypatch):
     # 0.0 == -0.0 as floats, but they print differently
-    monkeypatch.setattr(csvio, "CHUNK_ROWS", 3)
     cells = np.array([0.0, 0.0, 0.0, -0.0, -0.0, -0.0] * 6).reshape(3, 12)
     columns = (np.arange(3)[:, None], np.arange(12), cells, cells.astype(np.float32))
-    assert run_flags(*columns) == [True, True]
+    sizes = kernel_sizes(monkeypatch)
+    list(csvio.grid_lines(*columns))
+    assert sizes == [12, 12]  # per float column of the one chunk, its runs of three
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 3)
     assert_grid_writes(tmp_path_factory, ("b", "r", "x", "y"), columns, grid_rows(columns))
 
 
 def test_each_unit_formats_the_head_of_a_run_it_starts_inside(tmp_path_factory, monkeypatch):
-    # one run of 1/3 through the whole table: every unit but the first starts inside it
+    # one run of 1/3 through the whole table: every chunk but the first starts inside it
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
     cells = np.full((4, 5), 1.0 / 3.0).T.copy().T
     cells[3, 4] = -0.0
     columns = (np.arange(4)[:, None], np.arange(5), cells)
+    sizes = kernel_sizes(monkeypatch)
     grid = csvio.grid_lines(*columns)
-    assert run_flags(*columns) == [True]
-    whole = "".join(grid.texts(0, None))
-    assert "".join(text for c in range(12) for text in grid.texts(c, c + 1)) == whole
-    assert "".join(text for lo, hi in ((0, 5), (5, 7), (7, None)) for text in grid.texts(lo, hi)) == whole
+    whole = b"".join(grid.texts(0, None))
+    assert sizes == [1] * 9 + [2]  # 10 chunks of 2 rows across the blocks; the last ends in -0.0
+    assert b"".join(text for c in range(10) for text in grid.texts(c, c + 1)) == whole
+    assert b"".join(text for lo, hi in ((0, 5), (5, 7), (7, None)) for text in grid.texts(lo, hi)) == whole
     assert_grid_writes(tmp_path_factory, ("b", "r", "x"), columns, grid_rows(columns))
 
 
@@ -461,6 +540,22 @@ def test_written_bytes_do_not_depend_on_which_process_takes_which_unit(tmp_path,
     assert [p.name for p in target.parent.iterdir()] == ["t.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n_cells, n_forks", [(1, 0), (2, 1)])
+def test_a_grid_below_the_fork_threshold_forks_no_helper(tmp_path, monkeypatch, n_cells, n_forks):
+    # 2 blocks of MIN_CELL_CHUNKS - 1 rows in chunks of 2: enough units for a helper on 2 CPUs,
+    # but one float cell column holds one chunk's worth of cells less than the threshold
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    n_rows = csvio._Units.MIN_CELL_CHUNKS - 1
+    cells = np.arange(2 * n_rows).reshape(2, n_rows) / 7.0
+    columns = (np.arange(2)[:, None], np.arange(n_rows), *(cells + k for k in range(n_cells)))
+    names = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "t.csv", names, csvio.grid_lines(*columns), "h")
+    assert len(forks) == n_forks
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv(names, grid_rows(columns), "h")
 
 
 @pytest.mark.parametrize("failing", [False, True], ids=["ok", "failing"])
