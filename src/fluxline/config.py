@@ -41,7 +41,7 @@ import numpy as np
 
 from .csvio import read_table_csv
 from .metrics import KINDS, MAX_GRID_POINTS, ParamError, SpeedProfile, tabulated_profile
-from .synthesis import ArrayConfig
+from .synthesis import HALF_PI, WINDOW_GUARD, ArrayConfig
 from .wavelab.continuum import GaussianPulse
 from .wavelab.verify import SimulationSpec
 
@@ -300,8 +300,8 @@ class SynthesisSettings:
 
     def __post_init__(self):
         # the bound synthesize_program enforces, so that no validated bias is refused there
-        if not abs(self.theta_dc) < math.pi / 2 - self.array.window_epsilon:
-            raise ParamError("theta_dc", "must lie strictly inside (-pi/2 + window_epsilon, pi/2 - window_epsilon)")
+        if not abs(self.theta_dc) < HALF_PI - WINDOW_GUARD:
+            raise ParamError("theta_dc", f"must lie strictly inside (-pi/2 + {WINDOW_GUARD}, pi/2 - {WINDOW_GUARD})")
 
 
 def _parse_simulation(d: dict, path="simulation") -> SimulationSpec:

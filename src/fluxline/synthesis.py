@@ -10,11 +10,10 @@ dimensionless profile through
 
 Synthesis inverts this with the principal arccos branch in [0, pi]. The
 admissible window keeps both the DC part and the total inside [-pi/2, pi/2].
-Cells whose total sits within window_epsilon of pi/2 have effectively
-diverging inductance ("hot" cells, e.g. the horizon cell of the extreme
-rotating hole, where the total is exactly pi/2); they are reported as
-impedance warnings and budgeted per time sample rather than refused
-outright, since a single hot SQUID is the physically interesting case.
+Cells whose total sits within WINDOW_GUARD of pi/2 are "hot", e.g. the
+horizon cell of the extreme rotating hole at exactly pi/2. Synthesis warns
+and budgets them per time sample, since one hot SQUID is the physically
+interesting case; the ladder refuses them as singular.
 
 Feasibility statuses, in order of precedence (highest wins) and with their
 CSV status codes:
@@ -41,6 +40,7 @@ from .csvio import grid_lines
 from .metrics import MAX_GRID_POINTS, ParamError, ProfileEvaluationError, SpeedProfile
 
 __all__ = [
+    "WINDOW_GUARD",
     "Status",
     "SynthesisError",
     "NegativeSpeedSquared",
@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 HALF_PI = math.pi / 2.0
+
+# A total within WINDOW_GUARD of pi/2 has |cos theta| below it and so an
+# effectively infinite inductance: a hot cell here, a singular one in the ladder.
+WINDOW_GUARD = 1e-9
 
 # One-ulp slack for the arccos argument: products like 2 * cos(pi/3) land a
 # rounding error above 1 even though the exact value is feasible.
@@ -127,15 +131,14 @@ class ArrayConfig:
 
     impedance_margin is the |total| angle beyond which the low-impedance
     approximation is considered strained (warning, not failure).
-    window_epsilon is the numerical guard below pi/2 that defines hot cells;
-    max_hot_cells caps how many may occur per time sample.
+    max_hot_cells caps how many hot cells (within WINDOW_GUARD of pi/2) may
+    occur per time sample.
     """
 
     n_cells: int = 64
     c0: float = 1.0
     impedance_margin: float = 0.44 * math.pi
     max_hot_cells: int = 1
-    window_epsilon: float = 1e-9
 
     def __post_init__(self):
         if not 2 <= self.n_cells <= MAX_GRID_POINTS:
@@ -148,8 +151,6 @@ class ArrayConfig:
             raise ParamError("impedance_margin", "must lie in (0, pi/2)")
         if self.max_hot_cells < 0:
             raise ParamError("max_hot_cells", "must be >= 0")
-        if not 0.0 < self.window_epsilon < 1e-3:
-            raise ParamError("window_epsilon", "must lie in (0, 1e-3)")
 
 
 def speed_sq_from_flux(theta_total, c0: float = 1.0):
@@ -171,9 +172,7 @@ def invert_speed_sq(speed_sq, theta_dc):
     return arg, np.arccos(theta, out=theta if np.ndim(theta) else None)
 
 
-def synthesize_flux(
-    speed_sq: float, theta_dc: float, window_epsilon: float = 1e-9
-) -> tuple[float, float]:
+def synthesize_flux(speed_sq: float, theta_dc: float) -> tuple[float, float]:
     """Invert speed_sq -> (theta_ac, theta_total) for one cell.
 
     theta_total = arccos(speed_sq * cos(theta_dc)) on the principal branch,
@@ -193,9 +192,9 @@ def synthesize_flux(
         raise ArccosInfeasible(
             f"arccos argument {arg} > 1 (speed_sq={speed_sq}, theta_dc={theta_dc})"
         )
-    if theta_total >= HALF_PI - window_epsilon:
+    if theta_total >= HALF_PI - WINDOW_GUARD:
         raise WindowViolation(
-            f"total flux angle {theta_total} within {window_epsilon} of pi/2",
+            f"total flux angle {theta_total} within {WINDOW_GUARD} of pi/2",
             theta_total=theta_total,
         )
     return theta_total - theta_dc, theta_total
@@ -256,9 +255,9 @@ def _classify_grid(speed_sq, theta_dc, config: ArrayConfig):
     arg, theta = invert_speed_sq(s, d)
     negative = s < 0.0
     infeasible = arg > 1.0 + ARCCOS_SLACK
-    window = ~(np.abs(d) < HALF_PI - config.window_epsilon) | (arg < -ARCCOS_SLACK)
+    window = ~(np.abs(d) < HALF_PI - WINDOW_GUARD) | (arg < -ARCCOS_SLACK)
     del arg
-    hot = theta >= HALF_PI - config.window_epsilon
+    hot = theta >= HALF_PI - WINDOW_GUARD
     warn = (theta > config.impedance_margin) | hot
     status = np.select(
         [negative, infeasible, window, warn],
@@ -329,7 +328,7 @@ def synthesize_program(
     arccos-infeasible cell, else HotCellBudgetExceeded when it pins more
     than max_hot_cells cells at the window. Hot cells within budget are kept.
     """
-    if not abs(theta_dc) < HALF_PI - config.window_epsilon:
+    if not abs(theta_dc) < HALF_PI - WINDOW_GUARD:
         raise ValueError("theta_dc must lie strictly inside the admissible window")
     lo, hi = coord_window
     vlo, vhi = profile.valid_range
@@ -346,7 +345,7 @@ def synthesize_program(
     speed = profile.finite_speed_sq(r, times[:, None], background_c=background_c)
     status, theta = _classify_grid(speed, theta_dc, config)
     fatal = np.isin(status, (int(Status.NEGATIVE_SPEED_SQ), int(Status.ARCCOS_INFEASIBLE)))
-    hot_cells = np.count_nonzero(theta >= HALF_PI - config.window_epsilon, axis=1)
+    hot_cells = np.count_nonzero(theta >= HALF_PI - WINDOW_GUARD, axis=1)
     j = int(np.argmax(fatal.any(axis=1) | (hot_cells > config.max_hot_cells)))
     if fatal[j].any():
         i = int(np.argmax(fatal[j]))

@@ -23,6 +23,7 @@ the outer 10% of the domain on each side.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +124,14 @@ class GaussianPulse:
     def __post_init__(self):
         if not self.width > 0:
             raise ParamError("width", "must be > 0")
+        # __call__ divides by 2 width^2, which must neither overflow nor be subnormal
+        if not sys.float_info.min <= 2.0 * self.width * self.width < math.inf:
+            raise ParamError("width", "2 * width**2 must be a finite normal float")
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))
+        # far from a narrow pulse the exponent overflows to -inf, and exp gives its limit 0
+        with np.errstate(over="ignore"):
+            return np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))
 
 
 def sponge_factors(sponge_gamma, dt):

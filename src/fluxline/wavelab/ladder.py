@@ -16,8 +16,8 @@ at d / sqrt(L C), i.e. c0 sqrt|cos theta| in coordinate units.
 Stability requires dt < sqrt(L_min C). The step is stability_factor *
 sqrt(L0 C) (verification uses the default 0.5), and since L_i >= L0 for any
 flux, the bound never tightens below sqrt(L0 C) during a run. Cells with
-|cos theta_i| < 1e-9 have effectively infinite inductance and are rejected
-(SingularInductance).
+|cos theta_i| < synthesis.WINDOW_GUARD, the cells synthesis counts as hot,
+have effectively infinite inductance and are rejected (SingularInductance).
 
 A flux schedule takes the (k, 1) half-step times of each block of up to
 BLOCK_STEPS steps that run() takes through continuum.run_blocks and returns
@@ -34,18 +34,17 @@ import math
 
 import numpy as np
 
+from ..synthesis import WINDOW_GUARD
 from .continuum import GaussianPulse, run_blocks
 from .fronts import Snapshots
 
 __all__ = [
-    "COS_FLOOR",
     "StabilityViolation",
     "SingularInductance",
     "LadderSim",
     "ladder_step",
 ]
 
-COS_FLOOR = 1e-9
 BOUNDARIES = ("reflecting", "absorbing")
 
 
@@ -123,14 +122,14 @@ class LadderSim:
         """
         theta = np.array(theta_total, dtype=float)
         cos = np.abs(np.cos(theta))
-        singular = np.any(cos < COS_FLOOR, axis=1).tolist()
+        singular = np.any(cos < WINDOW_GUARD, axis=1).tolist()
         inductance = self.L0 / cos
         unstable = (self.dt >= np.sqrt(inductance.min(axis=1) * self.capacitance)).tolist()
         for j in range(len(theta)):
             if singular[j]:
                 i = int(np.argmin(cos[j]))
                 raise SingularInductance(
-                    f"|cos theta| = {cos[j, i]} < {COS_FLOOR} at cell {i}"
+                    f"|cos theta| = {cos[j, i]} < {WINDOW_GUARD} at cell {i}"
                 )
             self.theta = theta[j]
             self.inductance = inductance[j]

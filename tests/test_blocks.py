@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fluxline.config import load_raw_config, validate_config
-from fluxline.synthesis import invert_speed_sq
+from fluxline.synthesis import WINDOW_GUARD, invert_speed_sq
 from fluxline.wavelab import (
     CflViolation,
     ContinuumGrid,
@@ -28,7 +28,6 @@ from fluxline.wavelab import (
 )
 from fluxline.wavelab.continuum import BLOCK_STEPS, fdtd_step
 from fluxline.wavelab.fronts import Snapshots
-from fluxline.wavelab.ladder import COS_FLOOR
 
 THETA_DC = -0.36 * math.pi
 BG = math.sqrt(math.cos(THETA_DC))
@@ -116,9 +115,9 @@ def reference_ladder_run(sim, n_steps, stride, schedule):
     for k in range(1, n_steps + 1):
         theta = np.broadcast_to(np.asarray(schedule(sim.time + 0.5 * sim.dt), dtype=float), (sim.n_cells,)).copy()
         cos = np.abs(np.cos(theta))
-        if np.any(cos < COS_FLOOR):
+        if np.any(cos < WINDOW_GUARD):
             i = int(np.argmin(cos))
-            raise SingularInductance(f"|cos theta| = {cos[i]} < {COS_FLOOR} at cell {i}")
+            raise SingularInductance(f"|cos theta| = {cos[i]} < {WINDOW_GUARD} at cell {i}")
         sim.theta = theta
         sim.inductance = sim.L0 / cos
         if sim.dt >= math.sqrt(float(sim.inductance.min()) * sim.capacitance):

@@ -171,16 +171,26 @@ def test_synth_hot_cell_budget_exits_3(tmp_path):
     assert failure["hot_cells"] == 1
 
 
-def test_synth_summary_counts_hot_cells_with_configured_epsilon(tmp_path):
-    # the summary once counted with the default epsilon 1e-9 and reported [0]
-    rc = main([
-        "synth", "--preset", "kerr_theta0", "--out", str(tmp_path),
-        "--set", "synthesis.window_epsilon=1e-6",
-        "--set", "synthesis.max_hot_cells=4",
-    ])
-    assert rc == 0
+# kerr_theta0 over [0, 4] in 10 cells: cell 2 sits on the horizon r = M, where the total is exactly pi/2
+HORIZON_CELL = ["--set", "synthesis.coord_window=[0.0,4.0]", "--set", "synthesis.n_cells=10"]
+
+
+def test_synth_summary_counts_the_hot_cell_on_the_horizon(tmp_path):
+    assert main(["synth", "--preset", "kerr_theta0", *HORIZON_CELL, "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "synth_summary.json").read_text())
-    assert summary["hot_cells_per_time"] == [4]
+    assert summary["hot_cells_per_time"] == [1]
+
+
+def test_hot_cell_is_the_cell_the_ladder_refuses_as_singular(tmp_path, capsys):
+    # one guard defines both: the budgeted hot cell is singular to the ladder, not to the continuum
+    argv = ["simulate", "--preset", "kerr_theta0", *HORIZON_CELL]
+    assert main([*argv, "--set", "simulation.solver=ladder", "--out", str(tmp_path / "ladder")]) == 4
+    cos = math.cos(math.pi / 2)
+    assert capsys.readouterr().err == f"simulation failed: |cos theta| = {cos} < 1e-09 at cell 2\n"
+    assert main([*argv, "--set", "simulation.solver=continuum", "--out", str(tmp_path / "continuum")]) == 0
+    report = json.loads((tmp_path / "continuum" / "verification.json").read_text())
+    assert report["passed"]
+    assert report["solvers"]["continuum"]["max_rel_deviation"] == pytest.approx(0.0048, abs=5e-5)
 
 
 def test_feasibility_fig1_boundary_values(tmp_path):
@@ -429,6 +439,20 @@ def test_config_error_exits_1(tmp_path):
 
 def test_missing_source_exits_1():
     assert main(["synth"]) == 1
+
+
+# a width whose 2 width^2 overflows once raised OverflowError, and a subnormal one a
+# numpy RuntimeWarning; 1.5e-154 passes that check but overflows the exponent far out
+@pytest.mark.parametrize("width", ["1e-300", "1e-160", "1.5e-154", "1e-153", "1e154", "1e155", "1e300"])
+def test_extreme_pulse_width_exits_with_one_line(tmp_path, capsys, width):
+    argv = ["simulate", "--preset", "flat", "--set", "simulation.solver=both", "--set", f"simulation.pulse.width={width}"]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (1, 4)
+    assert len(err.splitlines()) == 1
+    if code == 1:
+        assert err.startswith("config error: simulation.pulse.width: ")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

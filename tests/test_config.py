@@ -326,6 +326,8 @@ def test_every_kind_rejects_invalid_parameter_naming_field(tmp_path, capsys, kin
         "simulation.stability_factor=0.4",
         # the equations are linear and the front is relative to the peak
         "simulation.pulse.amplitude=3.0",
+        # a hot-cell guard that turned the kerr_theta0 PASS into exit 3; now synthesis.WINDOW_GUARD
+        "synthesis.window_epsilon=1e-6",
     ],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
@@ -342,7 +344,6 @@ DATACLASS_CHECKS = [
     ("synth", "synthesis.c0=0", "synthesis.c0"),
     ("synth", "synthesis.impedance_margin_over_pi=0.6", "synthesis.impedance_margin"),
     ("synth", "synthesis.max_hot_cells=-1", "synthesis.max_hot_cells"),
-    ("synth", "synthesis.window_epsilon=0.01", "synthesis.window_epsilon"),
     ("simulate", "simulation.solver=warp", "simulation.solver"),
     ("simulate", "simulation.pulse.width=0", "simulation.pulse.width"),
     ("simulate", "simulation.t_end=-1", "simulation.t_end"),
@@ -352,7 +353,7 @@ DATACLASS_CHECKS = [
     # checks that moved from the parsers into SynthesisSettings, RayLaunch
     # and FeasibilitySettings (test_cli covers the other RayLaunch checks)
     ("synth", "synthesis.theta_dc_over_pi=0.5", "synthesis.theta_dc"),
-    # inside pi/2 but within window_epsilon of it: synthesize_program's bound, once met there naming no field
+    # inside pi/2 but within WINDOW_GUARD of it: synthesize_program's bound, once met there naming no field
     ("synth", "synthesis.theta_dc_over_pi=0.4999999999999", "synthesis.theta_dc"),
     ("raytrace", 'rays.launches=[{"r0": 0, "t_end": 1, "direction": 0}]', "rays.launches[0].direction"),
     ("feasibility", 'feasibility={"figure": "fig4", "theta_dc": [0.1], "r": [0.0]}', "feasibility.figure"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fluxline.metrics import GodelParams, godel_profile
-from fluxline.synthesis import ArrayConfig, synthesize_program
+from fluxline.synthesis import HALF_PI, WINDOW_GUARD, ArrayConfig, synthesize_program
 from fluxline.wavelab import (
     ContinuumGrid,
     ContinuumSolver,
@@ -62,6 +62,22 @@ def test_singular_inductance_at_window():
     sim = LadderSim(n_cells=16)
     with pytest.raises(SingularInductance):
         sim.set_flux(math.pi / 2)
+
+
+def test_singular_cells_are_the_hot_cells_but_the_edge_itself():
+    # synthesis counts theta >= pi/2 - WINDOW_GUARD as hot, the ladder refuses |cos theta| < WINDOW_GUARD:
+    # over the 201 floats around that edge they differ only at the edge, whose cosine rounds above the guard
+    edge = HALF_PI - WINDOW_GUARD
+    thetas = edge + np.arange(-100, 101) * np.spacing(edge)
+    singular = []
+    for theta in thetas:
+        try:
+            LadderSim(n_cells=2).set_flux(theta)
+        except SingularInductance:
+            singular.append(True)
+        else:
+            singular.append(False)
+    assert [s != (t >= edge) for s, t in zip(singular, thetas)] == [t == edge for t in thetas]
 
 
 def test_stability_violation_for_oversized_dt():

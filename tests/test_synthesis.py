@@ -25,6 +25,7 @@ from fluxline.synthesis import (
     FluxProgram,
     HotCellBudgetExceeded,
     NegativeSpeedSquared,
+    WINDOW_GUARD,
     Status,
     SynthesisError,
     SynthesisFailed,
@@ -102,7 +103,7 @@ def test_synthesize_flux_window_violation_at_horizon():
 
 
 def test_synthesize_flux_refuses_a_total_on_the_hot_edge():
-    # the total is exactly pi/2 - window_epsilon, which the budget counts as hot
+    # the total is exactly pi/2 - WINDOW_GUARD, which the budget counts as hot
     speed_sq = 1.000000143972511e-09
     with pytest.raises(WindowViolation) as err:
         synthesize_flux(speed_sq, 0.0)
@@ -302,7 +303,7 @@ def reference_synthesize_program(profile, theta_dc, config, coord_window, time_s
         if np.any(fatal):
             i = int(np.argmax(fatal))
             raise SynthesisFailed(i, j, Status(int(status[i])))
-        hot = int(np.count_nonzero(theta >= HALF_PI - config.window_epsilon))
+        hot = int(np.count_nonzero(theta >= HALF_PI - WINDOW_GUARD))
         if hot > config.max_hot_cells:
             raise HotCellBudgetExceeded(j, hot, config.max_hot_cells)
         speed[:, j] = s
@@ -513,8 +514,6 @@ def test_array_config_validation():
         ArrayConfig(impedance_margin=2.0)
     with pytest.raises(ValueError):
         ArrayConfig(max_hot_cells=-1)
-    with pytest.raises(ValueError):
-        ArrayConfig(window_epsilon=0.0)
 
 
 def test_synthesize_program_refuses_nan_dc():

@@ -5,10 +5,11 @@ Usage, from any directory:
     python tools/preset_hashes.py
 
 Runs profile, synth, synth over the benchmark's 64 time samples
-(synth-moving), feasibility, feasibility over the benchmark's 161 radii
-(feasibility-dense), feasibility over two DC angles and 31 radii, a scan
-of the configured metric on every preset without a figure
-(feasibility-custom), raytrace, raytrace of three launches into one file
+(synth-moving), synth over [0, 4] in 10 cells, with a hot cell on
+kerr_theta0 and fig3 (synth-horizon), feasibility, feasibility over the
+benchmark's 161 radii (feasibility-dense), feasibility over two DC angles
+and 31 radii, a scan of the configured metric on every preset without a
+figure (feasibility-custom), raytrace, raytrace of three launches into one file
 (raytrace-multi), simulate, and simulate with simulation.solver=both on
 every preset, in-process through fluxline.cli.main from this
 checkout's src/. Each run writes to out/preset_hashes/<run> under
@@ -42,6 +43,8 @@ RUNS = (
     ("synth", ()),
     # every preset's own synth writes one time sample; this run writes a (cell, time) table
     ("synth-moving", ("--set", 'synthesis.time_samples={"start":0,"stop":20,"num":64}')),
+    # on kerr_theta0 and fig3 cell 2 sits on the horizon r = M: a hot cell, within the budget of 1
+    ("synth-horizon", ("--set", "synthesis.coord_window=[0.0,4.0]", "--set", "synthesis.n_cells=10")),
     ("feasibility", ()),
     # the preset fig1 scans one r; this run writes the benchmark's fig1 grid of 161 radii per block
     ("feasibility-dense", ("--set", 'feasibility.r={"start":-3,"stop":3,"num":161}')),
