@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass, field
 from functools import cache
@@ -407,6 +408,27 @@ class RunConfig:
     feasibility: Optional[FeasibilitySettings]
 
 
+def _check_face_speed(profile: SpeedProfile, synthesis: SynthesisSettings, window) -> None:
+    """Refuse a c0 whose squared node speeds background_c^2 speed_sq sum to no finite normal float on the window.
+
+    The continuum solver averages each pair of neighbouring nodes into a
+    face. A supremum that is not finite and positive is the metric's fault,
+    not c0's, and the solver reports it.
+    """
+    bg = synthesis.array.c0 * math.sqrt(math.cos(synthesis.theta_dc))
+    try:
+        with np.errstate(all="ignore"):
+            sup = profile.sup_speed_sq(window)
+    except OverflowError:
+        return
+    pair = 2.0 * (bg * bg) * sup
+    if 0.0 < sup < math.inf and not sys.float_info.min <= pair < math.inf:
+        raise ConfigError(
+            "synthesis.c0",
+            f"2 * background_c**2 * sup speed_sq = {pair!r} on synthesis.coord_window must be a finite normal float",
+        )
+
+
 def validate_config(doc: dict) -> RunConfig:
     _check_object(doc, "config")
     _check_keys(doc, TOP_LEVEL_KEYS, "config")
@@ -419,7 +441,8 @@ def validate_config(doc: dict) -> RunConfig:
     rays = _parse_rays(doc["rays"]) if "rays" in doc else None
     feasibility = _fields(doc["feasibility"], FeasibilitySettings, "feasibility") if "feasibility" in doc else None
     output = _fields(doc.get("output", {}), OutputSettings, "output")
-    # across blocks: the window and each ray launch lie in the profile's range, the pulse in the window
+    # across blocks: the window and each ray launch lie in the profile's range, the pulse in the
+    # window, and the node speeds a simulation squares sum to a finite normal float
     lo, hi = profile.valid_range
     window = synthesis.coord_window
     if window is not None and not lo <= window[0] < window[1] <= hi:
@@ -427,8 +450,10 @@ def validate_config(doc: dict) -> RunConfig:
     for i, launch in enumerate(rays or ()):
         if not profile.contains(launch.r0):
             raise ConfigError(f"rays.launches[{i}].r0", f"{launch.r0} outside profile range [{lo}, {hi}]")
-    if window is not None and simulation is not None and not window[0] <= simulation.pulse_center <= window[1]:
-        raise ConfigError("simulation.pulse.center", f"{simulation.pulse_center} outside synthesis.coord_window {list(window)}")
+    if window is not None and simulation is not None:
+        if not window[0] <= simulation.pulse_center <= window[1]:
+            raise ConfigError("simulation.pulse.center", f"{simulation.pulse_center} outside synthesis.coord_window {list(window)}")
+        _check_face_speed(profile, synthesis, window)
     return RunConfig(
         raw=doc,
         hash=config_hash(doc),

@@ -43,6 +43,7 @@ last ulp (for one in five uniform draws on [-20, 20] on an AVX-512 Xeon).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -260,6 +261,88 @@ def _kerr_extreme(params: KerrExtremeParams) -> Callable:
     return speed_sq
 
 
+# Most bracketed Newton iterations one exact Kerr ray takes; each launch in
+# tests/test_rays.py converges in at most 35
+KERR_RAY_ITERATIONS = 100
+
+
+def _kerr_extreme_ray(params: KerrExtremeParams) -> Callable:
+    """The exact ray, inverting its travel time on the branch of u = r - M it starts on.
+
+    With a = M cos theta, b = M sin theta and k = M^2 + a^2, speed_sq is
+    (u^2 - b^2) u^2 / Sigma^2, Sigma = r^2 + a^2. In s = sqrt(u^2 - b^2) >= 0
+    and v = |u| = hypot(s, b), the branch side = sign(u) has the travel time
+
+        T(s) = s + side 2M ln(v + s) - k asin(b / v) / b,    dT/ds = Sigma / v^2,
+
+    whose b = 0 limit has -k / v for the last term, and a ray keeps
+    T(s) - side direction c t constant. dT/ds >= 1 on side +1 and >= a^2 / k
+    on side -1, which brackets each root for a bracketed Newton iteration
+    that stops at round-off. Where b > 0, T is finite at the ergoregion edge
+    s = 0: a ray that reaches the edge ends there, and only the samples up to
+    then are returned, as the tracer stops at negative speed_sq. A launch
+    inside the ergoregion returns its launch point alone; one on the axis's
+    horizon r = M, where the speed is 0, stays there.
+    """
+    M = params.mass_M
+    a_sq = (M * math.cos(params.theta)) ** 2
+    b = M * math.sin(params.theta)
+    k = M * M + a_sq
+    eps = np.finfo(float).eps
+
+    def travel(s, side):
+        v = np.hypot(s, b)
+        # asin(b / v) = atan2(b, s), which keeps its precision at the edge s = 0
+        # where asin's does not; below b = 1e-8 v, asin(b / v) / b is 1 / v to round-off
+        arc = np.where(b > 1e-8 * v, np.arctan2(b, s) / (b or 1.0), 1.0 / v)
+        return s + side * (2.0 * M) * np.log(v + s) - k * arc
+
+    def slope(s, side):
+        v = np.hypot(s, b)
+        r = M + side * v
+        return (r * r + a_sq) / (v * v)
+
+    def ray(r0, t0, t, direction, background_c):
+        u0 = r0 - M
+        v0, side = abs(u0), math.copysign(1.0, u0)
+        if v0 < b:
+            return np.array([r0])
+        if v0 == 0.0:
+            return np.full(len(t), r0)
+        # T(0) is -inf on the axis (b = 0), where the bracket may reach s = 0,
+        # and below -max float for a subnormal b
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s0 = math.sqrt((v0 - b) * (v0 + b))
+            start = float(travel(s0, side))
+            rise = side * direction * background_c * (t - t0)
+            outward = side * direction > 0
+            if not outward and b > 0:
+                rise = rise[: np.count_nonzero(start + rise >= float(travel(0.0, side)))]
+            target = start + rise
+            reach = np.abs(rise) * (1.0 if side > 0 else k / a_sq)
+            if outward:
+                lo, hi = np.full(len(rise), s0), np.minimum(s0 + reach, sys.float_info.max)
+            else:
+                lo, hi = np.maximum(s0 - reach, 0.0), np.full(len(rise), s0)
+            s = np.clip(s0 + rise / slope(s0, side), lo, hi)
+            done = np.zeros(len(s), dtype=bool)
+            for _ in range(KERR_RAY_ITERATIONS):
+                miss = travel(s, side) - target
+                lo = np.where(miss < 0.0, s, lo)
+                hi = np.where(miss > 0.0, s, hi)
+                newton = s - miss / slope(s, side)
+                # a step under 4 ulp of r is round-off in T: take it and stop there
+                small = np.abs(newton - s) <= 4.0 * eps * (M + np.hypot(s, b))
+                step = np.where(small | ((lo < newton) & (newton < hi)), newton, 0.5 * lo + 0.5 * hi)
+                s = np.where(done, s, step)
+                done |= small
+                if done.all():
+                    break
+            return M + side * np.hypot(s, b)
+
+    return ray
+
+
 @dataclass(frozen=True, eq=False)
 class TabulatedParams:
     """Read-only copies of samples: strictly increasing r, finite values."""
@@ -325,9 +408,11 @@ class Kind:
     conservatively, since CFL bounds use it. valid_range is the default
     domain (None: the span of the samples). ray(params) binds the exact null
     ray, positions(r0, t0, t, direction, background_c) at an ndarray of
-    times t >= t0 of the ray launched from (t0, r0), or is None where the
-    kind has no closed form: flat, godel and top-hat alcubierre have one,
-    smooth-wall alcubierre, kerr_extreme and tabulated do not.
+    increasing times t >= t0 of the ray launched from (t0, r0), or is None
+    where the kind has no closed form: flat, godel, top-hat alcubierre and
+    kerr_extreme have one, smooth-wall alcubierre and tabulated do not. A
+    ray that runs into speed_sq < 0 (the kerr_extreme ergoregion) returns
+    the positions at the prefix of t up to where it gets there.
     """
 
     params: type
@@ -352,7 +437,7 @@ KINDS: dict[str, Kind] = {
         False,
         ray=_godel_ray,
     ),
-    "kerr_extreme": Kind(KerrExtremeParams, _kerr_extreme, _kerr_extreme_sup, False, HALF_LINE),
+    "kerr_extreme": Kind(KerrExtremeParams, _kerr_extreme, _kerr_extreme_sup, False, HALF_LINE, _kerr_extreme_ray),
     "tabulated": Kind(TabulatedParams, _tabulated, _tabulated_sup, False, None),
 }
 

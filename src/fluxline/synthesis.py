@@ -30,6 +30,7 @@ CSV status codes:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -145,8 +146,9 @@ class ArrayConfig:
             raise ParamError("n_cells", f"must lie in [2, {MAX_GRID_POINTS}]")
         if not self.c0 > 0:
             raise ParamError("c0", "must be > 0")
-        if not math.isfinite(self.c0):
-            raise ParamError("c0", "must be finite")
+        # the ladder divides by c0^2 and the continuum solver squares background_c
+        if not sys.float_info.min <= self.c0 * self.c0 < math.inf:
+            raise ParamError("c0", f"must keep c0**2 a finite normal float, not {self.c0 * self.c0!r}")
         if not 0.0 < self.impedance_margin < HALF_PI:
             raise ParamError("impedance_margin", "must lie in (0, pi/2)")
         if self.max_hot_cells < 0:

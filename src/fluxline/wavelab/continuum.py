@@ -140,38 +140,58 @@ def sponge_factors(sponge_gamma, dt):
     return 1.0 - g, 1.0 + g
 
 
-def _flux_divergence(psi, face_speed_sq, dx, out):
-    """d_r (c^2 d_r psi) at the interior nodes, written into out[1:-1]."""
-    flux = face_speed_sq * np.diff(psi) / dx
-    out[1:-1] = (flux[1:] - flux[:-1]) / dx
+def _flux_divergence(psi, face_speed_sq, dx, out, flux):
+    """d_r (c^2 d_r psi) at the interior nodes, written into out[1:-1]; flux holds the n-1 face fluxes."""
+    np.subtract(psi[1:], psi[:-1], out=flux)
+    np.multiply(face_speed_sq, flux, out=flux)
+    np.divide(flux, dx, out=flux)
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    np.divide(out[1:-1], dx, out=out[1:-1])
     return out
 
 
-def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, damping, accel):
+def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, damping, accel, out=None, flux=None, product=None):
     """One damped leapfrog step; pure kernel shared by the solver class.
 
     psi_prev/psi_cur are the two known time levels; face_speed_sq holds
     c^2 at the n-1 cell faces, and damping is sponge_factors(gamma, dt) of
     the damping rate gamma per node (0 for no damping). accel is a buffer of
     psi's length with zero ends; its interior is overwritten. Ends are
-    pinned to zero.
+    pinned to zero. The new level is written into out, and flux (n-1 values)
+    and product (n) are scratch; each is allocated when not given, and none
+    may share memory with the levels. The arithmetic is
+    ((2 psi_cur - keep psi_prev) + (dt dt) accel) / scale in this order, so a
+    buffered step gives the bits an allocating one does.
     """
     keep, scale = damping
-    _flux_divergence(psi_cur, face_speed_sq, dx, accel)
-    nxt = (2.0 * psi_cur - keep * psi_prev + dt * dt * accel) / scale
-    nxt[0] = 0.0
-    nxt[-1] = 0.0
-    return nxt
+    out = np.empty_like(psi_cur) if out is None else out
+    flux = np.empty(len(psi_cur) - 1) if flux is None else flux
+    product = np.empty_like(psi_cur) if product is None else product
+    _flux_divergence(psi_cur, face_speed_sq, dx, accel, flux)
+    np.multiply(psi_cur, 2.0, out=out)
+    np.multiply(keep, psi_prev, out=product)
+    np.subtract(out, product, out=out)
+    np.multiply(accel, dt * dt, out=product)
+    np.add(out, product, out=out)
+    np.divide(out, scale, out=out)
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
 
 
 class ContinuumSolver:
     """Time-steps one profile on one grid.
 
-    The solver owns two field levels (previous and current); run() returns
-    one Snapshots record of the field every snapshot_stride steps, on the
-    solver's own grid r. energy() returns the discrete energy in the
-    staggered product form that the leapfrog update conserves exactly for
-    static profiles with reflecting boundaries.
+    The solver holds two field levels (previous and current). Each step
+    writes the next into whichever of its three own level buffers holds
+    neither, and its flux and products into its own scratch: a step
+    allocates no array of the grid's size and never writes to one that
+    initialize_pulse or a caller set, and a level a step returns is
+    overwritten by the third step after it. run() returns one Snapshots
+    record of the field every snapshot_stride steps, on the solver's own
+    grid r. energy() returns the discrete energy in the staggered product
+    form that the leapfrog update conserves exactly for static profiles
+    with reflecting boundaries.
     """
 
     def __init__(self, profile: SpeedProfile, grid: ContinuumGrid, background_c: float = 1.0):
@@ -191,6 +211,9 @@ class ContinuumSolver:
             face, speed = self._face_and_speed([0.0])
             self._static = face[0], speed[0]
         self._accel = np.zeros(grid.n_points)
+        self._levels = [np.empty(grid.n_points) for _ in range(3)]
+        self._flux = np.empty(grid.n_points - 1)
+        self._product = np.empty(grid.n_points)
         self.psi_prev = np.zeros(grid.n_points)
         self.psi_cur = np.zeros(grid.n_points)
         self.time = 0.0
@@ -233,11 +256,17 @@ class ContinuumSolver:
         g[0] = g[-1] = 0.0
         c_local = np.sqrt(np.maximum(self._node_speed_sq([0.0])[0], 0.0))
         psi_t = -direction * c_local * np.gradient(g, self.grid.dx)
-        accel = _flux_divergence(g, self._face_and_speed([0.0])[0][0], self.grid.dx, np.zeros_like(g))
+        accel = _flux_divergence(g, self._face_and_speed([0.0])[0][0], self.grid.dx, np.zeros_like(g), self._flux)
         self.psi_prev = g
         self.psi_cur = g + self.dt * psi_t + 0.5 * self.dt**2 * accel
         self.psi_cur[0] = self.psi_cur[-1] = 0.0
         self.time = self.dt
+
+    def _free_level(self) -> np.ndarray:
+        """The level buffer that holds neither psi_prev nor psi_cur."""
+        for level in self._levels:
+            if level is not self.psi_prev and level is not self.psi_cur:
+                return level
 
     def _steps(self, times):
         """Step once at each of times in turn, yielding the new level after each; the profile is evaluated for all at once."""
@@ -246,7 +275,10 @@ class ContinuumSolver:
                 raise CflViolation(
                     f"instantaneous c_max {c_inst} breaks the bound used for dt = {self.dt}"
                 )
-            nxt = fdtd_step(self.psi_prev, self.psi_cur, face, self.grid.dx, self.dt, self._damping, self._accel)
+            nxt = fdtd_step(
+                self.psi_prev, self.psi_cur, face, self.grid.dx, self.dt, self._damping, self._accel,
+                self._free_level(), self._flux, self._product,
+            )
             self.psi_prev = self.psi_cur
             self.psi_cur = nxt
             self.time += self.dt

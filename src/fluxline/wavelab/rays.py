@@ -12,8 +12,9 @@ command always traces.
 
 oracle_positions is the ray every verification compares a front with. It
 evaluates the kind's exact ray (Kind.ray) where the section has one: flat,
-godel and top-hat alcubierre. Elsewhere (smooth-wall alcubierre,
-kerr_extreme, tabulated) it traces 8192 steps and interpolates linearly.
+godel, top-hat alcubierre and kerr_extreme, so every simulate preset has an
+exact oracle. Elsewhere (smooth-wall alcubierre, tabulated) it traces 8192
+steps and interpolates linearly.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def oracle_positions(profile: SpeedProfile, background_c: float, t, r0: float, d
 
     Returns the positions at the prefix of t that the ray reaches inside the
     range; the first is r0. The exact ray is monotone in r, so it is cut at
-    its first sample outside; a traced one is cut where the trace stopped.
+    its first sample outside; it ends early where it reaches speed_sq < 0, as
+    a traced one ends where the trace stopped.
     A launch outside the range raises ProfileDomainError, and a non-finite
     position ProfileEvaluationError.
     """

@@ -5,9 +5,10 @@ discrete ladder, each at its own default step ratio (0.5), from a unit-peak
 pulse. The leading front is extracted from the snapshots at
 fronts.FRONT_THRESHOLD of each one's peak, and its trajectory is compared
 against the null-characteristic oracle launched from the measured initial
-front: the exact ray on flat, godel and top-hat alcubierre sections, an
-RK4 trace elsewhere (rays.oracle_positions). The relative deviation is
-normalized by the oracle's distance traveled; samples before
+front: the exact ray on flat, godel, top-hat alcubierre and kerr_extreme
+sections, every preset among them, and an RK4 trace on smooth-wall
+alcubierre and tabulated ones (rays.oracle_positions). The relative
+deviation is normalized by the oracle's distance traveled; samples before
 MIN_TRAVEL_FRAC (15%) of the total travel are skipped so the ratio is well
 conditioned.
 

@@ -455,6 +455,24 @@ def test_extreme_pulse_width_exits_with_one_line(tmp_path, capsys, width):
         assert not (tmp_path / "out").exists()
 
 
+# c0 values the solvers cannot evaluate: c0**2 overflowed in the continuum
+# solver (OverflowError), underflowed to 0 under the ladder's L0 = pitch^2 / c0^2
+# (ZeroDivisionError), and a finite c0**2 overflowed the face average of two
+# node speeds (a numpy RuntimeWarning)
+@pytest.mark.parametrize(
+    "assignments",
+    [["synthesis.c0=1e200"], ["synthesis.c0=1e-200", "simulation.solver=ladder"], ["synthesis.c0=1e154"]],
+    ids=["overflow", "underflow_ladder", "face_average"],
+)
+def test_simulate_refuses_a_c0_the_solvers_cannot_evaluate(tmp_path, capsys, assignments):
+    argv = ["simulate", "--preset", "flat", *(arg for a in assignments for arg in ("--set", a))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: synthesis.c0: ") and len(err.splitlines()) == 1
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

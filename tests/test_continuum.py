@@ -64,6 +64,23 @@ def test_fdtd_step_kernel_matches_manual_update():
         assert out[0] == 0.0 and out[-1] == 0.0
 
 
+def test_steps_write_only_the_solvers_own_level_buffers():
+    sol = make_solver(flat_profile(), n=64, boundary="reflecting")
+    sol.initialize_pulse(GaussianPulse(5.0, 0.4), 1)
+    pulse = (sol.psi_prev, sol.psi_cur)
+    pulse_bytes = [level.tobytes() for level in pulse]
+    sol.run(7, 1)
+    assert [level.tobytes() for level in pulse] == pulse_bytes
+    # levels a caller sets are read, never written
+    mine = (np.zeros(64), np.sin(np.linspace(0.0, math.pi, 64)))
+    sol.psi_prev, sol.psi_cur = mine
+    mine_bytes = [level.tobytes() for level in mine]
+    values = sol.run(5, 1).values
+    assert [level.tobytes() for level in mine] == mine_bytes
+    assert not any(np.shares_memory(sol.psi_cur, level) for level in (*pulse, *mine))
+    assert sol.psi_cur.tobytes() == values[-1].tobytes() and sol.psi_prev.tobytes() == values[-2].tobytes()
+
+
 def test_energy_conserved_with_reflecting_walls():
     sol = make_solver(flat_profile(), n=400, boundary="reflecting")
     sol.initialize_pulse(GaussianPulse(5.0, 0.4), 1)

@@ -361,15 +361,13 @@ def reference_oracle(profile, background_c, ts, r0, direction):
     return np.interp(ts, ray.t, ray.r)
 
 
-# kinds without a closed form, with a trace that completes, one that leaves
-# the domain and one that runs into speed_sq < 0
+# kinds without a closed form, with a trace that completes and one that
+# leaves the domain
 TRACED_CASES = {
     "alcubierre_smooth": (
         alcubierre_profile(AlcubierreParams(vs_over_c=0.9, bubble_radius_R=0.3, sigma=10.0, x_s0=6.0)),
         0.7, 5.5, 1, 4.0,
     ),
-    "kerr_theta0": (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=0.0)), 1.0, 2.0, -1, 20.0),
-    "kerr_pi4": (kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=math.pi / 4)), 1.0, 3.0, -1, 20.0),
     "tabulated": (tabulated_profile([0.0, 2.0, 5.0], [1.0, 3.0, 0.5]), 1.0, 1.0, 1, 10.0),
 }
 
@@ -382,7 +380,85 @@ def test_oracle_traces_kinds_without_a_closed_form_bitwise(case):
     got = oracle_positions(prof, bg, ts, r0, direction)
     want = reference_oracle(prof, bg, ts, r0, direction)
     assert got.tobytes() == want.tobytes()
-    assert len(got) == 201 if case in ("alcubierre_smooth", "kerr_theta0") else 1 < len(got) < 201
+    assert len(got) == 201 if case == "alcubierre_smooth" else 1 < len(got) < 201
+
+
+# --- the exact Kerr ray (Kind.ray) against the tracer ---
+
+
+def kerr(theta):
+    return kerr_extreme_profile(KerrExtremeParams(mass_M=1.0, theta=theta))
+
+
+# (theta, r0, direction, span): u = r - M > b = M sin theta ("out") and u < -b
+# ("in"), each way, at the axis, theta = 1e-9 (where asin(b / v) / b is 1 / v),
+# the preset's pi/4 and the equator, where the "in" branch lies at r < 0. Each
+# span ends short of the ergoregion edge and of r = 0
+KERR_LAUNCHES = {
+    "axis_out_inward": (0.0, 2.0, -1, 12.0),
+    "axis_out_outward": (0.0, 2.0, 1, 12.0),
+    "axis_in_outward": (0.0, 0.5, 1, 12.0),
+    "axis_in_inward": (0.0, 0.5, -1, 0.375),
+    "small_out_inward": (1e-9, 2.0, -1, 12.0),
+    "small_out_outward": (1e-9, 2.0, 1, 12.0),
+    "small_in_outward": (1e-9, 0.5, 1, 12.0),
+    "pi4_out_inward": (math.pi / 4, 3.0, -1, 4.0),
+    "pi4_out_outward": (math.pi / 4, 3.0, 1, 12.0),
+    "pi4_in_outward": (math.pi / 4, 0.2, 1, 0.0625),
+    "pi4_in_inward": (math.pi / 4, 0.2, -1, 0.125),
+    "equator_out_inward": (math.pi / 2, 3.0, -1, 1.0),
+    "equator_out_outward": (math.pi / 2, 3.0, 1, 12.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERR_LAUNCHES))
+def test_tracer_meets_the_exact_kerr_ray_at_its_nodes(case):
+    theta, r0, direction, span = KERR_LAUNCHES[case]
+    prof = kerr(theta)
+    path = trace_null_geodesic(prof, BG, r0=r0, t0=T0, direction=direction, t_end=T0 + span, dt=span / ORACLE_STEPS)
+    assert path.status == RAY_COMPLETED and len(path.t) == ORACLE_STEPS + 1
+    exact = exact_ray(prof, r0, direction, path.t)
+    assert np.all((exact > 1.0 + math.sin(theta)) if r0 > 1.0 else (exact < 1.0 - math.sin(theta)))
+    # RK4's truncation error is below round-off at these steps: measured at
+    # most 7.5e-14 (pi4_out_outward), on |r| <= 9.1
+    assert np.max(np.abs(path.r - exact)) <= 1e-12
+
+
+def test_exact_kerr_ray_ends_at_the_ergoregion_edge_like_the_tracer():
+    # the kerr_pi4 section launched inward from r0 = 3 reaches the edge
+    # r = M + b at a finite time, where the tracer stops at speed_sq < 0
+    prof, b = kerr(math.pi / 4), math.sin(math.pi / 4)
+    path = trace_null_geodesic(prof, 1.0, r0=3.0, direction=-1, t_end=20.0, dt=20.0 / ORACLE_STEPS)
+    assert path.status == RAY_NEGATIVE_SPEED_SQ
+    ts = np.linspace(0.0, 20.0, 401)
+    got = exact_ray(prof, 3.0, -1, ts, t0=0.0, bg=1.0)
+    # the samples up to the edge, falling towards it, and none after
+    assert 1 < len(got) < len(ts)
+    assert np.all(np.diff(got) < 0.0) and 1.0 + b <= got[-1] < 1.0 + b + 0.05
+    # the trace stops less than one of its steps before the edge
+    assert abs(len(got) - np.count_nonzero(ts <= path.t[-1])) <= 1
+
+
+# the oracle's cases that once traced Kerr: one that runs into speed_sq < 0
+KERR_ORACLE_CASES = {"kerr_theta0": (0.0, 2.0), "kerr_pi4": (math.pi / 4, 3.0)}
+
+
+@pytest.mark.parametrize("case", sorted(KERR_ORACLE_CASES))
+def test_exact_kerr_oracle_keeps_to_the_traced_one(case):
+    theta, r0 = KERR_ORACLE_CASES[case]
+    prof = kerr(theta)
+    assert KINDS[prof.kind].ray(prof.params) is not None
+    ts = np.linspace(0.25, 20.0, 201)
+    got = oracle_positions(prof, 1.0, ts, r0, -1)
+    want = reference_oracle(prof, 1.0, ts, r0, -1)
+    # the exact oracle keeps within one sample of the trace's cut
+    assert abs(len(got) - len(want)) <= 1
+    assert len(got) == 201 if case == "kerr_theta0" else 1 < len(got) < 201
+    n = min(len(got), len(want))
+    # linear interpolation between 8192 RK4 steps: measured at most 5.0e-8
+    # (kerr_pi4) and 2.7e-8 (kerr_theta0) apart
+    np.testing.assert_allclose(got[:n], want[:n], rtol=0, atol=1e-7)
+    assert got[0] == r0
 
 
 @pytest.mark.parametrize(
