@@ -43,7 +43,7 @@ import numpy as np
 from .csvio import read_table_csv
 from .metrics import KINDS, MAX_GRID_POINTS, ParamError, SpeedProfile, tabulated_profile
 from .synthesis import HALF_PI, WINDOW_GUARD, ArrayConfig
-from .wavelab.continuum import GaussianPulse
+from .wavelab.continuum import CFL_FACTOR, GaussianPulse
 from .wavelab.verify import SimulationSpec
 
 __all__ = [
@@ -345,6 +345,8 @@ def _parse_rays(d: dict, path="rays") -> list[RayLaunch]:
     _check_object(d, path)
     _check_keys(d, ("launches", "background_c"), path)
     bg = _get(d, "background_c", path, float) if "background_c" in d else RayLaunch.background_c
+    if not bg > 0:
+        raise ConfigError(f"{path}.background_c", "must be > 0")
     launches = d.get("launches")
     if not isinstance(launches, list) or not launches:
         raise ConfigError(f"{path}.launches", "required nonempty list")
@@ -397,7 +399,6 @@ TOP_LEVEL_KEYS = ("metric", "synthesis", "simulation", "output", "sampling", "ra
 
 @dataclass(frozen=True)
 class RunConfig:
-    raw: dict
     hash: str
     profile: SpeedProfile
     synthesis: SynthesisSettings
@@ -408,25 +409,37 @@ class RunConfig:
     feasibility: Optional[FeasibilitySettings]
 
 
-def _check_face_speed(profile: SpeedProfile, synthesis: SynthesisSettings, window) -> None:
-    """Refuse a c0 whose squared node speeds background_c^2 speed_sq sum to no finite normal float on the window.
+def _check_scales(profile: SpeedProfile, synthesis: SynthesisSettings, simulation: SimulationSpec, window) -> None:
+    """Refuse a c0 or a window that gives a simulation a square it cannot evaluate as a finite normal float.
 
-    The continuum solver averages each pair of neighbouring nodes into a
-    face. A supremum that is not finite and positive is the metric's fault,
-    not c0's, and the solver reports it.
+    The continuum solver averages each pair of neighbouring squared node
+    speeds background_c^2 speed_sq into a face (a c0 fault), and squares dx
+    and dt = CFL_FACTOR dx / c_max; the ladder's inductance is pitch^2 / c0^2
+    (window faults). A supremum that is not finite and positive is the
+    metric's fault, and the solver reports it.
     """
-    bg = synthesis.array.c0 * math.sqrt(math.cos(synthesis.theta_dc))
+    c0 = synthesis.array.c0
+    bg = c0 * math.sqrt(math.cos(synthesis.theta_dc))
     try:
         with np.errstate(all="ignore"):
             sup = profile.sup_speed_sq(window)
     except OverflowError:
-        return
-    pair = 2.0 * (bg * bg) * sup
-    if 0.0 < sup < math.inf and not sys.float_info.min <= pair < math.inf:
-        raise ConfigError(
-            "synthesis.c0",
-            f"2 * background_c**2 * sup speed_sq = {pair!r} on synthesis.coord_window must be a finite normal float",
-        )
+        sup = math.nan
+    span = window[1] - window[0]
+    dx, pitch = span / (simulation.n_points - 1), span / synthesis.array.n_cells
+    squares = {"dx**2": dx * dx, "pitch**2 / c0**2": pitch * pitch / (c0 * c0)}
+    if 0.0 < sup < math.inf:
+        pair = 2.0 * (bg * bg) * sup
+        if not sys.float_info.min <= pair < math.inf:
+            raise ConfigError(
+                "synthesis.c0",
+                f"2 * background_c**2 * sup speed_sq = {pair!r} on synthesis.coord_window must be a finite normal float",
+            )
+        dt = CFL_FACTOR * dx / (bg * math.sqrt(sup))
+        squares["dt**2"] = dt * dt
+    for name, square in squares.items():
+        if not sys.float_info.min <= square < math.inf:
+            raise ConfigError("synthesis.coord_window", f"{name} = {square!r} must be a finite normal float")
 
 
 def validate_config(doc: dict) -> RunConfig:
@@ -442,7 +455,7 @@ def validate_config(doc: dict) -> RunConfig:
     feasibility = _fields(doc["feasibility"], FeasibilitySettings, "feasibility") if "feasibility" in doc else None
     output = _fields(doc.get("output", {}), OutputSettings, "output")
     # across blocks: the window and each ray launch lie in the profile's range, the pulse in the
-    # window, and the node speeds a simulation squares sum to a finite normal float
+    # window, and what a simulation squares is a finite normal float
     lo, hi = profile.valid_range
     window = synthesis.coord_window
     if window is not None and not lo <= window[0] < window[1] <= hi:
@@ -453,9 +466,8 @@ def validate_config(doc: dict) -> RunConfig:
     if window is not None and simulation is not None:
         if not window[0] <= simulation.pulse_center <= window[1]:
             raise ConfigError("simulation.pulse.center", f"{simulation.pulse_center} outside synthesis.coord_window {list(window)}")
-        _check_face_speed(profile, synthesis, window)
+        _check_scales(profile, synthesis, simulation, window)
     return RunConfig(
-        raw=doc,
         hash=config_hash(doc),
         profile=profile,
         synthesis=synthesis,

@@ -26,23 +26,23 @@ write_csv streams a grid to disk a chunk at a time, so a file is never held in
 memory whole. A grid's chunks are cut into units (at most MAX_UNITS), whose
 indices fill a pipe, and min(CPUs in the affinity set, units // 2) - 1 forked
 helpers on the other CPUs each take the next index and format that unit into a
-part file. Inside an emission() block write_csv returns once the helpers are
-forked, and the caller keeps computing on the first CPU; at block exit it
-formats the units left, reaps the helpers and joins the parts in order.
-Outside a block write_csv is a block of its own. The bytes do not depend on
-who took which unit. One CPU, no os.fork, a second thread when the block opens
-(a forked child could deadlock), fewer than 4 units, or fewer cells (rows times
-columns formatted per chunk) than _Units.MIN_CELL_CHUNKS chunks hold means no
-helper. With more than one CPU such a grid is one unit, which
-the caller formats at block exit before it takes units of grids that have
-helpers, so that they keep the other CPUs busy meanwhile; with one CPU the
-caller writes it whole into its file at join. Every emitted file starts with a
-comment line (CSV) or a field (JSON) carrying the hash of the configuration
-that produced it. CSV and JSON files are written to a temporary sibling and
-moved into place with os.replace, so a reader sees either the old file or the
-complete new one, and a failed write leaves no partial file behind. JSON is
-standard: NaN and infinities are refused, also inside an ndarray, which is
-written as its list.
+part file; the part of unit 0 starts with the header and becomes the file.
+Inside an emission() block write_csv returns once the helpers are forked, and
+the caller keeps computing on the first CPU; at block exit it formats the units
+left, reaps the helpers, appends the other parts in order to the first and
+moves it into place. Outside a block write_csv is a block of its own. The bytes
+do not depend on who took which unit. One CPU, no os.fork, a second thread
+when the block opens (a forked child could deadlock), fewer than 4 units, or
+fewer cells (rows times columns formatted per chunk) than
+_Units.MIN_CELL_CHUNKS chunks hold means no helper: such a grid is one unit,
+which the caller formats at block exit before it takes units of grids that
+have helpers, so that they keep the other CPUs busy meanwhile. Every emitted
+file starts with a comment line (CSV) or a field (JSON) carrying the hash of
+the configuration that produced it. Each file is written under a temporary
+sibling name (a grid CSV as its first part) and moved into place with
+os.replace, so a reader sees either the old file or the complete new one, and
+a failed write leaves no partial file behind. JSON is standard: NaN and
+infinities are refused, also inside an ndarray, which is written as its list.
 """
 
 from __future__ import annotations
@@ -386,13 +386,13 @@ def _replaced_atomically(path: Path):
         raise
 
 
-def write_csv(path, columns, rows, config_hash: str | None = None) -> Path:
+def write_csv(path, columns, rows, config_hash: str) -> Path:
     """Write rows ('\n'-terminated lines, or a Grid) to path under a header of columns.
 
     A Grid is queued in the open emission block, and its file is in place when the block exits.
     """
     path = Path(path)
-    head = (("" if config_hash is None else f"# config_hash={config_hash}\n") + ",".join(columns) + "\n").encode()
+    head = f"# config_hash={config_hash}\n{','.join(columns)}\n".encode()
     if isinstance(rows, Grid):
         with emission():  # the open block, or one of its own
             _Units(path, head, rows, *_block.get())
@@ -413,8 +413,9 @@ _block = ContextVar("emission_block", default=None)
 def emission():
     """A block in which write_csv queues each grid CSV and returns while forked helpers format it.
 
-    At exit the caller formats the units left and moves each file into place;
-    after an exception no queued file is written. A block inside a block is that block.
+    At exit the caller formats the units left and appends each grid's other parts to its first, which it
+    moves into place; after an exception in the block or the caller's units no queued file is written. A
+    block inside a block is that block.
     """
     if _block.get() is not None:
         yield
@@ -440,7 +441,7 @@ def emission():
 
 
 class _Units:
-    """A queued grid CSV: its units, the pipe handing out their indices, and the helpers taking them."""
+    """A queued grid CSV: its units' parts (the first becomes the file), the pipe of their indices and the helpers."""
 
     # A grid gets forked helpers from this many chunks' worth of cells (rows times cell
     # columns); below it a helper did not pay for its fork and join. Measured on 2 CPUs in
@@ -456,8 +457,7 @@ class _Units:
         n_chunks = -(-grid.rows // grid.chunk_rows)
         n_units = min(n_chunks, MAX_UNITS)
         if (n := min(len(cpus), n_units // 2) if grid.cells >= self.MIN_CELL_CHUNKS * grid.chunk_rows else 1) < 2:
-            # no helper: one unit beside other CPUs' helpers, or written whole at join
-            n_units = min(n_units, int(len(cpus) > 1))
+            n_units = 1  # no helper: the caller formats the grid as one unit, an empty grid its header alone
         self.bounds = [*(k * n_chunks // n_units for k in range(n_units)), None]
         self.parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(n_units)]
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -480,23 +480,24 @@ class _Units:
         while k := os.read(self.fd, 4):
             k = int.from_bytes(k, "little")
             with open(self.parts[k], "wb") as out:
+                if k == 0:  # the first part becomes the file
+                    out.write(self.head)
                 out.writelines(self.grid.texts(self.bounds[k], self.bounds[k + 1]))
 
     def join(self) -> None:
-        """Reap the helpers, then move the header and the parts, in order, into place."""
+        """Reap the helpers, append parts 1.. in order to part 0, and move it into place."""
         while self.pids:
             status = os.waitpid(self.pids[0], 0)[1]
             del self.pids[0]
             if code := os.waitstatus_to_exitcode(status):
                 raise ChildProcessError(f"formatting {self.path.name}: a helper exited with {code}")
-        with _replaced_atomically(self.path) as fh:
-            fh.write(self.head)
-            fh.writelines(() if self.parts else self.grid.texts(0, None))
-            fh.flush()
-            for part in self.parts:
+        with open(self.parts[0], "r+b") as fh:  # sendfile refuses a target opened to append
+            fh.seek(0, os.SEEK_END)
+            for part in self.parts[1:]:
                 with open(part, "rb") as src:
                     while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
                         pass
+        os.replace(self.parts[0], self.path)
 
     def close(self) -> None:
         """Kill and reap the helpers left, and remove every part file."""
@@ -508,11 +509,9 @@ class _Units:
             part.unlink(missing_ok=True)
 
 
-def write_json(path, payload: dict, config_hash: str | None = None) -> Path:
+def write_json(path, payload: dict, config_hash: str) -> Path:
     path = Path(path)
-    doc = dict(payload)
-    if config_hash is not None:
-        doc["config_hash"] = config_hash
+    doc = {**payload, "config_hash": config_hash}
     # an ndarray is written as its list; any other object JSON cannot encode is refused with TypeError
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist) + "\n"
     with _replaced_atomically(path) as fh:

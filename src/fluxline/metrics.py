@@ -31,9 +31,9 @@ SpeedProfile, as SpeedProfile.formula, computing there what depends on the
 params alone (2a, 2M, (M cos theta)^2, 2 tanh(sigma R)). A Python float goes
 straight to it and a Python float comes back: the ray tracer calls formula
 once per RK4 stage, and a numpy round-trip per call would cost several times
-the arithmetic. speed_sq converts anything else (lists, ndarrays, 0-d arrays,
-numpy scalars) once with np.asarray(..., dtype=float); an array point returns
-an ndarray and a 0-d point a Python float. Both paths give the same bits: IEEE
+the arithmetic. speed_sq converts any point (floats, lists, ndarrays, 0-d
+arrays, numpy scalars) once with np.asarray(..., dtype=float); an array
+point returns an ndarray and a 0-d point a Python float. Both paths give the same bits: IEEE
 +, -, *, / and abs round alike in both, (M - r)^2 is written d * d because
 numpy squares arrays by multiplication, and smooth bubble walls call np.tanh
 even on a float, because math.tanh differs from numpy's SIMD tanh in the
@@ -451,7 +451,7 @@ class SpeedProfile:
     profiles enforce it hard, the analytic ones use it to bound solvers and
     ray tracers. formula(r, t, background_c) is the kind's formula bound to
     params: a Python float r gives a Python float, an ndarray r an ndarray
-    (see module doc); speed_sq also takes any other point.
+    (see module doc); speed_sq takes any point.
     """
 
     kind: str
@@ -472,8 +472,6 @@ class SpeedProfile:
 
     def speed_sq(self, r: ArrayLike, t: float = 0.0, background_c: float = 1.0) -> ArrayLike:
         """Evaluate the profile; may return negative values (see module doc)."""
-        if type(r) is float:
-            return self.formula(r, t, background_c)
         out = self.formula(np.asarray(r, dtype=float), t, background_c)
         return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 

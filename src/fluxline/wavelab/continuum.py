@@ -6,11 +6,10 @@ The field obeys the flux-conservative form
 
 chosen so the characteristic speed equals the local c and a discrete energy
 exists. c^2 is sampled at cell faces as the arithmetic mean of the node
-values. The time step is dt = cfl_factor * dx / c_max (verification uses
-the default 0.5) with c_max the profile supremum over the whole run; the
-step raises CflViolation whenever the instantaneous speed breaks that bound
-(possible for time-dependent or tabulated profiles whose supremum was
-underestimated). run_blocks, the run loop of both wavelab solvers, takes a
+values. The time step is dt = CFL_FACTOR * dx / c_max with c_max the
+profile supremum over the whole run; the step raises CflViolation whenever
+the instantaneous speed breaks that bound (possible for time-dependent or
+tabulated profiles whose supremum was underestimated). run_blocks, the run loop of both wavelab solvers, takes a
 given step count in blocks of up to BLOCK_STEPS step times and records
 snapshot_count levels; a time-dependent profile is evaluated once per
 block, each step takes its row, and step() alone is a block of one.
@@ -41,6 +40,8 @@ __all__ = [
 ]
 
 BOUNDARIES = ("absorbing_sponge", "reflecting")
+# dt as a fraction of dx / c_max, the bound the step holds every instantaneous speed to
+CFL_FACTOR = 0.5
 SPONGE_FRACTION = 0.10
 # Peak damping rate STRENGTH * c_max / sponge length. Stronger ramps reflect
 # off the damping gradient, weaker ones leak through the round trip; 22 is
@@ -87,12 +88,11 @@ class CflViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class ContinuumGrid:
-    """Spatial discretization of one run; dt follows from dx and cfl_factor."""
+    """Spatial discretization of one run; dt follows from dx and CFL_FACTOR."""
 
     n_points: int
     dx: float
     r_start: float = 0.0
-    cfl_factor: float = 0.5
     boundary: str = "absorbing_sponge"
 
     def __post_init__(self):
@@ -100,8 +100,6 @@ class ContinuumGrid:
             raise ValueError("n_points must be >= 16")
         if self.dx <= 0:
             raise ValueError("dx must be > 0")
-        if not 0.0 < self.cfl_factor <= 1.0:
-            raise ValueError("cfl_factor must lie in (0, 1]")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
@@ -204,7 +202,7 @@ class ContinuumSolver:
             raise ValueError("profile has no positive speeds on the grid")
         self.c_max = background_c * math.sqrt(sup)
         self._sponge, self.sponge_width = self._build_sponge()
-        self.dt = grid.cfl_factor * grid.dx / self.c_max
+        self.dt = CFL_FACTOR * grid.dx / self.c_max
         self._damping = sponge_factors(self._sponge, self.dt)
         self._static = None
         if not profile.time_dependent:
@@ -271,7 +269,7 @@ class ContinuumSolver:
     def _steps(self, times):
         """Step once at each of times in turn, yielding the new level after each; the profile is evaluated for all at once."""
         for face, c_inst in zip(*self._face_and_speed(times)):
-            if self.dt * c_inst > self.grid.cfl_factor * self.grid.dx * (1.0 + 1e-9):
+            if self.dt * c_inst > CFL_FACTOR * self.grid.dx * (1.0 + 1e-9):
                 raise CflViolation(
                     f"instantaneous c_max {c_inst} breaks the bound used for dt = {self.dt}"
                 )

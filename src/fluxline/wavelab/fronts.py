@@ -2,10 +2,10 @@
 
 A solver run is recorded as one Snapshots table: the field at k instants on
 one fixed grid. The front is the leading crossing of a threshold set as a
-fraction of each snapshot's own peak (FRONT_THRESHOLD unless a caller passes
-another), located by linear interpolation between samples. Using a relative
-threshold makes the front insensitive to slow amplitude drift as the pulse
-moves through regions of different speed, and to the pulse's amplitude.
+fraction of each snapshot's own peak (FRONT_THRESHOLD), located by linear
+interpolation between samples. Using a relative threshold makes the front
+insensitive to slow amplitude drift as the pulse moves through regions of
+different speed, and to the pulse's amplitude.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class FrontSpeeds:
     mean: float
 
 
-def front_position(r, values, threshold: float = FRONT_THRESHOLD, direction: int = 1) -> float:
-    """Leading crossing of threshold * max|values|.
+def front_position(r, values, direction: int = 1) -> float:
+    """Leading crossing of FRONT_THRESHOLD * max|values|.
 
     direction +1 scans for the rightmost crossing, -1 for the leftmost,
     found as the rightmost crossing of the reversed samples.
@@ -70,7 +70,7 @@ def front_position(r, values, threshold: float = FRONT_THRESHOLD, direction: int
     peak = float(a.max(initial=0.0))
     if peak <= 0.0:
         raise FrontNotFound("field is identically zero")
-    thr = threshold * peak
+    thr = FRONT_THRESHOLD * peak
     above = np.nonzero(a >= thr)[0]
     if above.size == 0:
         raise FrontNotFound("no sample above threshold")
@@ -81,12 +81,7 @@ def front_position(r, values, threshold: float = FRONT_THRESHOLD, direction: int
     return float(rr[j] + frac * (rr[j + 1] - rr[j]))
 
 
-def front_trajectory(
-    snapshots,
-    threshold: float = FRONT_THRESHOLD,
-    direction: int = 1,
-    r_stop: float | None = None,
-):
+def front_trajectory(snapshots, direction: int = 1, r_stop: float | None = None):
     """Front position per snapshot of a Snapshots record as (times, positions) arrays.
 
     Collection stops at the first snapshot whose front passes r_stop (in the
@@ -96,7 +91,7 @@ def front_trajectory(
     r = snapshots.r
     ts, rs = [], []
     for time, values in zip(snapshots.times, snapshots.values):
-        pos = front_position(r, values, threshold, direction)
+        pos = front_position(r, values, direction)
         if r_stop is not None:
             if direction >= 0 and pos > r_stop:
                 break
@@ -107,13 +102,11 @@ def front_trajectory(
     return np.asarray(ts), np.asarray(rs)
 
 
-def measure_front_speed(
-    snapshots, threshold: float = FRONT_THRESHOLD, direction: int = 1
-) -> FrontSpeeds:
+def measure_front_speed(snapshots, direction: int = 1) -> FrontSpeeds:
     """Finite-difference speeds of the leading front across a Snapshots record."""
     if len(snapshots) < 3:
         raise ValueError("need at least 3 snapshots")
-    ts, rs = front_trajectory(snapshots, threshold, direction)
+    ts, rs = front_trajectory(snapshots, direction)
     if len(ts) < 3:
         raise FrontNotFound("front left the measurement window too early")
     dt = np.diff(ts)

@@ -103,7 +103,6 @@ class LadderSim:
         self.node_r = r_start + np.arange(n_cells + 1) * pitch
         self.cell_r = 0.5 * (self.node_r[:-1] + self.node_r[1:])
         self.dt = stability_factor * math.sqrt(self.L0 * self.capacitance)
-        self.theta = np.zeros(n_cells)
         self.inductance = np.full(n_cells, self.L0)
         self.voltages = np.zeros(n_cells + 1)
         self.branch_flux = np.zeros(n_cells)
@@ -131,7 +130,6 @@ class LadderSim:
                 raise SingularInductance(
                     f"|cos theta| = {cos[j, i]} < {WINDOW_GUARD} at cell {i}"
                 )
-            self.theta = theta[j]
             self.inductance = inductance[j]
             if unstable[j]:
                 raise StabilityViolation("dt at or above sqrt(L_min C) after flux update")

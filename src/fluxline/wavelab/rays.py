@@ -75,6 +75,8 @@ def trace_null_geodesic(
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
+    if not background_c > 0:
+        raise ValueError("background_c must be > 0")
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
     if not profile.contains(r0):

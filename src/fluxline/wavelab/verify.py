@@ -1,13 +1,14 @@
 """End-to-end check that a flux program carries light like its section.
 
 The program's window is simulated with the continuum solver and/or the
-discrete ladder, each at its own default step ratio (0.5), from a unit-peak
-pulse. The leading front is extracted from the snapshots at
-fronts.FRONT_THRESHOLD of each one's peak, and its trajectory is compared
-against the null-characteristic oracle launched from the measured initial
-front: the exact ray on flat, godel, top-hat alcubierre and kerr_extreme
-sections, every preset among them, and an RK4 trace on smooth-wall
-alcubierre and tabulated ones (rays.oracle_positions). The relative
+discrete ladder, at step ratio 0.5 (continuum.CFL_FACTOR and the ladder's
+default stability factor), from a unit-peak pulse. The leading front is
+extracted from the snapshots at fronts.FRONT_THRESHOLD of each one's peak,
+and its trajectory is compared against the null-characteristic oracle
+launched from the measured initial front: the exact ray on flat, godel,
+top-hat alcubierre and kerr_extreme sections, every preset among them, and
+an RK4 trace on smooth-wall alcubierre and tabulated ones
+(rays.oracle_positions). The relative
 deviation is normalized by the oracle's distance traveled; samples before
 MIN_TRAVEL_FRAC (15%) of the total travel are skipped so the ratio is well
 conditioned.
@@ -241,11 +242,10 @@ def verify_program(
     lo, hi = program.coord_window
     bg = program.background_c
     results = {}
-    for name in ("continuum", "ladder"):
+    for name, run in (("continuum", _run_continuum), ("ladder", _run_ladder)):
         if spec.solver not in (name, "both"):
             continue
-        # looked up when called, so that a replaced runner is the one that runs
-        snaps, guard, meta = globals()[f"_run_{name}"](program, profile, spec)
+        snaps, guard, meta = run(program, profile, spec)
         on_snapshots(name, snaps)
         r_stop = hi - guard if spec.direction >= 0 else lo + guard
         ts, rs = front_trajectory(snaps, direction=spec.direction, r_stop=r_stop)

@@ -26,7 +26,7 @@ from fluxline.wavelab import (
     StabilityViolation,
     ladder_step,
 )
-from fluxline.wavelab.continuum import BLOCK_STEPS, fdtd_step
+from fluxline.wavelab.continuum import BLOCK_STEPS, CFL_FACTOR, fdtd_step
 from fluxline.wavelab.fronts import Snapshots
 
 THETA_DC = -0.36 * math.pi
@@ -59,7 +59,7 @@ class Recording:
 
 
 def continuum_solver(profile):
-    grid = ContinuumGrid(n_points=400, dx=40.0 / 399, cfl_factor=0.5)
+    grid = ContinuumGrid(n_points=400, dx=40.0 / 399)
     solver = ContinuumSolver(profile, grid, BG)
     solver.initialize_pulse(GaussianPulse(6.0, 0.35), 1)
     return solver
@@ -79,7 +79,7 @@ def reference_continuum_run(solver, t_end, stride):
     steps = 0
     while solver.time < t_end - 1e-12:
         face, c_inst = face_and_speed(solver.time)
-        if dt * c_inst > solver.grid.cfl_factor * dx * (1.0 + 1e-9):
+        if dt * c_inst > CFL_FACTOR * dx * (1.0 + 1e-9):
             raise CflViolation(f"instantaneous c_max {c_inst} breaks the bound used for dt = {dt}")
         nxt = fdtd_step(solver.psi_prev, solver.psi_cur, face, dx, dt, solver._damping, np.zeros(len(solver.r)))
         solver.psi_prev, solver.psi_cur = solver.psi_cur, nxt
@@ -118,7 +118,6 @@ def reference_ladder_run(sim, n_steps, stride, schedule):
         if np.any(cos < WINDOW_GUARD):
             i = int(np.argmin(cos))
             raise SingularInductance(f"|cos theta| = {cos[i]} < {WINDOW_GUARD} at cell {i}")
-        sim.theta = theta
         sim.inductance = sim.L0 / cos
         if sim.dt >= math.sqrt(float(sim.inductance.min()) * sim.capacitance):
             raise StabilityViolation("dt at or above sqrt(L_min C) after flux update")

@@ -473,6 +473,40 @@ def test_simulate_refuses_a_c0_the_solvers_cannot_evaluate(tmp_path, capsys, ass
     assert not (tmp_path / "out").exists()
 
 
+# windows whose steps the solvers cannot evaluate: dx**2 and dt**2 overflowed in the
+# continuum solver (OverflowError) and L0 = pitch**2 overflowed in the ladder (exit 4);
+# a subnormal dx raised a numpy RuntimeWarning in the continuum solver and L0 underflowed
+# in the ladder (exit 4). On godel with a = 1e-153 only dt**2 is subnormal, the speed
+# being about 1e153: that run went on to synthesis and exited 2
+@pytest.mark.parametrize("solver", ["continuum", "ladder"])
+@pytest.mark.parametrize(
+    "preset, assignments",
+    [
+        ("flat", ["synthesis.coord_window=[0,1e160]"]),
+        ("flat", ["synthesis.coord_window=[0,1e-200]", "simulation.pulse.center=0"]),
+        ("godel", ["metric.a=1e-153"]),
+    ],
+    ids=["overflow", "underflow", "dt_underflow"],
+)
+def test_simulate_refuses_a_window_whose_steps_the_solvers_cannot_evaluate(tmp_path, capsys, preset, assignments, solver):
+    assignments = [*assignments, f"simulation.solver={solver}"]
+    argv = ["simulate", "--preset", preset, *(arg for a in assignments for arg in ("--set", a))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: synthesis.coord_window: ") and len(err.splitlines()) == 1
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+# a negative speed once traced a ray against its launch direction, and 0 one that never moved
+@pytest.mark.parametrize("background_c", ["-1", "0"])
+def test_raytrace_refuses_a_background_speed_that_is_not_positive(tmp_path, capsys, background_c):
+    argv = ["raytrace", "--preset", "godel", "--set", f"rays.background_c={background_c}"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: rays.background_c: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

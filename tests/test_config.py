@@ -541,7 +541,7 @@ def test_validate_config_fuzz(doc):
         except ConfigError as exc:
             assert re.split(r"[.\[]", exc.path)[0] in doc, exc.path
             return
-        if run.raw["metric"]["kind"] != "tabulated":
+        if run.profile.kind != "tabulated":
             _assert_finite(run.profile.params, "metric")
     for name in ("synthesis", "simulation", "rays", "sampling", "feasibility", "output"):
         _assert_finite(getattr(run, name), name)

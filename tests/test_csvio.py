@@ -52,9 +52,8 @@ def reference_cell(x) -> str:
     return format_float(x)
 
 
-def reference_csv(columns, rows, config_hash=None) -> bytes:
-    lines = [] if config_hash is None else [f"# config_hash={config_hash}"]
-    lines.append(",".join(columns))
+def reference_csv(columns, rows, config_hash) -> bytes:
+    lines = [f"# config_hash={config_hash}", ",".join(columns)]
     lines.extend(",".join(reference_cell(x) for x in row) for row in rows)
     return ("\n".join(lines) + "\n").encode()
 
@@ -137,7 +136,7 @@ def grids(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grids(), st.sampled_from([None, "0123456789abcdef"]))
+@given(grids(), st.sampled_from(["h", "0123456789abcdef"]))
 @example(
     ([np.array([math.nan, -0.0, math.inf]), np.array([-3, 7, 0]), np.array(["ok", "", "a%"])],
      [object_array([math.nan, -0.0, math.inf]), object_array([np.int64(-3), 7, 0]), object_array(["ok", "", "a%"])]),
@@ -147,7 +146,7 @@ def grids(draw):
     # NULs inside and at the end of 2-d text cells, which a numpy str array cannot hold at the end
     ([object_array(["a\x00", "\x00", ",", "é\x00b"], (2, 2)), np.array([["a\x00b", " "], ["", "\x00x"]])],
      [object_array(["a\x00", "\x00", ",", "é\x00b"], (2, 2)), object_array(["a\x00b", " ", "", "\x00x"], (2, 2))]),
-    None,
+    "h",
 )
 def test_write_csv_matches_cell_by_cell_reference(tmp_path_factory, grid, config_hash):
     columns, values = grid
@@ -583,15 +582,24 @@ def test_block_exit_formats_helperless_grids_first(tmp_path, monkeypatch, failin
     monkeypatch.setattr(csvio._Units, "take", helper_take)
     out = tmp_path / "out"
     big, small = block_grid(), block_grid(n_blocks=1, n_rows=4)
-    with pytest.raises(RuntimeError) if failing else contextlib.nullcontext():
-        with csvio.emission():
-            write_csv(out / "big.csv", big[0], csvio.grid_lines(*big[1]), "h")
-            write_csv(out / "small.csv", small[0], csvio.grid_lines(*small[1]), "h")
+
+    def write_both():
+        with pytest.raises(RuntimeError) if failing else contextlib.nullcontext():
+            with csvio.emission():
+                write_csv(out / "big.csv", big[0], csvio.grid_lines(*big[1]), "h")
+                write_csv(out / "small.csv", small[0], csvio.grid_lines(*small[1]), "h")
+
+    write_both()
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     if failing:
         # a failed unit leaves no file, not even the one whose units had all been formatted
+        assert list(out.iterdir()) == []
+        # nor on one CPU, where the big grid has no helper either and is formatted first
+        on_cpus(monkeypatch, 1)
+        write_both()
+        assert len(forks) == 1
         assert list(out.iterdir()) == []
         return
     order = [tuple(line.split()) for line in log.read_text().splitlines() if int(line.split()[0]) == parent]
@@ -600,6 +608,30 @@ def test_block_exit_formats_helperless_grids_first(tmp_path, monkeypatch, failin
     assert (out / "big.csv").read_bytes() == reference_csv(big[0], big[2], "h")
     assert (out / "small.csv").read_bytes() == reference_csv(small[0], small[2], "h")
     assert sorted(p.name for p in out.iterdir()) == ["big.csv", "small.csv"]
+
+
+def test_the_first_part_becomes_the_file_and_the_others_are_appended_to_it(tmp_path, monkeypatch):
+    # a grid of k parts copies k - 1 of them; a grid without a helper is one part and copies none
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    copied, sendfile = [], os.sendfile
+
+    def counted_sendfile(out_fd, in_fd, offset, count):
+        n = sendfile(out_fd, in_fd, offset, count)
+        if n:  # the call that finds the part's end copies nothing
+            copied.append(n)
+        return n
+
+    monkeypatch.setattr(os, "sendfile", counted_sendfile)
+    big, small = block_grid(), block_grid(n_blocks=1, n_rows=4)
+    write_csv(tmp_path / "small.csv", small[0], csvio.grid_lines(*small[1]), "h")
+    assert forks == [] and copied == []
+    write_csv(tmp_path / "big.csv", big[0], csvio.grid_lines(*big[1]), "h")
+    assert len(forks) == 1 and len(copied) == len(UNITS) - 1
+    assert (tmp_path / "big.csv").read_bytes() == reference_csv(big[0], big[2], "h")
+    assert (tmp_path / "small.csv").read_bytes() == reference_csv(small[0], small[2], "h")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "small.csv"]
 
 
 @pytest.mark.parametrize("why", ["one_cpu", "no_affinity", "no_fork", "second_thread"])

@@ -15,17 +15,17 @@ def gaussian_snaps(v=0.7, n=400, times=None, r0=3.0):
 def test_front_position_linear_interpolation_exact():
     r = np.array([0.0, 1.0, 2.0, 3.0])
     vals = np.array([0.0, 1.0, 0.5, 0.0])
-    # threshold 0.25 of peak 1.0: leading crossing between r=2 (0.5) and r=3 (0.0)
-    pos = front_position(r, vals, threshold=0.25, direction=1)
-    assert pos == pytest.approx(2.5)
-    pos_left = front_position(r, vals, threshold=0.25, direction=-1)
-    assert pos_left == pytest.approx(0.25)
+    # 5% of peak 1.0: the leading crossing lies between r=2 (0.5) and r=3 (0.0)
+    pos = front_position(r, vals, direction=1)
+    assert pos == pytest.approx(2.9)
+    pos_left = front_position(r, vals, direction=-1)
+    assert pos_left == pytest.approx(0.05)
 
 
 def test_front_position_uses_magnitude():
     r = np.linspace(0, 5, 6)
     vals = np.array([0.0, -1.0, 0.0, 0.0, 0.0, 0.0])
-    assert front_position(r, vals, 0.5, 1) == pytest.approx(1.5)
+    assert front_position(r, vals, 1) == pytest.approx(1.95)
 
 
 def test_front_position_zero_field_raises():
@@ -36,31 +36,31 @@ def test_front_position_zero_field_raises():
 def test_front_at_boundary_returns_edge():
     r = np.linspace(0, 5, 6)
     vals = np.array([0.0, 0.0, 0.0, 0.2, 0.7, 1.0])
-    assert front_position(r, vals, 0.05, 1) == 5.0
-    assert front_position(r, vals[::-1], 0.05, -1) == 0.0
+    assert front_position(r, vals, 1) == 5.0
+    assert front_position(r, vals[::-1], -1) == 0.0
 
 
 def test_trajectory_tracks_moving_gaussian():
     snaps = gaussian_snaps(v=0.7)
-    ts, rs = front_trajectory(snaps, threshold=0.05)
+    ts, rs = front_trajectory(snaps)
     speeds = np.diff(rs) / np.diff(ts)
     np.testing.assert_allclose(speeds, 0.7, atol=0.01)
 
 
 def test_trajectory_stops_at_limit():
     snaps = gaussian_snaps(v=0.7)
-    ts, rs = front_trajectory(snaps, threshold=0.05, r_stop=8.0)
+    ts, rs = front_trajectory(snaps, r_stop=8.0)
     assert np.all(rs <= 8.0)
     assert len(ts) < len(snaps)
 
 
 def test_leftward_trajectory_stops_at_limit():
     snaps = gaussian_snaps(v=-0.6, r0=15.0)
-    ts, rs = front_trajectory(snaps, threshold=0.05, direction=-1, r_stop=12.0)
+    ts, rs = front_trajectory(snaps, direction=-1, r_stop=12.0)
     assert np.all(rs >= 12.0)
     assert 0 < len(ts) < len(snaps)
     # the first front past the limit ends the record
-    assert front_trajectory(snaps, threshold=0.05, direction=-1)[1][len(ts)] < 12.0
+    assert front_trajectory(snaps, direction=-1)[1][len(ts)] < 12.0
 
 
 def test_measure_front_speed_mean():

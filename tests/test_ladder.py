@@ -89,8 +89,9 @@ def test_stability_violation_for_oversized_dt():
 
 def test_inductance_tuning_law():
     sim = LadderSim(n_cells=8)
-    sim.set_flux(np.array([0.0, math.pi / 3, -math.pi / 3, 0.2, 0.44 * math.pi, 0.1, 0.0, 0.3]))
-    np.testing.assert_allclose(sim.inductance, sim.L0 / np.abs(np.cos(sim.theta)), rtol=1e-14)
+    theta = np.array([0.0, math.pi / 3, -math.pi / 3, 0.2, 0.44 * math.pi, 0.1, 0.0, 0.3])
+    sim.set_flux(theta)
+    np.testing.assert_allclose(sim.inductance, sim.L0 / np.abs(np.cos(theta)), rtol=1e-14)
     assert sim.inductance[1] == pytest.approx(2.0 * sim.L0, rel=1e-12)
 
 
@@ -177,8 +178,8 @@ def test_ladder_agrees_with_continuum_on_static_profile():
     solver.initialize_pulse(GaussianPulse(0.4, 0.12), 1)
     cont_snaps = solver.run(math.ceil((4.4 - solver.time) / solver.dt), 20)
 
-    lt, lr = front_trajectory(lad_snaps, 0.05, 1, r_stop=3.1)
-    ct, cr = front_trajectory(cont_snaps, 0.05, 1, r_stop=3.1)
+    lt, lr = front_trajectory(lad_snaps, 1, r_stop=3.1)
+    ct, cr = front_trajectory(cont_snaps, 1, r_stop=3.1)
     t_lo, t_hi = max(lt[0], ct[0]), min(lt[-1], ct[-1])
     ts = np.linspace(t_lo, t_hi, 60)
     lad_at = np.interp(ts, lt, lr)

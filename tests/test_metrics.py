@@ -331,7 +331,7 @@ def test_scalar_point_matches_array_point_bitwise(case):
     whole = prof.speed_sq(np.asarray(r), t, bg)
     assert isinstance(whole, np.ndarray) and whole.shape == (len(r),)
     for i, x in enumerate(r):
-        got = prof.speed_sq(float(x), t, bg)
+        got = prof.formula(float(x), t, bg)
         assert type(got) is float
         zero_d = prof.speed_sq(np.asarray(x), t, bg)
         assert type(zero_d) is float

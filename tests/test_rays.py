@@ -125,6 +125,9 @@ def test_ray_argument_validation():
         trace_null_geodesic(flat_profile(), 1.0, r0=0.0, direction=2, t_end=1.0)
     with pytest.raises(ValueError):
         trace_null_geodesic(flat_profile(), 1.0, r0=0.0, t_end=0.0)
+    for background_c in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            trace_null_geodesic(flat_profile(), background_c, r0=0.0, t_end=1.0)
 
 
 def test_ray_fourth_order_convergence():

@@ -56,7 +56,7 @@ def test_report_serializes_to_json(tmp_path):
     spec = SimulationSpec(pulse_center=1.0, pulse_width=0.2, t_end=4.0, n_points=400)
     handed = {}
     report = verify_program(program, prof, spec, handed.__setitem__)
-    doc = json.loads(write_json(tmp_path / "verification.json", asdict(report)).read_text())
+    doc = json.loads(write_json(tmp_path / "verification.json", asdict(report), "h").read_text())
     assert doc["passed"] is True
     assert "continuum" in doc["solvers"]
     assert doc["solvers"]["continuum"]["front_times"] == report.solvers["continuum"].front_times.tolist()
@@ -92,7 +92,7 @@ def test_superluminal_front_locks_to_pattern_speed():
     assert program.background_c == bg
     spec = SimulationSpec(pulse_center=6.0, pulse_width=0.35, t_end=40.0, n_points=900)
     snaps, guard, _ = _run_continuum(program, prof, spec)
-    ts, rs = front_trajectory(snaps, 0.05, 1, r_stop=40.0 - guard)
+    ts, rs = front_trajectory(snaps, 1, r_stop=40.0 - guard)
     third = len(ts) // 3
     slope = np.polyfit(ts[-third:], rs[-third:], 1)[0]
     assert slope == pytest.approx(1.5 * bg, rel=0.02)
@@ -108,7 +108,7 @@ def test_front_never_exceeds_local_speed():
     bg = program.background_c
     spec = SimulationSpec(pulse_center=0.4, pulse_width=0.12, t_end=4.4, n_points=900)
     snaps, guard, _ = _run_continuum(program, prof, spec)
-    ts, rs = front_trajectory(snaps, 0.05, 1, r_stop=3.8 - guard)
+    ts, rs = front_trajectory(snaps, 1, r_stop=3.8 - guard)
     speeds = np.diff(rs) / np.diff(ts)
     mids = 0.5 * (rs[:-1] + rs[1:])
     local = bg * np.sqrt(np.asarray(prof.speed_sq(mids)))
