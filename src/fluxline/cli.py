@@ -139,7 +139,7 @@ def cmd_synth(run: RunConfig) -> int:
         "n_times": len(program.times),
         "theta_dc": program.theta_dc,
         "background_c": program.background_c,
-        "c0": program.c0,
+        "c0": 1.0,  # the unit of speed; the key stays so that no artifact byte moves
         "coord_window": list(program.coord_window),
         "hot_cells_per_time": program.hot_cells.tolist(),
         "status_counts": counts,

@@ -410,16 +410,16 @@ class RunConfig:
 
 
 def _check_scales(profile: SpeedProfile, synthesis: SynthesisSettings, simulation: SimulationSpec, window) -> None:
-    """Refuse a c0 or a window that gives a simulation a square it cannot evaluate as a finite normal float.
+    """Refuse a window that gives a simulation a square it cannot evaluate as a finite normal float.
 
     The continuum solver averages each pair of neighbouring squared node
-    speeds background_c^2 speed_sq into a face (a c0 fault), and squares dx
-    and dt = CFL_FACTOR dx / c_max; the ladder's inductance is pitch^2 / c0^2
-    (window faults). A supremum that is not finite and positive is the
-    metric's fault, and the solver reports it.
+    speeds background_c^2 speed_sq into a face, and squares dx and
+    dt = CFL_FACTOR dx / c_max; the ladder's inductance is pitch^2, since c0
+    and the capacitance are 1. Each is a fault of synthesis.coord_window,
+    the face sum through the supremum it spans. A supremum that is not
+    finite and positive is the metric's fault, and the solver reports it.
     """
-    c0 = synthesis.array.c0
-    bg = c0 * math.sqrt(math.cos(synthesis.theta_dc))
+    bg = math.sqrt(math.cos(synthesis.theta_dc))
     try:
         with np.errstate(all="ignore"):
             sup = profile.sup_speed_sq(window)
@@ -427,16 +427,10 @@ def _check_scales(profile: SpeedProfile, synthesis: SynthesisSettings, simulatio
         sup = math.nan
     span = window[1] - window[0]
     dx, pitch = span / (simulation.n_points - 1), span / synthesis.array.n_cells
-    squares = {"dx**2": dx * dx, "pitch**2 / c0**2": pitch * pitch / (c0 * c0)}
+    squares = {"dx**2": dx * dx, "pitch**2": pitch * pitch}
     if 0.0 < sup < math.inf:
-        pair = 2.0 * (bg * bg) * sup
-        if not sys.float_info.min <= pair < math.inf:
-            raise ConfigError(
-                "synthesis.c0",
-                f"2 * background_c**2 * sup speed_sq = {pair!r} on synthesis.coord_window must be a finite normal float",
-            )
         dt = CFL_FACTOR * dx / (bg * math.sqrt(sup))
-        squares["dt**2"] = dt * dt
+        squares = {"2 * background_c**2 * sup speed_sq": 2.0 * (bg * bg) * sup, **squares, "dt**2": dt * dt}
     for name, square in squares.items():
         if not sys.float_info.min <= square < math.inf:
             raise ConfigError("synthesis.coord_window", f"{name} = {square!r} must be a finite normal float")

@@ -413,9 +413,9 @@ _block = ContextVar("emission_block", default=None)
 def emission():
     """A block in which write_csv queues each grid CSV and returns while forked helpers format it.
 
-    At exit the caller formats the units left and appends each grid's other parts to its first, which it
-    moves into place; after an exception in the block or the caller's units no queued file is written. A
-    block inside a block is that block.
+    At exit the caller formats the units left, reaps every grid's helpers, and only then appends each
+    grid's other parts to its first, which it moves into place; after an exception in the block, the
+    caller's units or any helper no queued file is written. A block inside a block is that block.
     """
     if _block.get() is not None:
         yield
@@ -430,6 +430,8 @@ def emission():
         # grids without a helper first, while the helpers format the others
         for units in sorted(queue, key=lambda units: bool(units.pids)):
             units.take()
+        for units in queue:
+            units.reap()
         for units in queue:
             units.join()
     finally:
@@ -484,13 +486,16 @@ class _Units:
                     out.write(self.head)
                 out.writelines(self.grid.texts(self.bounds[k], self.bounds[k + 1]))
 
-    def join(self) -> None:
-        """Reap the helpers, append parts 1.. in order to part 0, and move it into place."""
+    def reap(self) -> None:
+        """Wait for each helper; one that failed raises ChildProcessError."""
         while self.pids:
             status = os.waitpid(self.pids[0], 0)[1]
             del self.pids[0]
             if code := os.waitstatus_to_exitcode(status):
                 raise ChildProcessError(f"formatting {self.path.name}: a helper exited with {code}")
+
+    def join(self) -> None:
+        """Append parts 1.. in order to part 0, and move it into place; the helpers are reaped."""
         with open(self.parts[0], "r+b") as fh:  # sendfile refuses a target opened to append
             fh.seek(0, os.SEEK_END)
             for part in self.parts[1:]:

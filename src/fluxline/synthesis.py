@@ -1,9 +1,10 @@
 """Flux <-> speed algebra for the SQUID-array transmission line.
 
 Angles are flux angles theta = pi * phi_external / phi_quantum, in radians,
-everywhere in this package. A cell biased at total angle theta propagates at
-c0^2 |cos theta|. A spatially uniform DC bias sets the simulated flat
-background, c^2 = c0^2 cos(theta_dc); the AC angle on top of it shapes the
+everywhere in this package, and speeds are in units of the bare line speed
+c0, which is 1 and not a setting. A cell biased at total angle theta has
+speed squared |cos theta|. A spatially uniform DC bias sets the simulated
+flat background, c^2 = cos(theta_dc); the AC angle on top of it shapes the
 dimensionless profile through
 
     speed_sq(r, t) * cos(theta_dc) = cos(theta_dc + theta_ac(r, t)).
@@ -30,7 +31,6 @@ CSV status codes:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -137,27 +137,21 @@ class ArrayConfig:
     """
 
     n_cells: int = 64
-    c0: float = 1.0
     impedance_margin: float = 0.44 * math.pi
     max_hot_cells: int = 1
 
     def __post_init__(self):
         if not 2 <= self.n_cells <= MAX_GRID_POINTS:
             raise ParamError("n_cells", f"must lie in [2, {MAX_GRID_POINTS}]")
-        if not self.c0 > 0:
-            raise ParamError("c0", "must be > 0")
-        # the ladder divides by c0^2 and the continuum solver squares background_c
-        if not sys.float_info.min <= self.c0 * self.c0 < math.inf:
-            raise ParamError("c0", f"must keep c0**2 a finite normal float, not {self.c0 * self.c0!r}")
         if not 0.0 < self.impedance_margin < HALF_PI:
             raise ParamError("impedance_margin", "must lie in (0, pi/2)")
         if self.max_hot_cells < 0:
             raise ParamError("max_hot_cells", "must be >= 0")
 
 
-def speed_sq_from_flux(theta_total, c0: float = 1.0):
-    """Line speed squared c0^2 |cos theta| at total flux angle theta."""
-    out = c0 * c0 * np.abs(np.cos(theta_total))
+def speed_sq_from_flux(theta_total):
+    """Line speed squared |cos theta| at total flux angle theta."""
+    out = np.abs(np.cos(theta_total))
     return float(out) if np.ndim(theta_total) == 0 else out
 
 
@@ -178,27 +172,24 @@ def synthesize_flux(speed_sq: float, theta_dc: float) -> tuple[float, float]:
     """Invert speed_sq -> (theta_ac, theta_total) for one cell.
 
     theta_total = arccos(speed_sq * cos(theta_dc)) on the principal branch,
-    theta_ac = theta_total - theta_dc. Raises NegativeSpeedSquared,
-    ArccosInfeasible, or WindowViolation when the request is not
-    representable; WindowViolation carries the computed total so callers may
-    budget hot cells instead of failing.
+    theta_ac = theta_total - theta_dc. The request is classified by
+    _classify_grid, as a program's cells and a scan's points are: it raises
+    NegativeSpeedSquared, ArccosInfeasible, or WindowViolation for a window
+    violation or a hot total. WindowViolation carries the computed total so
+    callers may budget hot cells instead of failing.
     """
     if not math.isfinite(speed_sq):
         raise ValueError("speed_sq must be finite")
     if not abs(theta_dc) < HALF_PI:
         raise ValueError("theta_dc must lie strictly inside (-pi/2, pi/2)")
-    if speed_sq < 0.0:
+    status, theta_total = _classify_grid(speed_sq, theta_dc, ArrayConfig())
+    status, theta_total = Status(int(status)), float(theta_total)
+    if status == Status.NEGATIVE_SPEED_SQ:
         raise NegativeSpeedSquared(f"speed_sq = {speed_sq} < 0")
-    arg, theta_total = map(float, invert_speed_sq(speed_sq, theta_dc))
-    if arg > 1.0 + ARCCOS_SLACK:
-        raise ArccosInfeasible(
-            f"arccos argument {arg} > 1 (speed_sq={speed_sq}, theta_dc={theta_dc})"
-        )
-    if theta_total >= HALF_PI - WINDOW_GUARD:
-        raise WindowViolation(
-            f"total flux angle {theta_total} within {WINDOW_GUARD} of pi/2",
-            theta_total=theta_total,
-        )
+    if status == Status.ARCCOS_INFEASIBLE:
+        raise ArccosInfeasible(f"speed_sq * cos(theta_dc) > 1 (speed_sq={speed_sq}, theta_dc={theta_dc})")
+    if status == Status.WINDOW_VIOLATION or theta_total >= HALF_PI - WINDOW_GUARD:
+        raise WindowViolation(f"theta_dc {theta_dc} or total {theta_total} within {WINDOW_GUARD} of pi/2", theta_total)
     return theta_total - theta_dc, theta_total
 
 
@@ -290,10 +281,11 @@ class FluxProgram:
     """Synthesized per-cell, per-time flux angles plus feasibility notes.
 
     theta_total is always theta_dc + theta_ac entrywise. background_c is the
-    simulated flat-spacetime speed c0 sqrt(cos theta_dc). annotations holds
-    one Status code per entry (shape cells x times); a program produced by
-    synthesize_program contains only FEASIBLE and IMPEDANCE_WARNING entries.
-    hot_cells holds the per-time hot-cell counts the budget was held to.
+    simulated flat-spacetime speed sqrt(cos theta_dc), in units of c0.
+    annotations holds one Status code per entry (shape cells x times); a
+    program produced by synthesize_program contains only FEASIBLE and
+    IMPEDANCE_WARNING entries. hot_cells holds the per-time hot-cell counts
+    the budget was held to.
     """
 
     theta_dc: float
@@ -304,7 +296,6 @@ class FluxProgram:
     annotations: np.ndarray
     hot_cells: np.ndarray
     background_c: float
-    c0: float
     coord_window: tuple[float, float]
 
     @property
@@ -342,7 +333,7 @@ def synthesize_program(
     if times.size == 0:
         raise ValueError("need at least one time sample")
     r = cell_midpoints(coord_window, config.n_cells)
-    background_c = config.c0 * math.sqrt(math.cos(theta_dc))
+    background_c = math.sqrt(math.cos(theta_dc))
 
     speed = profile.finite_speed_sq(r, times[:, None], background_c=background_c)
     status, theta = _classify_grid(speed, theta_dc, config)
@@ -371,7 +362,6 @@ def synthesize_program(
         annotations=status.T,
         hot_cells=hot_cells,
         background_c=background_c,
-        c0=config.c0,
         coord_window=(float(lo), float(hi)),
     )
 

@@ -11,7 +11,8 @@ node voltages (integer steps) against branch fluxes (half steps):
 Driving the inductor through its branch flux (rather than L dI/dt) keeps the
 energy bookkeeping consistent when theta_i changes during a run. The lattice
 dispersion is omega(k) = 2 sin(k d / 2) / sqrt(L C); long wavelengths travel
-at d / sqrt(L C), i.e. c0 sqrt|cos theta| in coordinate units.
+at d / sqrt(L C), i.e. sqrt|cos theta| in coordinate units: speeds are in
+units of the bare line speed c0, which is 1, as C is.
 
 Stability requires dt < sqrt(L_min C). The step is stability_factor *
 sqrt(L0 C) (verification uses the default 0.5), and since L_i >= L0 for any
@@ -75,8 +76,8 @@ class LadderSim:
     """Flux-driven LC ladder on n_cells cells.
 
     Geometry: node i sits at r_start + i * pitch; cell midpoints halfway
-    between. C is 1 and L0 is derived from pitch and c0 so that the
-    flux-free line carries long wavelengths at speed c0 in coordinate units.
+    between. C is 1 and L0 is pitch^2, so that the flux-free line carries
+    long wavelengths at speed c0 = 1 in coordinate units.
     run() returns one Snapshots record of the node voltages on node_r.
     """
 
@@ -85,7 +86,6 @@ class LadderSim:
         n_cells: int,
         pitch: float = 1.0,
         r_start: float = 0.0,
-        c0: float = 1.0,
         stability_factor: float = 0.5,
         boundary: str = "reflecting",
     ):
@@ -98,7 +98,7 @@ class LadderSim:
         self.n_cells = n_cells
         self.pitch = pitch
         self.capacitance = 1.0
-        self.L0 = pitch * pitch / (c0 * c0 * self.capacitance)
+        self.L0 = pitch * pitch / self.capacitance
         self.z_load = math.sqrt(self.L0 / self.capacitance) if boundary == "absorbing" else math.inf
         self.node_r = r_start + np.arange(n_cells + 1) * pitch
         self.cell_r = 0.5 * (self.node_r[:-1] + self.node_r[1:])

@@ -207,7 +207,6 @@ def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpe
         n_cells=program.n_cells,
         pitch=pitch,
         r_start=lo,
-        c0=program.c0,
         boundary="absorbing" if spec.boundary == "absorbing_sponge" else "reflecting",
     )
     schedule = None
@@ -263,7 +262,8 @@ def verify_program(
             ray_positions=ray_at,
         )
 
-    speeds = {"c_over_c0": bg / program.c0}
+    # c0 is the unit, so c/c0 is background_c; the key stays so that no artifact byte moves
+    speeds = {"c_over_c0": bg}
     if profile.kind == "alcubierre":
         v = profile.params.vs_over_c
         speeds["pattern_speed_lab"] = v * bg

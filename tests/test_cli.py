@@ -455,20 +455,17 @@ def test_extreme_pulse_width_exits_with_one_line(tmp_path, capsys, width):
         assert not (tmp_path / "out").exists()
 
 
-# c0 values the solvers cannot evaluate: c0**2 overflowed in the continuum
-# solver (OverflowError), underflowed to 0 under the ladder's L0 = pitch^2 / c0^2
-# (ZeroDivisionError), and a finite c0**2 overflowed the face average of two
-# node speeds (a numpy RuntimeWarning)
-@pytest.mark.parametrize(
-    "assignments",
-    [["synthesis.c0=1e200"], ["synthesis.c0=1e-200", "simulation.solver=ladder"], ["synthesis.c0=1e154"]],
-    ids=["overflow", "underflow_ladder", "face_average"],
-)
-def test_simulate_refuses_a_c0_the_solvers_cannot_evaluate(tmp_path, capsys, assignments):
-    argv = ["simulate", "--preset", "flat", *(arg for a in assignments for arg in ("--set", a))]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+# sup speed_sq of about 1.6e308 on the window: the sum of two node speeds
+# squared overflows the continuum's face average (a numpy RuntimeWarning).
+# The fault is the window's, and the message once named synthesis.c0, a key
+# the document never set
+@pytest.mark.parametrize("solver", ["continuum", "ladder"])
+def test_simulate_refuses_a_window_whose_face_average_overflows(tmp_path, capsys, solver):
+    argv = ["simulate", "--preset", "godel", "--set", "metric.a=1.5e-154", "--set", "synthesis.theta_dc_over_pi=0"]
+    assert main([*argv, "--set", f"simulation.solver={solver}", "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
-    assert err.startswith("config error: synthesis.c0: ") and len(err.splitlines()) == 1
+    assert err.startswith("config error: synthesis.coord_window: 2 * background_c**2 * sup speed_sq")
+    assert len(err.splitlines()) == 1
     assert out == ""
     assert not (tmp_path / "out").exists()
 

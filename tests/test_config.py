@@ -328,6 +328,8 @@ def test_every_kind_rejects_invalid_parameter_naming_field(tmp_path, capsys, kin
         "simulation.pulse.amplitude=3.0",
         # a hot-cell guard that turned the kerr_theta0 PASS into exit 3; now synthesis.WINDOW_GUARD
         "synthesis.window_epsilon=1e-6",
+        # the unit of speed, which only rescaled time; c0 is 1
+        "synthesis.c0=2.0",
     ],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
@@ -341,7 +343,6 @@ def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
 # check of ArrayConfig and of SimulationSpec, which once named only the block
 DATACLASS_CHECKS = [
     ("synth", "synthesis.n_cells=1", "synthesis.n_cells"),
-    ("synth", "synthesis.c0=0", "synthesis.c0"),
     ("synth", "synthesis.impedance_margin_over_pi=0.6", "synthesis.impedance_margin"),
     ("synth", "synthesis.max_hot_cells=-1", "synthesis.max_hot_cells"),
     ("simulate", "simulation.solver=warp", "simulation.solver"),

@@ -610,6 +610,35 @@ def test_block_exit_formats_helperless_grids_first(tmp_path, monkeypatch, failin
     assert sorted(p.name for p in out.iterdir()) == ["big.csv", "small.csv"]
 
 
+def test_a_helper_failing_on_a_later_grid_leaves_no_earlier_file(tmp_path, monkeypatch):
+    # both grids have a helper; the second grid's raises. Every helper is reaped before the
+    # first file is moved into place, so a.csv, whose parts were all formatted, is not written
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    texts, parent, failed = csvio.Grid.texts, os.getpid(), tmp_path / "helper.failed"
+    first, second = block_grid(), block_grid(n_blocks=4, n_rows=10)
+
+    def failing_texts(self, lo, hi):
+        if self.rows == 40:
+            if os.getpid() != parent:
+                failed.touch()
+                raise RuntimeError("unit failed")
+            wait_for(failed.exists)  # the caller takes no unit of it before its helper has failed
+        yield from texts(self, lo, hi)
+
+    monkeypatch.setattr(csvio.Grid, "texts", failing_texts)
+    out = tmp_path / "out"
+    with pytest.raises(ChildProcessError):
+        with csvio.emission():
+            write_csv(out / "a.csv", first[0], csvio.grid_lines(*first[1]), "h")
+            write_csv(out / "b.csv", second[0], csvio.grid_lines(*second[1]), "h")
+    assert len(forks) == 2
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_the_first_part_becomes_the_file_and_the_others_are_appended_to_it(tmp_path, monkeypatch):
     # a grid of k parts copies k - 1 of them; a grid without a helper is one part and copies none
     monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
@@ -805,7 +834,6 @@ def test_program_rows_keep_nested_loop_order(tmp_path_factory, n, m, seed):
         annotations=rng.integers(0, 2, size=(n, m)),
         hot_cells=np.zeros(m, dtype=int),
         background_c=1.0,
-        c0=1.0,
         coord_window=(0.0, 1.0),
     )
     expected = []

@@ -53,8 +53,8 @@ def test_speed_sq_from_flux_values():
     assert v == pytest.approx(math.cos(0.44 * math.pi), rel=1e-15)
     assert v == pytest.approx(0.1874, abs=5e-5)
     assert math.sqrt(v) == pytest.approx(0.433, abs=1e-3)
-    # even in the angle, and scaled by c0^2
-    assert speed_sq_from_flux(-0.3, c0=2.0) == pytest.approx(4 * math.cos(0.3))
+    # even in the angle
+    assert speed_sq_from_flux(-0.3) == speed_sq_from_flux(0.3)
 
 
 def test_dc_calibration_examples_and_roundtrip():
@@ -108,6 +108,16 @@ def test_synthesize_flux_refuses_a_total_on_the_hot_edge():
     with pytest.raises(WindowViolation) as err:
         synthesize_flux(speed_sq, 0.0)
     assert err.value.theta_total == HALF_PI - 1e-9
+
+
+def test_synthesize_flux_classifies_a_bias_at_the_window_as_a_scan_does():
+    # once a total of 0.451 returned, for a bias that config and synthesize_program refuse
+    dc = HALF_PI - 5e-10
+    status, _ = _classify_grid(0.9 / math.cos(dc), dc, ArrayConfig())
+    assert int(status) == int(Status.WINDOW_VIOLATION)
+    with pytest.raises(WindowViolation) as err:
+        synthesize_flux(0.9 / math.cos(dc), dc)
+    assert err.value.theta_total == pytest.approx(math.acos(0.9), rel=1e-9)
 
 
 def test_synthesize_flux_accepts_exactly_the_cells_the_budget_does_not_count():
@@ -290,7 +300,7 @@ def reference_synthesize_program(profile, theta_dc, config, coord_window, time_s
     """synthesize_program as a loop over time samples, as first written; the argument checks are left out."""
     times = np.asarray(list(time_samples), dtype=float)
     r = cell_midpoints(coord_window, config.n_cells)
-    background_c = config.c0 * math.sqrt(math.cos(theta_dc))
+    background_c = math.sqrt(math.cos(theta_dc))
     n, m = config.n_cells, len(times)
     speed = np.empty((n, m))
     theta_total = np.empty((n, m))
@@ -319,7 +329,6 @@ def reference_synthesize_program(profile, theta_dc, config, coord_window, time_s
         annotations=annotations,
         hot_cells=hot_cells,
         background_c=background_c,
-        c0=config.c0,
         coord_window=(float(coord_window[0]), float(coord_window[1])),
     )
 
@@ -342,7 +351,7 @@ def assert_same_outcome(got, want):
     for name in ("theta_ac", "theta_total", "speed_sq", "annotations", "hot_cells", "cell_coords", "times"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    for name in ("theta_dc", "background_c", "c0", "coord_window"):
+    for name in ("theta_dc", "background_c", "coord_window"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -548,11 +557,6 @@ def test_kerr_forbidden_band_refuses_nan():
         kerr_forbidden_band(math.nan)
 
 
-def test_array_config_refuses_nan_c0():
-    with pytest.raises(ValueError):
-        ArrayConfig(c0=math.nan)
-
-
 def test_kerr_forbidden_band_refuses_nan_mass():
     # once (nan, nan)
     with pytest.raises(ValueError, match="mass_M"):
@@ -563,12 +567,6 @@ def test_kerr_forbidden_band_refuses_negative_mass():
     # once a reversed band of negative radii
     with pytest.raises(ValueError, match="mass_M"):
         kerr_forbidden_band(math.pi / 4, -1.0)
-
-
-def test_array_config_refuses_infinite_c0():
-    # once accepted, and synthesize_program then gave background_c = inf
-    with pytest.raises(ValueError, match="c0"):
-        ArrayConfig(c0=math.inf)
 
 
 def test_invert_speed_sq_keeps_numpy_scalars_and_array_bits():
