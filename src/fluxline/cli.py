@@ -223,10 +223,8 @@ def cmd_simulate(run: RunConfig) -> int:
     out = _outdir(run)
     spec = run.simulation
     profile = run.profile
-    # feasibility must hold over the whole run for a moving profile
-    times = run.synthesis.time_samples
-    if profile.time_dependent:
-        times = np.linspace(0.0, spec.t_end, 17)
+    # feasibility must hold over the whole run for a moving profile; verification reads a static one at t = 0 only
+    times = np.linspace(0.0, spec.t_end, 17) if profile.time_dependent else [0.0]
     program = _synthesize(run, profile, times)
     paths = []
 
@@ -248,8 +246,8 @@ def cmd_simulate(run: RunConfig) -> int:
 
 
 def cmd_raytrace(run: RunConfig) -> int:
-    # a launch's fields are trace_null_geodesic's keyword parameters
-    paths = [trace_null_geodesic(run.profile, **vars(launch)) for launch in run.rays]
+    # a launch's fields are trace_null_geodesic's keyword parameters; each runs at background 1, as profile samples
+    paths = [trace_null_geodesic(run.profile, 1.0, **vars(launch)) for launch in run.rays]
     # one row per sample of every path, each tagged with its launch
     tag = lambda values: np.repeat(values, [len(path.t) for path in paths])
     rows = grid_lines(

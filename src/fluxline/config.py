@@ -44,6 +44,7 @@ from .csvio import read_table_csv
 from .metrics import KINDS, MAX_GRID_POINTS, ParamError, SpeedProfile, tabulated_profile
 from .synthesis import HALF_PI, WINDOW_GUARD, ArrayConfig
 from .wavelab.continuum import CFL_FACTOR, GaussianPulse
+from .wavelab.rays import DEFAULT_RAY_STEPS
 from .wavelab.verify import SimulationSpec
 
 __all__ = [
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 # Most RK4 steps one ray launch may take, (t_end - t0) / dt. Presets take
-# 4096 (the default dt); the bound keeps a validated launch finite in work.
+# DEFAULT_RAY_STEPS (the default dt); the bound keeps a validated launch finite in work.
 MAX_RAY_STEPS = 2**20
 
 # Fields that are angles: each is also accepted in units of pi, as <name>_over_pi
@@ -323,7 +324,6 @@ class RayLaunch:
     t0: float = 0.0
     direction: int = 1
     dt: Optional[float] = None
-    background_c: float = 1.0
 
     def __post_init__(self):
         if self.direction not in (-1, 1):
@@ -339,18 +339,20 @@ class RayLaunch:
                 "dt",
                 f"(t_end - t0) / dt = {(self.t_end - self.t0) / self.dt:.6g} steps exceeds the limit of {MAX_RAY_STEPS}",
             )
+        # a step below the spacing of floats near the launch's largest |t| would leave t unchanged
+        step = (self.t_end - self.t0) / DEFAULT_RAY_STEPS if self.dt is None else self.dt
+        resolution = math.ulp(max(abs(self.t0), abs(self.t_end)))
+        if step < resolution:
+            raise ParamError("dt", f"step {step!r} is below {resolution!r}, the resolution of t in [t0, t_end]")
 
 
 def _parse_rays(d: dict, path="rays") -> list[RayLaunch]:
     _check_object(d, path)
-    _check_keys(d, ("launches", "background_c"), path)
-    bg = _get(d, "background_c", path, float) if "background_c" in d else RayLaunch.background_c
-    if not bg > 0:
-        raise ConfigError(f"{path}.background_c", "must be > 0")
+    _check_keys(d, ("launches",), path)
     launches = d.get("launches")
     if not isinstance(launches, list) or not launches:
         raise ConfigError(f"{path}.launches", "required nonempty list")
-    return [_fields(item, RayLaunch, f"{path}.launches[{i}]", background_c=bg) for i, item in enumerate(launches)]
+    return [_fields(item, RayLaunch, f"{path}.launches[{i}]") for i, item in enumerate(launches)]
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,21 @@
 """Telegrapher LC ladder with flux-tunable cell inductance.
 
 Cells i = 0..n-1 carry series inductors L_i = L0 / |cos theta_i| between
-nodes i and i+1; every node has capacitance C to ground. Leapfrog staggers
+nodes i and i+1; every node has unit capacitance to ground. Leapfrog staggers
 node voltages (integer steps) against branch fluxes (half steps):
 
     flux_i   += dt * (V_i - V_{i+1})      inductor branch, flux variable
     I_i       = flux_i / L_i(t)           time-varying L enters here
-    C dV_i/dt = I_{i-1} - I_i             charge balance at node i
+    dV_i/dt   = I_{i-1} - I_i             charge balance at node i
 
 Driving the inductor through its branch flux (rather than L dI/dt) keeps the
 energy bookkeeping consistent when theta_i changes during a run. The lattice
-dispersion is omega(k) = 2 sin(k d / 2) / sqrt(L C); long wavelengths travel
-at d / sqrt(L C), i.e. sqrt|cos theta| in coordinate units: speeds are in
-units of the bare line speed c0, which is 1, as C is.
+dispersion is omega(k) = 2 sin(k d / 2) / sqrt(L); long wavelengths travel
+at d / sqrt(L), i.e. sqrt|cos theta| in coordinate units of c0.
 
-Stability requires dt < sqrt(L_min C). The step is stability_factor *
-sqrt(L0 C) (verification uses the default 0.5), and since L_i >= L0 for any
-flux, the bound never tightens below sqrt(L0 C) during a run. Cells with
+Stability requires dt < sqrt(L_min). The step is stability_factor *
+sqrt(L0) (verification uses the default 0.5), and since L_i >= L0 for any
+flux, the bound never tightens below sqrt(L0) during a run. Cells with
 |cos theta_i| < synthesis.WINDOW_GUARD, the cells synthesis counts as hot,
 have effectively infinite inductance and are rejected (SingularInductance).
 
@@ -26,7 +25,7 @@ BLOCK_STEPS steps that run() takes through continuum.run_blocks and returns
 each step applies its row, and step() alone is a block of one.
 
 Boundaries: "reflecting" leaves the end nodes open-circuited; "absorbing"
-terminates both ends with the matched impedance sqrt(L0 / C).
+terminates both ends with the matched impedance sqrt(L0).
 """
 
 from __future__ import annotations
@@ -50,14 +49,14 @@ BOUNDARIES = ("reflecting", "absorbing")
 
 
 class StabilityViolation(RuntimeError):
-    """dt at or above the leapfrog bound sqrt(L_min C)."""
+    """dt at or above the leapfrog bound sqrt(L_min)."""
 
 
 class SingularInductance(RuntimeError):
     """A cell sits at the pi/2 window where the inductance diverges."""
 
 
-def ladder_step(voltages, branch_flux, inductance, capacitance, dt, z_load):
+def ladder_step(voltages, branch_flux, inductance, dt, z_load):
     """One leapfrog step; pure kernel shared by the simulator class.
 
     Both end nodes drain into the load z_load; math.inf leaves them open.
@@ -66,9 +65,9 @@ def ladder_step(voltages, branch_flux, inductance, capacitance, dt, z_load):
     flux = branch_flux + dt * (voltages[:-1] - voltages[1:])
     currents = flux / inductance
     v = voltages.copy()
-    v[1:-1] += (dt / capacitance) * (currents[:-1] - currents[1:])
-    v[0] += (dt / capacitance) * (-currents[0] - voltages[0] / z_load)
-    v[-1] += (dt / capacitance) * (currents[-1] - voltages[-1] / z_load)
+    v[1:-1] += dt * (currents[:-1] - currents[1:])
+    v[0] += dt * (-currents[0] - voltages[0] / z_load)
+    v[-1] += dt * (currents[-1] - voltages[-1] / z_load)
     return v, flux, currents
 
 
@@ -76,8 +75,8 @@ class LadderSim:
     """Flux-driven LC ladder on n_cells cells.
 
     Geometry: node i sits at r_start + i * pitch; cell midpoints halfway
-    between. C is 1 and L0 is pitch^2, so that the flux-free line carries
-    long wavelengths at speed c0 = 1 in coordinate units.
+    between. With unit capacitance L0 is pitch^2, so that the flux-free
+    line carries long wavelengths at speed c0 = 1 in coordinate units.
     run() returns one Snapshots record of the node voltages on node_r.
     """
 
@@ -97,12 +96,11 @@ class LadderSim:
             raise ValueError("stability_factor must lie in (0, 1)")
         self.n_cells = n_cells
         self.pitch = pitch
-        self.capacitance = 1.0
-        self.L0 = pitch * pitch / self.capacitance
-        self.z_load = math.sqrt(self.L0 / self.capacitance) if boundary == "absorbing" else math.inf
+        self.L0 = pitch * pitch
+        self.z_load = math.sqrt(self.L0) if boundary == "absorbing" else math.inf
         self.node_r = r_start + np.arange(n_cells + 1) * pitch
         self.cell_r = 0.5 * (self.node_r[:-1] + self.node_r[1:])
-        self.dt = stability_factor * math.sqrt(self.L0 * self.capacitance)
+        self.dt = stability_factor * math.sqrt(self.L0)
         self.inductance = np.full(n_cells, self.L0)
         self.voltages = np.zeros(n_cells + 1)
         self.branch_flux = np.zeros(n_cells)
@@ -123,7 +121,7 @@ class LadderSim:
         cos = np.abs(np.cos(theta))
         singular = np.any(cos < WINDOW_GUARD, axis=1).tolist()
         inductance = self.L0 / cos
-        unstable = (self.dt >= np.sqrt(inductance.min(axis=1) * self.capacitance)).tolist()
+        unstable = (self.dt >= np.sqrt(inductance.min(axis=1))).tolist()
         for j in range(len(theta)):
             if singular[j]:
                 i = int(np.argmin(cos[j]))
@@ -132,18 +130,21 @@ class LadderSim:
                 )
             self.inductance = inductance[j]
             if unstable[j]:
-                raise StabilityViolation("dt at or above sqrt(L_min C) after flux update")
+                raise StabilityViolation("dt at or above sqrt(L_min) after flux update")
             yield
 
     def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
         """Launch a one-directional voltage pulse.
 
-        Branch fluxes are seeded at the first half step with the matched
-        current V/Z of a one-way wave, evaluated at the shifted midpoint.
+        Node voltages hold the pulse at t = 0. Branch fluxes hold L times the
+        matched current V/Z of the one-way wave at t = +dt/2, evaluated at
+        the midpoints shifted back by half a step of light travel; ladder_step
+        reads them as the fluxes at t - dt/2, so the first currents run a
+        step ahead of the voltages (ROADMAP item 12, not fixed here).
         """
         self.voltages = pulse(self.node_r)
-        z = np.sqrt(self.inductance / self.capacitance)
-        c_local = self.pitch / np.sqrt(self.inductance * self.capacitance)
+        z = np.sqrt(self.inductance)
+        c_local = self.pitch / z
         shifted = self.cell_r - direction * 0.5 * self.dt * c_local
         currents = direction * pulse(shifted) / z
         self.branch_flux = currents * self.inductance
@@ -167,7 +168,6 @@ class LadderSim:
                 self.voltages,
                 self.branch_flux,
                 self.inductance,
-                self.capacitance,
                 self.dt,
                 self.z_load,
             )
@@ -188,13 +188,13 @@ class LadderSim:
         return Snapshots(times, self.node_r, values)
 
     def energy(self) -> float:
-        """1/2 C sum V^2 + 1/2 sum L I^2 in the staggered product form.
+        """1/2 sum V^2 + 1/2 sum L I^2 in the staggered product form.
 
         The capacitor term multiplies the voltages of the two integer steps
         around the half step where the currents live; that combination is
         conserved exactly by the leapfrog update for static fluxes and
         reflecting ends.
         """
-        cap = 0.5 * self.capacitance * float(np.sum(self._v_prev * self.voltages))
+        cap = 0.5 * float(np.sum(self._v_prev * self.voltages))
         ind = 0.5 * float(np.sum(self.branch_flux**2 / self.inductance))
         return cap + ind

@@ -38,6 +38,8 @@ __all__ = [
 RAY_COMPLETED = "completed"
 RAY_LEFT_DOMAIN = "left_domain"
 RAY_NEGATIVE_SPEED_SQ = "negative_speed_sq"
+# Steps a trace takes over [t0, t_end] when no dt is given
+DEFAULT_RAY_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,10 @@ def trace_null_geodesic(
 ) -> RayPath:
     """Integrate one null characteristic from (t0, r0) up to t_end.
 
-    dt defaults to (t_end - t0) / 4096. The returned path ends at t_end
-    (status "completed") or at the last accepted sample before the domain
-    edge or a negative-speed region.
+    dt defaults to (t_end - t0) / DEFAULT_RAY_STEPS. The returned path ends
+    at t_end (status "completed") or at the last accepted sample before the
+    domain edge or a negative-speed region. A step too small to change t
+    raises ValueError.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
@@ -82,7 +85,7 @@ def trace_null_geodesic(
     if not profile.contains(r0):
         raise ProfileDomainError(f"r0 = {r0} outside profile range {profile.valid_range}")
     if dt is None:
-        dt = (t_end - t0) / 4096.0
+        dt = (t_end - t0) / DEFAULT_RAY_STEPS
     if dt <= 0:
         raise ValueError("dt must be > 0")
 
@@ -123,6 +126,8 @@ def trace_null_geodesic(
         if r_next < lo or r_next > hi:
             status = RAY_LEFT_DOMAIN
             break
+        if t + step == t:
+            raise ValueError(f"step {step!r} leaves t = {t!r} unchanged")
         t += step
         r = r_next
         ts.append(t)

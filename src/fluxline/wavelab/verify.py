@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -184,6 +185,7 @@ def _check_work(spec: SimulationSpec, solver, points: int, grid: str) -> tuple[i
 
 
 def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpec):
+    """The continuum solver set up and bounded: (run, guard, grid meta), where run() steps it."""
     lo, hi = program.coord_window
     dx = (hi - lo) / (spec.n_points - 1)
     grid = ContinuumGrid(
@@ -194,13 +196,14 @@ def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: Simulation
     )
     solver = ContinuumSolver(profile, grid, program.background_c)
     solver.initialize_pulse(spec.pulse, spec.direction)
-    snaps = solver.run(*_check_work(spec, solver, spec.n_points, "simulation.n_points"))
+    work = _check_work(spec, solver, spec.n_points, "simulation.n_points")
     guard = solver.sponge_width + 2.0 * spec.pulse_width
-    meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt, "snapshots": len(snaps)}
-    return snaps, guard, meta
+    meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt}
+    return partial(solver.run, *work), guard, meta
 
 
 def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpec):
+    """The ladder set up and bounded, as _run_continuum."""
     lo, hi = program.coord_window
     pitch = (hi - lo) / program.n_cells
     sim = LadderSim(
@@ -221,10 +224,10 @@ def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpe
     else:
         sim.set_flux(program.theta_total[:, 0])
     sim.initialize_pulse(spec.pulse, spec.direction)
-    snaps = sim.run(*_check_work(spec, sim, program.n_cells + 1, "synthesis.n_cells"), flux_schedule=schedule)
+    work = _check_work(spec, sim, program.n_cells + 1, "synthesis.n_cells")
     guard = 2.0 * spec.pulse_width + 2.0 * pitch
-    meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt, "snapshots": len(snaps)}
-    return snaps, guard, meta
+    meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt}
+    return partial(sim.run, *work, flux_schedule=schedule), guard, meta
 
 
 def verify_program(
@@ -235,16 +238,18 @@ def verify_program(
 ) -> VerificationReport:
     """Simulate the program and compare fronts against the ray oracle.
 
+    Every requested solver is set up and its work bounded before any steps.
     on_snapshots(solver, snapshots) is called as soon as each solver has run,
     before its front is compared with the ray.
     """
     lo, hi = program.coord_window
     bg = program.background_c
+    setups = (("continuum", _run_continuum), ("ladder", _run_ladder))
+    solvers = {name: setup(program, profile, spec) for name, setup in setups if spec.solver in (name, "both")}
     results = {}
-    for name, run in (("continuum", _run_continuum), ("ladder", _run_ladder)):
-        if spec.solver not in (name, "both"):
-            continue
-        snaps, guard, meta = run(program, profile, spec)
+    for name, (run, guard, meta) in solvers.items():
+        snaps = run()
+        meta["snapshots"] = len(snaps)
         on_snapshots(name, snaps)
         r_stop = hi - guard if spec.direction >= 0 else lo + guard
         ts, rs = front_trajectory(snaps, direction=spec.direction, r_stop=r_stop)

@@ -119,11 +119,11 @@ def reference_ladder_run(sim, n_steps, stride, schedule):
             i = int(np.argmin(cos))
             raise SingularInductance(f"|cos theta| = {cos[i]} < {WINDOW_GUARD} at cell {i}")
         sim.inductance = sim.L0 / cos
-        if sim.dt >= math.sqrt(float(sim.inductance.min()) * sim.capacitance):
-            raise StabilityViolation("dt at or above sqrt(L_min C) after flux update")
+        if sim.dt >= math.sqrt(float(sim.inductance.min())):
+            raise StabilityViolation("dt at or above sqrt(L_min) after flux update")
         sim._v_prev = sim.voltages
         sim.voltages, sim.branch_flux, _ = ladder_step(
-            sim.voltages, sim.branch_flux, sim.inductance, sim.capacitance, sim.dt, sim.z_load
+            sim.voltages, sim.branch_flux, sim.inductance, sim.dt, sim.z_load
         )
         sim.time += sim.dt
         if k % stride == 0 or k == n_steps:
@@ -187,8 +187,8 @@ def window_schedule(sim):
 
 
 def softening_schedule(sim):
-    """Every cell at 1.0, then 0.2 from step RAISE_AT on, which puts L_min below dt^2 / C for this dt."""
-    sim.dt = 1.2 * math.sqrt(sim.L0 * sim.capacitance)
+    """Every cell at 1.0, then 0.2 from step RAISE_AT on, which puts L_min below dt^2 for this dt."""
+    sim.dt = 1.2 * math.sqrt(sim.L0)
     return lambda t: np.where(np.asarray(t) > RAISE_AT * sim.dt, 0.2, 1.0) + np.zeros(sim.n_cells)
 
 

@@ -495,15 +495,6 @@ def test_simulate_refuses_a_window_whose_steps_the_solvers_cannot_evaluate(tmp_p
     assert not (tmp_path / "out").exists()
 
 
-# a negative speed once traced a ray against its launch direction, and 0 one that never moved
-@pytest.mark.parametrize("background_c", ["-1", "0"])
-def test_raytrace_refuses_a_background_speed_that_is_not_positive(tmp_path, capsys, background_c):
-    argv = ["raytrace", "--preset", "godel", "--set", f"rays.background_c={background_c}"]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("config error: rays.background_c: ")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -623,6 +614,33 @@ def test_unbounded_or_non_finite_grid_exits_1_naming_field(tmp_path, capsys, arg
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {error}")
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_bounds_every_solver_before_either_steps(tmp_path, monkeypatch, capsys):
+    # the ladder's bound was once checked only after the continuum had run in full
+    def never(*args):
+        raise AssertionError("the continuum stepped before the ladder was bounded")
+
+    monkeypatch.setattr(verify.ContinuumSolver, "run", never)
+    assignments = ["simulation.solver=both", "synthesis.n_cells=1048576", "simulation.n_points=12000"]
+    argv = ["simulate", "--preset", "godel", *(arg for a in assignments for arg in ("--set", a))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: simulation.t_end: t_end / dt = 2.42828e+06 steps (dt = ")
+    assert "set by synthesis.n_cells) exceeds the limit of 1048576\n" in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset, expected", [("godel", [0.0]), ("alcubierre", np.linspace(0.0, 42.0, 17))])
+def test_simulate_synthesizes_only_the_times_it_reads(tmp_path, monkeypatch, preset, expected):
+    # a static program is read at t = 0 only; all of synthesis.time_samples was once synthesized
+    seen, synthesize = [], cli.synthesize_program
+    monkeypatch.setattr(cli, "synthesize_program", lambda *a: seen.append(list(a[4])) or synthesize(*a))
+    samples = '{"start": 0, "stop": 1, "num": 4096}'
+    argv = ["simulate", "--preset", preset, "--set", f"synthesis.time_samples={samples}", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert seen == [list(expected)]
 
 
 # the presets whose program synthesizes, so that simulate runs both solvers
@@ -911,10 +929,11 @@ def test_simulate_prints_wrote_for_files_in_place_in_order(tmp_path, monkeypatch
 def test_simulate_failing_after_a_queued_snapshot_csv_writes_no_snapshot(tmp_path, monkeypatch, capsys):
     forks = on_two_cpus(monkeypatch)
 
-    def singular(*args):
+    def singular(*args, **kwargs):
         raise SingularInductance("a cell sits at the pi/2 window")
 
-    monkeypatch.setattr(verify, "_run_ladder", singular)
+    # the ladder fails as it steps, after the continuum has run
+    monkeypatch.setattr(verify.LadderSim, "run", singular)
     # the forks made when each solver's ray oracle starts
     forks_at_ray, oracle = [], verify.oracle_positions
     monkeypatch.setattr(verify, "oracle_positions", lambda *a, **k: forks_at_ray.append(len(forks)) or oracle(*a, **k))

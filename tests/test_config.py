@@ -330,6 +330,8 @@ def test_every_kind_rejects_invalid_parameter_naming_field(tmp_path, capsys, kin
         "synthesis.window_epsilon=1e-6",
         # the unit of speed, which only rescaled time; c0 is 1
         "synthesis.c0=2.0",
+        # the rays' background speed; every launch runs at 1, as profile samples
+        "rays.background_c=2.0",
     ],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, assignment):
@@ -471,7 +473,7 @@ def _values(hint):
     if hint is GaussianPulse:
         return _block({"center": 1.0, "width": 0.1}, list(_fields_of(GaussianPulse)))
     if hint is RayLaunch:
-        launch = _block({"r0": 0.5, "t_end": 1.0}, list(_fields_of(RayLaunch, skip=("background_c",))))
+        launch = _block({"r0": 0.5, "t_end": 1.0}, list(_fields_of(RayLaunch)))
         return st.lists(launch, min_size=0, max_size=2)
     return VALUES[typing.get_origin(hint) or hint]
 
@@ -480,7 +482,7 @@ PULSE_FIELDS = ("pulse_center", "pulse_width")
 BLOCK_FIELDS = {
     "synthesis": list(_fields_of(SynthesisSettings)),
     "simulation": [*_fields_of(SimulationSpec, skip=PULSE_FIELDS), ("pulse", GaussianPulse)],
-    "rays": [("launches", RayLaunch), ("background_c", float)],
+    "rays": [("launches", RayLaunch)],
     "sampling": list(_fields_of(SamplingSettings)),
     "feasibility": list(_fields_of(FeasibilitySettings)),
     "output": list(_fields_of(OutputSettings)),
@@ -548,7 +550,22 @@ def test_validate_config_fuzz(doc):
         _assert_finite(getattr(run, name), name)
 
 
+@pytest.mark.parametrize(
+    "launch",
+    [
+        # the default step, (t_end - t0) / 4096 = 2.4e-6, is below ulp(1e12) = 1.2e-4
+        {"r0": 0.0, "t0": 1e12, "t_end": 1000000000000.01},
+        {"r0": 0.0, "t0": 1e12, "t_end": 1000000000000.01, "dt": (1000000000000.01 - 1e12) / 2**19},
+    ],
+    ids=["default_dt", "given_dt"],
+)
+def test_a_ray_step_below_the_resolution_of_t_is_refused(launch):
+    # each once validated, and the trace never ended
+    with pytest.raises(ConfigError, match=r"^rays\.launches\[0\]\.dt: step "):
+        validate_config({"metric": {"kind": "flat"}, "rays": {"launches": [launch]}})
+
+
 def test_ray_launch_fields_are_trace_null_geodesic_keywords():
-    # cmd_raytrace passes each launch's fields to trace_null_geodesic as they are
-    _, *keywords = inspect.signature(trace_null_geodesic).parameters
+    # cmd_raytrace passes each launch's fields to trace_null_geodesic as they are, after the background 1
+    _, _, *keywords = inspect.signature(trace_null_geodesic).parameters
     assert {f.name for f in dataclasses.fields(RayLaunch)} == set(keywords)

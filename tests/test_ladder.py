@@ -100,22 +100,22 @@ def test_ladder_step_kernel_matches_manual_kcl():
     v = rng.normal(size=6)
     flux = rng.normal(size=5)
     L = rng.uniform(1.0, 2.0, size=5)
-    C, dt = 1.3, 0.07
+    dt = 0.07
     z = 0.8
-    open_ends = ladder_step(v, flux, L, C, dt, math.inf)
-    loaded = ladder_step(v, flux, L, C, dt, z)
+    open_ends = ladder_step(v, flux, L, dt, math.inf)
+    loaded = ladder_step(v, flux, L, dt, z)
     flux_want = flux + dt * (v[:-1] - v[1:])
     cur_want = flux_want / L
     for v2, flux2, cur in (open_ends, loaded):
         np.testing.assert_allclose(flux2, flux_want, rtol=1e-14)
         np.testing.assert_allclose(cur, cur_want, rtol=1e-14)
         for i in range(1, 5):
-            assert v2[i] == pytest.approx(v[i] + dt / C * (cur_want[i - 1] - cur_want[i]), rel=1e-13)
+            assert v2[i] == pytest.approx(v[i] + dt * (cur_want[i - 1] - cur_want[i]), rel=1e-13)
     # an open end node only feeds its one branch; a loaded one also drains V/z
-    assert open_ends[0][0] == pytest.approx(v[0] - dt / C * cur_want[0], rel=1e-13)
-    assert open_ends[0][-1] == pytest.approx(v[-1] + dt / C * cur_want[-1], rel=1e-13)
-    assert loaded[0][0] == pytest.approx(v[0] - dt / C * (cur_want[0] + v[0] / z), rel=1e-13)
-    assert loaded[0][-1] == pytest.approx(v[-1] + dt / C * (cur_want[-1] - v[-1] / z), rel=1e-13)
+    assert open_ends[0][0] == pytest.approx(v[0] - dt * cur_want[0], rel=1e-13)
+    assert open_ends[0][-1] == pytest.approx(v[-1] + dt * cur_want[-1], rel=1e-13)
+    assert loaded[0][0] == pytest.approx(v[0] - dt * (cur_want[0] + v[0] / z), rel=1e-13)
+    assert loaded[0][-1] == pytest.approx(v[-1] + dt * (cur_want[-1] - v[-1] / z), rel=1e-13)
 
 
 def test_time_varying_flux_enters_through_branch_flux():

@@ -1,7 +1,11 @@
 """Null-characteristic tracer and verification oracle against closed-form trajectories."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from fluxline.wavelab import (
     trace_null_geodesic,
 )
 from fluxline.wavelab.rays import oracle_positions
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_flat_ray_is_straight():
@@ -128,6 +134,22 @@ def test_ray_argument_validation():
     for background_c in (-1.0, 0.0):
         with pytest.raises(ValueError):
             trace_null_geodesic(flat_profile(), background_c, r0=0.0, t_end=1.0)
+
+
+def test_a_step_that_leaves_t_unchanged_raises_instead_of_looping():
+    # at t = 1e12 the default step 2.4e-6 is below ulp(t) = 1.2e-4; once looped forever
+    code = (
+        "from fluxline.metrics import flat_profile\n"
+        "from fluxline.wavelab import trace_null_geodesic\n"
+        "try:\n"
+        "    trace_null_geodesic(flat_profile(), 1.0, r0=0.0, t0=1e12, t_end=1000000000000.01)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("step ") and "unchanged" in done.stdout
 
 
 def test_ray_fourth_order_convergence():

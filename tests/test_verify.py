@@ -91,7 +91,8 @@ def test_superluminal_front_locks_to_pattern_speed():
     bg = math.sqrt(math.cos(0.449 * math.pi))
     assert program.background_c == bg
     spec = SimulationSpec(pulse_center=6.0, pulse_width=0.35, t_end=40.0, n_points=900)
-    snaps, guard, _ = _run_continuum(program, prof, spec)
+    run, guard, _ = _run_continuum(program, prof, spec)
+    snaps = run()
     ts, rs = front_trajectory(snaps, 1, r_stop=40.0 - guard)
     third = len(ts) // 3
     slope = np.polyfit(ts[-third:], rs[-third:], 1)[0]
@@ -107,7 +108,8 @@ def test_front_never_exceeds_local_speed():
     program = synthesize_program(prof, 0.45 * math.pi, cfg, (0.0, 3.8))
     bg = program.background_c
     spec = SimulationSpec(pulse_center=0.4, pulse_width=0.12, t_end=4.4, n_points=900)
-    snaps, guard, _ = _run_continuum(program, prof, spec)
+    run, guard, _ = _run_continuum(program, prof, spec)
+    snaps = run()
     ts, rs = front_trajectory(snaps, 1, r_stop=3.8 - guard)
     speeds = np.diff(rs) / np.diff(ts)
     mids = 0.5 * (rs[:-1] + rs[1:])
