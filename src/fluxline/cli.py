@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import FIGURES, ConfigError, RunConfig, load_raw_config, validate_config
-from .csvio import emission, grid_lines, write_csv, write_json
+from .csvio import emission, grid_lines, stream_csv, write_csv, write_json
 from .metrics import ParamError, ProfileDomainError, ProfileEvaluationError
 from .synthesis import (
     HotCellBudgetExceeded,
@@ -226,13 +226,19 @@ def cmd_simulate(run: RunConfig) -> int:
     # feasibility must hold over the whole run for a moving profile; verification reads a static one at t = 0 only
     times = np.linspace(0.0, spec.t_end, 17) if profile.time_dependent else [0.0]
     program = _synthesize(run, profile, times)
-    paths = []
+    paths, streams, columns = [], {}, ("t", "r", "value")
 
-    def emit(solver, s):
-        rows = grid_lines(s.times[:, None], s.r, s.values)
-        paths.append(write_csv(out / f"snapshots_{solver}.csv", ("t", "r", "value"), rows, run.hash))
+    def emit(solver, s, levels):
+        path = out / f"snapshots_{solver}.csv"
+        if levels == 1:  # every time is set, and no step taken
+            rows = grid_lines(s.times[:, None], s.r, s.values)
+            streams[solver] = rows, stream_csv(path, columns, rows, run.hash)
+        rows, publish = streams[solver]
+        publish(levels)
+        if levels == len(s):
+            paths.append(write_csv(path, columns, rows, run.hash))
 
-    # a solver's snapshot CSV is formatted while the solvers after it and the ray oracle run
+    # a solver's snapshot CSV is formatted while that solver steps, and the solvers after it and the ray oracle run
     with emission():
         report = verify_program(program, profile, spec, emit)
     for path in paths:

@@ -23,26 +23,29 @@ formats each run of equal float64 bit patterns in a chunk once (0.0 and -0.0
 differ, and so do NaNs of another sign or payload, though they print alike).
 
 write_csv streams a grid to disk a chunk at a time, so a file is never held in
-memory whole. A grid's chunks are cut into units (at most MAX_UNITS), whose
-indices fill a pipe, and min(CPUs in the affinity set, units // 2) - 1 forked
-helpers on the other CPUs each take the next index and format that unit into a
-part file; the part of unit 0 starts with the header and becomes the file.
-Inside an emission() block write_csv returns once the helpers are forked, and
-the caller keeps computing on the first CPU; at block exit it formats the units
-left, reaps the helpers, appends the other parts in order to the first and
-moves it into place. Outside a block write_csv is a block of its own. The bytes
-do not depend on who took which unit. One CPU, no os.fork, a second thread
-when the block opens (a forked child could deadlock), fewer than 4 units, or
-fewer cells (rows times columns formatted per chunk) than
+memory whole. A grid's chunks are cut into units (at most MAX_UNITS), and
+min(CPUs in the affinity set, units // 2) - 1 forked helpers on the other CPUs
+each take the next index from a pipe and format that unit into a part file; the
+part of unit 0 starts with the header and becomes the file. A grid's units are
+queued as its rows become final: stream_csv queues a grid still being filled in
+memory its helpers share, whose units its caller hands over as they become
+final, and write_csv hands over the rest; a grid given to write_csv alone is
+queued whole. Inside an emission() block write_csv returns once the helpers are
+forked, and the caller keeps computing on the first CPU; at block exit it
+formats the units left, reaps the helpers, appends the other parts in order to
+the first and moves it into place. Outside a block write_csv is a block of its
+own. The bytes do not depend on who took which unit. One CPU, no os.fork, a
+second thread when the block opens (a forked child could deadlock), fewer than
+4 units, or fewer cells (rows times columns formatted per chunk) than
 _Units.MIN_CELL_CHUNKS chunks hold means no helper: such a grid is one unit,
-which the caller formats at block exit before it takes units of grids that
-have helpers, so that they keep the other CPUs busy meanwhile. Every emitted
-file starts with a comment line (CSV) or a field (JSON) carrying the hash of
-the configuration that produced it. Each file is written under a temporary
-sibling name (a grid CSV as its first part) and moved into place with
-os.replace, so a reader sees either the old file or the complete new one, and
-a failed write leaves no partial file behind. JSON is standard: NaN and
-infinities are refused, also inside an ndarray, which is written as its list.
+which the caller formats at block exit before it takes units of grids that have
+helpers, so that they keep the other CPUs busy meanwhile. Every emitted file
+starts with a comment line (CSV) or a field (JSON) carrying the hash of the
+configuration that produced it. Each file is written under a temporary sibling
+name (a grid CSV as its first part) and moved into place with os.replace, so a
+reader sees either the old file or the complete new one, and a failed write
+leaves no partial file behind. JSON is standard: NaN and infinities are
+refused, also inside an ndarray, which is written as its list.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import json
 import math
 import os
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache
@@ -64,6 +68,7 @@ import numpy as np
 __all__ = [
     "emission",
     "grid_lines",
+    "stream_csv",
     "write_csv",
     "write_json",
     "read_table_csv",
@@ -386,16 +391,22 @@ def _replaced_atomically(path: Path):
         raise
 
 
+def _head(columns, config_hash: str) -> bytes:
+    return f"# config_hash={config_hash}\n{','.join(columns)}\n".encode()
+
+
 def write_csv(path, columns, rows, config_hash: str) -> Path:
     """Write rows ('\n'-terminated lines, or a Grid) to path under a header of columns.
 
-    A Grid is queued in the open emission block, and its file is in place when the block exits.
+    A Grid is queued in the open emission block, or adopted if stream_csv queued it, and its file is
+    in place when the block exits.
     """
-    path = Path(path)
-    head = f"# config_hash={config_hash}\n{','.join(columns)}\n".encode()
+    path, head = Path(path), _head(columns, config_hash)
     if isinstance(rows, Grid):
         with emission():  # the open block, or one of its own
-            _Units(path, head, rows, *_block.get())
+            queue, cpus = _block.get()
+            streamed = next((units for units in queue if units.grid is rows and units.w is not None), None)
+            (streamed or _Units(path, head, rows, queue, cpus)).publish()
         return path
     with _replaced_atomically(path) as fh:
         fh.write(head)
@@ -403,6 +414,16 @@ def write_csv(path, columns, rows, config_hash: str) -> Path:
         while chunk := "".join(islice(rows, CHUNK_ROWS)):
             fh.write(chunk.encode())
     return path
+
+
+def stream_csv(path, columns, grid: Grid, config_hash: str):
+    """Queue in the open emission block the CSV of a grid whose blocks are yet to be filled.
+
+    Returns publish(blocks), which hands over each unit in the grid's first blocks blocks, once they
+    are final. write_csv of the same grid, path, columns and hash adopts it; the block exit discards
+    a grid that none adopts, writing nothing.
+    """
+    return _Units(Path(path), _head(columns, config_hash), grid, *_block.get()).publish
 
 
 # the open emission block's queued grid CSVs and CPU set, or None outside one
@@ -413,9 +434,10 @@ _block = ContextVar("emission_block", default=None)
 def emission():
     """A block in which write_csv queues each grid CSV and returns while forked helpers format it.
 
-    At exit the caller formats the units left, reaps every grid's helpers, and only then appends each
-    grid's other parts to its first, which it moves into place; after an exception in the block, the
-    caller's units or any helper no queued file is written. A block inside a block is that block.
+    At exit the caller discards each grid no write_csv adopted, formats the units left, reaps every
+    grid's helpers, and only then appends each grid's other parts to its first, which it moves into
+    place; after an exception in the block, the caller's units or any helper no queued file is
+    written. A block inside a block is that block.
     """
     if _block.get() is not None:
         yield
@@ -427,12 +449,13 @@ def emission():
         if len(cpus) > 1:
             os.sched_setaffinity(0, cpus[:1])  # a kernel need not move a child off its parent's CPU
         yield
+        adopted = [units for units in queue if units.w is None]
         # grids without a helper first, while the helpers format the others
-        for units in sorted(queue, key=lambda units: bool(units.pids)):
+        for units in sorted(adopted, key=lambda units: bool(units.pids)):
             units.take()
-        for units in queue:
+        for units in adopted:
             units.reap()
-        for units in queue:
+        for units in adopted:
             units.join()
     finally:
         _block.reset(token)
@@ -461,21 +484,37 @@ class _Units:
         if (n := min(len(cpus), n_units // 2) if grid.cells >= self.MIN_CELL_CHUNKS * grid.chunk_rows else 1) < 2:
             n_units = 1  # no helper: the caller formats the grid as one unit, an empty grid its header alone
         self.bounds = [*(k * n_chunks // n_units for k in range(n_units)), None]
+        # the grid row each unit ends at
+        self.ends = [b * grid.chunk_rows for b in self.bounds[1:-1]] + [grid.rows]
         self.parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(n_units)]
         path.parent.mkdir(parents=True, exist_ok=True)
-        self.fd, w = os.pipe()  # at most PIPE_BUF bytes: one write, which cannot block
-        os.write(w, b"".join(k.to_bytes(4, "little") for k in range(n_units)))
-        os.close(w)
+        # only the caller holds the write end w, until write_csv adopts the grid and closes it (w is
+        # then None); all indices take at most PIPE_BUF bytes, so no write can block
+        self.fd, self.w = os.pipe()
+        self.published = 0
         queue.append(self)  # before any fork, so that the block reaps what a failed fork leaves
         for _ in range(n - 1):
             if not (pid := os.fork()):  # the helper never returns into its caller's stack
                 try:
+                    for units in queue:  # so that no helper keeps a pipe from its end
+                        if units.w is not None:
+                            os.close(units.w)
                     os.sched_setaffinity(0, cpus[1:])
                     self.take()
                 except BaseException:
                     os._exit(1)
                 os._exit(0)
             self.pids.append(pid)
+
+    def publish(self, blocks: int | None = None) -> None:
+        """Write the index of each unit whose rows lie in the grid's first blocks blocks; without
+        blocks, of every unit left, and close the pipe (write_csv adopts the grid)."""
+        k = len(self.ends) if blocks is None else bisect_right(self.ends, blocks * self.grid.n_rows)
+        os.write(self.w, b"".join(i.to_bytes(4, "little") for i in range(self.published, k)))
+        self.published = max(self.published, k)
+        if blocks is None:
+            os.close(self.w)
+            self.w = None
 
     def take(self) -> None:
         """Format the next unit into its part file until the pipe is empty."""
@@ -510,6 +549,8 @@ class _Units:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
         os.close(self.fd)
+        if self.w is not None:
+            os.close(self.w)
         for part in self.parts:
             part.unlink(missing_ok=True)
 

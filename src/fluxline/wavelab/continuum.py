@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate, repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,27 +60,28 @@ def snapshot_count(n_steps: int, stride: int) -> int:
     return 1 + -(-n_steps // stride)
 
 
-def run_blocks(solver, n_steps: int, stride: int, first: tuple, *args) -> tuple:
-    """Take solver's next n_steps steps; returns (times, values) of first, every stride-th level and the last.
+def run_blocks(solver, n_steps: int, stride: int, first: tuple, table: Snapshots, recorded, *args) -> Snapshots:
+    """Take solver's next n_steps steps; records (time, level) first, every stride-th level and the last in table.
 
-    Blocks of up to BLOCK_STEPS step times, from the same += dt as
-    solver.time, go with args to solver._steps(times, *args), which yields
-    each new level into a table allocated before the first step.
+    The step times, from the same += dt as solver.time, are set up front, so
+    table holds every time before the first step. Blocks of up to
+    BLOCK_STEPS of them go with args to solver._steps(times, *args), which
+    yields each new level. recorded(table, levels), unless None, is called
+    with the count of final levels once first and then each later level is in
+    table.
     """
-    times = np.empty(snapshot_count(n_steps, stride))
-    values = np.empty((len(times), len(first[1])))
-    times[0], values[0] = first
-    row, t = 0, solver.time
+    t = np.array(list(accumulate(repeat(solver.dt, n_steps), initial=solver.time)))
+    table.times[:] = t[np.minimum(np.arange(len(table)) * stride, n_steps)]
+    (table.times[0], table.values[0]), row = first, 0
+    recorded = recorded or (lambda table, levels: None)
+    recorded(table, 1)
     for start in range(0, n_steps, BLOCK_STEPS):
-        block = []
-        for _ in range(min(BLOCK_STEPS, n_steps - start)):
-            block.append(t)
-            t += solver.dt
-        for done, level in enumerate(solver._steps(np.array(block), *args), start + 1):
+        for done, level in enumerate(solver._steps(t[start : min(start + BLOCK_STEPS, n_steps)], *args), start + 1):
             if done % stride == 0 or done == n_steps:
                 row += 1
-                times[row], values[row] = solver.time, level
-    return times, values
+                table.values[row] = level
+                recorded(table, row + 1)
+    return table
 
 
 class CflViolation(RuntimeError):
@@ -286,14 +288,17 @@ class ContinuumSolver:
         for _ in self._steps([self.time]):
             pass
 
-    def run(self, n_steps: int, snapshot_stride: int) -> Snapshots:
+    def run(self, n_steps: int, snapshot_stride: int, table: Snapshots | None = None, recorded=None) -> Snapshots:
         """Step n_steps times through run_blocks, recording the field every snapshot_stride steps.
 
         The record starts with the pre-run level, psi_prev at time - dt, and
-        ends with the final state.
+        ends with the final state. It fills table where given, of
+        snapshot_count(n_steps, snapshot_stride) levels on r, and calls
+        recorded as run_blocks does.
         """
-        times, values = run_blocks(self, n_steps, snapshot_stride, (self.time - self.dt, self.psi_prev))
-        return Snapshots(times, self.r, values)
+        if table is None:
+            table = Snapshots.empty(snapshot_count(n_steps, snapshot_stride), self.r)
+        return run_blocks(self, n_steps, snapshot_stride, (self.time - self.dt, self.psi_prev), table, recorded)
 
     def energy(self) -> float:
         """Discrete energy 1/2 sum dx [psi_t^2 + c^2 (d_r psi)^2].

@@ -10,6 +10,7 @@ different speed, and to the pulse's amplitude.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,13 @@ class Snapshots:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @classmethod
+    def empty(cls, levels: int, r: np.ndarray) -> Snapshots:
+        """A table of levels levels on r to fill, in an anonymous shared mapping, so that a process
+        forked before it is filled, such as a helper formatting its CSV, reads each level."""
+        data = np.frombuffer(mmap.mmap(-1, 8 * levels * (1 + len(r))), np.float64)
+        return cls(data[:levels], r, data[levels:].reshape(levels, len(r)))
 
 
 @dataclass(frozen=True)

@@ -196,10 +196,11 @@ def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: Simulation
     )
     solver = ContinuumSolver(profile, grid, program.background_c)
     solver.initialize_pulse(spec.pulse, spec.direction)
-    work = _check_work(spec, solver, spec.n_points, "simulation.n_points")
+    steps, stride = _check_work(spec, solver, spec.n_points, "simulation.n_points")
+    table = Snapshots.empty(snapshot_count(steps, stride), solver.r)
     guard = solver.sponge_width + 2.0 * spec.pulse_width
     meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt}
-    return partial(solver.run, *work), guard, meta
+    return partial(solver.run, steps, stride, table), guard, meta
 
 
 def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpec):
@@ -224,23 +225,25 @@ def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpe
     else:
         sim.set_flux(program.theta_total[:, 0])
     sim.initialize_pulse(spec.pulse, spec.direction)
-    work = _check_work(spec, sim, program.n_cells + 1, "synthesis.n_cells")
+    steps, stride = _check_work(spec, sim, program.n_cells + 1, "synthesis.n_cells")
+    table = Snapshots.empty(snapshot_count(steps, stride), sim.node_r)
     guard = 2.0 * spec.pulse_width + 2.0 * pitch
     meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt}
-    return partial(sim.run, *work, flux_schedule=schedule), guard, meta
+    return partial(sim.run, steps, stride, schedule, table), guard, meta
 
 
 def verify_program(
     program: FluxProgram,
     profile: SpeedProfile,
     spec: SimulationSpec,
-    on_snapshots: Callable[[str, Snapshots], None] = lambda solver, snapshots: None,
+    on_snapshots: Callable[[str, Snapshots, int], None] = lambda solver, snapshots, levels: None,
 ) -> VerificationReport:
     """Simulate the program and compare fronts against the ray oracle.
 
-    Every requested solver is set up and its work bounded before any steps.
-    on_snapshots(solver, snapshots) is called as soon as each solver has run,
-    before its front is compared with the ray.
+    Every requested solver is set up, its work bounded and its table of
+    snapshots allocated before any steps. on_snapshots(solver, snapshots,
+    levels) is called as each solver records its first levels: with 1 before
+    it steps, every time set, and with len(snapshots) as soon as it has run.
     """
     lo, hi = program.coord_window
     bg = program.background_c
@@ -248,9 +251,8 @@ def verify_program(
     solvers = {name: setup(program, profile, spec) for name, setup in setups if spec.solver in (name, "both")}
     results = {}
     for name, (run, guard, meta) in solvers.items():
-        snaps = run()
+        snaps = run(recorded=partial(on_snapshots, name))
         meta["snapshots"] = len(snaps)
-        on_snapshots(name, snaps)
         r_stop = hi - guard if spec.direction >= 0 else lo + guard
         ts, rs = front_trajectory(snaps, direction=spec.direction, r_stop=r_stop)
         if len(ts) < 3:

@@ -247,3 +247,22 @@ def test_stride_that_divides_the_steps_records_the_last_level_once(solver, n_ste
     assert len(snaps) == snaps.values.shape[0] == 1 + n_steps // stride
     np.testing.assert_allclose(np.diff(snaps.times[1:]), stride * sim.dt, rtol=1e-9)
     assert snaps.times[-1] == sim.time
+
+
+@pytest.mark.parametrize("solver", ["continuum", "ladder"])
+def test_recorded_times_are_set_before_the_first_step_and_are_the_times_stepping_reaches(solver):
+    sim = continuum_solver(alcubierre("top_hat")) if solver == "continuum" else ladder_sim()
+    sim.run(5, 2)  # so that the run below starts at a time that 5 additions of dt reached
+    # the continuum's record starts with its pre-run level, one step before its start
+    first = sim.time - sim.dt if solver == "continuum" else sim.time
+    before, reached = [], []
+
+    def recorded(table, levels):
+        if levels == 1:
+            before.append(table.times.copy())
+        reached.append(sim.time)
+
+    snaps = sim.run(3 * BLOCK_STEPS + 5, 7, recorded=recorded)
+    assert np.array_equal(snaps.times, [first, *reached[1:]])
+    assert np.array_equal(before[0], snaps.times)
+    assert snaps.times[-1] == sim.time

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, CSV schemas, determinism, presets."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -948,6 +949,42 @@ def test_simulate_failing_after_a_queued_snapshot_csv_writes_no_snapshot(tmp_pat
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "simulation failed: a cell sits at the pi/2 window\n"
+
+
+def test_simulate_writes_the_same_bytes_when_write_csv_is_handed_a_row_generator(tmp_path, monkeypatch):
+    # the call shape bench/tracing.py wraps write_csv in: rows, bound by name, becomes a generator
+    # over the iterable given, and the returned path is sized at once
+    forks = on_two_cpus(monkeypatch)
+    argv = ["simulate", "--preset", "godel", "--set", "simulation.solver=both", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    plain = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    signature, write_csv, seen, sizes = inspect.signature(cli.write_csv), cli.write_csv, {}, {}
+
+    def traced(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        given, name = bound.arguments["rows"], Path(bound.arguments["path"]).name
+
+        def rows():
+            for line in given:
+                seen[name] = seen.get(name, 0) + 1
+                yield line
+
+        bound.arguments["rows"] = rows()
+        path = write_csv(*bound.args, **bound.kwargs)
+        sizes[name] = os.path.getsize(path)
+        return path
+
+    monkeypatch.setattr(cli, "write_csv", traced)
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == plain
+    csvs = ("snapshots_continuum.csv", "snapshots_ladder.csv")
+    assert sizes == {name: len(plain[name]) for name in csvs}
+    # every row, the two header lines aside
+    assert seen == {name: plain[name].count(b"\n") - 2 for name in csvs}
+    # the streamed continuum CSV forked a helper on each run; the second run's was discarded
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_output_files_carry_config_hash(tmp_path):

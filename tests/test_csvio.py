@@ -5,7 +5,10 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import string
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -16,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fluxline import csvio
-from fluxline.cli import _program_rows
+from fluxline.cli import _program_rows, main
+from fluxline.config import load_raw_config, validate_config
 from fluxline.csvio import write_csv, write_json
 from fluxline.synthesis import FeasibilityReport, FluxProgram
+from fluxline.wavelab import CflViolation, ContinuumSolver
 
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -731,6 +736,90 @@ def test_failed_range_leaves_no_part_file_and_no_child(tmp_path, monkeypatch, fa
         assert target.read_bytes() == b"old\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_solver_failing_mid_run_writes_no_snapshot_and_leaves_no_helper(tmp_path, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    log = tmp_path / "units.log"
+    parent = logged_units(monkeypatch, log)
+    t_end, steps = validate_config(load_raw_config(preset="godel")).simulation.t_end, ContinuumSolver._steps
+
+    def failing_steps(self, times):
+        yield from steps(self, times)
+        if self.time > t_end / 2:
+            # the helper has taken a unit of the snapshot CSV, which streams as the continuum steps
+            wait_for(lambda: any(pid != parent for pid in units_by_pid(log)))
+            raise CflViolation("the speed broke its bound mid-run")
+
+    monkeypatch.setattr(ContinuumSolver, "_steps", failing_steps)
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "godel", "--set", "simulation.solver=continuum", "--out", str(out)]) == 4
+    assert len(forks) == 1
+    # no snapshots_*.csv, .part or .tmp file, and no helper left
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Two grids streamed in one block, the second queued, and its helper forked, before the first
+# grid's rows are final. Once the first is adopted its helper must find its pipe's end, and
+# exit, while the second grid still streams; it cannot if the second grid's helper holds the
+# first pipe's write end open.
+STREAMED_PAIR = """
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from fluxline import csvio
+
+csvio.CHUNK_ROWS = 2
+# a pretended two-CPU affinity set, on which no process is placed
+os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_setaffinity = lambda pid, cpus: None
+forks, fork = [], os.fork
+
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counted_fork
+out, names = Path(sys.argv[1]), ("b", "r", "x")
+columns = (np.arange(3)[:, None], np.arange(12), np.arange(36).reshape(3, 12) / 7.0)
+first, second = csvio.grid_lines(*columns), csvio.grid_lines(*columns)
+with csvio.emission():
+    csvio.stream_csv(out / "a.csv", names, first, "h")(1)
+    csvio.stream_csv(out / "b.csv", names, second, "h")(2)
+    csvio.write_csv(out / "a.csv", names, first, "h")
+    os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+    csvio.write_csv(out / "b.csv", names, second, "h")
+print(len(forks))
+"""
+
+
+def test_no_helper_holds_another_grids_pipe_open(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    # a session of its own, so that a hang ends with every helper it forked killed
+    proc = subprocess.Popen([sys.executable, "-c", STREAMED_PAIR, str(tmp_path)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a grid's helper never found the end of its pipe")
+    assert proc.returncode == 0, err
+    assert out == "2\n"
+    names, _, rows = block_grid()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == reference_csv(names, rows, "h")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
 def failing_rows(n_good):

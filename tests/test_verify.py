@@ -54,15 +54,18 @@ def test_report_serializes_to_json(tmp_path):
     cfg = ArrayConfig(n_cells=64)
     program = synthesize_program(prof, 0.0, cfg, (0.0, 10.0))
     spec = SimulationSpec(pulse_center=1.0, pulse_width=0.2, t_end=4.0, n_points=400)
-    handed = {}
-    report = verify_program(program, prof, spec, handed.__setitem__)
+    handed = []
+    report = verify_program(program, prof, spec, lambda solver, snaps, levels: handed.append((solver, snaps, levels)))
     doc = json.loads(write_json(tmp_path / "verification.json", asdict(report), "h").read_text())
     assert doc["passed"] is True
     assert "continuum" in doc["solvers"]
     assert doc["solvers"]["continuum"]["front_times"] == report.solvers["continuum"].front_times.tolist()
     # the snapshots are handed to the caller, not kept in the report
     assert "snapshots" not in doc
-    assert handed["continuum"]
+    # level by level, the first before any step and the last once the run is recorded
+    (snaps,) = {id(snaps): snaps for _, snaps, _ in handed}.values()
+    assert handed == [("continuum", snaps, levels) for levels in range(1, len(snaps) + 1)]
+    assert len(snaps) == doc["solvers"]["continuum"]["grid"]["snapshots"]
 
 
 def test_speed_bookkeeping_for_moving_bubble():
