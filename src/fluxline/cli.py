@@ -5,7 +5,7 @@ Commands: profile, synth, feasibility, simulate, raytrace. Each takes
 ("--set synthesis.theta_dc_over_pi=-0.44") and --out DIR to redirect the
 output directory.
 
-Exit codes: 0 success, 1 configuration error, 2 synthesis infeasible,
+Exit codes: 0 success, 1 configuration or output error, 2 synthesis infeasible,
 3 hot-cell budget exceeded, 4 simulation or verification failure. A
 command raises on failure; main maps the exception to its exit code and
 prints "<prefix>: <message>" on stderr (FAILURES). The one code a command
@@ -64,6 +64,8 @@ FAILURES = (
     # a profile value that cannot be used is a fault of the metric block
     ((ProfileEvaluationError,), EXIT_CONFIG, "config error: metric"),
     ((ProfileDomainError, ValueError), EXIT_CONFIG, "config error"),
+    # an output path that cannot be written, or a forked CSV helper that failed (ChildProcessError)
+    ((OSError,), EXIT_CONFIG, "output error"),
 )
 
 

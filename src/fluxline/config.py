@@ -114,6 +114,8 @@ def load_raw_config(path=None, preset: Optional[str] = None, overrides=()) -> di
             doc = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError("--config", f"no such file: {path}")
+        except OSError as exc:  # an input, not an output error
+            raise ConfigError("--config", f"cannot read {path}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise ConfigError("--config", f"invalid JSON: {exc}")
     if not isinstance(doc, dict):

@@ -60,16 +60,17 @@ def snapshot_count(n_steps: int, stride: int) -> int:
     return 1 + -(-n_steps // stride)
 
 
-def run_blocks(solver, n_steps: int, stride: int, first: tuple, table: Snapshots, recorded, *args) -> Snapshots:
-    """Take solver's next n_steps steps; records (time, level) first, every stride-th level and the last in table.
+def run_blocks(solver, n_steps: int, stride: int, first: tuple, r: np.ndarray, recorded, *args) -> Snapshots:
+    """Take solver's next n_steps steps; returns (time, level) first, every stride-th level and the last on r.
 
     The step times, from the same += dt as solver.time, are set up front, so
-    table holds every time before the first step. Blocks of up to
-    BLOCK_STEPS of them go with args to solver._steps(times, *args), which
-    yields each new level. recorded(table, levels), unless None, is called
-    with the count of final levels once first and then each later level is in
-    table.
+    the record, a Snapshots.empty table, holds every time before the first
+    step. Blocks of up to BLOCK_STEPS of them go with args to
+    solver._steps(times, *args), which yields each new level. recorded(table,
+    levels), unless None, is called with the count of final levels once first
+    and then each later level is in the table.
     """
+    table = Snapshots.empty(snapshot_count(n_steps, stride), r)
     t = np.array(list(accumulate(repeat(solver.dt, n_steps), initial=solver.time)))
     table.times[:] = t[np.minimum(np.arange(len(table)) * stride, n_steps)]
     (table.times[0], table.values[0]), row = first, 0
@@ -288,17 +289,13 @@ class ContinuumSolver:
         for _ in self._steps([self.time]):
             pass
 
-    def run(self, n_steps: int, snapshot_stride: int, table: Snapshots | None = None, recorded=None) -> Snapshots:
-        """Step n_steps times through run_blocks, recording the field every snapshot_stride steps.
+    def run(self, n_steps: int, snapshot_stride: int, recorded=None) -> Snapshots:
+        """Step n_steps times through run_blocks, recording the field on r every snapshot_stride steps.
 
         The record starts with the pre-run level, psi_prev at time - dt, and
-        ends with the final state. It fills table where given, of
-        snapshot_count(n_steps, snapshot_stride) levels on r, and calls
-        recorded as run_blocks does.
+        ends with the final state; recorded is called as run_blocks does.
         """
-        if table is None:
-            table = Snapshots.empty(snapshot_count(n_steps, snapshot_stride), self.r)
-        return run_blocks(self, n_steps, snapshot_stride, (self.time - self.dt, self.psi_prev), table, recorded)
+        return run_blocks(self, n_steps, snapshot_stride, (self.time - self.dt, self.psi_prev), self.r, recorded)
 
     def energy(self) -> float:
         """Discrete energy 1/2 sum dx [psi_t^2 + c^2 (d_r psi)^2].

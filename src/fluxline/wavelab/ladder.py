@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from ..synthesis import WINDOW_GUARD
-from .continuum import GaussianPulse, run_blocks, snapshot_count
+from .continuum import GaussianPulse, run_blocks
 from .fronts import Snapshots
 
 __all__ = [
@@ -179,15 +179,13 @@ class LadderSim:
         for _ in self._steps([self.time]):
             pass
 
-    def run(self, n_steps: int, snapshot_stride: int, flux_schedule=None, table=None, recorded=None) -> Snapshots:
-        """Step n_steps times through run_blocks, recording the voltages every snapshot_stride steps.
+    def run(self, n_steps: int, snapshot_stride: int, flux_schedule=None, recorded=None) -> Snapshots:
+        """Step n_steps times through run_blocks, recording the voltages on node_r every snapshot_stride steps.
 
         The record starts with the initial state and ends with the final
-        one; table and recorded are as in ContinuumSolver.run, on node_r.
+        one; recorded is as in ContinuumSolver.run.
         """
-        if table is None:
-            table = Snapshots.empty(snapshot_count(n_steps, snapshot_stride), self.node_r)
-        return run_blocks(self, n_steps, snapshot_stride, (self.time, self.voltages), table, recorded, flux_schedule)
+        return run_blocks(self, n_steps, snapshot_stride, (self.time, self.voltages), self.node_r, recorded, flux_schedule)
 
     def energy(self) -> float:
         """1/2 sum V^2 + 1/2 sum L I^2 in the staggered product form.

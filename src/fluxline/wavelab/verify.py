@@ -197,10 +197,9 @@ def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: Simulation
     solver = ContinuumSolver(profile, grid, program.background_c)
     solver.initialize_pulse(spec.pulse, spec.direction)
     steps, stride = _check_work(spec, solver, spec.n_points, "simulation.n_points")
-    table = Snapshots.empty(snapshot_count(steps, stride), solver.r)
     guard = solver.sponge_width + 2.0 * spec.pulse_width
     meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt}
-    return partial(solver.run, steps, stride, table), guard, meta
+    return partial(solver.run, steps, stride), guard, meta
 
 
 def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpec):
@@ -226,10 +225,9 @@ def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpe
         sim.set_flux(program.theta_total[:, 0])
     sim.initialize_pulse(spec.pulse, spec.direction)
     steps, stride = _check_work(spec, sim, program.n_cells + 1, "synthesis.n_cells")
-    table = Snapshots.empty(snapshot_count(steps, stride), sim.node_r)
     guard = 2.0 * spec.pulse_width + 2.0 * pitch
     meta = {"n_cells": program.n_cells, "pitch": pitch, "dt": sim.dt}
-    return partial(sim.run, steps, stride, schedule, table), guard, meta
+    return partial(sim.run, steps, stride, schedule), guard, meta
 
 
 def verify_program(
@@ -240,10 +238,10 @@ def verify_program(
 ) -> VerificationReport:
     """Simulate the program and compare fronts against the ray oracle.
 
-    Every requested solver is set up, its work bounded and its table of
-    snapshots allocated before any steps. on_snapshots(solver, snapshots,
-    levels) is called as each solver records its first levels: with 1 before
-    it steps, every time set, and with len(snapshots) as soon as it has run.
+    Every requested solver is set up and its work bounded before any steps.
+    on_snapshots(solver, snapshots, levels) is called as each run records its
+    first levels: with 1 before it steps, every time set, and with
+    len(snapshots) as soon as it has run.
     """
     lo, hi = program.coord_window
     bg = program.background_c

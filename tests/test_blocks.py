@@ -10,6 +10,7 @@ step with the same text.
 """
 
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -255,14 +256,23 @@ def test_recorded_times_are_set_before_the_first_step_and_are_the_times_stepping
     sim.run(5, 2)  # so that the run below starts at a time that 5 additions of dt reached
     # the continuum's record starts with its pre-run level, one step before its start
     first = sim.time - sim.dt if solver == "continuum" else sim.time
-    before, reached = [], []
+    before, reached, handed = [], [], []
 
     def recorded(table, levels):
         if levels == 1:
             before.append(table.times.copy())
         reached.append(sim.time)
+        handed.append((table, levels))
 
     snaps = sim.run(3 * BLOCK_STEPS + 5, 7, recorded=recorded)
     assert np.array_equal(snaps.times, [first, *reached[1:]])
     assert np.array_equal(before[0], snaps.times)
     assert snaps.times[-1] == sim.time
+    # recorded is handed the very table run returns, from level 1 on, one level at a time
+    assert all(table is snaps for table, _ in handed)
+    assert [levels for _, levels in handed] == list(range(1, len(snaps) + 1))
+    # in an anonymous shared mapping, which a CSV helper forked at level 1 reads as it fills
+    buffer = snaps.values
+    while isinstance(buffer, np.ndarray):
+        buffer = buffer.base
+    assert isinstance(buffer.obj, mmap.mmap)

@@ -845,6 +845,7 @@ def test_non_finite_ray_speed_exits_1(tmp_path, capsys, preset, r0, extra, error
         (ProfileDomainError("r outside range"), 1, "config error"),
         (ProfileEvaluationError("speed_sq = nan"), 1, "config error: metric"),
         (ValueError("bad value"), 1, "config error"),
+        (NotADirectoryError(20, "Not a directory"), 1, "output error"),
     ],
 )
 def test_failure_maps_to_exit_code_and_stderr_prefix(monkeypatch, capsys, tmp_path, exc, code, prefix):
@@ -949,6 +950,22 @@ def test_simulate_failing_after_a_queued_snapshot_csv_writes_no_snapshot(tmp_pat
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "simulation failed: a cell sits at the pi/2 window\n"
+
+
+@pytest.mark.parametrize("command", [["synth"], ["simulate", "--set", "simulation.solver=both"]])
+def test_output_under_a_regular_file_exits_1_with_one_line(tmp_path, monkeypatch, capsys, command):
+    on_two_cpus(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    assert main([*command, "--preset", "godel", "--out", str(blocker / "sub")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"output error: [Errno 20] Not a directory: '{blocker / 'sub'}'\n"
+    # nothing written beside the file, which is as it was, and no helper left
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_writes_the_same_bytes_when_write_csv_is_handed_a_row_generator(tmp_path, monkeypatch):

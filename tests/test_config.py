@@ -204,6 +204,12 @@ def test_config_document_error_exits_1_naming_field(tmp_path, capsys, text, erro
     assert not (tmp_path / "out").exists()
 
 
+def test_config_that_cannot_be_read_exits_1_as_a_config_error(tmp_path, capsys):
+    assert main(["profile", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: --config: cannot read {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_stable_and_sensitive():
     h1 = config_hash(MINIMAL)
     h2 = config_hash(json.loads(json.dumps(MINIMAL)))
