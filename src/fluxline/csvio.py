@@ -25,15 +25,16 @@ differ, and so do NaNs of another sign or payload, though they print alike).
 write_csv streams a grid to disk a chunk at a time, so a file is never held in
 memory whole. A grid's chunks are cut into units (at most MAX_UNITS), and
 min(CPUs in the affinity set, units // 2) - 1 forked helpers on the other CPUs
-each take the next index from a pipe and format that unit into a part file; the
-part of unit 0 starts with the header and becomes the file. A grid's units are
-queued as its rows become final: stream_csv queues a grid still being filled in
+each take the next index from a pipe and format that unit, into the file as it
+goes once the grid's token (the next unit the file lacks) says its turn has come;
+one finished out of turn waits in memory or a part file. Units are queued as
+their grid's rows become final: stream_csv queues a grid still being filled in
 memory its helpers share, whose units its caller hands over as they become
 final, and write_csv hands over the rest; a grid given to write_csv alone is
 queued whole. Inside an emission() block write_csv returns once the helpers are
 forked, and the caller keeps computing on the first CPU; at block exit it
-formats the units left, reaps the helpers, appends the other parts in order to
-the first and moves it into place. Outside a block write_csv is a block of its
+formats the units left, reaps the helpers, appends what the chain still lacks
+and moves the file into place. Outside a block write_csv is a block of its
 own. The bytes do not depend on who took which unit. One CPU, no os.fork, a
 second thread when the block opens (a forked child could deadlock), fewer than
 4 units, or fewer cells (rows times columns formatted per chunk) than
@@ -42,8 +43,8 @@ which the caller formats at block exit before it takes units of grids that have
 helpers, so that they keep the other CPUs busy meanwhile. Every emitted file
 starts with a comment line (CSV) or a field (JSON) carrying the hash of the
 configuration that produced it. Each file is written under a temporary sibling
-name (a grid CSV as its first part) and moved into place with os.replace, so a
-reader sees either the old file or the complete new one, and a failed write
+name (a queued grid CSV under one of its own) and moved into place with os.replace,
+so a reader sees either the old file or the complete new one, and a failed write
 leaves no partial file behind. JSON is standard: NaN and infinities are
 refused, also inside an ndarray, which is written as its list.
 """
@@ -59,7 +60,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -435,9 +436,9 @@ def emission():
     """A block in which write_csv queues each grid CSV and returns while forked helpers format it.
 
     At exit the caller discards each grid no write_csv adopted, formats the units left, reaps every
-    grid's helpers, and only then appends each grid's other parts to its first, which it moves into
-    place; after an exception in the block, the caller's units or any helper no queued file is
-    written. A block inside a block is that block.
+    grid's helpers, and only then appends to each grid's file what its chain still lacks and moves
+    the file into place; after an exception in the block, the caller's units or any helper no queued
+    file is written. A block inside a block is that block.
     """
     if _block.get() is not None:
         yield
@@ -466,19 +467,18 @@ def emission():
 
 
 class _Units:
-    """A queued grid CSV: its units' parts (the first becomes the file), the pipe of their indices and the helpers."""
+    """A queued grid CSV: its temporary file, the pipe of its unit indices, its token and its helpers."""
 
     # A grid gets forked helpers from this many chunks' worth of cells (rows times cell
-    # columns); below it a helper did not pay for its fork and join. Measured on 2 CPUs in
-    # alternating in-process pairs of whole commands: simulate godel took 107 ms with a
-    # helper for its 107,800-row continuum snapshots (13.2 chunks' worth) and 134 ms without
-    # (27 of 30 pairs); simulate alcubierre_superluminal took 97.7 ms without one for its
-    # 79,515-row ladder snapshots (9.7) and 104.6 ms with (27 of 30); synth alcubierre's
-    # 32,768-row program.csv (4 cell columns, 16) broke even (43.5 ms with, 41.6 without)
+    # columns); below it a helper did not pay for its fork. In alternating in-process pairs of
+    # whole commands on 2 CPUs, with a helper and without (pairs faster with): simulate godel,
+    # 107,800-row continuum snapshots (13.2 chunks' worth), 47.1 and 71.0 ms (29 of 30); the
+    # 79,515-row ladder snapshots (9.7) of alcubierre_superluminal 57.7 and 51.5 ms (3 of 30), of
+    # alcubierre 84.2 and 93.4 (28 of 30); synth alcubierre's program.csv (16) 19.3 and 18.0 (7 of 30)
     MIN_CELL_CHUNKS = 12
 
     def __init__(self, path: Path, head: bytes, grid: Grid, queue: list, cpus: list):
-        self.path, self.head, self.grid, self.pids = path, head, grid, []
+        self.path, self.head, self.grid, self.pids, self.held = path, head, grid, [], {}
         n_chunks = -(-grid.rows // grid.chunk_rows)
         n_units = min(n_chunks, MAX_UNITS)
         if (n := min(len(cpus), n_units // 2) if grid.cells >= self.MIN_CELL_CHUNKS * grid.chunk_rows else 1) < 2:
@@ -486,14 +486,18 @@ class _Units:
         self.bounds = [*(k * n_chunks // n_units for k in range(n_units)), None]
         # the grid row each unit ends at
         self.ends = [b * grid.chunk_rows for b in self.bounds[1:-1]] + [grid.rows]
-        self.parts = [path.with_name(f".{path.name}.{os.getpid()}.{k}.part") for k in range(n_units)]
+        self.prefix = str(path.with_name(f".{path.name}.{os.getpid()}.{id(self):x}."))
         path.parent.mkdir(parents=True, exist_ok=True)
         # only the caller holds the write end w, until write_csv adopts the grid and closes it (w is
         # then None); all indices take at most PIPE_BUF bytes, so no write can block
         self.fd, self.w = os.pipe()
+        self.token, self.token_w = os.pipe()
+        os.write(self.token_w, bytes(4))  # unit 0's turn
+        self.out = open(self.prefix + "tmp", "wb", buffering=0)
         self.published = 0
         queue.append(self)  # before any fork, so that the block reaps what a failed fork leaves
         for _ in range(n - 1):
+            os.set_blocking(self.token, False)  # no process waits for it; a caller alone always finds it
             if not (pid := os.fork()):  # the helper never returns into its caller's stack
                 try:
                     for units in queue:  # so that no helper keeps a pipe from its end
@@ -501,6 +505,7 @@ class _Units:
                             os.close(units.w)
                     os.sched_setaffinity(0, cpus[1:])
                     self.take()
+                    self._park(self.held)
                 except BaseException:
                     os._exit(1)
                 os._exit(0)
@@ -517,13 +522,54 @@ class _Units:
             self.w = None
 
     def take(self) -> None:
-        """Format the next unit into its part file until the pipe is empty."""
+        """Format the next unit until the pipe is empty, into the file from the piece its turn comes at (b"" last)."""
         while k := os.read(self.fd, 4):
-            k = int.from_bytes(k, "little")
-            with open(self.parts[k], "wb") as out:
-                if k == 0:  # the first part becomes the file
-                    out.write(self.head)
-                out.writelines(self.grid.texts(self.bounds[k], self.bounds[k + 1]))
+            k, own, mine = int.from_bytes(k, "little"), [], False
+            for piece in chain([self.head] * (k == 0), self.grid.texts(self.bounds[k], self.bounds[k + 1]), [b""]):
+                own.append(piece)
+                if mine or (mine := self._turn(k)):
+                    self._write(own)
+                    own = []
+            if mine:
+                os.write(self.token_w, self._append(k + 1).to_bytes(4, "little"))
+            else:
+                self._park(self.held)
+                self.held = {k: own}
+
+    def _turn(self, k: int) -> bool:
+        """Grab the token without blocking and append what the chain can; keep it if unit k is next."""
+        try:
+            at = int.from_bytes(os.read(self.token, 4), "little")
+        except BlockingIOError:  # another process holds it
+            return False
+        if (at := self._append(at)) != k:
+            os.write(self.token_w, at.to_bytes(4, "little"))
+        return at == k
+
+    def _append(self, at: int) -> int:
+        """Write unit at, and each next, that this process holds or finds parked; return the next one."""
+        for at in count(at):
+            if at in self.held:
+                self._write(self.held.pop(at))
+            elif os.path.exists(part := f"{self.prefix}{at}.part"):
+                with open(part, "rb") as src:
+                    while os.sendfile(self.out.fileno(), src.fileno(), None, 1 << 30):
+                        pass
+                os.unlink(part)
+            else:
+                return at
+
+    def _write(self, pieces) -> None:
+        for view in map(memoryview, pieces):
+            while view:
+                view = view[self.out.write(view) :]
+
+    def _park(self, held: dict) -> None:
+        """Write each finished unit held into its part file, which is whole once it has its name."""
+        for k, pieces in held.items():
+            with open(f"{self.prefix}{k}.new", "wb") as out:
+                out.writelines(pieces)
+            os.replace(out.name, f"{self.prefix}{k}.part")
 
     def reap(self) -> None:
         """Wait for each helper; one that failed raises ChildProcessError."""
@@ -534,25 +580,24 @@ class _Units:
                 raise ChildProcessError(f"formatting {self.path.name}: a helper exited with {code}")
 
     def join(self) -> None:
-        """Append parts 1.. in order to part 0, and move it into place; the helpers are reaped."""
-        with open(self.parts[0], "r+b") as fh:  # sendfile refuses a target opened to append
-            fh.seek(0, os.SEEK_END)
-            for part in self.parts[1:]:
-                with open(part, "rb") as src:
-                    while os.sendfile(fh.fileno(), src.fileno(), None, 1 << 30):
-                        pass
-        os.replace(self.parts[0], self.path)
+        """Append what the chain lacks, and move the file into place; each reaped helper handed the token on."""
+        if (at := self._append(int.from_bytes(os.read(self.token, 4), "little"))) < len(self.ends):
+            raise ChildProcessError(f"formatting {self.path.name}: unit {at} is missing")
+        self.out.close()  # not every platform renames an open file
+        os.replace(self.prefix + "tmp", self.path)
 
     def close(self) -> None:
-        """Kill and reap the helpers left, and remove every part file."""
+        """Kill and reap the helpers left, close the pipes and the file, and remove its temporary files."""
         for pid in self.pids:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-        os.close(self.fd)
-        if self.w is not None:
-            os.close(self.w)
-        for part in self.parts:
-            part.unlink(missing_ok=True)
+        self.out.close()
+        for fd in (self.fd, self.w, self.token, self.token_w):
+            if fd is not None:
+                os.close(fd)
+        for name in os.listdir(self.path.parent):
+            if name.startswith(os.path.basename(self.prefix)):
+                os.unlink(self.path.parent / name)
 
 
 def write_json(path, payload: dict, config_hash: str) -> Path:

@@ -644,28 +644,130 @@ def test_a_helper_failing_on_a_later_grid_leaves_no_earlier_file(tmp_path, monke
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_the_first_part_becomes_the_file_and_the_others_are_appended_to_it(tmp_path, monkeypatch):
-    # a grid of k parts copies k - 1 of them; a grid without a helper is one part and copies none
-    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
-    on_cpus(monkeypatch, 2)
-    forks = counted_forks(monkeypatch)
-    copied, sendfile = [], os.sendfile
+def logged_chain(mp, log):
+    """Append to log, from any process, "pid read <blocking>" for each read of a grid's token,
+    "pid write <unit>" for each write of it, "pid park <unit>" for each unit parked and
+    "pid sendfile <bytes>" for each copy; returns the caller's pid."""
+    pipes, pipe, read, write, sendfile, park = [], os.pipe, os.read, os.write, os.sendfile, csvio._Units._park
 
-    def counted_sendfile(out_fd, in_fd, offset, count):
-        n = sendfile(out_fd, in_fd, offset, count)
-        if n:  # the call that finds the part's end copies nothing
-            copied.append(n)
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {line}\n")
+
+    def token(fd, end):  # each _Units makes its index pipe and then its token
+        return any(p[end] == fd for p in pipes[1::2])
+
+    def logged_read(fd, n):
+        if token(fd, 0):
+            note(f"read {os.get_blocking(fd)}")
+        return read(fd, n)
+
+    def logged_write(fd, data):
+        if token(fd, 1):
+            note(f"write {int.from_bytes(data, 'little')}")
+        return write(fd, data)
+
+    def logged_sendfile(out_fd, in_fd, offset, count):
+        if n := sendfile(out_fd, in_fd, offset, count):
+            note(f"sendfile {n}")
         return n
 
-    monkeypatch.setattr(os, "sendfile", counted_sendfile)
-    big, small = block_grid(), block_grid(n_blocks=1, n_rows=4)
-    write_csv(tmp_path / "small.csv", small[0], csvio.grid_lines(*small[1]), "h")
-    assert forks == [] and copied == []
-    write_csv(tmp_path / "big.csv", big[0], csvio.grid_lines(*big[1]), "h")
-    assert len(forks) == 1 and len(copied) == len(UNITS) - 1
-    assert (tmp_path / "big.csv").read_bytes() == reference_csv(big[0], big[2], "h")
-    assert (tmp_path / "small.csv").read_bytes() == reference_csv(small[0], small[2], "h")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "small.csv"]
+    def logged_park(self, held):
+        park(self, held)
+        for k in held:
+            note(f"park {k}")  # once the part has its name
+
+    mp.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    mp.setattr(os, "read", logged_read)
+    mp.setattr(os, "write", logged_write)
+    mp.setattr(os, "sendfile", logged_sendfile)
+    mp.setattr(csvio._Units, "_park", logged_park)
+    return os.getpid()
+
+
+def chain_events(log, event) -> list:
+    """(pid, value) of each logged_chain line of one event, in order."""
+    lines = [line.split() for line in log.read_text().splitlines()] if log.exists() else []
+    return [(int(pid), value) for pid, name, value in lines if name == event]
+
+
+def test_each_unit_goes_into_the_file_in_turn_and_only_a_held_up_one_is_parked(tmp_path):
+    # each unit goes into the file from the process that formats it, once its turn has come; only a
+    # unit the chain has not reached when its process finishes the next one is parked
+    names, columns, rows = block_grid()
+    lines = reference_csv(names, rows, "h").splitlines(keepends=True)
+    target = tmp_path / "out" / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        # no stall: each process starts a unit once the token has been handed on at it
+        mp.setattr(csvio, "CHUNK_ROWS", 2)
+        on_cpus(mp, 2)
+        forks = counted_forks(mp)
+        log = tmp_path / "no_stall.log"
+        logged_chain(mp, log)
+        texts = csvio.Grid.texts
+
+        def in_turn_texts(self, lo, hi):
+            wait_for(lambda: str(lo) in [unit for _, unit in chain_events(log, "write")])
+            yield from texts(self, lo, hi)
+
+        mp.setattr(csvio.Grid, "texts", in_turn_texts)
+        write_csv(target, names, csvio.grid_lines(*columns), "h")
+    assert len(forks) == 1
+    assert target.read_bytes() == b"".join(lines)
+    assert chain_events(log, "sendfile") == [] and chain_events(log, "park") == []
+    # no process waits for the token: every read of it is a non-blocking one
+    assert {blocking for _, blocking in chain_events(log, "read")} == {"False"}
+    assert [p.name for p in target.parent.iterdir()] == ["t.csv"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        # the helper stalls inside unit 0, holding the token, until the caller has formatted the rest
+        mp.setattr(csvio, "CHUNK_ROWS", 2)
+        on_cpus(mp, 2)
+        forks = counted_forks(mp)
+        log, units = tmp_path / "stalled.log", tmp_path / "units.log"
+        parent = logged_chain(mp, log)
+        texts = csvio.Grid.texts
+
+        def stalled_texts(self, lo, hi):
+            if os.getpid() != parent and lo == 0:
+                wait_for(lambda: len(chain_events(log, "park")) == len(UNITS) - 2)
+            yield from texts(self, lo, hi)
+
+        mp.setattr(csvio.Grid, "texts", stalled_texts)
+        logged_units(mp, units)
+        with csvio.emission():
+            write_csv(target, names, csvio.grid_lines(*columns), "h")
+            wait_for(lambda: units_by_pid(units))  # the helper has taken unit 0
+    assert len(forks) == 1
+    assert target.read_bytes() == b"".join(lines)
+    assert units_by_pid(units) == {forks[0]: [(0, 1)], parent: UNITS[1:]}
+    # the caller parked each of its units once it had finished the next, and kept the last in memory
+    assert chain_events(log, "park") == [(parent, str(k)) for k in range(1, len(UNITS) - 1)]
+    # the helper appended the parked units once the chain got there; the caller's last unit went
+    # into the file from memory, after the helper was reaped
+    sent = chain_events(log, "sendfile")
+    assert {pid for pid, _ in sent} == {forks[0]}
+    assert sum(int(n) for _, n in sent) == len(b"".join(lines[4:-2]))  # units 1 .. 16, two rows each
+    assert {blocking for _, blocking in chain_events(log, "read")} == {"False"}
+    assert [p.name for p in target.parent.iterdir()] == ["t.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_two_writes_of_one_path_in_one_block_leave_the_later_grid(tmp_path, monkeypatch, cpus):
+    # each queued grid has temporary names of its own, so the later grid's bytes win, as outside a block
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, cpus)
+    forks = counted_forks(monkeypatch)
+    first, second = block_grid(), block_grid(n_blocks=4, n_rows=10)
+    target = tmp_path / "t.csv"
+    with csvio.emission():
+        write_csv(target, first[0], csvio.grid_lines(*first[1]), "h")
+        write_csv(target, second[0], csvio.grid_lines(*second[1]), "h")
+    assert len(forks) == (2 if cpus == 2 else 0)
+    assert target.read_bytes() == reference_csv(second[0], second[2], "h")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 @pytest.mark.parametrize("why", ["one_cpu", "no_affinity", "no_fork", "second_thread"])
@@ -674,6 +776,7 @@ def test_write_csv_does_not_fork_where_a_fork_is_missing_or_unsafe(tmp_path, mon
     placed = on_cpus(monkeypatch, 1 if why == "one_cpu" else 3)
     forks = counted_forks(monkeypatch)
     monkeypatch.delattr(os, "sendfile")  # Windows lacks it and macOS/BSD send only to a socket
+    monkeypatch.delattr(os, "set_blocking")  # Windows lacks it before Python 3.12
     if why == "no_affinity":
         monkeypatch.delattr(os, "sched_getaffinity")
     if why == "no_fork":
@@ -820,6 +923,85 @@ def test_no_helper_holds_another_grids_pipe_open(tmp_path):
     names, _, rows = block_grid()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes() == reference_csv(names, rows, "h")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
+# A process killed outright: a helper while it holds the token (on two pretended CPUs), one of
+# two helpers mid-grid (on three), or the caller while its helper formats a streamed grid.
+KILLED = """
+import os
+import signal
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from fluxline import csvio
+
+case, out = sys.argv[1], Path(sys.argv[2])
+csvio.CHUNK_ROWS = 2
+os.sched_getaffinity = lambda pid: set(range(3 if case == "one_of_two_helpers" else 2))
+os.sched_setaffinity = lambda pid, cpus: None
+parent, texts = os.getpid(), csvio.Grid.texts
+
+
+def killing_texts(self, lo, hi):
+    if os.getpid() != parent:
+        if case == "caller":
+            print(os.getpid(), flush=True)
+            (out / "started").touch()
+            time.sleep(0.05)
+        elif lo == (0 if case == "helper_holding_the_token" else 5):
+            os.kill(os.getpid(), signal.SIGKILL)  # unit 0's header is in the file: the helper holds the token
+    yield from texts(self, lo, hi)
+
+
+csvio.Grid.texts = killing_texts
+names = ("b", "r", "x")
+grid = csvio.grid_lines(np.arange(3)[:, None], np.arange(12), np.arange(36).reshape(3, 12) / 7.0)
+try:
+    with csvio.emission():
+        if case == "caller":
+            csvio.stream_csv(out / "t.csv", names, grid, "h")(1)
+            while not (out / "started").exists():
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        csvio.write_csv(out / "t.csv", names, grid, "h")
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # a helper has died
+except ChildProcessError as exc:
+    print(type(exc).__name__)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no helper left")
+print(sorted(p.name for p in out.iterdir()))
+"""
+
+
+@pytest.mark.parametrize("case", ["helper_holding_the_token", "one_of_two_helpers", "caller"])
+def test_a_killed_process_leaves_no_file_and_no_helper(tmp_path, case):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    start = time.monotonic()
+    # a session of its own, so that a hang ends with every helper it forked killed; stdout ends once
+    # every process holding it has exited, a helper of a killed caller too
+    proc = subprocess.Popen([sys.executable, "-c", KILLED, case, str(tmp_path)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a process waited for one that had been killed")
+    assert time.monotonic() - start < 30
+    if case == "caller":
+        # the helper, which printed its pid for each unit it started, found its pipe's end once the
+        # caller was gone and exited: stdout ended
+        assert proc.returncode == -signal.SIGKILL
+        assert len(set(out.split())) == 1
+        return
+    assert proc.returncode == 0, err
+    assert out == "ChildProcessError\nno helper left\n[]\n"
 
 
 def failing_rows(n_good):
