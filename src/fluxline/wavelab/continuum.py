@@ -15,8 +15,12 @@ snapshot_count levels; a time-dependent profile is evaluated once per
 block, each step takes its row, and step() alone is a block of one.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
-"absorbing_sponge" additionally damps the field with a quadratic ramp over
-the outer 10% of the domain on each side.
+"absorbing" ends each side in Mur's first-order one-way condition (IEEE
+Trans. EMC 23, 377 (1981)), psi_0' = psi_1 + (k - 1)/(k + 1) (psi_1' - psi_0)
+with k = c dt / dx from the end face's c^2 in the step's own face row. In 1-D
+every wave meets the end at normal incidence, so it is exact up to its
+discretization. Every preset's c is constant in time at both ends; a moving
+c at an end is read from each step's row all the same.
 """
 
 from __future__ import annotations
@@ -37,17 +41,12 @@ __all__ = [
     "GaussianPulse",
     "ContinuumSolver",
     "fdtd_step",
-    "sponge_factors",
 ]
 
-BOUNDARIES = ("absorbing_sponge", "reflecting")
+# the ends both solvers offer: each line's own impedance, or a wall
+BOUNDARIES = ("absorbing", "reflecting")
 # dt as a fraction of dx / c_max, the bound the step holds every instantaneous speed to
 CFL_FACTOR = 0.5
-SPONGE_FRACTION = 0.10
-# Peak damping rate STRENGTH * c_max / sponge length. Stronger ramps reflect
-# off the damping gradient, weaker ones leak through the round trip; 22 is
-# the measured optimum for pulses a few wavelengths shorter than the sponge.
-SPONGE_STRENGTH = 22.0
 # Most step times a moving profile is evaluated at in one numpy call, here and
 # in the ladder. 16 spreads the call's overhead; on a 2-vCPU x86-64 Linux host,
 # 64 was no faster per step and raised an alcubierre simulate's peak RSS by
@@ -96,7 +95,7 @@ class ContinuumGrid:
     n_points: int
     dx: float
     r_start: float = 0.0
-    boundary: str = "absorbing_sponge"
+    boundary: str = "absorbing"
 
     def __post_init__(self):
         if self.n_points < 16:
@@ -135,12 +134,6 @@ class GaussianPulse:
             return np.exp(-((r - self.center) ** 2) / (2.0 * self.width**2))
 
 
-def sponge_factors(sponge_gamma, dt):
-    """(1 - g, 1 + g) with g = gamma dt / 2: the damping factors of fdtd_step."""
-    g = 0.5 * sponge_gamma * dt
-    return 1.0 - g, 1.0 + g
-
-
 def _flux_divergence(psi, face_speed_sq, dx, out, flux):
     """d_r (c^2 d_r psi) at the interior nodes, written into out[1:-1]; flux holds the n-1 face fluxes."""
     np.subtract(psi[1:], psi[:-1], out=flux)
@@ -151,30 +144,25 @@ def _flux_divergence(psi, face_speed_sq, dx, out, flux):
     return out
 
 
-def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, damping, accel, out=None, flux=None, product=None):
-    """One damped leapfrog step; pure kernel shared by the solver class.
+def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, accel, out=None, flux=None, product=None):
+    """One leapfrog step; pure kernel shared by the solver class.
 
     psi_prev/psi_cur are the two known time levels; face_speed_sq holds
-    c^2 at the n-1 cell faces, and damping is sponge_factors(gamma, dt) of
-    the damping rate gamma per node (0 for no damping). accel is a buffer of
-    psi's length with zero ends; its interior is overwritten. Ends are
-    pinned to zero. The new level is written into out, and flux (n-1 values)
-    and product (n) are scratch; each is allocated when not given, and none
-    may share memory with the levels. The arithmetic is
-    ((2 psi_cur - keep psi_prev) + (dt dt) accel) / scale in this order, so a
-    buffered step gives the bits an allocating one does.
+    c^2 at the n-1 cell faces. accel is a buffer of psi's length with zero
+    ends; its interior is overwritten. Ends are pinned to zero. The new level
+    is written into out, and flux (n-1 values) and product (n) are scratch;
+    each is allocated when not given, and none may share memory with the
+    levels. The arithmetic is (2 psi_cur - psi_prev) + (dt dt) accel in this
+    order, so a buffered step gives the bits an allocating one does.
     """
-    keep, scale = damping
     out = np.empty_like(psi_cur) if out is None else out
     flux = np.empty(len(psi_cur) - 1) if flux is None else flux
     product = np.empty_like(psi_cur) if product is None else product
     _flux_divergence(psi_cur, face_speed_sq, dx, accel, flux)
     np.multiply(psi_cur, 2.0, out=out)
-    np.multiply(keep, psi_prev, out=product)
-    np.subtract(out, product, out=out)
+    np.subtract(out, psi_prev, out=out)
     np.multiply(accel, dt * dt, out=product)
     np.add(out, product, out=out)
-    np.divide(out, scale, out=out)
     out[0] = 0.0
     out[-1] = 0.0
     return out
@@ -204,9 +192,7 @@ class ContinuumSolver:
         if sup <= 0:
             raise ValueError("profile has no positive speeds on the grid")
         self.c_max = background_c * math.sqrt(sup)
-        self._sponge, self.sponge_width = self._build_sponge()
         self.dt = CFL_FACTOR * grid.dx / self.c_max
-        self._damping = sponge_factors(self._sponge, self.dt)
         self._static = None
         if not profile.time_dependent:
             face, speed = self._face_and_speed([0.0])
@@ -218,19 +204,6 @@ class ContinuumSolver:
         self.psi_prev = np.zeros(grid.n_points)
         self.psi_cur = np.zeros(grid.n_points)
         self.time = 0.0
-
-    def _build_sponge(self) -> tuple[np.ndarray, float]:
-        """Damping rate per node, and the length it ramps over at each end (0 for reflecting ends)."""
-        n = self.grid.n_points
-        gamma = np.zeros(n)
-        if self.grid.boundary == "reflecting":
-            return gamma, 0.0
-        width = max(4, int(round(SPONGE_FRACTION * n)))
-        ramp = (np.arange(1, width + 1) / width) ** 2
-        gamma_max = SPONGE_STRENGTH * self.c_max / (width * self.grid.dx)
-        gamma[:width] = gamma_max * ramp[::-1]
-        gamma[-width:] = gamma_max * ramp
-        return gamma, width * self.grid.dx
 
     def _node_speed_sq(self, times) -> np.ndarray:
         """c^2 at the nodes, one row per time."""
@@ -277,9 +250,13 @@ class ContinuumSolver:
                     f"instantaneous c_max {c_inst} breaks the bound used for dt = {self.dt}"
                 )
             nxt = fdtd_step(
-                self.psi_prev, self.psi_cur, face, self.grid.dx, self.dt, self._damping, self._accel,
+                self.psi_prev, self.psi_cur, face, self.grid.dx, self.dt, self._accel,
                 self._free_level(), self._flux, self._product,
             )
+            if self.grid.boundary == "absorbing":
+                for end, inner, c2 in ((0, 1, face[0]), (-1, -2, face[-1])):
+                    k = self.dt * math.sqrt(max(c2, 0.0)) / self.grid.dx
+                    nxt[end] = self.psi_cur[inner] + (k - 1.0) / (k + 1.0) * (nxt[inner] - self.psi_cur[end])
             self.psi_prev = self.psi_cur
             self.psi_cur = nxt
             self.time += self.dt

@@ -93,8 +93,8 @@ def front_trajectory(snapshots, direction: int = 1, r_stop: float | None = None)
     """Front position per snapshot of a Snapshots record as (times, positions) arrays.
 
     Collection stops at the first snapshot whose front passes r_stop (in the
-    travel direction), so measurements can exclude sponge zones near the
-    boundary.
+    travel direction), so measurements can stop before the pulse reaches
+    the end it leaves through.
     """
     r = snapshots.r
     ts, rs = [], []

@@ -25,7 +25,8 @@ BLOCK_STEPS steps that run() takes through continuum.run_blocks and returns
 each step applies its row, and step() alone is a block of one.
 
 Boundaries: "reflecting" leaves the end nodes open-circuited; "absorbing"
-terminates both ends with the matched impedance sqrt(L0).
+terminates each end in its own end cell's impedance sqrt(L_end), read from
+the inductance each step is given, so it follows every set_flux row.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import numpy as np
 
 from ..synthesis import WINDOW_GUARD
-from .continuum import GaussianPulse, run_blocks
+from .continuum import BOUNDARIES, GaussianPulse, run_blocks
 from .fronts import Snapshots
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "LadderSim",
     "ladder_step",
 ]
-
-BOUNDARIES = ("reflecting", "absorbing")
 
 
 class StabilityViolation(RuntimeError):
@@ -56,18 +55,20 @@ class SingularInductance(RuntimeError):
     """A cell sits at the pi/2 window where the inductance diverges."""
 
 
-def ladder_step(voltages, branch_flux, inductance, dt, z_load):
+def ladder_step(voltages, branch_flux, inductance, dt, absorbing):
     """One leapfrog step; pure kernel shared by the simulator class.
 
-    Both end nodes drain into the load z_load; math.inf leaves them open.
-    Returns (voltages', branch_flux', currents at the new half step).
+    With absorbing, each end node drains into the load sqrt(L) of its own end
+    cell; otherwise both are open. Returns (voltages', branch_flux', currents
+    at the new half step).
     """
     flux = branch_flux + dt * (voltages[:-1] - voltages[1:])
     currents = flux / inductance
+    z_first, z_last = np.sqrt(inductance[[0, -1]]) if absorbing else (math.inf, math.inf)
     v = voltages.copy()
     v[1:-1] += dt * (currents[:-1] - currents[1:])
-    v[0] += dt * (-currents[0] - voltages[0] / z_load)
-    v[-1] += dt * (currents[-1] - voltages[-1] / z_load)
+    v[0] += dt * (-currents[0] - voltages[0] / z_first)
+    v[-1] += dt * (currents[-1] - voltages[-1] / z_last)
     return v, flux, currents
 
 
@@ -97,7 +98,7 @@ class LadderSim:
         self.n_cells = n_cells
         self.pitch = pitch
         self.L0 = pitch * pitch
-        self.z_load = math.sqrt(self.L0) if boundary == "absorbing" else math.inf
+        self.boundary = boundary
         self.node_r = r_start + np.arange(n_cells + 1) * pitch
         self.cell_r = 0.5 * (self.node_r[:-1] + self.node_r[1:])
         self.dt = stability_factor * math.sqrt(self.L0)
@@ -169,7 +170,7 @@ class LadderSim:
                 self.branch_flux,
                 self.inductance,
                 self.dt,
-                self.z_load,
+                self.boundary == "absorbing",
             )
             self.time += self.dt
             yield self.voltages

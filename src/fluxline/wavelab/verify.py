@@ -80,7 +80,7 @@ class SimulationSpec:
     t_end: float
     solver: str = "continuum"
     n_points: int = 800
-    boundary: str = "absorbing_sponge"
+    boundary: str = "absorbing"
     tolerance: float = 0.05
     direction: int = 1
 
@@ -197,7 +197,7 @@ def _run_continuum(program: FluxProgram, profile: SpeedProfile, spec: Simulation
     solver = ContinuumSolver(profile, grid, program.background_c)
     solver.initialize_pulse(spec.pulse, spec.direction)
     steps, stride = _check_work(spec, solver, spec.n_points, "simulation.n_points")
-    guard = solver.sponge_width + 2.0 * spec.pulse_width
+    guard = 2.0 * spec.pulse_width
     meta = {"n_points": spec.n_points, "dx": dx, "dt": solver.dt}
     return partial(solver.run, steps, stride), guard, meta
 
@@ -210,7 +210,7 @@ def _run_ladder(program: FluxProgram, profile: SpeedProfile, spec: SimulationSpe
         n_cells=program.n_cells,
         pitch=pitch,
         r_start=lo,
-        boundary="absorbing" if spec.boundary == "absorbing_sponge" else "reflecting",
+        boundary=spec.boundary,
     )
     schedule = None
     if profile.time_dependent:

@@ -82,7 +82,11 @@ def reference_continuum_run(solver, t_end, stride):
         face, c_inst = face_and_speed(solver.time)
         if dt * c_inst > CFL_FACTOR * dx * (1.0 + 1e-9):
             raise CflViolation(f"instantaneous c_max {c_inst} breaks the bound used for dt = {dt}")
-        nxt = fdtd_step(solver.psi_prev, solver.psi_cur, face, dx, dt, solver._damping, np.zeros(len(solver.r)))
+        nxt = fdtd_step(solver.psi_prev, solver.psi_cur, face, dx, dt, np.zeros(len(solver.r)))
+        # the grid's absorbing ends: Mur's one-way end, k from the end face of this step's row
+        for end, inner, c2 in ((0, 1, face[0]), (-1, -2, face[-1])):
+            k = dt * math.sqrt(c2) / dx
+            nxt[end] = solver.psi_cur[inner] + (k - 1.0) / (k + 1.0) * (nxt[inner] - solver.psi_cur[end])
         solver.psi_prev, solver.psi_cur = solver.psi_cur, nxt
         solver.time += dt
         steps += 1
@@ -124,7 +128,7 @@ def reference_ladder_run(sim, n_steps, stride, schedule):
             raise StabilityViolation("dt at or above sqrt(L_min) after flux update")
         sim._v_prev = sim.voltages
         sim.voltages, sim.branch_flux, _ = ladder_step(
-            sim.voltages, sim.branch_flux, sim.inductance, sim.dt, sim.z_load
+            sim.voltages, sim.branch_flux, sim.inductance, sim.dt, sim.boundary == "absorbing"
         )
         sim.time += sim.dt
         if k % stride == 0 or k == n_steps:

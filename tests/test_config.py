@@ -359,6 +359,8 @@ DATACLASS_CHECKS = [
     ("simulate", "simulation.tolerance=0", "simulation.tolerance"),
     ("simulate", "simulation.direction=0", "simulation.direction"),
     ("simulate", "simulation.boundary=open", "simulation.boundary"),
+    # the absorbing end's old name, which has no alias
+    ("simulate", "simulation.boundary=absorbing_sponge", "simulation.boundary"),
     # checks that moved from the parsers into SynthesisSettings, RayLaunch
     # and FeasibilitySettings (test_cli covers the other RayLaunch checks)
     ("synth", "synthesis.theta_dc_over_pi=0.5", "synthesis.theta_dc"),
@@ -451,7 +453,7 @@ SPANS = st.fixed_dictionaries(
 VALUES = {
     float: NUMBERS,
     int: st.integers(-3, 1100) | st.sampled_from([2**20, 2**20 + 1, 10**9, 10**30]),
-    str: st.sampled_from(["continuum", "ladder", "both", "absorbing_sponge", "reflecting", "fig1", "fig2", "fig3", "out"]),
+    str: st.sampled_from(["continuum", "ladder", "both", "absorbing", "reflecting", "fig1", "fig2", "fig3", "out"]),
     bool: st.booleans(),
     np.ndarray: st.lists(NUMBERS, min_size=0, max_size=4) | SPANS,
     tuple: st.lists(NUMBERS, min_size=2, max_size=2) | st.lists(NUMBERS, max_size=3),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fluxline.config import load_raw_config, validate_config
 from fluxline.metrics import GodelParams, godel_profile
 from fluxline.synthesis import HALF_PI, WINDOW_GUARD, ArrayConfig, synthesize_program
 from fluxline.wavelab import (
@@ -101,9 +102,8 @@ def test_ladder_step_kernel_matches_manual_kcl():
     flux = rng.normal(size=5)
     L = rng.uniform(1.0, 2.0, size=5)
     dt = 0.07
-    z = 0.8
-    open_ends = ladder_step(v, flux, L, dt, math.inf)
-    loaded = ladder_step(v, flux, L, dt, z)
+    open_ends = ladder_step(v, flux, L, dt, False)
+    loaded = ladder_step(v, flux, L, dt, True)
     flux_want = flux + dt * (v[:-1] - v[1:])
     cur_want = flux_want / L
     for v2, flux2, cur in (open_ends, loaded):
@@ -111,11 +111,11 @@ def test_ladder_step_kernel_matches_manual_kcl():
         np.testing.assert_allclose(cur, cur_want, rtol=1e-14)
         for i in range(1, 5):
             assert v2[i] == pytest.approx(v[i] + dt * (cur_want[i - 1] - cur_want[i]), rel=1e-13)
-    # an open end node only feeds its one branch; a loaded one also drains V/z
+    # an open end node only feeds its one branch; a loaded one also drains V / sqrt(L) of its own end cell
     assert open_ends[0][0] == pytest.approx(v[0] - dt * cur_want[0], rel=1e-13)
     assert open_ends[0][-1] == pytest.approx(v[-1] + dt * cur_want[-1], rel=1e-13)
-    assert loaded[0][0] == pytest.approx(v[0] - dt * (cur_want[0] + v[0] / z), rel=1e-13)
-    assert loaded[0][-1] == pytest.approx(v[-1] + dt * (cur_want[-1] - v[-1] / z), rel=1e-13)
+    assert loaded[0][0] == pytest.approx(v[0] - dt * (cur_want[0] + v[0] / math.sqrt(L[0])), rel=1e-13)
+    assert loaded[0][-1] == pytest.approx(v[-1] + dt * (cur_want[-1] - v[-1] / math.sqrt(L[-1])), rel=1e-13)
 
 
 def test_time_varying_flux_enters_through_branch_flux():
@@ -155,6 +155,31 @@ def test_run_records_start_every_stride_and_end(n_steps, recorded):
     np.testing.assert_array_equal(snaps.values[-1], sim.voltages)
     # every row samples the node grid, shared rather than copied
     assert snaps.r is sim.node_r
+
+
+# ROADMAP item 21's ladder geometry at each bias a simulated preset takes
+# (the Kerr presets share flat's 0)
+ECHO_PRESETS = ("flat", "godel", "alcubierre", "alcubierre_superluminal")
+
+
+@pytest.mark.parametrize("preset", ECHO_PRESETS)
+def test_absorbing_ends_return_no_echo(preset):
+    """512 cells over [0, 10] at the preset's bias: a pulse from the middle leaves at most 1e-2 of its peak behind.
+
+    The field is read at 0.8, 1.0 and 1.2 window lengths of travel, while a
+    pulse returned by the right end would cross the window. What remains is
+    the lattice's own dispersion; a load of sqrt(L0), the flux-free line's
+    impedance, returned 0.21-0.43 of the peak on the biased presets.
+    """
+    theta_dc = validate_config(load_raw_config(preset=preset)).synthesis.theta_dc
+    sim = LadderSim(n_cells=512, pitch=10.0 / 512, boundary="absorbing")
+    sim.set_flux(theta_dc)
+    sim.initialize_pulse(GaussianPulse(5.0, 0.35), 1)
+    peak = np.max(np.abs(sim.voltages))
+    c = math.sqrt(abs(math.cos(theta_dc)))
+    for travel in (8.0, 10.0, 12.0):
+        sim.run(math.ceil((travel / c - sim.time) / sim.dt), 10**6)
+        assert np.max(np.abs(sim.voltages)) <= 1e-2 * peak
 
 
 def test_ladder_agrees_with_continuum_on_static_profile():

@@ -10,9 +10,10 @@ kerr_theta0 and fig3 (synth-horizon), feasibility, feasibility over the
 benchmark's 161 radii (feasibility-dense), feasibility over two DC angles
 and 31 radii, a scan of the configured metric on every preset without a
 figure (feasibility-custom), raytrace, raytrace of three launches into one file
-(raytrace-multi), simulate, and simulate with simulation.solver=both on
-every preset, in-process through fluxline.cli.main from this
-checkout's src/. Each run writes to out/preset_hashes/<run> under
+(raytrace-multi), simulate, simulate with simulation.solver=both, and
+simulate with both solvers and simulation.boundary=reflecting
+(simulate-reflecting) on every preset, in-process through fluxline.cli.main
+from this checkout's src/. Each run writes to out/preset_hashes/<run> under
 the checkout root. --out enters the config hash that every artifact
 carries, so the path is the same relative path on every tree, and the
 tables that two checkouts print compare line by line.
@@ -65,6 +66,8 @@ RUNS = (
     ),
     ("simulate", ()),
     ("simulate-both", ("--set", "simulation.solver=both")),
+    # both solvers' reflecting ends, which no other run reaches
+    ("simulate-reflecting", ("--set", "simulation.solver=both", "--set", "simulation.boundary=reflecting")),
 )
 
 
