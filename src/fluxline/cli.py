@@ -231,11 +231,10 @@ def cmd_simulate(run: RunConfig) -> int:
     paths, streams, columns = [], {}, ("t", "r", "value")
 
     def emit(solver, s, levels):
-        path = out / f"snapshots_{solver}.csv"
         if levels == 1:  # every time is set, and no step taken
-            rows = grid_lines(s.times[:, None], s.r, s.values)
-            streams[solver] = rows, stream_csv(path, columns, rows, run.hash)
-        rows, publish = streams[solver]
+            path, rows = out / f"snapshots_{solver}.csv", grid_lines(s.times[:, None], s.r, s.values)
+            streams[solver] = path, rows, stream_csv(path, columns, rows, run.hash)
+        path, rows, publish = streams[solver]
         publish(levels)
         if levels == len(s):
             paths.append(write_csv(path, columns, rows, run.hash))

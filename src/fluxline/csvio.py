@@ -515,8 +515,9 @@ class _Units:
         """Write the index of each unit whose rows lie in the grid's first blocks blocks; without
         blocks, of every unit left, and close the pipe (write_csv adopts the grid)."""
         k = len(self.ends) if blocks is None else bisect_right(self.ends, blocks * self.grid.n_rows)
-        os.write(self.w, b"".join(i.to_bytes(4, "little") for i in range(self.published, k)))
-        self.published = max(self.published, k)
+        if k > self.published:  # most levels a solver records end no unit
+            os.write(self.w, b"".join(i.to_bytes(4, "little") for i in range(self.published, k)))
+            self.published = k
         if blocks is None:
             os.close(self.w)
             self.w = None

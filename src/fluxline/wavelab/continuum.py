@@ -12,7 +12,9 @@ the instantaneous speed breaks that bound (possible for time-dependent or
 tabulated profiles whose supremum was underestimated). run_blocks, the run loop of both wavelab solvers, takes a
 given step count in blocks of up to BLOCK_STEPS step times and records
 snapshot_count levels; a time-dependent profile is evaluated once per
-block, each step takes its row, and step() alone is a block of one.
+block, each step takes its row, and step() alone is a block of one. The
+CFL test and the ends' Mur coefficients are taken with the rows, once per
+block, and a static profile's once per dt.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
 "absorbing" ends each side in Mur's first-order one-way condition (IEEE
@@ -145,7 +147,7 @@ def _flux_divergence(psi, face_speed_sq, dx, out, flux):
 
 
 def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, accel, out=None, flux=None, product=None):
-    """One leapfrog step; pure kernel shared by the solver class.
+    """One leapfrog step; the pure kernel whose arithmetic ContinuumSolver's step runs, in its order.
 
     psi_prev/psi_cur are the two known time levels; face_speed_sq holds
     c^2 at the n-1 cell faces. accel is a buffer of psi's length with zero
@@ -193,14 +195,16 @@ class ContinuumSolver:
             raise ValueError("profile has no positive speeds on the grid")
         self.c_max = background_c * math.sqrt(sup)
         self.dt = CFL_FACTOR * grid.dx / self.c_max
-        self._static = None
-        if not profile.time_dependent:
-            face, speed = self._face_and_speed([0.0])
-            self._static = face[0], speed[0]
         self._accel = np.zeros(grid.n_points)
         self._levels = [np.empty(grid.n_points) for _ in range(3)]
         self._flux = np.empty(grid.n_points - 1)
         self._product = np.empty(grid.n_points)
+        # the views a step reads and writes, made once: each level buffer's psi[1:] and psi[:-1], keyed by id
+        self._shifted = {id(level): (level[1:], level[:-1]) for level in self._levels}
+        self._flux_views = self._flux[1:], self._flux[:-1], self._accel[1:-1]
+        self._face = self._static = None
+        if not profile.time_dependent:
+            self._face = self._face_rows([0.0])[0]
         self.psi_prev = np.zeros(grid.n_points)
         self.psi_cur = np.zeros(grid.n_points)
         self.time = 0.0
@@ -210,14 +214,26 @@ class ContinuumSolver:
         s2 = self.profile.speed_sq(self.r, np.array(times)[:, None], background_c=self.background_c)
         return self.background_c**2 * np.broadcast_to(np.asarray(s2, dtype=float), (len(times), len(self.r)))
 
-    def _face_and_speed(self, times) -> tuple:
-        """c^2 at the cell faces, one row per time, and each row's largest face speed c."""
-        if self._static is not None:
-            face, speed = self._static
-            return [face] * len(times), [speed] * len(times)
+    def _face_rows(self, times) -> np.ndarray:
+        """c^2 at the cell faces, one row per time; a static profile's row is evaluated once, in __init__."""
+        if self._face is not None:
+            return np.broadcast_to(self._face, (len(times), len(self._face)))
         node = self._node_speed_sq(times)
-        face = 0.5 * (node[:, :-1] + node[:, 1:])
-        return face, np.sqrt(np.maximum(face.max(axis=1), 0.0)).tolist()
+        return 0.5 * (node[:, :-1] + node[:, 1:])
+
+    def _checked(self, face) -> tuple:
+        """A block of face rows, as a step takes them: (rows, ends, c).
+
+        rows stop before the first whose largest face speed c breaks the
+        bound dt was set from, and c is that speed, or None. ends holds each
+        row's Mur coefficients (k - 1)/(k + 1), k = c dt / dx from each end
+        face, in the order of the one-way end's scalar form.
+        """
+        speeds = np.sqrt(np.maximum(face.max(axis=1), 0.0))
+        breaks = np.flatnonzero(self.dt * speeds > CFL_FACTOR * self.grid.dx * (1.0 + 1e-9))
+        stop = int(breaks[0]) if len(breaks) else len(face)
+        k = self.dt * np.sqrt(np.maximum(face[:stop, [0, -1]], 0.0)) / self.grid.dx
+        return list(face[:stop]), ((k - 1.0) / (k + 1.0)).tolist(), float(speeds[stop]) if len(breaks) else None
 
     def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
         """Launch a one-directional pulse.
@@ -230,7 +246,7 @@ class ContinuumSolver:
         g[0] = g[-1] = 0.0
         c_local = np.sqrt(np.maximum(self._node_speed_sq([0.0])[0], 0.0))
         psi_t = -direction * c_local * np.gradient(g, self.grid.dx)
-        accel = _flux_divergence(g, self._face_and_speed([0.0])[0][0], self.grid.dx, np.zeros_like(g), self._flux)
+        accel = _flux_divergence(g, self._face_rows([0.0])[0], self.grid.dx, np.zeros_like(g), self._flux)
         self.psi_prev = g
         self.psi_cur = g + self.dt * psi_t + 0.5 * self.dt**2 * accel
         self.psi_cur[0] = self.psi_cur[-1] = 0.0
@@ -242,25 +258,51 @@ class ContinuumSolver:
             if level is not self.psi_prev and level is not self.psi_cur:
                 return level
 
+    def _block(self, times) -> tuple:
+        """The _checked block of times; a static profile's one row is checked once per dt."""
+        if self._face is None:
+            return self._checked(self._face_rows(times))
+        if self._static is None or self._static[0] != self.dt:
+            self._static = self.dt, self._checked(self._face_rows([0.0]))
+        rows, ends, c_inst = self._static[1]
+        return rows * len(times), ends * len(times), c_inst
+
     def _steps(self, times):
-        """Step once at each of times in turn, yielding the new level after each; the profile is evaluated for all at once."""
-        for face, c_inst in zip(*self._face_and_speed(times)):
-            if self.dt * c_inst > CFL_FACTOR * self.grid.dx * (1.0 + 1e-9):
-                raise CflViolation(
-                    f"instantaneous c_max {c_inst} breaks the bound used for dt = {self.dt}"
-                )
-            nxt = fdtd_step(
-                self.psi_prev, self.psi_cur, face, self.grid.dx, self.dt, self._accel,
-                self._free_level(), self._flux, self._product,
-            )
-            if self.grid.boundary == "absorbing":
-                for end, inner, c2 in ((0, 1, face[0]), (-1, -2, face[-1])):
-                    k = self.dt * math.sqrt(max(c2, 0.0)) / self.grid.dx
-                    nxt[end] = self.psi_cur[inner] + (k - 1.0) / (k + 1.0) * (nxt[inner] - self.psi_cur[end])
-            self.psi_prev = self.psi_cur
+        """Step once at each of times in turn, yielding the new level after each.
+
+        The profile is evaluated, and the CFL bound and the Mur coefficients
+        taken, for all of times at once (_block). Each step is fdtd_step's
+        arithmetic, in its order, on the views made in __init__; a level
+        that a caller set is sliced instead.
+        """
+        rows, ends, c_inst = self._block(times)
+        dx, dt2, absorbing = self.grid.dx, self.dt * self.dt, self.grid.boundary == "absorbing"
+        flux, accel, product = self._flux, self._accel, self._product
+        flux_hi, flux_lo, interior = self._flux_views
+        for face, (mur_first, mur_last) in zip(rows, ends):
+            prev, cur = self.psi_prev, self.psi_cur
+            nxt = self._free_level()
+            cur_hi, cur_lo = self._shifted.get(id(cur)) or (cur[1:], cur[:-1])
+            np.subtract(cur_hi, cur_lo, out=flux)
+            np.multiply(face, flux, out=flux)
+            np.divide(flux, dx, out=flux)
+            np.subtract(flux_hi, flux_lo, out=interior)
+            np.divide(interior, dx, out=interior)
+            np.multiply(cur, 2.0, out=nxt)
+            np.subtract(nxt, prev, out=nxt)
+            np.multiply(accel, dt2, out=product)
+            np.add(nxt, product, out=nxt)
+            if absorbing:
+                nxt[0] = cur.item(1) + mur_first * (nxt.item(1) - cur.item(0))
+                nxt[-1] = cur.item(-2) + mur_last * (nxt.item(-2) - cur.item(-1))
+            else:
+                nxt[0] = nxt[-1] = 0.0
+            self.psi_prev = cur
             self.psi_cur = nxt
             self.time += self.dt
             yield nxt
+        if c_inst is not None:
+            raise CflViolation(f"instantaneous c_max {c_inst} breaks the bound used for dt = {self.dt}")
 
     def step(self):
         for _ in self._steps([self.time]):
@@ -283,7 +325,7 @@ class ContinuumSolver:
         """
         dx = self.grid.dx
         v = (self.psi_cur - self.psi_prev) / self.dt
-        face = self._face_and_speed([self.time])[0][0]
+        face = self._face_rows([self.time])[0]
         gp = np.diff(self.psi_prev) / dx
         gc = np.diff(self.psi_cur) / dx
         return 0.5 * dx * float(np.sum(v * v)) + 0.5 * dx * float(np.sum(face * gp * gc))

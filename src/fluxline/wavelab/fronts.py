@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics import MAX_GRID_POINTS
+
 # The fraction of each snapshot's peak that locates the front; no setting moves it
 FRONT_THRESHOLD = 0.05
 
@@ -94,20 +96,46 @@ def front_trajectory(snapshots, direction: int = 1, r_stop: float | None = None)
 
     Collection stops at the first snapshot whose front passes r_stop (in the
     travel direction), so measurements can stop before the pulse reaches
-    the end it leaves through.
+    the end it leaves through. A level that front_position refuses raises
+    its FrontNotFound, unless an earlier level's front has passed r_stop.
+
+    Each position is front_position's, in its arithmetic, found for many
+    levels in one pass of array operations. A pass holds at most
+    MAX_GRID_POINTS values, so its temporaries stay an eighth of the
+    largest record a simulation may keep.
     """
-    r = snapshots.r
-    ts, rs = [], []
-    for time, values in zip(snapshots.times, snapshots.values):
-        pos = front_position(r, values, direction)
+    r = np.asarray(snapshots.r, dtype=float)
+    values = np.asarray(snapshots.values, dtype=float)
+    n, kept, positions = len(r), len(snapshots), []
+    # the sample the scan ends on, and the step from the leading sample to the one ahead of it
+    edge, ahead = (n - 1, 1) if direction >= 0 else (0, -1)
+    levels = max(1, MAX_GRID_POINTS // max(n, 1))
+    for start in range(0, len(snapshots), levels):
+        a = np.abs(values[start : start + levels])
+        peak = a.max(axis=1, initial=0.0)
+        thr = FRONT_THRESHOLD * peak
+        above = a >= thr[:, None]
+        # the leading sample at or above the threshold: the last in the travel direction
+        j = n - 1 - np.argmax(above[:, ::-1], axis=1) if direction >= 0 else np.argmax(above, axis=1)
+        zero = peak <= 0.0
+        refused = np.flatnonzero(zero | ~above[np.arange(len(a)), j])
+        good = int(refused[0]) if len(refused) else len(a)
+        pos = np.full(good, r[edge])
+        inner = np.flatnonzero(j[:good] != edge)
+        ji = j[inner]
+        aj, aj1 = a[inner, ji], a[inner, ji + ahead]
+        frac = (aj - thr[inner]) / (aj - aj1)
+        pos[inner] = r[ji] + frac * (r[ji + ahead] - r[ji])
         if r_stop is not None:
-            if direction >= 0 and pos > r_stop:
+            passed = np.flatnonzero(pos > r_stop if direction >= 0 else pos < r_stop)
+            if len(passed):
+                positions.append(pos[: passed[0]])
+                kept = start + int(passed[0])
                 break
-            if direction < 0 and pos < r_stop:
-                break
-        ts.append(time)
-        rs.append(pos)
-    return np.asarray(ts), np.asarray(rs)
+        positions.append(pos)
+        if len(refused):
+            raise FrontNotFound("field is identically zero" if zero[good] else "no sample above threshold")
+    return np.array(snapshots.times[:kept]), np.concatenate([np.empty(0), *positions])
 
 
 def measure_front_speed(snapshots, direction: int = 1) -> FrontSpeeds:

@@ -25,8 +25,9 @@ BLOCK_STEPS steps that run() takes through continuum.run_blocks and returns
 each step applies its row, and step() alone is a block of one.
 
 Boundaries: "reflecting" leaves the end nodes open-circuited; "absorbing"
-terminates each end in its own end cell's impedance sqrt(L_end), read from
-the inductance each step is given, so it follows every set_flux row.
+terminates each end in its own end cell's impedance sqrt(L_end), taken
+once from each inductance row the cells are set to, so it follows every
+set_flux row.
 """
 
 from __future__ import annotations
@@ -56,15 +57,20 @@ class SingularInductance(RuntimeError):
 
 
 def ladder_step(voltages, branch_flux, inductance, dt, absorbing):
-    """One leapfrog step; pure kernel shared by the simulator class.
+    """One leapfrog step; the pure kernel whose arithmetic LadderSim's step runs.
 
     With absorbing, each end node drains into the load sqrt(L) of its own end
     cell; otherwise both are open. Returns (voltages', branch_flux', currents
     at the new half step).
     """
+    z_first, z_last = np.sqrt(inductance[[0, -1]]) if absorbing else (math.inf, math.inf)
+    return _loaded_step(voltages, branch_flux, inductance, dt, z_first, z_last)
+
+
+def _loaded_step(voltages, branch_flux, inductance, dt, z_first, z_last):
+    """ladder_step with the end nodes draining into the loads z_first and z_last (inf: open)."""
     flux = branch_flux + dt * (voltages[:-1] - voltages[1:])
     currents = flux / inductance
-    z_first, z_last = np.sqrt(inductance[[0, -1]]) if absorbing else (math.inf, math.inf)
     v = voltages.copy()
     v[1:-1] += dt * (currents[:-1] - currents[1:])
     v[0] += dt * (-currents[0] - voltages[0] / z_first)
@@ -107,6 +113,16 @@ class LadderSim:
         self.branch_flux = np.zeros(n_cells)
         self._v_prev = np.zeros(n_cells + 1)
         self.time = 0.0
+
+    @property
+    def inductance(self) -> np.ndarray:
+        """Each cell's inductance; setting it takes the ends' loads for every step until the next setting."""
+        return self._inductance
+
+    @inductance.setter
+    def inductance(self, value):
+        self._inductance = value
+        self._loads = (math.sqrt(value[0]), math.sqrt(value[-1])) if self.boundary == "absorbing" else (math.inf, math.inf)
 
     def set_flux(self, theta_total):
         """Apply total flux angles per cell (scalar broadcasts)."""
@@ -165,12 +181,8 @@ class LadderSim:
             tunings = self._set_flux_rows(np.broadcast_to(theta, (len(times), self.n_cells)))
         for _ in tunings:
             self._v_prev = self.voltages
-            self.voltages, self.branch_flux, _ = ladder_step(
-                self.voltages,
-                self.branch_flux,
-                self.inductance,
-                self.dt,
-                self.boundary == "absorbing",
+            self.voltages, self.branch_flux, _ = _loaded_step(
+                self.voltages, self.branch_flux, self._inductance, self.dt, *self._loads
             )
             self.time += self.dt
             yield self.voltages

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from fluxline.config import load_raw_config, validate_config
-from fluxline.synthesis import WINDOW_GUARD, invert_speed_sq
+from fluxline.metrics import GodelParams, godel_profile
+from fluxline.synthesis import WINDOW_GUARD, ArrayConfig, invert_speed_sq, synthesize_program
 from fluxline.wavelab import (
     CflViolation,
     ContinuumGrid,
@@ -179,6 +180,52 @@ def test_ladder_blocks_match_per_step_loop(wall, n_steps):
     # the schedule is asked for the half-step times the per-step loop asks for, none past the last step
     assert seen == ref_seen
     assert len(seen) == n_steps
+
+
+# a static profile on a window narrow enough that both ends of the line see the pulse from the
+# first step, so that each end's Mur coefficient or load moves the bits of every level
+GODEL = godel_profile(GodelParams(a=1.0))
+GODEL_WINDOW = (0.0, 3.8)
+GODEL_PULSE = GaussianPulse(1.9, 0.35)
+
+
+@pytest.mark.parametrize("n_steps", STEPS)
+def test_continuum_blocks_match_per_step_loop_on_a_static_profile(n_steps):
+    def solver(profile):
+        grid = ContinuumGrid(n_points=400, dx=(GODEL_WINDOW[1] - GODEL_WINDOW[0]) / 399, r_start=GODEL_WINDOW[0])
+        solver = ContinuumSolver(profile, grid, BG)
+        solver.initialize_pulse(GODEL_PULSE, 1)
+        return solver
+
+    sim, ref = solver(Recording(GODEL)), solver(Recording(GODEL))
+    assert 0.0 not in (ref.psi_cur[1], ref.psi_cur[-2])
+    got = sim.run(n_steps, 7)
+    want = reference_continuum_run(ref, (n_steps + 0.5) * sim.dt, 7)
+    assert_same_snapshots(got, want)
+    # the profile is evaluated in __init__ and by initialize_pulse, and never while stepping
+    assert sim.profile.times == [0.0, 0.0]
+    assert len(ref.profile.times) == 2 + n_steps
+
+
+@pytest.mark.parametrize("n_steps", STEPS)
+def test_ladder_blocks_match_per_step_loop_on_a_static_flux(n_steps):
+    program = synthesize_program(GODEL, 0.45 * math.pi, ArrayConfig(n_cells=128), GODEL_WINDOW)
+    theta = program.theta_total[:, 0]
+
+    def sim():
+        sim = LadderSim(n_cells=128, pitch=(GODEL_WINDOW[1] - GODEL_WINDOW[0]) / 128, r_start=GODEL_WINDOW[0],
+                        boundary="absorbing")
+        sim.set_flux(theta)
+        sim.initialize_pulse(GODEL_PULSE, 1)
+        return sim
+
+    got_sim, ref = sim(), sim()
+    assert 0.0 not in (ref.voltages[0], ref.voltages[-1])
+    # the cells are tuned once, before the run; the reference retunes them to the same angles each half step
+    got = got_sim.run(n_steps, 7)
+    want = reference_ladder_run(ref, n_steps, 7, lambda t: theta)
+    assert_same_snapshots(got, want)
+    assert got_sim.inductance.tobytes() == ref.inductance.tobytes()
 
 
 # the step that refuses, in the middle of the second block

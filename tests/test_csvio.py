@@ -865,6 +865,36 @@ def test_a_solver_failing_mid_run_writes_no_snapshot_and_leaves_no_helper(tmp_pa
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_streamed_grid_hands_over_each_unit_index_once_in_order_with_no_empty_write(tmp_path, monkeypatch):
+    # block_grid's 18 units, 6 to a block, handed over as a solver's levels are: each block as often
+    # as a level ends inside it, then whatever is left when write_csv adopts the grid
+    monkeypatch.setattr(csvio, "CHUNK_ROWS", 2)
+    on_cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    names, columns, rows = block_grid()
+    grid, target, writes, write = csvio.grid_lines(*columns), tmp_path / "t.csv", [], os.write
+    units = []
+
+    def recorded_write(fd, data):
+        if units and fd == units[0].w and os.getpid() == parent:
+            writes.append(bytes(data))
+        return write(fd, data)
+
+    parent = os.getpid()
+    monkeypatch.setattr(os, "write", recorded_write)
+    with csvio.emission():
+        publish = csvio.stream_csv(target, names, grid, "h")
+        units.append(publish.__self__)
+        for blocks in (1, 1, 1, 2, 2, 3, 3):
+            publish(blocks)
+        write_csv(target, names, grid, "h")
+    assert len(forks) == 1
+    assert [len(data) for data in writes] == [6 * 4] * 3
+    indices = [int.from_bytes(data[i : i + 4], "little") for data in writes for i in range(0, len(data), 4)]
+    assert indices == list(range(len(UNITS)))
+    assert target.read_bytes() == reference_csv(names, rows, "h")
+
+
 # Two grids streamed in one block, the second queued, and its helper forked, before the first
 # grid's rows are final. Once the first is adopted its helper must find its pipe's end, and
 # exit, while the second grid still streams; it cannot if the second grid's helper holds the
