@@ -5,16 +5,18 @@ The field obeys the flux-conservative form
     psi_tt = d_r ( c^2(r, t) d_r psi ),
 
 chosen so the characteristic speed equals the local c and a discrete energy
-exists. c^2 is sampled at cell faces as the arithmetic mean of the node
-values. The time step is dt = CFL_FACTOR * dx / c_max with c_max the
-profile supremum over the whole run; the step raises CflViolation whenever
-the instantaneous speed breaks that bound (possible for time-dependent or
-tabulated profiles whose supremum was underestimated). run_blocks, the run loop of both wavelab solvers, takes a
-given step count in blocks of up to BLOCK_STEPS step times and records
+exists. Leapfrog steps it for both solvers: here with c^2 sampled at cell
+faces as the arithmetic mean of the node values, and in wavelab.ladder on
+the node flux with each cell's own |cos theta|. The time step is dt =
+CFL_FACTOR * dx / c_max with c_max the profile supremum over the whole run;
+the step raises CflViolation whenever the instantaneous speed breaks that
+bound (possible for time-dependent or tabulated profiles whose supremum was
+underestimated). run_blocks, the run loop of both solvers, takes a given
+step count in blocks of up to BLOCK_STEPS step times and records
 snapshot_count levels; a time-dependent profile is evaluated once per
 block, each step takes its row, and step() alone is a block of one. The
-CFL test and the ends' Mur coefficients are taken with the rows, once per
-block, and a static profile's once per dt.
+stability test and the ends' coefficients are taken with the rows, once per
+block, and a static row's once per dt.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
 "absorbing" ends each side in Mur's first-order one-way condition (IEEE
@@ -67,7 +69,8 @@ def run_blocks(solver, n_steps: int, stride: int, first: tuple, r: np.ndarray, r
     The step times, from the same += dt as solver.time, are set up front, so
     the record, a Snapshots.empty table, holds every time before the first
     step. Blocks of up to BLOCK_STEPS of them go with args to
-    solver._steps(times, *args), which yields each new level. recorded(table,
+    solver._steps(times, *args), which yields after each step, and
+    solver._record(out) writes each level the table keeps. recorded(table,
     levels), unless None, is called with the count of final levels once first
     and then each later level is in the table.
     """
@@ -78,12 +81,18 @@ def run_blocks(solver, n_steps: int, stride: int, first: tuple, r: np.ndarray, r
     recorded = recorded or (lambda table, levels: None)
     recorded(table, 1)
     for start in range(0, n_steps, BLOCK_STEPS):
-        for done, level in enumerate(solver._steps(t[start : min(start + BLOCK_STEPS, n_steps)], *args), start + 1):
+        for done, _ in enumerate(solver._steps(t[start : min(start + BLOCK_STEPS, n_steps)], *args), start + 1):
             if done % stride == 0 or done == n_steps:
                 row += 1
-                table.values[row] = level
+                solver._record(table.values[row])
                 recorded(table, row + 1)
     return table
+
+
+def check_spacing(name: str, value: float):
+    """Refuse either solver's grid spacing, with a ValueError naming name, unless it is a finite number above 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 class CflViolation(RuntimeError):
@@ -102,8 +111,7 @@ class ContinuumGrid:
     def __post_init__(self):
         if self.n_points < 16:
             raise ValueError("n_points must be >= 16")
-        if self.dx <= 0:
-            raise ValueError("dx must be > 0")
+        check_spacing("dx", self.dx)
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
@@ -147,7 +155,7 @@ def _flux_divergence(psi, face_speed_sq, dx, out, flux):
 
 
 def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, accel, out=None, flux=None, product=None):
-    """One leapfrog step; the pure kernel whose arithmetic ContinuumSolver's step runs, in its order.
+    """One leapfrog step with pinned ends; the pure kernel whose arithmetic Leapfrog's step runs, in its order.
 
     psi_prev/psi_cur are the two known time levels; face_speed_sq holds
     c^2 at the n-1 cell faces. accel is a buffer of psi's length with zero
@@ -170,22 +178,118 @@ def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, accel, out=None, flux=No
     return out
 
 
-class ContinuumSolver:
-    """Time-steps one profile on one grid.
+class Leapfrog:
+    """The leapfrog of both solvers on n_points nodes dx apart, holding the levels psi_prev and psi_cur.
 
-    The solver holds two field levels (previous and current). Each step
-    writes the next into whichever of its three own level buffers holds
-    neither, and its flux and products into its own scratch: a step
-    allocates no array of the grid's size and never writes to one that
-    initialize_pulse or a caller set, and a level a step returns is
-    overwritten by the third step after it. run() returns one Snapshots
-    record of the field every snapshot_stride steps, on the solver's own
-    grid r. energy() returns the discrete energy in the staggered product
-    form that the leapfrog update conserves exactly for static profiles
-    with reflecting boundaries.
+    A step writes the next level into whichever of its three own level
+    buffers holds neither, and its fluxes and products into its own scratch:
+    it allocates no array of the grid's size and never writes to one that
+    initialize_pulse or a caller set. A solver sets dt and supplies
+    _block(times, *args) -> (face rows, end numbers per row, refusal or
+    None), _end(nxt, cur, prev, first, last), _face_rows(times) and
+    _record(out), the level its record keeps.
+    """
+
+    def __init__(self, n_points: int, dx: float):
+        self._dx = dx
+        self._accel = np.empty(n_points)
+        self._levels = [np.empty(n_points) for _ in range(3)]
+        # the n - 1 face fluxes, between the zero ghost fluxes beyond the ends
+        self._flux = np.zeros(n_points + 1)
+        self._product = np.empty(n_points)
+        # the views a step reads and writes, made once: each level buffer's psi[1:] and psi[:-1], keyed by id
+        self._shifted = {id(level): (level[1:], level[:-1]) for level in self._levels}
+        self._flux_views = self._flux[1:-1], self._flux[1:], self._flux[:-1]
+        self._static = None
+        self.psi_prev = np.zeros(n_points)
+        self.psi_cur = np.zeros(n_points)
+        self.time = 0.0
+
+    def _bounded(self, face, bound) -> tuple:
+        """The stability test: (rows, k, c), rows stopping before the first whose largest face speed c breaks dt c <= bound dx.
+
+        c is that row's speed, or None; k holds each kept row's dt sqrt(face) / dx at its two end faces.
+        """
+        speeds = np.sqrt(np.maximum(face.max(axis=1), 0.0))
+        breaks = np.flatnonzero(self.dt * speeds > bound * self._dx * (1.0 + 1e-9))
+        stop = int(breaks[0]) if len(breaks) else len(face)
+        k = self.dt * np.sqrt(np.maximum(face[:stop, [0, -1]], 0.0)) / self._dx
+        return list(face[:stop]), k, float(speeds[stop]) if len(breaks) else None
+
+    def _static_block(self, row, n: int) -> tuple:
+        """The _checked block of row taken n times; it is checked once per dt and row."""
+        if self._static is None or self._static[0] is not row or self._static[1] != self.dt:
+            self._static = row, self.dt, self._checked(row[None])
+        rows, ends, refusal = self._static[2]
+        return rows * n, ends * n, refusal
+
+    def _free_level(self) -> np.ndarray:
+        """The level buffer that holds neither psi_prev nor psi_cur."""
+        for level in self._levels:
+            if level is not self.psi_prev and level is not self.psi_cur:
+                return level
+
+    def _steps(self, times, *args):
+        """Step once at each of times in turn, yielding after each; _block takes the rows and ends for all of times at once.
+
+        Each step is fdtd_step's arithmetic, in its order, on the views made in
+        __init__ (a level that a caller set is sliced instead), at every node,
+        with zero flux beyond either end; _end then applies the solver's ends.
+        """
+        rows, ends, refusal = self._block(times, *args)
+        dx, dt2, end = self._dx, self.dt * self.dt, self._end
+        accel, product = self._accel, self._product
+        faces, flux_hi, flux_lo = self._flux_views
+        for face, (first, last) in zip(rows, ends):
+            prev, cur = self.psi_prev, self.psi_cur
+            nxt = self._free_level()
+            cur_hi, cur_lo = self._shifted.get(id(cur)) or (cur[1:], cur[:-1])
+            np.subtract(cur_hi, cur_lo, out=faces)
+            np.multiply(face, faces, out=faces)
+            np.divide(faces, dx, out=faces)
+            np.subtract(flux_hi, flux_lo, out=accel)
+            np.divide(accel, dx, out=accel)
+            np.multiply(cur, 2.0, out=nxt)
+            np.subtract(nxt, prev, out=nxt)
+            np.multiply(accel, dt2, out=product)
+            np.add(nxt, product, out=nxt)
+            end(nxt, cur, prev, first, last)
+            self.psi_prev = cur
+            self.psi_cur = nxt
+            self.time += self.dt
+            yield
+        if refusal is not None:
+            raise refusal
+
+    def step(self):
+        """Advance one step, a block of one."""
+        for _ in self._steps([self.time]):
+            pass
+
+    def energy(self) -> float:
+        """Discrete energy 1/2 sum dx [psi_t^2 + face (d_r psi)^2].
+
+        psi_t uses the half-step difference and the gradient term the
+        product of the two known levels; this staggered form is conserved
+        to rounding by the update for static faces and reflecting ends.
+        """
+        dx = self._dx
+        v = (self.psi_cur - self.psi_prev) / self.dt
+        face = self._face_rows([self.time])[0]
+        gp = np.diff(self.psi_prev) / dx
+        gc = np.diff(self.psi_cur) / dx
+        return 0.5 * dx * float(np.sum(v * v)) + 0.5 * dx * float(np.sum(face * gp * gc))
+
+
+class ContinuumSolver(Leapfrog):
+    """Time-steps one profile on one grid, psi_cur at time.
+
+    run() returns one Snapshots record of the field every snapshot_stride
+    steps, on the solver's own grid r.
     """
 
     def __init__(self, profile: SpeedProfile, grid: ContinuumGrid, background_c: float = 1.0):
+        super().__init__(grid.n_points, grid.dx)
         self.profile = profile
         self.grid = grid
         self.background_c = background_c
@@ -195,19 +299,10 @@ class ContinuumSolver:
             raise ValueError("profile has no positive speeds on the grid")
         self.c_max = background_c * math.sqrt(sup)
         self.dt = CFL_FACTOR * grid.dx / self.c_max
-        self._accel = np.zeros(grid.n_points)
-        self._levels = [np.empty(grid.n_points) for _ in range(3)]
-        self._flux = np.empty(grid.n_points - 1)
-        self._product = np.empty(grid.n_points)
-        # the views a step reads and writes, made once: each level buffer's psi[1:] and psi[:-1], keyed by id
-        self._shifted = {id(level): (level[1:], level[:-1]) for level in self._levels}
-        self._flux_views = self._flux[1:], self._flux[:-1], self._accel[1:-1]
-        self._face = self._static = None
+        self._absorbing = grid.boundary == "absorbing"
+        self._face = None
         if not profile.time_dependent:
             self._face = self._face_rows([0.0])[0]
-        self.psi_prev = np.zeros(grid.n_points)
-        self.psi_cur = np.zeros(grid.n_points)
-        self.time = 0.0
 
     def _node_speed_sq(self, times) -> np.ndarray:
         """c^2 at the nodes, one row per time."""
@@ -222,18 +317,24 @@ class ContinuumSolver:
         return 0.5 * (node[:, :-1] + node[:, 1:])
 
     def _checked(self, face) -> tuple:
-        """A block of face rows, as a step takes them: (rows, ends, c).
+        """A block of face rows as a step takes them: _bounded's rows, each row's Mur coefficients (k - 1)/(k + 1), refusal."""
+        rows, k, c = self._bounded(face, CFL_FACTOR)
+        refusal = None if c is None else CflViolation(f"instantaneous c_max {c} breaks the bound used for dt = {self.dt}")
+        return rows, ((k - 1.0) / (k + 1.0)).tolist(), refusal
 
-        rows stop before the first whose largest face speed c breaks the
-        bound dt was set from, and c is that speed, or None. ends holds each
-        row's Mur coefficients (k - 1)/(k + 1), k = c dt / dx from each end
-        face, in the order of the one-way end's scalar form.
-        """
-        speeds = np.sqrt(np.maximum(face.max(axis=1), 0.0))
-        breaks = np.flatnonzero(self.dt * speeds > CFL_FACTOR * self.grid.dx * (1.0 + 1e-9))
-        stop = int(breaks[0]) if len(breaks) else len(face)
-        k = self.dt * np.sqrt(np.maximum(face[:stop, [0, -1]], 0.0)) / self.grid.dx
-        return list(face[:stop]), ((k - 1.0) / (k + 1.0)).tolist(), float(speeds[stop]) if len(breaks) else None
+    def _block(self, times) -> tuple:
+        """The _checked block of times; a static profile's one row is checked once per dt."""
+        if self._face is None:
+            return self._checked(self._face_rows(times))
+        return self._static_block(self._face, len(times))
+
+    def _end(self, nxt, cur, prev, first, last):
+        """Mur's one-way end, first and last its coefficients, or with reflecting ends the field pinned to zero."""
+        nxt[0] = cur.item(1) + first * (nxt.item(1) - cur.item(0)) if self._absorbing else 0.0
+        nxt[-1] = cur.item(-2) + last * (nxt.item(-2) - cur.item(-1)) if self._absorbing else 0.0
+
+    def _record(self, out):
+        out[:] = self.psi_cur
 
     def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
         """Launch a one-directional pulse.
@@ -246,67 +347,11 @@ class ContinuumSolver:
         g[0] = g[-1] = 0.0
         c_local = np.sqrt(np.maximum(self._node_speed_sq([0.0])[0], 0.0))
         psi_t = -direction * c_local * np.gradient(g, self.grid.dx)
-        accel = _flux_divergence(g, self._face_rows([0.0])[0], self.grid.dx, np.zeros_like(g), self._flux)
+        accel = _flux_divergence(g, self._face_rows([0.0])[0], self.grid.dx, np.zeros_like(g), self._flux_views[0])
         self.psi_prev = g
         self.psi_cur = g + self.dt * psi_t + 0.5 * self.dt**2 * accel
         self.psi_cur[0] = self.psi_cur[-1] = 0.0
         self.time = self.dt
-
-    def _free_level(self) -> np.ndarray:
-        """The level buffer that holds neither psi_prev nor psi_cur."""
-        for level in self._levels:
-            if level is not self.psi_prev and level is not self.psi_cur:
-                return level
-
-    def _block(self, times) -> tuple:
-        """The _checked block of times; a static profile's one row is checked once per dt."""
-        if self._face is None:
-            return self._checked(self._face_rows(times))
-        if self._static is None or self._static[0] != self.dt:
-            self._static = self.dt, self._checked(self._face_rows([0.0]))
-        rows, ends, c_inst = self._static[1]
-        return rows * len(times), ends * len(times), c_inst
-
-    def _steps(self, times):
-        """Step once at each of times in turn, yielding the new level after each.
-
-        The profile is evaluated, and the CFL bound and the Mur coefficients
-        taken, for all of times at once (_block). Each step is fdtd_step's
-        arithmetic, in its order, on the views made in __init__; a level
-        that a caller set is sliced instead.
-        """
-        rows, ends, c_inst = self._block(times)
-        dx, dt2, absorbing = self.grid.dx, self.dt * self.dt, self.grid.boundary == "absorbing"
-        flux, accel, product = self._flux, self._accel, self._product
-        flux_hi, flux_lo, interior = self._flux_views
-        for face, (mur_first, mur_last) in zip(rows, ends):
-            prev, cur = self.psi_prev, self.psi_cur
-            nxt = self._free_level()
-            cur_hi, cur_lo = self._shifted.get(id(cur)) or (cur[1:], cur[:-1])
-            np.subtract(cur_hi, cur_lo, out=flux)
-            np.multiply(face, flux, out=flux)
-            np.divide(flux, dx, out=flux)
-            np.subtract(flux_hi, flux_lo, out=interior)
-            np.divide(interior, dx, out=interior)
-            np.multiply(cur, 2.0, out=nxt)
-            np.subtract(nxt, prev, out=nxt)
-            np.multiply(accel, dt2, out=product)
-            np.add(nxt, product, out=nxt)
-            if absorbing:
-                nxt[0] = cur.item(1) + mur_first * (nxt.item(1) - cur.item(0))
-                nxt[-1] = cur.item(-2) + mur_last * (nxt.item(-2) - cur.item(-1))
-            else:
-                nxt[0] = nxt[-1] = 0.0
-            self.psi_prev = cur
-            self.psi_cur = nxt
-            self.time += self.dt
-            yield nxt
-        if c_inst is not None:
-            raise CflViolation(f"instantaneous c_max {c_inst} breaks the bound used for dt = {self.dt}")
-
-    def step(self):
-        for _ in self._steps([self.time]):
-            pass
 
     def run(self, n_steps: int, snapshot_stride: int, recorded=None) -> Snapshots:
         """Step n_steps times through run_blocks, recording the field on r every snapshot_stride steps.
@@ -315,17 +360,3 @@ class ContinuumSolver:
         ends with the final state; recorded is called as run_blocks does.
         """
         return run_blocks(self, n_steps, snapshot_stride, (self.time - self.dt, self.psi_prev), self.r, recorded)
-
-    def energy(self) -> float:
-        """Discrete energy 1/2 sum dx [psi_t^2 + c^2 (d_r psi)^2].
-
-        psi_t uses the half-step difference and the gradient term the
-        product of the two known levels; this staggered form is conserved
-        to rounding by the update for static speeds and reflecting ends.
-        """
-        dx = self.grid.dx
-        v = (self.psi_cur - self.psi_prev) / self.dt
-        face = self._face_rows([self.time])[0]
-        gp = np.diff(self.psi_prev) / dx
-        gc = np.diff(self.psi_cur) / dx
-        return 0.5 * dx * float(np.sum(v * v)) + 0.5 * dx * float(np.sum(face * gp * gc))

@@ -3,10 +3,11 @@
 The continuum solver evaluates a moving profile, and the ladder samples its
 flux schedule, for a block of up to BLOCK_STEPS upcoming step times in one
 numpy call. The
-reference loops below are the solvers' step loops as first written, one
-profile evaluation per step; every operation involved is elementwise, so the
-snapshots must agree bit for bit, and every refusal must come at the same
-step with the same text.
+reference loops below step each solver one step at a time, with one
+profile evaluation per step: the continuum's loop as first written, and the
+ladder's node flux on the same stencil. Every operation involved is
+elementwise, so the snapshots must agree bit for bit, and every refusal
+must come at the same step with the same text.
 """
 
 import math
@@ -26,7 +27,6 @@ from fluxline.wavelab import (
     LadderSim,
     SingularInductance,
     StabilityViolation,
-    ladder_step,
 )
 from fluxline.wavelab.continuum import BLOCK_STEPS, CFL_FACTOR, fdtd_step
 from fluxline.wavelab.fronts import Snapshots
@@ -116,25 +116,33 @@ def profile_schedule(profile, sim):
 
 
 def reference_ladder_run(sim, n_steps, stride, schedule):
-    """LadderSim.run as first written: the schedule sampled and the cells retuned at each half step."""
-    times, values = [sim.time], [sim.voltages]
+    """LadderSim.run as a per-step loop: the schedule sampled, the row checked and the node flux stepped at each half step."""
+    dx, dt = sim.pitch, sim.dt
+    times, values = [sim.time], [(sim.psi_cur - sim.psi_prev) / dt]
     for k in range(1, n_steps + 1):
-        theta = np.broadcast_to(np.asarray(schedule(sim.time + 0.5 * sim.dt), dtype=float), (sim.n_cells,)).copy()
-        cos = np.abs(np.cos(theta))
-        if np.any(cos < WINDOW_GUARD):
-            i = int(np.argmin(cos))
-            raise SingularInductance(f"|cos theta| = {cos[i]} < {WINDOW_GUARD} at cell {i}")
-        sim.inductance = sim.L0 / cos
-        if sim.dt >= math.sqrt(float(sim.inductance.min())):
+        theta = np.broadcast_to(np.asarray(schedule(sim.time + 0.5 * dt), dtype=float), (sim.n_cells,))
+        face = np.abs(np.cos(theta))
+        if np.any(face < WINDOW_GUARD):
+            i = int(np.argmin(face))
+            raise SingularInductance(f"|cos theta| = {face[i]} < {WINDOW_GUARD} at cell {i}")
+        # dt < sqrt(L_min), L = pitch^2 / |cos theta|: the continuum's test at bound 1
+        if dt * math.sqrt(max(float(np.max(face)), 0.0)) > 1.0 * dx * (1.0 + 1e-9):
             raise StabilityViolation("dt at or above sqrt(L_min) after flux update")
-        sim._v_prev = sim.voltages
-        sim.voltages, sim.branch_flux, _ = ladder_step(
-            sim.voltages, sim.branch_flux, sim.inductance, sim.dt, sim.boundary == "absorbing"
-        )
-        sim.time += sim.dt
+        sim.set_flux(theta)
+        prev, cur = sim.psi_prev, sim.psi_cur
+        # the stencil at every node, with zero flux beyond the ends
+        flux = np.concatenate(([0.0], face * (cur[1:] - cur[:-1]) / dx, [0.0]))
+        nxt = 2.0 * cur - prev + (flux[1:] - flux[:-1]) / dx * (dt * dt)
+        # an absorbing end drains k (cur - prev) into its own end cell's load, k = dt sqrt(face) / pitch
+        if sim.boundary == "absorbing":
+            k_first, k_last = (dt * math.sqrt(face[i]) / dx for i in (0, -1))
+            nxt[0] -= k_first * (cur[0] - prev[0])
+            nxt[-1] -= k_last * (cur[-1] - prev[-1])
+        sim.psi_prev, sim.psi_cur = cur, nxt
+        sim.time += dt
         if k % stride == 0 or k == n_steps:
             times.append(sim.time)
-            values.append(sim.voltages)
+            values.append((sim.psi_cur - sim.psi_prev) / dt)
     return Snapshots(np.array(times), sim.node_r, np.array(values))
 
 
@@ -258,7 +266,7 @@ def test_ladder_refuses_mid_block_at_the_reference_step(make_schedule, error):
     assert str(got.value) == str(want.value)
     assert sim.time == ref.time == pytest.approx(RAISE_AT * sim.dt, rel=1e-12)
     assert sim.voltages.tobytes() == ref.voltages.tobytes()
-    # a row that breaks the stability bound is applied before it raises
+    # the cells keep the last row that was applied; the refused row is not
     assert sim.inductance.tobytes() == ref.inductance.tobytes()
 
 

@@ -197,6 +197,13 @@ def test_grid_validation():
         ContinuumGrid(n_points=100, dx=0.1, boundary="periodic")
 
 
+# nan and inf once constructed
+@pytest.mark.parametrize("dx", [math.nan, math.inf, -math.inf, -0.1, 0.0])
+def test_grid_refuses_a_dx_that_is_not_a_finite_number_above_0(dx):
+    with pytest.raises(ValueError, match=r"^dx must be a finite number > 0, got "):
+        ContinuumGrid(n_points=100, dx=dx)
+
+
 def test_front_at_superluminal_top_hat_wall_does_not_worsen_with_refinement():
     """c^2 jumps between two nodes at the bubble wall; the face between them takes their mean.
 

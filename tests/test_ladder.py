@@ -19,7 +19,7 @@ from fluxline.wavelab import (
 )
 from fluxline.wavelab.fronts import front_trajectory
 from fluxline.wavelab.continuum import BLOCK_STEPS
-from fluxline.wavelab.ladder import ladder_step
+from fluxline.wavelab.verify import _run_ladder
 
 
 def uniform_speed(theta, n_cells=700, width=10.0):
@@ -98,33 +98,44 @@ def test_inductance_tuning_law():
 
 def test_ladder_step_kernel_matches_manual_kcl():
     rng = np.random.default_rng(11)
-    v = rng.normal(size=6)
-    flux = rng.normal(size=5)
-    L = rng.uniform(1.0, 2.0, size=5)
-    dt = 0.07
-    open_ends = ladder_step(v, flux, L, dt, False)
-    loaded = ladder_step(v, flux, L, dt, True)
-    flux_want = flux + dt * (v[:-1] - v[1:])
-    cur_want = flux_want / L
-    for v2, flux2, cur in (open_ends, loaded):
-        np.testing.assert_allclose(flux2, flux_want, rtol=1e-14)
-        np.testing.assert_allclose(cur, cur_want, rtol=1e-14)
+    theta = rng.uniform(-1.0, 1.0, size=5)
+    prev, cur = rng.normal(size=6), rng.normal(size=6)
+    for boundary in ("reflecting", "absorbing"):
+        sim = LadderSim(n_cells=5, pitch=0.8, boundary=boundary)
+        sim.set_flux(theta)
+        sim.psi_prev, sim.psi_cur = prev.copy(), cur.copy()
+        sim.step()
+        face, dx, dt = np.abs(np.cos(theta)), 0.8, sim.dt
+        # the node flux's stencil at every node, with no branch beyond either end; a loaded
+        # end node then drains k (cur - prev), k = dt sqrt(face) / pitch of its own end cell
+        flux = np.concatenate(([0.0], face * np.diff(cur) / dx, [0.0]))
+        want = 2.0 * cur - prev + dt * dt * np.diff(flux) / dx
+        k = dt * np.sqrt(face[[0, -1]]) / dx if boundary == "absorbing" else np.zeros(2)
+        want[0] -= k[0] * (cur[0] - prev[0])
+        want[-1] -= k[1] * (cur[-1] - prev[-1])
+        np.testing.assert_allclose(sim.psi_cur, want, rtol=1e-13)
+        # in the circuit's terms, V = dphi / dt and I = -(phi_{i+1} - phi_i) / L: an open end node only
+        # feeds its one branch, and a loaded one also drains V / sqrt(L) of its own end cell, as k = dt / sqrt(L)
+        v, v_next = (cur - prev) / dt, (sim.psi_cur - cur) / dt
+        currents = -np.diff(cur) / sim.inductance
+        z = np.sqrt(sim.inductance[[0, -1]]) if boundary == "absorbing" else np.full(2, math.inf)
+        np.testing.assert_allclose(k, dt / z, rtol=1e-14)
         for i in range(1, 5):
-            assert v2[i] == pytest.approx(v[i] + dt * (cur_want[i - 1] - cur_want[i]), rel=1e-13)
-    # an open end node only feeds its one branch; a loaded one also drains V / sqrt(L) of its own end cell
-    assert open_ends[0][0] == pytest.approx(v[0] - dt * cur_want[0], rel=1e-13)
-    assert open_ends[0][-1] == pytest.approx(v[-1] + dt * cur_want[-1], rel=1e-13)
-    assert loaded[0][0] == pytest.approx(v[0] - dt * (cur_want[0] + v[0] / math.sqrt(L[0])), rel=1e-13)
-    assert loaded[0][-1] == pytest.approx(v[-1] + dt * (cur_want[-1] - v[-1] / math.sqrt(L[-1])), rel=1e-13)
+            assert v_next[i] == pytest.approx(v[i] + dt * (currents[i - 1] - currents[i]), rel=1e-13)
+        assert v_next[0] == pytest.approx(v[0] - dt * (currents[0] + v[0] / z[0]), rel=1e-13)
+        assert v_next[-1] == pytest.approx(v[-1] + dt * (currents[-1] - v[-1] / z[1]), rel=1e-13)
 
 
 def test_time_varying_flux_enters_through_branch_flux():
-    # retuning a cell must rescale its current at fixed branch flux
+    # retuning a cell keeps the node flux phi, and so its branch flux -(phi_{i+1} - phi_i),
+    # and rescales its current I = -(phi_{i+1} - phi_i) / L
     sim = LadderSim(n_cells=4)
-    sim.branch_flux = np.array([0.5, 0.5, 0.5, 0.5])
-    i_before = sim.branch_flux / sim.inductance
+    sim.psi_cur = np.array([0.0, -0.5, -1.0, -1.5, -2.0])
+    phi = sim.psi_cur.copy()
+    i_before = -np.diff(sim.psi_cur) / sim.inductance
     sim.set_flux(math.pi / 3)
-    i_after = sim.branch_flux / sim.inductance
+    assert sim.psi_cur.tobytes() == phi.tobytes()
+    i_after = -np.diff(sim.psi_cur) / sim.inductance
     np.testing.assert_allclose(i_after, i_before * math.cos(math.pi / 3), rtol=1e-12)
 
 
@@ -222,3 +233,84 @@ def test_ladder_constructor_validation():
         LadderSim(n_cells=8, boundary="sponge")
     with pytest.raises(ValueError):
         LadderSim(n_cells=8, stability_factor=1.2)
+
+
+# nan ran to an all-NaN record, -1 on a reversed grid, whose loaded ends would amplify, and 0 raised StabilityViolation
+@pytest.mark.parametrize("pitch", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_ladder_refuses_a_pitch_that_is_not_a_finite_number_above_0(pitch):
+    with pytest.raises(ValueError, match=r"^pitch must be a finite number > 0, got "):
+        LadderSim(n_cells=8, pitch=pitch)
+
+
+def reference_step(voltages, branch_flux, inductance, dt, z_first, z_last):
+    """The ladder's step as first written, in node voltages and branch fluxes: inductor branches, then charge balance.
+
+    The end nodes drain into the loads z_first and z_last (inf: open).
+    """
+    flux = branch_flux + dt * (voltages[:-1] - voltages[1:])
+    currents = flux / inductance
+    v = voltages.copy()
+    v[1:-1] += dt * (currents[:-1] - currents[1:])
+    v[0] += dt * (-currents[0] - voltages[0] / z_first)
+    v[-1] += dt * (currents[-1] - voltages[-1] / z_last)
+    return v, flux
+
+
+def reference_record(sim, pulse, direction, n_steps, stride, schedule):
+    """The voltages LadderSim.run recorded when it stepped reference_step from initialize_pulse's launch.
+
+    sim is read, not stepped: its cells as set give the launch's
+    inductances, and a schedule is sampled at the half steps t + dt/2, t
+    reached by adding dt as run's times are.
+    """
+    inductance = sim.inductance
+    z = np.sqrt(inductance)
+    shifted = sim.cell_r - direction * 0.5 * sim.dt * (sim.pitch / z)
+    voltages, flux = pulse(sim.node_r), direction * pulse(shifted) / z * inductance
+    values, t = [voltages], sim.time
+    for k in range(1, n_steps + 1):
+        if schedule is not None:
+            theta = np.broadcast_to(schedule(np.array([[t + 0.5 * sim.dt]])), (1, sim.n_cells))[0]
+            inductance = sim.L0 / np.abs(np.cos(theta))
+        loads = np.sqrt(inductance[[0, -1]]) if sim.boundary == "absorbing" else (math.inf, math.inf)
+        voltages, flux = reference_step(voltages, flux, inductance, sim.dt, *loads)
+        t += sim.dt
+        if k % stride == 0 or k == n_steps:
+            values.append(voltages)
+    return np.array(values)
+
+
+SIMULATED = ("flat", "godel", "alcubierre", "alcubierre_superluminal", "kerr_theta0", "kerr_pi4")
+
+
+def preset_ladder(preset, overrides=()):
+    """The preset's ladder, set up as verify sets it up: (sim, pulse, direction, steps, stride, schedule)."""
+    run = validate_config(load_raw_config(preset=preset, overrides=list(overrides)))
+    spec, profile, s = run.simulation, run.profile, run.synthesis
+    times = np.linspace(0.0, spec.t_end, 17) if profile.time_dependent else [0.0]
+    program = synthesize_program(profile, s.theta_dc, s.array, s.coord_window, times)
+    ladder_run = _run_ladder(program, profile, spec)[0]
+    return (ladder_run.func.__self__, spec.pulse, spec.direction, *ladder_run.args)
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [*((preset, ()) for preset in SIMULATED), ("godel", ("simulation.boundary=reflecting", "simulation.t_end=9"))],
+    ids=[*SIMULATED, "godel_open_ends"],
+)
+def test_node_flux_leapfrog_records_the_voltages_of_the_branch_flux_ladder(preset, overrides):
+    """Every recorded level of each simulated preset's ladder within 1e-12 of the record's peak of the first kernel's.
+
+    The node-flux leapfrog is that kernel's algebra with other roundings
+    (2e-15 to 2e-13 of the peak). The open-end case runs the pulse into
+    the far end and back.
+    """
+    sim, pulse, direction, steps, stride, schedule = preset_ladder(preset, overrides)
+    want = reference_record(sim, pulse, direction, steps, stride, schedule)
+    got = sim.run(steps, stride, schedule).values
+    assert got.shape == want.shape
+    peak = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * peak
+    if overrides:
+        # the pulse has met the open end, which returns it with its sign
+        assert np.max(want[:, -1]) > 0.5 * peak and np.argmax(want[-1]) < len(sim.node_r) // 2
