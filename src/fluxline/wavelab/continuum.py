@@ -5,18 +5,18 @@ The field obeys the flux-conservative form
     psi_tt = d_r ( c^2(r, t) d_r psi ),
 
 chosen so the characteristic speed equals the local c and a discrete energy
-exists. Leapfrog steps it for both solvers: here with c^2 sampled at cell
-faces as the arithmetic mean of the node values, and in wavelab.ladder on
-the node flux with each cell's own |cos theta|. The time step is dt =
-CFL_FACTOR * dx / c_max with c_max the profile supremum over the whole run;
-the step raises CflViolation whenever the instantaneous speed breaks that
-bound (possible for time-dependent or tabulated profiles whose supremum was
-underestimated). run_blocks, the run loop of both solvers, takes a given
-step count in blocks of up to BLOCK_STEPS step times and records
-snapshot_count levels; a time-dependent profile is evaluated once per
-block, each step takes its row, and step() alone is a block of one. The
-stability test and the ends' coefficients are taken with the rows, once per
-block, and a static row's once per dt.
+exists. Leapfrog launches and steps it for both solvers: here with c^2
+sampled at cell faces as the arithmetic mean of the node values, and in
+wavelab.ladder on the node flux with each cell's own |cos theta|. The time
+step is dt = CFL_FACTOR * dx / c_max with c_max the profile supremum over
+the whole run; the step raises CflViolation whenever the instantaneous
+speed breaks that bound (possible for time-dependent or tabulated profiles
+whose supremum was underestimated). run_blocks, the run loop of both
+solvers, takes a given step count in blocks of up to BLOCK_STEPS step times
+and records snapshot_count levels; a time-dependent profile is evaluated
+once per block, each step takes its row, and step() alone is a block of
+one. The stability test and the ends' coefficients are taken with the rows,
+once per block, and a static row's once per dt.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
 "absorbing" ends each side in Mur's first-order one-way condition (IEEE
@@ -95,6 +95,12 @@ def check_spacing(name: str, value: float):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+def check_start(r_start: float):
+    """Refuse either solver's first node r_start, with a ValueError naming it, unless it is a finite number."""
+    if not -math.inf < r_start < math.inf:
+        raise ValueError(f"r_start must be a finite number, got {r_start!r}")
+
+
 class CflViolation(RuntimeError):
     """The time step exceeds the stability bound for the current speeds."""
 
@@ -112,6 +118,7 @@ class ContinuumGrid:
         if self.n_points < 16:
             raise ValueError("n_points must be >= 16")
         check_spacing("dx", self.dx)
+        check_start(self.r_start)
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
@@ -179,18 +186,23 @@ def fdtd_step(psi_prev, psi_cur, face_speed_sq, dx, dt, accel, out=None, flux=No
 
 
 class Leapfrog:
-    """The leapfrog of both solvers on n_points nodes dx apart, holding the levels psi_prev and psi_cur.
+    """The leapfrog of both solvers on the nodes r, dx apart, holding the levels psi_prev and psi_cur.
 
-    A step writes the next level into whichever of its three own level
-    buffers holds neither, and its fluxes and products into its own scratch:
-    it allocates no array of the grid's size and never writes to one that
-    initialize_pulse or a caller set. A solver sets dt and supplies
-    _block(times, *args) -> (face rows, end numbers per row, refusal or
-    None), _end(nxt, cur, prev, first, last), _face_rows(times) and
-    _record(out), the level its record keeps.
+    psi_cur sits _lead steps after time: 0 for a field at whole steps, 1/2
+    for one at half steps. A step writes the next level into whichever of
+    its three own level buffers holds neither, and its fluxes and products
+    into its own scratch: it allocates no array of the grid's size and never
+    writes to one that initialize_pulse or a caller set. A solver sets dt
+    and supplies _block(times, *args) -> (face rows, end numbers per row,
+    refusal or None), _end(nxt, cur, prev, first, last), _face_rows(times),
+    _node_speed_sq(times) and _record(out), which writes the field at time.
     """
 
-    def __init__(self, n_points: int, dx: float):
+    _lead = 0.0
+
+    def __init__(self, r: np.ndarray, dx: float):
+        n_points = len(r)
+        self.r = r
         self._dx = dx
         self._accel = np.empty(n_points)
         self._levels = [np.empty(n_points) for _ in range(3)]
@@ -261,6 +273,24 @@ class Leapfrog:
         if refusal is not None:
             raise refusal
 
+    def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
+        """Launch a one-directional pulse: the field at t = 0 is pulse on r, with zero ends.
+
+        The two known levels, at t = -_lead dt and (1 - _lead) dt, come from
+        a second-order Taylor step with psi_t = -direction * c(r) * d_r psi,
+        c^2 the solver's node values, which keeps the counter-moving residue
+        small; time is then (1 - 2 _lead) dt.
+        """
+        g = pulse(self.r)
+        g[0] = g[-1] = 0.0
+        c_local = np.sqrt(np.maximum(self._node_speed_sq([0.0])[0], 0.0))
+        psi_t = -direction * c_local * np.gradient(g, self._dx)
+        accel = _flux_divergence(g, self._face_rows([0.0])[0], self._dx, np.zeros_like(g), self._flux_views[0])
+        lead = self._lead * self.dt
+        self.psi_prev, self.psi_cur = (g + s * psi_t + 0.5 * s**2 * accel for s in (-lead, self.dt - lead))
+        self.psi_prev[0] = self.psi_prev[-1] = self.psi_cur[0] = self.psi_cur[-1] = 0.0
+        self.time = self.dt - 2.0 * lead
+
     def step(self):
         """Advance one step, a block of one."""
         for _ in self._steps([self.time]):
@@ -289,11 +319,10 @@ class ContinuumSolver(Leapfrog):
     """
 
     def __init__(self, profile: SpeedProfile, grid: ContinuumGrid, background_c: float = 1.0):
-        super().__init__(grid.n_points, grid.dx)
+        super().__init__(grid.r, grid.dx)
         self.profile = profile
         self.grid = grid
         self.background_c = background_c
-        self.r = grid.r
         sup = profile.sup_speed_sq(grid.span)
         if sup <= 0:
             raise ValueError("profile has no positive speeds on the grid")
@@ -335,23 +364,6 @@ class ContinuumSolver(Leapfrog):
 
     def _record(self, out):
         out[:] = self.psi_cur
-
-    def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
-        """Launch a one-directional pulse.
-
-        The second time level comes from a second-order Taylor step with
-        psi_t = -direction * c(r) * d_r psi, which keeps the counter-moving
-        residue small.
-        """
-        g = pulse(self.r)
-        g[0] = g[-1] = 0.0
-        c_local = np.sqrt(np.maximum(self._node_speed_sq([0.0])[0], 0.0))
-        psi_t = -direction * c_local * np.gradient(g, self.grid.dx)
-        accel = _flux_divergence(g, self._face_rows([0.0])[0], self.grid.dx, np.zeros_like(g), self._flux_views[0])
-        self.psi_prev = g
-        self.psi_cur = g + self.dt * psi_t + 0.5 * self.dt**2 * accel
-        self.psi_cur[0] = self.psi_cur[-1] = 0.0
-        self.time = self.dt
 
     def run(self, n_steps: int, snapshot_stride: int, recorded=None) -> Snapshots:
         """Step n_steps times through run_blocks, recording the field on r every snapshot_stride steps.

@@ -1,7 +1,7 @@
 """Telegrapher LC ladder with flux-tunable cell inductance, stepped in its node flux.
 
 Cells i = 0..n-1 carry series inductors L_i = L0 / |cos theta_i| between
-nodes i and i+1; every node has unit capacitance to ground. The state is
+nodes i and i+1; every node has unit capacitance to ground. The field is
 the node flux phi = integral of V dt, the coordinate of the circuit
 Lagrangian (M. H. Devoret, "Quantum fluctuations in electrical circuits",
 Les Houches 1995; for a dc-SQUID line P. D. Nation, M. P. Blencowe,
@@ -11,7 +11,10 @@ i's branch flux is -(phi_{i+1} - phi_i). Charge balance at each node is
 then the continuum's leapfrog (continuum.Leapfrog) with dx = pitch and face
 c^2 = |cos theta_i| at each cell, sampled at t_k + dt/2, where phi lives;
 retuning a cell keeps phi and rescales its current. Long wavelengths
-travel at sqrt|cos theta| in coordinate units of c0.
+travel at sqrt|cos theta| in coordinate units of c0. The launch is the
+continuum's, with a node's c^2 the mean of its two cells (an end node's
+one cell) and its two levels at -/+ dt/2; the record is phi at each whole
+step, the mean of its two half-step levels.
 
 Stability requires dt < sqrt(L_min), the shared test at bound 1; the step
 is stability_factor * sqrt(L0) and L_i >= L0 for any flux. Cells with
@@ -34,7 +37,7 @@ import math
 import numpy as np
 
 from ..synthesis import WINDOW_GUARD
-from .continuum import BOUNDARIES, GaussianPulse, Leapfrog, check_spacing, run_blocks
+from .continuum import BOUNDARIES, Leapfrog, check_spacing, check_start, run_blocks
 from .fronts import Snapshots
 
 __all__ = [
@@ -55,11 +58,13 @@ class SingularInductance(RuntimeError):
 class LadderSim(Leapfrog):
     """Flux-driven LC ladder on n_cells cells; its node flux phi is psi_prev and psi_cur, at time -/+ dt/2.
 
-    Geometry: node i sits at r_start + i * pitch; cell midpoints halfway
-    between. With unit capacitance L0 is pitch^2, so that the flux-free
-    line carries long wavelengths at speed c0 = 1 in coordinate units.
-    run() returns one Snapshots record of the node voltages on node_r.
+    Geometry: node i sits at r[i] = r_start + i * pitch; cell midpoints
+    halfway between. With unit capacitance L0 is pitch^2, so that the
+    flux-free line carries long wavelengths at speed c0 = 1 in coordinate
+    units. run() returns one Snapshots record of the node flux on r.
     """
+
+    _lead = 0.5
 
     def __init__(
         self,
@@ -72,19 +77,19 @@ class LadderSim(Leapfrog):
         if n_cells < 2:
             raise ValueError("n_cells must be >= 2")
         check_spacing("pitch", pitch)
+        check_start(r_start)
         if boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if not 0.0 < stability_factor < 1.0:
             raise ValueError("stability_factor must lie in (0, 1)")
-        super().__init__(n_cells + 1, pitch)
+        super().__init__(r_start + np.arange(n_cells + 1) * pitch, pitch)
         self.n_cells = n_cells
         self.pitch = pitch
         self.L0 = pitch * pitch
         self.boundary = boundary
         # k is taken at an absorbing end, 0 at an open one
         self._load = 1.0 if boundary == "absorbing" else 0.0
-        self.node_r = r_start + np.arange(n_cells + 1) * pitch
-        self.cell_r = 0.5 * (self.node_r[:-1] + self.node_r[1:])
+        self.cell_r = 0.5 * (self.r[:-1] + self.r[1:])
         self.dt = stability_factor * math.sqrt(self.L0)
         # |cos theta| of the cells as they are
         self._face = np.ones(n_cells)
@@ -94,14 +99,9 @@ class LadderSim(Leapfrog):
         """Each cell's inductance L0 / |cos theta|, as the cells are."""
         return self.L0 / self._face
 
-    @property
-    def voltages(self) -> np.ndarray:
-        """The node voltages at time, (phi^(k+1/2) - phi^(k-1/2)) / dt, in a new array."""
-        return self._record(np.empty(self.n_cells + 1))
-
     def _record(self, out):
-        np.subtract(self.psi_cur, self.psi_prev, out=out)
-        return np.divide(out, self.dt, out=out)
+        np.add(self.psi_prev, self.psi_cur, out=out)
+        return np.multiply(out, 0.5, out=out)
 
     def set_flux(self, theta_total):
         """Apply total flux angles per cell (scalar broadcasts); a singular or unstable row is refused, not applied."""
@@ -116,6 +116,11 @@ class LadderSim(Leapfrog):
             return np.broadcast_to(self._face, (len(times), self.n_cells))
         theta = flux_schedule((np.asarray(times) + 0.5 * self.dt)[:, None])
         return np.abs(np.cos(np.broadcast_to(theta, (len(times), self.n_cells))))
+
+    def _node_speed_sq(self, times) -> np.ndarray:
+        """c^2 at the nodes, one row per time: the mean of a node's two cells' faces, an end node's one face."""
+        face = self._face_rows(times)
+        return np.concatenate((face[:, :1], 0.5 * (face[:, :-1] + face[:, 1:]), face[:, -1:]), axis=1)
 
     def _checked(self, face) -> tuple:
         """A block of |cos theta| rows as a step takes them: (rows, ends, refusal).
@@ -147,29 +152,11 @@ class LadderSim(Leapfrog):
         nxt[0] = nxt.item(0) - first * (cur.item(0) - prev.item(0))
         nxt[-1] = nxt.item(-1) - last * (cur.item(-1) - prev.item(-1))
 
-    def initialize_pulse(self, pulse: GaussianPulse, direction: int = 1):
-        """Launch a one-directional voltage pulse, converted to node flux.
-
-        Node voltages V0 hold the pulse at t = 0. Branch fluxes F hold L
-        times the matched current V/Z of the one-way wave at t = +dt/2, at
-        the midpoints shifted back by half a step of light travel, and are
-        read as the fluxes at -dt/2: phi^(-1/2) = -cumsum(F) with phi_0 = 0,
-        and phi^(1/2) = phi^(-1/2) + dt V0. So the first currents run a step
-        ahead of the voltages (ROADMAP item 12, not fixed here).
-        """
-        inductance = self.inductance
-        z = np.sqrt(inductance)
-        c_local = self.pitch / z
-        shifted = self.cell_r - direction * 0.5 * self.dt * c_local
-        currents = direction * pulse(shifted) / z
-        self.psi_prev = np.concatenate(([0.0], -np.cumsum(currents * inductance)))
-        self.psi_cur = self.psi_prev + self.dt * pulse(self.node_r)
-        self.time = 0.0
-
     def run(self, n_steps: int, snapshot_stride: int, flux_schedule=None, recorded=None) -> Snapshots:
-        """Step n_steps times through run_blocks, recording the voltages on node_r every snapshot_stride steps.
+        """Step n_steps times through run_blocks, recording phi on r every snapshot_stride steps.
 
-        The record starts with the initial state and ends with the final
-        one; recorded is as in ContinuumSolver.run.
+        The record starts with phi at time and ends with the final state;
+        recorded is as in ContinuumSolver.run.
         """
-        return run_blocks(self, n_steps, snapshot_stride, (self.time, self.voltages), self.node_r, recorded, flux_schedule)
+        first = self.time, self._record(np.empty(len(self.r)))
+        return run_blocks(self, n_steps, snapshot_stride, first, self.r, recorded, flux_schedule)

@@ -116,9 +116,12 @@ def profile_schedule(profile, sim):
 
 
 def reference_ladder_run(sim, n_steps, stride, schedule):
-    """LadderSim.run as a per-step loop: the schedule sampled, the row checked and the node flux stepped at each half step."""
+    """LadderSim.run as a per-step loop: the schedule sampled, the row checked and the node flux stepped at each half step.
+
+    Each recorded level is the node flux at its whole step, the mean of the two half-step levels.
+    """
     dx, dt = sim.pitch, sim.dt
-    times, values = [sim.time], [(sim.psi_cur - sim.psi_prev) / dt]
+    times, values = [sim.time], [0.5 * (sim.psi_prev + sim.psi_cur)]
     for k in range(1, n_steps + 1):
         theta = np.broadcast_to(np.asarray(schedule(sim.time + 0.5 * dt), dtype=float), (sim.n_cells,))
         face = np.abs(np.cos(theta))
@@ -142,8 +145,8 @@ def reference_ladder_run(sim, n_steps, stride, schedule):
         sim.time += dt
         if k % stride == 0 or k == n_steps:
             times.append(sim.time)
-            values.append((sim.psi_cur - sim.psi_prev) / dt)
-    return Snapshots(np.array(times), sim.node_r, np.array(values))
+            values.append(0.5 * (sim.psi_prev + sim.psi_cur))
+    return Snapshots(np.array(times), sim.r, np.array(values))
 
 
 def assert_same_snapshots(got, want):
@@ -228,7 +231,7 @@ def test_ladder_blocks_match_per_step_loop_on_a_static_flux(n_steps):
         return sim
 
     got_sim, ref = sim(), sim()
-    assert 0.0 not in (ref.voltages[0], ref.voltages[-1])
+    assert 0.0 not in (ref.psi_cur[1], ref.psi_cur[-2])
     # the cells are tuned once, before the run; the reference retunes them to the same angles each half step
     got = got_sim.run(n_steps, 7)
     want = reference_ladder_run(ref, n_steps, 7, lambda t: theta)
@@ -265,7 +268,8 @@ def test_ladder_refuses_mid_block_at_the_reference_step(make_schedule, error):
         reference_ladder_run(ref, 2 * BLOCK_STEPS, 7, make_schedule(ref))
     assert str(got.value) == str(want.value)
     assert sim.time == ref.time == pytest.approx(RAISE_AT * sim.dt, rel=1e-12)
-    assert sim.voltages.tobytes() == ref.voltages.tobytes()
+    assert sim.psi_prev.tobytes() == ref.psi_prev.tobytes()
+    assert sim.psi_cur.tobytes() == ref.psi_cur.tobytes()
     # the cells keep the last row that was applied; the refused row is not
     assert sim.inductance.tobytes() == ref.inductance.tobytes()
 

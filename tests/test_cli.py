@@ -802,7 +802,7 @@ def test_custom_scan_past_a_tabulated_table_names_feasibility_r(tmp_path, capsys
 
 
 def test_front_threshold_cannot_turn_a_failing_verdict_into_a_pass(tmp_path, capsys):
-    # this run fails at the fixed threshold (exit 4); at 0.01 it once exited 0
+    # the front threshold is fixed, not a key: this run's ladder verdict once failed at it (exit 4) and passed at 0.01
     argv = ["simulate", "--preset", "alcubierre_superluminal", "--set", "simulation.solver=both"]
     assert main([*argv, "--set", "simulation.front_threshold=0.01", "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: simulation: unknown keys ['front_threshold']; ")

@@ -204,6 +204,13 @@ def test_grid_refuses_a_dx_that_is_not_a_finite_number_above_0(dx):
         ContinuumGrid(n_points=100, dx=dx)
 
 
+# nan and inf once constructed, with an r of all nan or all inf
+@pytest.mark.parametrize("r_start", [math.nan, math.inf, -math.inf])
+def test_grid_refuses_an_r_start_that_is_not_a_finite_number(r_start):
+    with pytest.raises(ValueError, match=r"^r_start must be a finite number, got "):
+        ContinuumGrid(n_points=100, dx=0.1, r_start=r_start)
+
+
 def test_front_at_superluminal_top_hat_wall_does_not_worsen_with_refinement():
     """c^2 jumps between two nodes at the bubble wall; the face between them takes their mean.
 

@@ -163,9 +163,28 @@ def test_run_records_start_every_stride_and_end(n_steps, recorded):
     snaps = sim.run(n_steps, 4)
     np.testing.assert_allclose(snaps.times, np.array(recorded) * sim.dt, rtol=1e-15)
     assert snaps.values.shape == (len(recorded), 9)
-    np.testing.assert_array_equal(snaps.values[-1], sim.voltages)
+    # the node flux at the last time, the mean of its two half-step levels
+    np.testing.assert_array_equal(snaps.values[-1], 0.5 * (sim.psi_prev + sim.psi_cur))
     # every row samples the node grid, shared rather than copied
-    assert snaps.r is sim.node_r
+    assert snaps.r is sim.r
+
+
+def test_flat_line_records_the_field_at_second_order():
+    """The flux-free line's recorded node flux against the exact G(r - t) falls at order 1.9 or more per doubling.
+
+    128 to 1,024 cells over [0, 10], the pulse launched at r = 3 and read at
+    t = 4, before it reaches the far end. A record of V = dphi / dt from a
+    launch a half step out of place fell at orders 0.80, 0.89 and 0.94.
+    """
+    pulse = GaussianPulse(3.0, 0.5)
+    errors = []
+    for n_cells in (128, 256, 512, 1024):
+        sim = LadderSim(n_cells=n_cells, pitch=10.0 / n_cells, boundary="absorbing")
+        sim.initialize_pulse(pulse, 1)
+        snaps = sim.run(round(4.0 / sim.dt), 10**6)
+        errors.append(np.max(np.abs(snaps.values[-1] - pulse(sim.r - snaps.times[-1]))))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 1.9), (errors, orders)
 
 
 # ROADMAP item 21's ladder geometry at each bias a simulated preset takes
@@ -177,20 +196,21 @@ ECHO_PRESETS = ("flat", "godel", "alcubierre", "alcubierre_superluminal")
 def test_absorbing_ends_return_no_echo(preset):
     """512 cells over [0, 10] at the preset's bias: a pulse from the middle leaves at most 1e-2 of its peak behind.
 
-    The field is read at 0.8, 1.0 and 1.2 window lengths of travel, while a
-    pulse returned by the right end would cross the window. What remains is
-    the lattice's own dispersion; a load of sqrt(L0), the flux-free line's
-    impedance, returned 0.21-0.43 of the peak on the biased presets.
+    The recorded node flux is read at 0.8, 1.0 and 1.2 window lengths of
+    travel, while a pulse returned by the right end would cross the window.
+    What remains is the lattice's own dispersion; a load of sqrt(L0), the
+    flux-free line's impedance, returned 0.21-0.43 of the peak on the biased
+    presets.
     """
     theta_dc = validate_config(load_raw_config(preset=preset)).synthesis.theta_dc
     sim = LadderSim(n_cells=512, pitch=10.0 / 512, boundary="absorbing")
     sim.set_flux(theta_dc)
     sim.initialize_pulse(GaussianPulse(5.0, 0.35), 1)
-    peak = np.max(np.abs(sim.voltages))
+    peak = np.max(np.abs(sim.run(0, 1).values[0]))
     c = math.sqrt(abs(math.cos(theta_dc)))
     for travel in (8.0, 10.0, 12.0):
-        sim.run(math.ceil((travel / c - sim.time) / sim.dt), 10**6)
-        assert np.max(np.abs(sim.voltages)) <= 1e-2 * peak
+        phi = sim.run(math.ceil((travel / c - sim.time) / sim.dt), 10**6).values[-1]
+        assert np.max(np.abs(phi)) <= 1e-2 * peak
 
 
 def test_ladder_agrees_with_continuum_on_static_profile():
@@ -242,6 +262,13 @@ def test_ladder_refuses_a_pitch_that_is_not_a_finite_number_above_0(pitch):
         LadderSim(n_cells=8, pitch=pitch)
 
 
+# nan once ran to a record whose r and values were all NaN
+@pytest.mark.parametrize("r_start", [math.nan, math.inf, -math.inf])
+def test_ladder_refuses_an_r_start_that_is_not_a_finite_number(r_start):
+    with pytest.raises(ValueError, match=r"^r_start must be a finite number, got "):
+        LadderSim(n_cells=8, r_start=r_start)
+
+
 def reference_step(voltages, branch_flux, inductance, dt, z_first, z_last):
     """The ladder's step as first written, in node voltages and branch fluxes: inductor branches, then charge balance.
 
@@ -256,41 +283,45 @@ def reference_step(voltages, branch_flux, inductance, dt, z_first, z_last):
     return v, flux
 
 
-def reference_record(sim, pulse, direction, n_steps, stride, schedule):
-    """The voltages LadderSim.run recorded when it stepped reference_step from initialize_pulse's launch.
+def reference_record(sim, n_steps, stride, schedule):
+    """The node flux LadderSim.run records, from reference_step's voltages and branch fluxes: (record, last voltages).
 
-    sim is read, not stepped: its cells as set give the launch's
-    inductances, and a schedule is sampled at the half steps t + dt/2, t
-    reached by adding dt as run's times are.
+    sim is read, not stepped. Its launched levels phi^(-1/2) and phi^(1/2)
+    give the voltages V^0 = (phi^(1/2) - phi^(-1/2)) / dt and the branch
+    fluxes -(phi_{i+1} - phi_i) at -dt/2; the node flux integrates the
+    voltages, phi^(k+1/2) = phi^(k-1/2) + dt V^k, and is recorded at whole
+    step k as (phi^(k-1/2) + phi^(k+1/2)) / 2. The cells as set give the
+    first inductances, and a schedule is sampled at the half steps
+    t + dt/2, t reached by adding dt as run's times are.
     """
     inductance = sim.inductance
-    z = np.sqrt(inductance)
-    shifted = sim.cell_r - direction * 0.5 * sim.dt * (sim.pitch / z)
-    voltages, flux = pulse(sim.node_r), direction * pulse(shifted) / z * inductance
-    values, t = [voltages], sim.time
+    phi, voltages = sim.psi_prev, (sim.psi_cur - sim.psi_prev) / sim.dt
+    flux = -np.diff(phi)
+    values, t = [phi + 0.5 * sim.dt * voltages], sim.time
     for k in range(1, n_steps + 1):
         if schedule is not None:
             theta = np.broadcast_to(schedule(np.array([[t + 0.5 * sim.dt]])), (1, sim.n_cells))[0]
             inductance = sim.L0 / np.abs(np.cos(theta))
         loads = np.sqrt(inductance[[0, -1]]) if sim.boundary == "absorbing" else (math.inf, math.inf)
+        phi = phi + sim.dt * voltages
         voltages, flux = reference_step(voltages, flux, inductance, sim.dt, *loads)
         t += sim.dt
         if k % stride == 0 or k == n_steps:
-            values.append(voltages)
-    return np.array(values)
+            values.append(phi + 0.5 * sim.dt * voltages)
+    return np.array(values), voltages
 
 
 SIMULATED = ("flat", "godel", "alcubierre", "alcubierre_superluminal", "kerr_theta0", "kerr_pi4")
 
 
 def preset_ladder(preset, overrides=()):
-    """The preset's ladder, set up as verify sets it up: (sim, pulse, direction, steps, stride, schedule)."""
+    """The preset's ladder, set up and launched as verify sets it up: (sim, steps, stride, schedule)."""
     run = validate_config(load_raw_config(preset=preset, overrides=list(overrides)))
     spec, profile, s = run.simulation, run.profile, run.synthesis
     times = np.linspace(0.0, spec.t_end, 17) if profile.time_dependent else [0.0]
     program = synthesize_program(profile, s.theta_dc, s.array, s.coord_window, times)
     ladder_run = _run_ladder(program, profile, spec)[0]
-    return (ladder_run.func.__self__, spec.pulse, spec.direction, *ladder_run.args)
+    return (ladder_run.func.__self__, *ladder_run.args)
 
 
 @pytest.mark.parametrize(
@@ -301,16 +332,20 @@ def preset_ladder(preset, overrides=()):
 def test_node_flux_leapfrog_records_the_voltages_of_the_branch_flux_ladder(preset, overrides):
     """Every recorded level of each simulated preset's ladder within 1e-12 of the record's peak of the first kernel's.
 
-    The node-flux leapfrog is that kernel's algebra with other roundings
-    (2e-15 to 2e-13 of the peak). The open-end case runs the pulse into
-    the far end and back.
+    The first kernel steps voltages and branch fluxes from the ladder's own
+    launch, and the node flux is its voltages' integral; the node-flux
+    leapfrog is that algebra with other roundings. The last voltages agree
+    to 1e-12 of their peak too. The open-end case runs the pulse into the
+    far end and back.
     """
-    sim, pulse, direction, steps, stride, schedule = preset_ladder(preset, overrides)
-    want = reference_record(sim, pulse, direction, steps, stride, schedule)
+    sim, steps, stride, schedule = preset_ladder(preset, overrides)
+    want, want_voltages = reference_record(sim, steps, stride, schedule)
     got = sim.run(steps, stride, schedule).values
     assert got.shape == want.shape
     peak = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-12 * peak
+    voltages = (sim.psi_cur - sim.psi_prev) / sim.dt
+    assert np.max(np.abs(voltages - want_voltages)) <= 1e-12 * np.max(np.abs(want_voltages))
     if overrides:
         # the pulse has met the open end, which returns it with its sign
-        assert np.max(want[:, -1]) > 0.5 * peak and np.argmax(want[-1]) < len(sim.node_r) // 2
+        assert np.max(want[:, -1]) > 0.5 * peak and np.argmax(want[-1]) < len(sim.r) // 2

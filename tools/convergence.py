@@ -37,6 +37,7 @@ KNOWN_FAILURES = {
     ("alcubierre_superluminal", "continuum"): "item 2: moving superluminal wall",
     ("alcubierre_superluminal", "ladder"): "item 2: moving superluminal wall",
     ("godel", "continuum"): "item 9: pulse-width floor",
+    ("godel", "ladder"): "item 9: pulse-width floor",
     ("kerr_pi4", "continuum"): "item 9: pulse-width floor",
     ("kerr_theta0", "continuum"): "item 8: hot-cell budget, exit 3 past 1x",
     ("kerr_theta0", "ladder"): "item 8: hot-cell budget, exit 3 past 1x",

@@ -112,7 +112,7 @@ def ladder_error(n_cells: int, late: bool) -> float:
     class Forced(LadderSim):
         def _end(self, nxt, cur, prev, first, last):
             # phi lives at the half step time + dt/2
-            nxt += self.dt * self.dt * source(gaussian, self.node_r, (self.time + 0.5 * self.dt) / scale) / 1.5
+            nxt += self.dt * self.dt * source(gaussian, self.r, (self.time + 0.5 * self.dt) / scale) / 1.5
             super()._end(nxt, cur, prev, first, last)
 
     sim = Forced(n_cells, pitch=7.0 / n_cells, r_start=-3.0)
@@ -124,9 +124,9 @@ def ladder_error(n_cells: int, late: bool) -> float:
         return np.arccos(speed_sq(sim.cell_r, (t - lag) / scale) / 1.5)
 
     half = 0.5 * sim.dt / scale
-    sim.psi_prev, sim.psi_cur = exact(gaussian, sim.node_r, -half), exact(gaussian, sim.node_r, half)
+    sim.psi_prev, sim.psi_cur = exact(gaussian, sim.r, -half), exact(gaussian, sim.r, half)
     sim.run(steps, steps, schedule)
-    return float(np.max(np.abs(sim.psi_cur - exact(gaussian, sim.node_r, (sim.time + 0.5 * sim.dt) / scale))))
+    return float(np.max(np.abs(sim.psi_cur - exact(gaussian, sim.r, (sim.time + 0.5 * sim.dt) / scale))))
 
 
 CASES = {
