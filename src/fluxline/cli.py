@@ -41,8 +41,6 @@ from .synthesis import (
 from .wavelab import (
     CflViolation,
     FrontNotFound,
-    SingularInductance,
-    StabilityViolation,
     trace_null_geodesic,
     verify_program,
 )
@@ -60,7 +58,7 @@ FAILURES = (
     ((ConfigError,), EXIT_CONFIG, "config error"),
     ((HotCellBudgetExceeded,), EXIT_HOT_BUDGET, "hot-cell budget exceeded"),
     ((SynthesisError,), EXIT_INFEASIBLE, "synthesis infeasible"),
-    ((CflViolation, StabilityViolation, SingularInductance, FrontNotFound), EXIT_SIMULATION, "simulation failed"),
+    ((CflViolation, FrontNotFound), EXIT_SIMULATION, "simulation failed"),
     # a profile value that cannot be used is a fault of the metric block
     ((ProfileEvaluationError,), EXIT_CONFIG, "config error: metric"),
     ((ProfileDomainError, ValueError), EXIT_CONFIG, "config error"),

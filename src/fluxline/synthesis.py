@@ -14,7 +14,7 @@ admissible window keeps both the DC part and the total inside [-pi/2, pi/2].
 Cells whose total sits within WINDOW_GUARD of pi/2 are "hot", e.g. the
 horizon cell of the extreme rotating hole at exactly pi/2. Synthesis warns
 and budgets them per time sample, since one hot SQUID is the physically
-interesting case; the ladder refuses them as singular.
+interesting case; the ladder steps them as cells that pass no current.
 
 Feasibility statuses, in order of precedence (highest wins) and with their
 CSV status codes:
@@ -66,7 +66,7 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 
 # A total within WINDOW_GUARD of pi/2 has |cos theta| below it and so an
-# effectively infinite inductance: a hot cell here, a singular one in the ladder.
+# effectively infinite inductance: a hot cell, which this module alone names.
 WINDOW_GUARD = 1e-9
 
 # One-ulp slack for the arccos argument: products like 2 * cos(pi/3) land a

@@ -11,12 +11,13 @@ wavelab.ladder on the node flux with each cell's own |cos theta|. The time
 step is dt = CFL_FACTOR * dx / c_max with c_max the profile supremum over
 the whole run; the step raises CflViolation whenever the instantaneous
 speed breaks that bound (possible for time-dependent or tabulated profiles
-whose supremum was underestimated). run_blocks, the run loop of both
-solvers, takes a given step count in blocks of up to BLOCK_STEPS step times
-and records snapshot_count levels; a time-dependent profile is evaluated
-once per block, each step takes its row, and step() alone is a block of
-one. The stability test and the ends' coefficients are taken with the rows,
-once per block, and a static row's once per dt.
+whose supremum was underestimated), and so does the ladder's at bound 1.
+run_blocks, the run loop of both solvers, takes a given step count in
+blocks of up to BLOCK_STEPS step times and records snapshot_count levels;
+a time-dependent profile is evaluated once per block, each step takes its
+row, and step() alone is a block of one. The stability test and the ends'
+coefficients are taken with the rows, once per block, and a static row's
+once per dt.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
 "absorbing" ends each side in Mur's first-order one-way condition (IEEE
@@ -89,16 +90,14 @@ def run_blocks(solver, n_steps: int, stride: int, first: tuple, r: np.ndarray, r
     return table
 
 
-def check_spacing(name: str, value: float):
-    """Refuse either solver's grid spacing, with a ValueError naming name, unless it is a finite number above 0."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-
-
-def check_start(r_start: float):
-    """Refuse either solver's first node r_start, with a ValueError naming it, unless it is a finite number."""
+def check_grid(name: str, spacing: float, r_start: float, boundary: str):
+    """Refuse either solver's grid with a ValueError naming its first bad field: spacing (as name), r_start or boundary."""
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {spacing!r}")
     if not -math.inf < r_start < math.inf:
         raise ValueError(f"r_start must be a finite number, got {r_start!r}")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
 
 class CflViolation(RuntimeError):
@@ -117,10 +116,7 @@ class ContinuumGrid:
     def __post_init__(self):
         if self.n_points < 16:
             raise ValueError("n_points must be >= 16")
-        check_spacing("dx", self.dx)
-        check_start(self.r_start)
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
+        check_grid("dx", self.dx, self.r_start, self.boundary)
 
     @property
     def r(self) -> np.ndarray:
@@ -218,15 +214,18 @@ class Leapfrog:
         self.time = 0.0
 
     def _bounded(self, face, bound) -> tuple:
-        """The stability test: (rows, k, c), rows stopping before the first whose largest face speed c breaks dt c <= bound dx.
+        """Both solvers' stability test: (rows, k, refusal), rows stopping before the first whose face speed c breaks dt c <= bound dx.
 
-        c is that row's speed, or None; k holds each kept row's dt sqrt(face) / dx at its two end faces.
+        refusal is the CflViolation naming that c, or None; k holds each kept row's dt sqrt(face) / dx at its two end faces.
         """
         speeds = np.sqrt(np.maximum(face.max(axis=1), 0.0))
         breaks = np.flatnonzero(self.dt * speeds > bound * self._dx * (1.0 + 1e-9))
         stop = int(breaks[0]) if len(breaks) else len(face)
         k = self.dt * np.sqrt(np.maximum(face[:stop, [0, -1]], 0.0)) / self._dx
-        return list(face[:stop]), k, float(speeds[stop]) if len(breaks) else None
+        refusal = None
+        if len(breaks):
+            refusal = CflViolation(f"instantaneous c_max {float(speeds[stop])} breaks the bound used for dt = {self.dt}")
+        return list(face[:stop]), k, refusal
 
     def _static_block(self, row, n: int) -> tuple:
         """The _checked block of row taken n times; it is checked once per dt and row."""
@@ -324,8 +323,8 @@ class ContinuumSolver(Leapfrog):
         self.grid = grid
         self.background_c = background_c
         sup = profile.sup_speed_sq(grid.span)
-        if sup <= 0:
-            raise ValueError("profile has no positive speeds on the grid")
+        if not 0.0 < sup < math.inf:
+            raise ValueError(f"profile's supremum speed_sq on the grid must be a finite number > 0, got {sup!r}")
         self.c_max = background_c * math.sqrt(sup)
         self.dt = CFL_FACTOR * grid.dx / self.c_max
         self._absorbing = grid.boundary == "absorbing"
@@ -347,8 +346,7 @@ class ContinuumSolver(Leapfrog):
 
     def _checked(self, face) -> tuple:
         """A block of face rows as a step takes them: _bounded's rows, each row's Mur coefficients (k - 1)/(k + 1), refusal."""
-        rows, k, c = self._bounded(face, CFL_FACTOR)
-        refusal = None if c is None else CflViolation(f"instantaneous c_max {c} breaks the bound used for dt = {self.dt}")
+        rows, k, refusal = self._bounded(face, CFL_FACTOR)
         return rows, ((k - 1.0) / (k + 1.0)).tolist(), refusal
 
     def _block(self, times) -> tuple:

@@ -16,12 +16,13 @@ continuum's, with a node's c^2 the mean of its two cells (an end node's
 one cell) and its two levels at -/+ dt/2; the record is phi at each whole
 step, the mean of its two half-step levels.
 
-Stability requires dt < sqrt(L_min), the shared test at bound 1; the step
-is stability_factor * sqrt(L0) and L_i >= L0 for any flux. Cells with
-|cos theta_i| < synthesis.WINDOW_GUARD, the cells synthesis counts as hot,
-are refused (SingularInductance). A flux schedule takes the (k, 1)
-half-step times of each block that run() takes through continuum.run_blocks
-and returns (k, n_cells) angles.
+Stability requires dt < sqrt(L_min), the shared test at bound 1 with the
+continuum's CflViolation; the step is stability_factor * sqrt(L0) and
+L_i >= L0 for any flux. A cell at the pi/2 window, one synthesis counts as
+hot, is a face near 0 that carries next to no current, as a SQUID at
+Phi0/2 passes no supercurrent; nothing divides by it. A flux schedule takes
+the (k, 1) half-step times of each block that run() takes through
+continuum.run_blocks and returns (k, n_cells) angles.
 
 Ends: an end node has no branch beyond it, a zero ghost flux. "absorbing"
 terminates it in its own end cell's impedance sqrt(L_end), which drains
@@ -36,23 +37,10 @@ import math
 
 import numpy as np
 
-from ..synthesis import WINDOW_GUARD
-from .continuum import BOUNDARIES, Leapfrog, check_spacing, check_start, run_blocks
+from .continuum import Leapfrog, check_grid, run_blocks
 from .fronts import Snapshots
 
-__all__ = [
-    "StabilityViolation",
-    "SingularInductance",
-    "LadderSim",
-]
-
-
-class StabilityViolation(RuntimeError):
-    """dt above the leapfrog bound sqrt(L_min), by the continuum's test with its 1e-9 slack."""
-
-
-class SingularInductance(RuntimeError):
-    """A cell sits at the pi/2 window where the inductance diverges."""
+__all__ = ["LadderSim"]
 
 
 class LadderSim(Leapfrog):
@@ -76,10 +64,7 @@ class LadderSim(Leapfrog):
     ):
         if n_cells < 2:
             raise ValueError("n_cells must be >= 2")
-        check_spacing("pitch", pitch)
-        check_start(r_start)
-        if boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
+        check_grid("pitch", pitch, r_start, boundary)
         if not 0.0 < stability_factor < 1.0:
             raise ValueError("stability_factor must lie in (0, 1)")
         super().__init__(r_start + np.arange(n_cells + 1) * pitch, pitch)
@@ -104,7 +89,7 @@ class LadderSim(Leapfrog):
         return np.multiply(out, 0.5, out=out)
 
     def set_flux(self, theta_total):
-        """Apply total flux angles per cell (scalar broadcasts); a singular or unstable row is refused, not applied."""
+        """Apply total flux angles per cell (scalar broadcasts); an unstable row is refused, not applied."""
         rows, _, refusal = self._checked(np.abs(np.cos(np.broadcast_to(theta_total, (1, self.n_cells)))))
         if refusal is not None:
             raise refusal
@@ -123,19 +108,8 @@ class LadderSim(Leapfrog):
         return np.concatenate((face[:, :1], 0.5 * (face[:, :-1] + face[:, 1:]), face[:, -1:]), axis=1)
 
     def _checked(self, face) -> tuple:
-        """A block of |cos theta| rows as a step takes them: (rows, ends, refusal).
-
-        rows stop before the first row with a singular cell or dt above
-        sqrt(L_min); ends holds each row's k at both ends, 0 if open.
-        """
-        singular = np.flatnonzero(np.any(face < WINDOW_GUARD, axis=1))
-        rows, k, c = self._bounded(face[: singular[0] if len(singular) else len(face)], 1.0)
-        refusal = None
-        if c is not None:
-            refusal = StabilityViolation("dt at or above sqrt(L_min) after flux update")
-        elif len(singular):
-            i = int(np.argmin(face[singular[0]]))
-            refusal = SingularInductance(f"|cos theta| = {face[singular[0], i]} < {WINDOW_GUARD} at cell {i}")
+        """A block of |cos theta| rows as a step takes them: _bounded's rows at bound 1, their k at both ends (0 if open), refusal."""
+        rows, k, refusal = self._bounded(face, 1.0)
         return rows, (k * self._load).tolist(), refusal
 
     def _block(self, times, flux_schedule=None) -> tuple:

@@ -26,7 +26,7 @@ from fluxline.synthesis import (
     WindowViolation,
     godel_max_radius,
 )
-from fluxline.wavelab import CflViolation, FrontNotFound, SingularInductance, StabilityViolation
+from fluxline.wavelab import CflViolation, FrontNotFound
 from fluxline.wavelab import verify
 from fluxline.wavelab.continuum import snapshot_count
 from fluxline.wavelab.verify import MAX_CELL_STEPS
@@ -182,16 +182,21 @@ def test_synth_summary_counts_the_hot_cell_on_the_horizon(tmp_path):
     assert summary["hot_cells_per_time"] == [1]
 
 
-def test_hot_cell_is_the_cell_the_ladder_refuses_as_singular(tmp_path, capsys):
-    # one guard defines both: the budgeted hot cell is singular to the ladder, not to the continuum
-    argv = ["simulate", "--preset", "kerr_theta0", *HORIZON_CELL]
-    assert main([*argv, "--set", "simulation.solver=ladder", "--out", str(tmp_path / "ladder")]) == 4
-    cos = math.cos(math.pi / 2)
-    assert capsys.readouterr().err == f"simulation failed: |cos theta| = {cos} < 1e-09 at cell 2\n"
-    assert main([*argv, "--set", "simulation.solver=continuum", "--out", str(tmp_path / "continuum")]) == 0
-    report = json.loads((tmp_path / "continuum" / "verification.json").read_text())
-    assert report["passed"]
-    assert report["solvers"]["continuum"]["max_rel_deviation"] == pytest.approx(0.0048, abs=5e-5)
+def test_ladder_converges_through_the_hot_cell_on_the_horizon(tmp_path):
+    # the budgeted hot cell passes no current, and the ladder's deviation falls with the cells around it
+    deviations = []
+    for n_cells in (102, 202):
+        window = ["--preset", "kerr_theta0", "--set", "synthesis.coord_window=[0.0,4.0]",
+                  "--set", f"synthesis.n_cells={n_cells}"]
+        assert main(["synth", *window, "--out", str(tmp_path / "synth")]) == 0
+        assert json.loads((tmp_path / "synth" / "synth_summary.json").read_text())["hot_cells_per_time"] == [1]
+        out = tmp_path / str(n_cells)
+        assert main(["simulate", *window, "--set", "simulation.solver=both", "--out", str(out)]) == 0
+        report = json.loads((out / "verification.json").read_text())
+        assert report["passed"]
+        assert report["solvers"]["continuum"]["max_rel_deviation"] == pytest.approx(0.0048, abs=5e-5)
+        deviations.append(report["solvers"]["ladder"]["max_rel_deviation"])
+    assert deviations == pytest.approx([0.0455, 0.0201], abs=5e-5)
 
 
 def test_feasibility_fig1_boundary_values(tmp_path):
@@ -839,8 +844,9 @@ def test_non_finite_ray_speed_exits_1(tmp_path, capsys, preset, r0, extra, error
         (ArccosInfeasible("arccos argument 2 > 1"), 2, "synthesis infeasible"),
         (WindowViolation("total flux angle at pi/2", theta_total=math.pi / 2), 2, "synthesis infeasible"),
         (CflViolation("dt too large"), 4, "simulation failed"),
-        (StabilityViolation("dt too large"), 4, "simulation failed"),
-        (SingularInductance("cos(theta) = 0"), 4, "simulation failed"),
+        # the one stability refusal in the words of both solvers, and a front that verify lost
+        (CflViolation("instantaneous c_max 1.0 breaks the bound used for dt = 1.2"), 4, "simulation failed"),
+        (FrontNotFound("ladder: fewer than 3 front samples inside the window"), 4, "simulation failed"),
         (FrontNotFound("no front"), 4, "simulation failed"),
         (ProfileDomainError("r outside range"), 1, "config error"),
         (ProfileEvaluationError("speed_sq = nan"), 1, "config error: metric"),
@@ -931,11 +937,11 @@ def test_simulate_prints_wrote_for_files_in_place_in_order(tmp_path, monkeypatch
 def test_simulate_failing_after_a_queued_snapshot_csv_writes_no_snapshot(tmp_path, monkeypatch, capsys):
     forks = on_two_cpus(monkeypatch)
 
-    def singular(*args, **kwargs):
-        raise SingularInductance("a cell sits at the pi/2 window")
+    def unstable(*args, **kwargs):
+        raise CflViolation("a cell breaks the stability bound")
 
     # the ladder fails as it steps, after the continuum has run
-    monkeypatch.setattr(verify.LadderSim, "run", singular)
+    monkeypatch.setattr(verify.LadderSim, "run", unstable)
     # the forks made when each solver's ray oracle starts
     forks_at_ray, oracle = [], verify.oracle_positions
     monkeypatch.setattr(verify, "oracle_positions", lambda *a, **k: forks_at_ray.append(len(forks)) or oracle(*a, **k))
@@ -949,7 +955,7 @@ def test_simulate_failing_after_a_queued_snapshot_csv_writes_no_snapshot(tmp_pat
         os.waitpid(-1, os.WNOHANG)
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "simulation failed: a cell sits at the pi/2 window\n"
+    assert err == "simulation failed: a cell breaks the stability bound\n"
 
 
 @pytest.mark.parametrize("command", [["synth"], ["simulate", "--set", "simulation.solver=both"]])

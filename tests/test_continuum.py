@@ -198,10 +198,16 @@ def test_grid_validation():
 
 
 # nan and inf once constructed
-@pytest.mark.parametrize("dx", [math.nan, math.inf, -math.inf, -0.1, 0.0])
-def test_grid_refuses_a_dx_that_is_not_a_finite_number_above_0(dx):
-    with pytest.raises(ValueError, match=r"^dx must be a finite number > 0, got "):
-        ContinuumGrid(n_points=100, dx=dx)
+@pytest.mark.parametrize(
+    "dx, message",
+    [*((dx, "dx must be a finite number > 0, got ") for dx in (math.nan, math.inf, -math.inf, -0.1, 0.0)),
+     (0.1, "boundary must be one of ")],
+    ids=["nan", "inf", "-inf", "-0.1", "0.0", "boundary"],
+)
+def test_grid_refuses_a_dx_that_is_not_a_finite_number_above_0(dx, message):
+    # a bad dx is named before the unknown boundary, which a good dx leaves to be named
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ContinuumGrid(n_points=100, dx=dx, boundary="sponge")
 
 
 # nan and inf once constructed, with an r of all nan or all inf
@@ -209,6 +215,12 @@ def test_grid_refuses_a_dx_that_is_not_a_finite_number_above_0(dx):
 def test_grid_refuses_an_r_start_that_is_not_a_finite_number(r_start):
     with pytest.raises(ValueError, match=r"^r_start must be a finite number, got "):
         ContinuumGrid(n_points=100, dx=0.1, r_start=r_start)
+
+
+def test_solver_refuses_a_supremum_that_is_not_finite():
+    # godel's speed_sq grows as r^2, which overflows over this grid; the solver once built with c_max = inf and dt = 0
+    with pytest.raises(ValueError, match=r"supremum speed_sq on the grid must be a finite number > 0, got inf$"):
+        ContinuumSolver(godel_profile(GodelParams(1.0)), ContinuumGrid(16, 1e140, 1e155))
 
 
 def test_front_at_superluminal_top_hat_wall_does_not_worsen_with_refinement():

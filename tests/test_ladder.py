@@ -9,12 +9,11 @@ from fluxline.config import load_raw_config, validate_config
 from fluxline.metrics import GodelParams, godel_profile
 from fluxline.synthesis import HALF_PI, WINDOW_GUARD, ArrayConfig, synthesize_program
 from fluxline.wavelab import (
+    CflViolation,
     ContinuumGrid,
     ContinuumSolver,
     GaussianPulse,
     LadderSim,
-    SingularInductance,
-    StabilityViolation,
     measure_front_speed,
 )
 from fluxline.wavelab.fronts import front_trajectory
@@ -59,32 +58,43 @@ def test_energy_drift_static_flux_reflecting():
     assert worst < 1e-10  # staggered product form conserves to rounding
 
 
-def test_singular_inductance_at_window():
-    sim = LadderSim(n_cells=16)
-    with pytest.raises(SingularInductance):
-        sim.set_flux(math.pi / 2)
+def test_hot_cell_is_applied_and_carries_no_current():
+    """A cell at pi/2, the horizon cell synthesis counts as hot, is tuned like any other and returns a pulse.
+
+    Its face |cos theta| is about 6e-17, so its inductance is L0 / 6e-17 and
+    the current through it, a SQUID at Phi0/2, is 6e-17 of a flux-free
+    cell's: the line beyond it stays at rounding while the pulse is returned
+    from it and leaves by the absorbing end it came from.
+    """
+    theta = np.where(np.arange(400) == 200, HALF_PI, 0.0)
+    sim = LadderSim(n_cells=400, pitch=0.05, boundary="absorbing")
+    sim.set_flux(theta)
+    assert sim.inductance.tobytes() == (sim.L0 / np.abs(np.cos(theta))).tobytes()
+    sim.initialize_pulse(GaussianPulse(5.0, 0.5), 1)
+    phi = sim.run(math.ceil(18.0 / sim.dt), 20).values
+    peak = np.max(np.abs(phi))
+    assert np.max(np.abs(phi[:, 201:])) <= 1e-12 * peak
+    # the pulse met the hot cell at t = 5, as an open end that doubles it, and is gone by t = 18
+    assert np.max(phi[:, 200]) > 1.9 * np.max(phi[0])
+    assert np.max(np.abs(phi[-1])) <= 1e-2 * peak
+    currents = -np.diff(phi[len(phi) // 3]) / sim.inductance
+    assert abs(currents[200]) <= 1e-15 * np.max(np.abs(currents))
 
 
-def test_singular_cells_are_the_hot_cells_but_the_edge_itself():
-    # synthesis counts theta >= pi/2 - WINDOW_GUARD as hot, the ladder refuses |cos theta| < WINDOW_GUARD:
-    # over the 201 floats around that edge they differ only at the edge, whose cosine rounds above the guard
+def test_every_angle_around_the_hot_edge_is_applied():
+    # synthesis alone counts theta >= pi/2 - WINDOW_GUARD as hot; the ladder tunes
+    # each of the 201 floats around that edge to its own |cos theta|
     edge = HALF_PI - WINDOW_GUARD
     thetas = edge + np.arange(-100, 101) * np.spacing(edge)
-    singular = []
-    for theta in thetas:
-        try:
-            LadderSim(n_cells=2).set_flux(theta)
-        except SingularInductance:
-            singular.append(True)
-        else:
-            singular.append(False)
-    assert [s != (t >= edge) for s, t in zip(singular, thetas)] == [t == edge for t in thetas]
+    sim = LadderSim(n_cells=len(thetas))
+    sim.set_flux(thetas)
+    assert sim.inductance.tobytes() == (sim.L0 / np.abs(np.cos(thetas))).tobytes()
 
 
 def test_stability_violation_for_oversized_dt():
     sim = LadderSim(n_cells=16)
     sim.dt = 1.5  # break the bound sqrt(L0 C) = 1 after construction
-    with pytest.raises(StabilityViolation):
+    with pytest.raises(CflViolation):
         sim.set_flux(0.0)
 
 
@@ -255,11 +265,17 @@ def test_ladder_constructor_validation():
         LadderSim(n_cells=8, stability_factor=1.2)
 
 
-# nan ran to an all-NaN record, -1 on a reversed grid, whose loaded ends would amplify, and 0 raised StabilityViolation
-@pytest.mark.parametrize("pitch", [math.nan, math.inf, -math.inf, -1.0, 0.0])
-def test_ladder_refuses_a_pitch_that_is_not_a_finite_number_above_0(pitch):
-    with pytest.raises(ValueError, match=r"^pitch must be a finite number > 0, got "):
-        LadderSim(n_cells=8, pitch=pitch)
+# nan ran to an all-NaN record, -1 on a reversed grid, whose loaded ends would amplify, and 0 broke the stability bound
+@pytest.mark.parametrize(
+    "pitch, message",
+    [*((pitch, "pitch must be a finite number > 0, got ") for pitch in (math.nan, math.inf, -math.inf, -1.0, 0.0)),
+     (1.0, "boundary must be one of ")],
+    ids=["nan", "inf", "-inf", "-1.0", "0.0", "boundary"],
+)
+def test_ladder_refuses_a_pitch_that_is_not_a_finite_number_above_0(pitch, message):
+    # a bad pitch is named before the unknown boundary, which a good pitch leaves to be named
+    with pytest.raises(ValueError, match=f"^{message}"):
+        LadderSim(n_cells=8, pitch=pitch, boundary="sponge")
 
 
 # nan once ran to a record whose r and values were all NaN

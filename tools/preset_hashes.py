@@ -9,14 +9,16 @@ Runs profile, synth, synth over the benchmark's 64 time samples
 kerr_theta0 and fig3 (synth-horizon), feasibility, feasibility over the
 benchmark's 161 radii (feasibility-dense), feasibility over two DC angles
 and 31 radii, a scan of the configured metric on every preset without a
-figure (feasibility-custom), raytrace, raytrace of three launches into one file
-(raytrace-multi), simulate, simulate with simulation.solver=both, and
+figure (feasibility-custom), raytrace, raytrace of three launches into one
+file (raytrace-multi), simulate, simulate with simulation.solver=both,
 simulate with both solvers and simulation.boundary=reflecting
-(simulate-reflecting) on every preset, in-process through fluxline.cli.main
-from this checkout's src/. Each run writes to out/preset_hashes/<run> under
-the checkout root. --out enters the config hash that every artifact
-carries, so the path is the same relative path on every tree, and the
-tables that two checkouts print compare line by line.
+(simulate-reflecting), and simulate with both solvers over [0, 4] in 102
+cells, with a hot cell on kerr_theta0 (simulate-horizon), on every preset,
+in-process through fluxline.cli.main from this checkout's src/. Each run
+writes to out/preset_hashes/<run> under the checkout root. --out enters the
+config hash that every artifact carries, so the path is the same relative
+path on every tree, and the tables that two checkouts print compare line by
+line.
 
 Prints one markdown row per artifact: run, exit code, the first line the
 run printed on stderr (its refusal, if any), file, sha256 and, on a
@@ -68,6 +70,11 @@ RUNS = (
     ("simulate-both", ("--set", "simulation.solver=both")),
     # both solvers' reflecting ends, which no other run reaches
     ("simulate-reflecting", ("--set", "simulation.solver=both", "--set", "simulation.boundary=reflecting")),
+    # on kerr_theta0 cell 25 sits on the horizon r = M: both solvers step through a hot cell
+    (
+        "simulate-horizon",
+        ("--set", "synthesis.coord_window=[0.0,4.0]", "--set", "synthesis.n_cells=102", "--set", "simulation.solver=both"),
+    ),
 )
 
 
