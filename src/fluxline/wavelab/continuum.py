@@ -10,14 +10,15 @@ sampled at cell faces as the arithmetic mean of the node values, and in
 wavelab.ladder on the node flux with each cell's own |cos theta|. The time
 step is dt = CFL_FACTOR * dx / c_max with c_max the profile supremum over
 the whole run; the step raises CflViolation whenever the instantaneous
-speed breaks that bound (possible for time-dependent or tabulated profiles
-whose supremum was underestimated), and so does the ladder's at bound 1.
+speed breaks that bound or is NaN (possible for time-dependent or
+tabulated profiles whose supremum was underestimated), and so does the
+ladder's at bound 1.
 run_blocks, the run loop of both solvers, takes a given step count in
 blocks of up to BLOCK_STEPS step times and records snapshot_count levels;
 a time-dependent profile is evaluated once per block, each step takes its
-row, and step() alone is a block of one. The stability test and the ends'
-coefficients are taken with the rows, once per block, and a static row's
-once per dt.
+row, and step() alone is a block of one. Leapfrog._block, one for both
+solvers, takes the stability test and the ends' coefficients with the rows,
+once per block, and a static row's once per dt and row.
 
 Boundaries: "reflecting" pins the field to zero at both ends; the default
 "absorbing" ends each side in Mur's first-order one-way condition (IEEE
@@ -189,9 +190,9 @@ class Leapfrog:
     its three own level buffers holds neither, and its fluxes and products
     into its own scratch: it allocates no array of the grid's size and never
     writes to one that initialize_pulse or a caller set. A solver sets dt
-    and supplies _block(times, *args) -> (face rows, end numbers per row,
-    refusal or None), _end(nxt, cur, prev, first, last), _face_rows(times),
-    _node_speed_sq(times) and _record(out), which writes the field at time.
+    and _face, and supplies _moving(*args), _checked(face rows), _end(nxt,
+    cur, prev, first, last), _face_rows(times, *args), _node_speed_sq(times)
+    and _record(out), which writes the field at time.
     """
 
     _lead = 0.0
@@ -219,7 +220,8 @@ class Leapfrog:
         refusal is the CflViolation naming that c, or None; k holds each kept row's dt sqrt(face) / dx at its two end faces.
         """
         speeds = np.sqrt(np.maximum(face.max(axis=1), 0.0))
-        breaks = np.flatnonzero(self.dt * speeds > bound * self._dx * (1.0 + 1e-9))
+        # written as not <=, so that a NaN speed breaks the bound too
+        breaks = np.flatnonzero(~(self.dt * speeds <= bound * self._dx * (1.0 + 1e-9)))
         stop = int(breaks[0]) if len(breaks) else len(face)
         k = self.dt * np.sqrt(np.maximum(face[:stop, [0, -1]], 0.0)) / self._dx
         refusal = None
@@ -227,12 +229,17 @@ class Leapfrog:
             refusal = CflViolation(f"instantaneous c_max {float(speeds[stop])} breaks the bound used for dt = {self.dt}")
         return list(face[:stop]), k, refusal
 
-    def _static_block(self, row, n: int) -> tuple:
-        """The _checked block of row taken n times; it is checked once per dt and row."""
-        if self._static is None or self._static[0] is not row or self._static[1] != self.dt:
-            self._static = row, self.dt, self._checked(row[None])
+    def _block(self, times, *args) -> tuple:
+        """The _checked block of times: moving faces' rows, the last applied kept in _face, or _face's row, checked once per dt and row."""
+        if self._moving(*args):
+            rows, ends, refusal = self._checked(self._face_rows(times, *args))
+            if rows:
+                self._face = rows[-1]
+            return rows, ends, refusal
+        if self._static is None or self._static[0] is not self._face or self._static[1] != self.dt:
+            self._static = self._face, self.dt, self._checked(self._face[None])
         rows, ends, refusal = self._static[2]
-        return rows * n, ends * n, refusal
+        return rows * len(times), ends * len(times), refusal
 
     def _free_level(self) -> np.ndarray:
         """The level buffer that holds neither psi_prev nor psi_cur."""
@@ -328,9 +335,14 @@ class ContinuumSolver(Leapfrog):
         self.c_max = background_c * math.sqrt(sup)
         self.dt = CFL_FACTOR * grid.dx / self.c_max
         self._absorbing = grid.boundary == "absorbing"
-        self._face = None
+        self._moves = True
         if not profile.time_dependent:
             self._face = self._face_rows([0.0])[0]
+            self._moves = False
+
+    def _moving(self) -> bool:
+        """Whether the faces move: the profile's time dependence, read once, in __init__."""
+        return self._moves
 
     def _node_speed_sq(self, times) -> np.ndarray:
         """c^2 at the nodes, one row per time."""
@@ -339,7 +351,7 @@ class ContinuumSolver(Leapfrog):
 
     def _face_rows(self, times) -> np.ndarray:
         """c^2 at the cell faces, one row per time; a static profile's row is evaluated once, in __init__."""
-        if self._face is not None:
+        if not self._moves:
             return np.broadcast_to(self._face, (len(times), len(self._face)))
         node = self._node_speed_sq(times)
         return 0.5 * (node[:, :-1] + node[:, 1:])
@@ -348,12 +360,6 @@ class ContinuumSolver(Leapfrog):
         """A block of face rows as a step takes them: _bounded's rows, each row's Mur coefficients (k - 1)/(k + 1), refusal."""
         rows, k, refusal = self._bounded(face, CFL_FACTOR)
         return rows, ((k - 1.0) / (k + 1.0)).tolist(), refusal
-
-    def _block(self, times) -> tuple:
-        """The _checked block of times; a static profile's one row is checked once per dt."""
-        if self._face is None:
-            return self._checked(self._face_rows(times))
-        return self._static_block(self._face, len(times))
 
     def _end(self, nxt, cur, prev, first, last):
         """Mur's one-way end, first and last its coefficients, or with reflecting ends the field pinned to zero."""

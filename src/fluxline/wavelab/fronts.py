@@ -24,7 +24,6 @@ __all__ = [
     "Snapshots",
     "FrontNotFound",
     "FrontSpeeds",
-    "front_position",
     "front_trajectory",
     "measure_front_speed",
 ]
@@ -67,42 +66,19 @@ class FrontSpeeds:
     mean: float
 
 
-def front_position(r, values, direction: int = 1) -> float:
-    """Leading crossing of FRONT_THRESHOLD * max|values|.
-
-    direction +1 scans for the rightmost crossing, -1 for the leftmost,
-    found as the rightmost crossing of the reversed samples.
-    """
-    a = np.abs(np.asarray(values, dtype=float))
-    rr = np.asarray(r, dtype=float)
-    if direction < 0:
-        a, rr = a[::-1], rr[::-1]
-    peak = float(a.max(initial=0.0))
-    if peak <= 0.0:
-        raise FrontNotFound("field is identically zero")
-    thr = FRONT_THRESHOLD * peak
-    above = np.nonzero(a >= thr)[0]
-    if above.size == 0:
-        raise FrontNotFound("no sample above threshold")
-    j = int(above[-1])
-    if j == len(rr) - 1:
-        return float(rr[-1])
-    frac = (a[j] - thr) / (a[j] - a[j + 1])
-    return float(rr[j] + frac * (rr[j + 1] - rr[j]))
-
-
 def front_trajectory(snapshots, direction: int = 1, r_stop: float | None = None):
     """Front position per snapshot of a Snapshots record as (times, positions) arrays.
 
     Collection stops at the first snapshot whose front passes r_stop (in the
     travel direction), so measurements can stop before the pulse reaches
-    the end it leaves through. A level that front_position refuses raises
-    its FrontNotFound, unless an earlier level's front has passed r_stop.
+    the end it leaves through. A zero level, or one with no sample at or
+    above the threshold, raises FrontNotFound, unless an earlier level's
+    front has passed r_stop.
 
-    Each position is front_position's, in its arithmetic, found for many
-    levels in one pass of array operations. A pass holds at most
-    MAX_GRID_POINTS values, so its temporaries stay an eighth of the
-    largest record a simulation may keep.
+    Many levels are found in one pass of array operations, in the arithmetic
+    of the scalar reference front_position in tests/test_fronts.py. A pass
+    holds at most MAX_GRID_POINTS values, so its temporaries stay an eighth
+    of the largest record a simulation may keep.
     """
     r = np.asarray(snapshots.r, dtype=float)
     values = np.asarray(snapshots.values, dtype=float)

@@ -22,7 +22,8 @@ L_i >= L0 for any flux. A cell at the pi/2 window, one synthesis counts as
 hot, is a face near 0 that carries next to no current, as a SQUID at
 Phi0/2 passes no supercurrent; nothing divides by it. A flux schedule takes
 the (k, 1) half-step times of each block that run() takes through
-continuum.run_blocks and returns (k, n_cells) angles.
+continuum.run_blocks and returns (k, n_cells) angles; the cells keep the
+last row applied.
 
 Ends: an end node has no branch beyond it, a zero ghost flux. "absorbing"
 terminates it in its own end cell's impedance sqrt(L_end), which drains
@@ -112,14 +113,9 @@ class LadderSim(Leapfrog):
         rows, k, refusal = self._bounded(face, 1.0)
         return rows, (k * self._load).tolist(), refusal
 
-    def _block(self, times, flux_schedule=None) -> tuple:
-        """The _checked block of times; the cells as they are, without a schedule, are checked once per dt and setting."""
-        if flux_schedule is None:
-            return self._static_block(self._face, len(times))
-        block = self._checked(self._face_rows(times, flux_schedule))
-        if block[0]:
-            self._face = block[0][-1]
-        return block
+    def _moving(self, flux_schedule=None) -> bool:
+        """Whether the faces move: a flux schedule retunes the cells each step."""
+        return flux_schedule is not None
 
     def _end(self, nxt, cur, prev, first, last):
         """Each end node, fed by its one cell, drains k (cur - prev) into its load: first and last are the ends' k."""

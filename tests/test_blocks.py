@@ -26,7 +26,7 @@ from fluxline.wavelab import (
     GaussianPulse,
     LadderSim,
 )
-from fluxline.wavelab.continuum import BLOCK_STEPS, CFL_FACTOR, fdtd_step
+from fluxline.wavelab.continuum import BLOCK_STEPS, CFL_FACTOR, Leapfrog, fdtd_step
 from fluxline.wavelab.fronts import Snapshots
 
 THETA_DC = -0.36 * math.pi
@@ -79,7 +79,8 @@ def reference_continuum_run(solver, t_end, stride):
     steps = 0
     while solver.time < t_end - 1e-12:
         face, c_inst = face_and_speed(solver.time)
-        if dt * c_inst > CFL_FACTOR * dx * (1.0 + 1e-9):
+        # not <=, so that a NaN speed is refused too
+        if not dt * c_inst <= CFL_FACTOR * dx * (1.0 + 1e-9):
             raise CflViolation(f"instantaneous c_max {c_inst} breaks the bound used for dt = {dt}")
         nxt = fdtd_step(solver.psi_prev, solver.psi_cur, face, dx, dt, np.zeros(len(solver.r)))
         # the grid's absorbing ends: Mur's one-way end, k from the end face of this step's row
@@ -125,7 +126,7 @@ def reference_ladder_run(sim, n_steps, stride, schedule):
         face = np.abs(np.cos(theta))
         # dt < sqrt(L_min), L = pitch^2 / |cos theta|: the continuum's test and refusal at bound 1
         c_inst = math.sqrt(max(float(np.max(face)), 0.0))
-        if dt * c_inst > 1.0 * dx * (1.0 + 1e-9):
+        if not dt * c_inst <= 1.0 * dx * (1.0 + 1e-9):
             raise CflViolation(f"instantaneous c_max {c_inst} breaks the bound used for dt = {dt}")
         sim.set_flux(theta)
         prev, cur = sim.psi_prev, sim.psi_cur
@@ -196,15 +197,16 @@ GODEL_WINDOW = (0.0, 3.8)
 GODEL_PULSE = GaussianPulse(1.9, 0.35)
 
 
+def godel_solver(profile):
+    grid = ContinuumGrid(n_points=400, dx=(GODEL_WINDOW[1] - GODEL_WINDOW[0]) / 399, r_start=GODEL_WINDOW[0])
+    solver = ContinuumSolver(profile, grid, BG)
+    solver.initialize_pulse(GODEL_PULSE, 1)
+    return solver
+
+
 @pytest.mark.parametrize("n_steps", STEPS)
 def test_continuum_blocks_match_per_step_loop_on_a_static_profile(n_steps):
-    def solver(profile):
-        grid = ContinuumGrid(n_points=400, dx=(GODEL_WINDOW[1] - GODEL_WINDOW[0]) / 399, r_start=GODEL_WINDOW[0])
-        solver = ContinuumSolver(profile, grid, BG)
-        solver.initialize_pulse(GODEL_PULSE, 1)
-        return solver
-
-    sim, ref = solver(Recording(GODEL)), solver(Recording(GODEL))
+    sim, ref = godel_solver(Recording(GODEL)), godel_solver(Recording(GODEL))
     assert 0.0 not in (ref.psi_cur[1], ref.psi_cur[-2])
     got = sim.run(n_steps, 7)
     want = reference_continuum_run(ref, (n_steps + 0.5) * sim.dt, 7)
@@ -264,7 +266,13 @@ def softening_schedule(sim):
     return lambda t: np.where(np.asarray(t) > RAISE_AT * sim.dt, 0.2, 1.0) + np.zeros(sim.n_cells)
 
 
-@pytest.mark.parametrize("make_schedule", [softening_schedule], ids=["unstable"])
+def nan_schedule(sim):
+    """Every cell at 0.3, and from step RAISE_AT on the cell under the pulse at NaN."""
+    nan = np.arange(sim.n_cells) == np.searchsorted(sim.cell_r, 6.0)
+    return lambda t: np.where(nan & (np.asarray(t) > RAISE_AT * sim.dt), math.nan, 0.3)
+
+
+@pytest.mark.parametrize("make_schedule", [softening_schedule, nan_schedule], ids=["unstable", "nan"])
 def test_ladder_refuses_mid_block_at_the_reference_step(make_schedule):
     sim, ref = ladder_sim(), ladder_sim()
     with pytest.raises(CflViolation) as got:
@@ -280,20 +288,20 @@ def test_ladder_refuses_mid_block_at_the_reference_step(make_schedule):
 
 
 class Quickening:
-    """A moving profile with speed_sq 1 that jumps to 4 from t_jump on."""
+    """A moving profile with speed_sq 1 that jumps to jump from t_jump on."""
 
-    def __init__(self, t_jump):
+    def __init__(self, t_jump, jump):
         self.t_jump = t_jump
+        self.jump = jump
 
     def speed_sq(self, r, t=0.0, background_c=1.0):
-        return np.where(np.asarray(t) >= self.t_jump, 4.0, 1.0) + np.zeros_like(r)
+        return np.where(np.asarray(t) >= self.t_jump, self.jump, 1.0) + np.zeros_like(r)
 
 
-def test_continuum_refuses_mid_block_at_the_reference_step():
+def assert_continuum_refuses_mid_block_at_the_reference_step(jump):
     solver, ref = continuum_solver(alcubierre("top_hat")), continuum_solver(alcubierre("top_hat"))
-    # dt is set from the supremum (1 + vs)^2 = 2.25, which speed_sq 4 breaks
     for s in (solver, ref):
-        s.profile = Quickening((RAISE_AT + 0.5) * s.dt)
+        s.profile = Quickening((RAISE_AT + 0.5) * s.dt, jump)
     with pytest.raises(CflViolation) as got:
         solver.run(3 * BLOCK_STEPS - 1, 7)
     with pytest.raises(CflViolation) as want:
@@ -301,6 +309,15 @@ def test_continuum_refuses_mid_block_at_the_reference_step():
     assert str(got.value) == str(want.value)
     assert solver.time == ref.time == pytest.approx((RAISE_AT + 1) * solver.dt, rel=1e-12)
     assert solver.psi_cur.tobytes() == ref.psi_cur.tobytes()
+
+
+def test_continuum_refuses_mid_block_at_the_reference_step():
+    # dt is set from the supremum (1 + vs)^2 = 2.25, which speed_sq 4 breaks
+    assert_continuum_refuses_mid_block_at_the_reference_step(4.0)
+
+
+def test_continuum_refuses_a_nan_speed_mid_block_at_the_reference_step():
+    assert_continuum_refuses_mid_block_at_the_reference_step(math.nan)
 
 
 @pytest.mark.parametrize("n_steps, stride", [(2 * BLOCK_STEPS, 4), (21, 7), (9, 1)])
@@ -344,3 +361,42 @@ def test_recorded_times_are_set_before_the_first_step_and_are_the_times_stepping
     while isinstance(buffer, np.ndarray):
         buffer = buffer.base
     assert isinstance(buffer.obj, mmap.mmap)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The rows of each stability check, Leapfrog._bounded's calls, from here on."""
+    calls = []
+    bounded = Leapfrog._bounded
+
+    def counted(self, face, bound):
+        calls.append(len(face))
+        return bounded(self, face, bound)
+
+    monkeypatch.setattr(Leapfrog, "_bounded", counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["continuum", "ladder"])
+def test_a_static_row_is_checked_once_per_dt_and_row(solver, checks):
+    sim = godel_solver(GODEL) if solver == "continuum" else ladder_sim()
+    sim.run(3 * BLOCK_STEPS, 7)
+    sim.run(BLOCK_STEPS, 7)
+    assert checks == [1]
+    sim.dt *= 0.9
+    sim.run(3 * BLOCK_STEPS, 7)
+    assert checks == [1, 1]
+    if solver == "ladder":
+        # set_flux checks the row it is given, and the next run checks it once more
+        sim.set_flux(0.3)
+        sim.run(3 * BLOCK_STEPS, 7)
+        assert checks == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("solver", ["continuum", "ladder"])
+def test_moving_rows_are_checked_once_per_block(solver, checks):
+    if solver == "continuum":
+        continuum_solver(alcubierre("top_hat")).run(3 * BLOCK_STEPS, 7)
+    else:
+        ladder_sim().run(3 * BLOCK_STEPS, 7, flux_schedule=lambda t: 0.3)
+    assert checks == [BLOCK_STEPS] * 3

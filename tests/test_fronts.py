@@ -5,9 +5,35 @@ import pytest
 
 from fluxline.config import load_raw_config, validate_config
 from fluxline.synthesis import synthesize_program
-from fluxline.wavelab import FrontNotFound, Snapshots, front_position, front_trajectory, measure_front_speed
+from fluxline.wavelab import FrontNotFound, Snapshots, front_trajectory, measure_front_speed
 from fluxline.wavelab import fronts
+from fluxline.wavelab.fronts import FRONT_THRESHOLD
 from fluxline.wavelab.verify import verify_program
+
+
+# The scalar reference that front_trajectory's array passes are checked against, one level at a time
+def front_position(r, values, direction: int = 1) -> float:
+    """Leading crossing of FRONT_THRESHOLD * max|values|.
+
+    direction +1 scans for the rightmost crossing, -1 for the leftmost,
+    found as the rightmost crossing of the reversed samples.
+    """
+    a = np.abs(np.asarray(values, dtype=float))
+    rr = np.asarray(r, dtype=float)
+    if direction < 0:
+        a, rr = a[::-1], rr[::-1]
+    peak = float(a.max(initial=0.0))
+    if peak <= 0.0:
+        raise FrontNotFound("field is identically zero")
+    thr = FRONT_THRESHOLD * peak
+    above = np.nonzero(a >= thr)[0]
+    if above.size == 0:
+        raise FrontNotFound("no sample above threshold")
+    j = int(above[-1])
+    if j == len(rr) - 1:
+        return float(rr[-1])
+    frac = (a[j] - thr) / (a[j] - a[j + 1])
+    return float(rr[j] + frac * (rr[j + 1] - rr[j]))
 
 
 def gaussian_snaps(v=0.7, n=400, times=None, r0=3.0):

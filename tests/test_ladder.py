@@ -98,6 +98,17 @@ def test_stability_violation_for_oversized_dt():
         sim.set_flux(0.0)
 
 
+def test_a_nan_flux_row_is_refused_and_the_cells_keep_the_last_row():
+    sim = LadderSim(n_cells=8)
+    sim.set_flux(0.3)
+    before = sim.inductance.tobytes()
+    with pytest.raises(CflViolation, match="instantaneous c_max nan breaks the bound"):
+        sim.set_flux([0.1] * 7 + [math.nan])
+    assert sim.inductance.tobytes() == before
+    sim.initialize_pulse(GaussianPulse(4.0, 0.5), 1)
+    assert np.isfinite(sim.run(20, 1).values).all()
+
+
 def test_inductance_tuning_law():
     sim = LadderSim(n_cells=8)
     theta = np.array([0.0, math.pi / 3, -math.pi / 3, 0.2, 0.44 * math.pi, 0.1, 0.0, 0.3])
